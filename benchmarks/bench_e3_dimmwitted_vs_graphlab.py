@@ -9,6 +9,12 @@ sweep throughput of the CSR column-to-row engine against the
 vertex-programming engine on identical semantics.  Shape check: the CSR
 engine wins by a comfortable factor; we report our measured ratio next to
 the paper's 3.7x.
+
+The learning row measures the other half of an engineering-loop iteration:
+epochs/s of the learner on the vectorized factor-value kernel against the
+same learner on the scalar oracle, and sweeps/s of the lean chromatic sweep
+against the pre-kernel formulation of the same arithmetic, both on the joint
+spouse graph and both required to stay bit-identical.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ import numpy as np
 from conftest import RESULTS_DIR, once, write_json
 
 from repro import obs
+from repro.apps import spouse
 from repro.baselines import VertexProgrammingGibbs
+from repro.corpus import spouse as spouse_corpus
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
-from repro.inference import GibbsSampler
+from repro.inference import (GibbsSampler, LearningOptions, learn_weights,
+                             sigmoid)
 
 
 def kbc_graph(num_candidates=3000, features_per_candidate=3,
@@ -190,3 +199,188 @@ def test_e3_speedup_report(benchmark, reporter):
 
     # Shape: the flat-array engine wins by a clear factor.
     assert speedup > 1.5
+
+
+# ------------------------------------------------------------ learning row
+def joint_spouse_graph(couples=200, seed=0) -> FactorGraph:
+    """The joint spouse program's grounded graph (mention classifiers plus
+    entity-level IMPLY factors) -- the graph of bench/'s infer-joint."""
+    config = spouse_corpus.SpouseConfig(
+        num_couples=couples, num_distractor_pairs=couples,
+        num_sibling_pairs=max(1, couples // 3))
+    corpus = spouse_corpus.generate(config, seed=seed)
+    return spouse.build(corpus, seed=0, joint=True).grounder.graph
+
+
+class ScalarOracleGraph(CompiledGraph):
+    """A compiled graph whose learner statistics go through the scalar
+    oracle: one ``general_factor_value`` call per factor per epoch."""
+
+    def general_value_sums(self, assignment):
+        sums = np.zeros(self.num_weights, dtype=np.float64)
+        for fi in range(self.num_general):
+            sums[self.general_weight[fi]] += self.general_factor_value(
+                fi, assignment)
+        return sums
+
+
+class PreKernelSweep:
+    """The chromatic sweep as it was formulated before the lean kernels.
+
+    Same chain, same arithmetic, but per color per sweep: an ``astype`` +
+    ``reduceat`` true count, a fresh ``np.zeros`` contribution, per-category
+    masked gathers and scatters over per-slot arrays, and the general-purpose
+    ``sigmoid`` with its scalar prologue.  The per-slot arrays the old
+    compiled block carried are rebuilt once from the slot groups.
+    """
+
+    def __init__(self, sampler: GibbsSampler) -> None:
+        self.sampler = sampler
+        self.blocks = []
+        for kernel in sampler._kernels:
+            block = kernel.block
+            slot_factor = np.zeros(block.num_slots, dtype=np.int64)
+            slot_edge = np.zeros(block.num_slots, dtype=np.int64)
+            for group in (block.match, block.equal, block.imply_body):
+                slot_factor[group.slots] = group.factor
+                slot_edge[group.slots] = group.edge
+            arity = np.bincount(block.edge_factor)
+            all_others = block.match.slots[block.match.target > 0]
+            none_others = block.match.slots[block.match.target == 0]
+            edge_starts = np.nonzero(
+                np.diff(block.edge_factor, prepend=-1))[0]
+            self.blocks.append((block, kernel, slot_factor, slot_edge,
+                                arity[slot_factor], all_others, none_others,
+                                edge_starts))
+
+    def sweep(self, assignment: np.ndarray) -> int:
+        sampler = self.sampler
+        sampled = sampler._sweep_independent(assignment)
+        uniforms = sampler.rng.random(len(sampler._dependent))
+        offset = 0
+        for (block, kernel, slot_factor, slot_edge, slot_arity, all_others,
+             none_others, edge_starts) in self.blocks:
+            literals = assignment[block.edge_vars] ^ block.edge_negated
+            true_counts = np.add.reduceat(literals.astype(np.int64),
+                                          edge_starts)
+            others_true = true_counts[slot_factor] - literals[slot_edge]
+            contribution = np.zeros(block.num_slots, dtype=np.float64)
+            if len(all_others):
+                contribution[all_others] = (
+                    others_true[all_others] == slot_arity[all_others] - 1)
+            if len(none_others):
+                contribution[none_others] = others_true[none_others] == 0
+            sel = block.equal.slots
+            if len(sel):
+                contribution[sel] = 2.0 * others_true[sel] - 1.0
+            sel = block.imply_body.slots
+            if len(sel):
+                head = literals[block.imply_head_edge]
+                body_others = others_true[sel] - head
+                contribution[sel] = np.where(
+                    (body_others == slot_arity[sel] - 2) & ~head, -1.0, 0.0)
+            deltas = np.bincount(block.slot_var,
+                                 weights=contribution * kernel.signed_weights,
+                                 minlength=len(block.variables))
+            deltas = sampler._unary_deltas[block.variables] + deltas
+            n = len(block.variables)
+            assignment[block.variables] = (
+                uniforms[offset:offset + n] < sigmoid(deltas))
+            offset += n
+        return sampled + len(sampler._dependent)
+
+
+def test_e3_learning_kernels_report(benchmark, reporter):
+    """Learner on the factor-value kernel vs on the scalar oracle, and the
+    lean sweep vs the pre-kernel sweep, on the joint spouse graph."""
+    graph = joint_spouse_graph()
+    options = LearningOptions(epochs=15, seed=0)
+    sweeps = 1500
+    measurements = {}
+
+    def learn(compiled_class):
+        compiled = compiled_class(graph)
+        start = time.perf_counter()
+        diagnostics = learn_weights(compiled, options)
+        return compiled, diagnostics, time.perf_counter() - start
+
+    def experiment():
+        learn(CompiledGraph)                           # warm caches, untimed
+        kernel, kernel_run, kernel_time = learn(CompiledGraph)
+        oracle, oracle_run, oracle_time = learn(ScalarOracleGraph)
+        measurements.update(
+            kernel_time=kernel_time, oracle_time=oracle_time,
+            learning_bit_identical=bool(
+                np.array_equal(kernel.weight_values, oracle.weight_values)
+                and kernel_run.gradient_norms == oracle_run.gradient_norms),
+            variables=kernel.num_variables, general=kernel.num_general,
+            unary=kernel.num_unary)
+
+        lean = GibbsSampler(kernel, seed=0)
+        before = PreKernelSweep(GibbsSampler(kernel, seed=0))
+        world_lean = lean.initial_assignment()
+        world_before = before.sampler.initial_assignment()
+        for _ in range(50):                            # warm both, in step
+            lean.sweep(world_lean)
+            before.sweep(world_before)
+        start = time.perf_counter()
+        for _ in range(sweeps):
+            lean.sweep(world_lean)
+        lean_time = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(sweeps):
+            before.sweep(world_before)
+        before_time = time.perf_counter() - start
+        measurements.update(
+            lean_time=lean_time, before_time=before_time,
+            sweep_bit_identical=bool(np.array_equal(world_lean, world_before)))
+        return measurements
+
+    once(benchmark, experiment)
+
+    kernel_rate = options.epochs / measurements["kernel_time"]
+    oracle_rate = options.epochs / measurements["oracle_time"]
+    learning_speedup = kernel_rate / oracle_rate
+    lean_rate = sweeps / measurements["lean_time"]
+    before_rate = sweeps / measurements["before_time"]
+    sweep_speedup = lean_rate / before_rate
+
+    reporter.line("E3 / Sec 2.5 + 4.2 -- learning and sweep kernels, "
+                  "joint spouse graph")
+    reporter.line(f"{measurements['variables']} variables, "
+                  f"{measurements['unary']} unary + "
+                  f"{measurements['general']} general factors")
+    reporter.line()
+    reporter.table(
+        ["learner statistics", "epochs/s", "relative"],
+        [["CSR factor-value kernel", f"{kernel_rate:,.1f}",
+          f"{learning_speedup:.2f}x"],
+         ["scalar oracle", f"{oracle_rate:,.1f}", "1.00x"]])
+    reporter.line()
+    reporter.table(
+        ["chromatic sweep", "sweeps/s", "relative"],
+        [["lean kernels", f"{lean_rate:,.0f}", f"{sweep_speedup:.2f}x"],
+         ["pre-kernel formulation", f"{before_rate:,.0f}", "1.00x"]])
+    reporter.line()
+    reporter.line(f"learned weights + gradient norms bit-identical: "
+                  f"{measurements['learning_bit_identical']}; "
+                  f"chains bit-identical: "
+                  f"{measurements['sweep_bit_identical']}")
+    reporter.line(f"learning speedup: {learning_speedup:.2f}x "
+                  f"(acceptance floor: 5x)")
+    write_json("BENCH_e3_learning_kernels", {
+        "experiment": "e3_dimmwitted_vs_graphlab",
+        "kernel_epochs_per_second": kernel_rate,
+        "oracle_epochs_per_second": oracle_rate,
+        "learning_speedup": learning_speedup,
+        "learning_floor": 5.0,
+        "learning_bit_identical": measurements["learning_bit_identical"],
+        "lean_sweeps_per_second": lean_rate,
+        "pre_kernel_sweeps_per_second": before_rate,
+        "sweep_speedup": sweep_speedup,
+        "sweep_bit_identical": measurements["sweep_bit_identical"],
+    })
+
+    assert measurements["learning_bit_identical"]
+    assert measurements["sweep_bit_identical"]
+    assert learning_speedup > 5.0

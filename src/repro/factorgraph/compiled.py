@@ -28,6 +28,13 @@ color block simultaneously with vectorized operations without changing the
 stationary distribution.  :meth:`CompiledGraph.color_blocks` compiles each
 color into flat "slot" index arrays (one slot per variable/factor incidence)
 that the sampler turns into a handful of numpy gathers per sweep.
+
+The learner's sufficient statistics run on the same row CSR:
+:meth:`CompiledGraph.general_values` evaluates every general factor in one
+vectorized pass.  The per-function index sets it needs are derived from the
+CSR arrays on first use (never at compile time -- most compiled graphs are
+only ever sampled), and the scalar :meth:`CompiledGraph.general_factor_value`
+stays as the oracle the kernel is property-tested against.
 """
 
 from __future__ import annotations
@@ -43,6 +50,12 @@ from repro.factorgraph.graph import FactorGraph
 
 class CompiledGraph:
     """Flat-array snapshot of a :class:`FactorGraph`, ready for sampling."""
+
+    # Index sets of the factor-value kernel, derived on the first
+    # ``general_values`` call.  A class-level default (not set in
+    # ``__init__``) so shared-memory views built without ``__init__`` derive
+    # theirs from the packed CSR arrays the same way.
+    _value_kernel: "_ValueKernel | None" = None
 
     def __init__(self, graph: FactorGraph) -> None:
         self.num_variables = graph.num_variables
@@ -164,70 +177,48 @@ class CompiledGraph:
         return blocks
 
     def _compile_color_block(self, variables: np.ndarray) -> "ColorBlock":
-        local_pos = {int(v): i for i, v in enumerate(variables)}
-        in_block = np.zeros(self.num_variables, dtype=bool)
-        in_block[variables] = True
+        local_pos = np.full(self.num_variables, -1, dtype=np.int64)
+        local_pos[variables] = np.arange(len(variables))
 
-        # Factors incident on the block, compacted into local edge CSR rows.
-        factor_ids = np.unique(np.concatenate(
-            [self.vf_factors[self.vf_indptr[v]:self.vf_indptr[v + 1]]
-             for v in variables]))
-        edge_slices = [(int(self.fv_indptr[fi]), int(self.fv_indptr[fi + 1]))
-                       for fi in factor_ids]
-        edge_vars = np.concatenate(
-            [self.fv_vars[lo:hi] for lo, hi in edge_slices])
-        edge_negated = np.concatenate(
-            [self.fv_negated[lo:hi] for lo, hi in edge_slices])
-        edge_indptr = np.zeros(len(factor_ids) + 1, dtype=np.int64)
-        np.cumsum([hi - lo for lo, hi in edge_slices], out=edge_indptr[1:])
+        # Factors incident on the block, compacted into local edge rows.
+        incident, _ = _csr_rows(self.vf_indptr, variables)
+        factor_ids = np.unique(self.vf_factors[incident])
+        edges, arities = _csr_rows(self.fv_indptr, factor_ids)
+        edge_vars = self.fv_vars[edges]
+        edge_negated = self.fv_negated[edges]
+        edge_factor = np.repeat(np.arange(len(factor_ids)), arities)
+        head_edge = np.cumsum(arities) - 1       # last edge of each local row
 
-        # One slot per (block variable, incident factor occurrence).
-        slot_var, slot_factor, slot_edge = [], [], []
-        slot_weight, slot_sign, slot_arity = [], [], []
-        cat_all_others, cat_none_others, cat_equal, cat_imply_body = [], [], [], []
-        imply_head_edge = []
-        for j, fi in enumerate(factor_ids):
-            lo, hi = edge_slices[j]
-            arity = hi - lo
-            base = int(edge_indptr[j])
-            function = int(self.general_function[fi])
-            for p in range(arity):
-                v = int(self.fv_vars[lo + p])
-                if not in_block[v]:
-                    continue
-                slot = len(slot_var)
-                slot_var.append(local_pos[v])
-                slot_factor.append(j)
-                slot_edge.append(base + p)
-                slot_weight.append(int(self.general_weight[fi]))
-                slot_sign.append(-1.0 if self.fv_negated[lo + p] else 1.0)
-                slot_arity.append(arity)
-                if function == FactorFunction.IMPLY and p != arity - 1:
-                    cat_imply_body.append(slot)
-                    imply_head_edge.append(base + arity - 1)
-                elif function in (FactorFunction.IMPLY, FactorFunction.AND):
-                    cat_all_others.append(slot)
-                elif function == FactorFunction.OR:
-                    cat_none_others.append(slot)
-                else:                                         # EQUAL
-                    cat_equal.append(slot)
-        as_index = lambda xs: np.array(xs, dtype=np.int64)  # noqa: E731
+        # One slot per (block variable, incident factor occurrence), in edge
+        # order; each slot joins the group whose formula gives its flip
+        # contribution.
+        slot_edge = np.nonzero(local_pos[edge_vars] >= 0)[0]
+        slot_factor = edge_factor[slot_edge]
+        arity = arities[slot_factor]
+        function = self.general_function[factor_ids][slot_factor]
+        imply_body = ((function == FactorFunction.IMPLY)
+                      & (slot_edge != head_edge[slot_factor]))
+        equal = function == FactorFunction.EQUAL
+        target = np.where(function == FactorFunction.OR, 0, arity - 1)
+        target[imply_body] -= 1              # the *remaining* body literals
+
+        def group(mask: np.ndarray) -> SlotGroup:
+            slots = np.nonzero(mask)[0]
+            return SlotGroup(slots, slot_factor[slots], slot_edge[slots],
+                             target[slots].astype(np.float64))
+
         return ColorBlock(
             variables=variables,
             edge_vars=edge_vars,
             edge_negated=edge_negated,
-            edge_indptr=edge_indptr,
-            slot_var=as_index(slot_var),
-            slot_factor=as_index(slot_factor),
-            slot_edge=as_index(slot_edge),
-            slot_weight=as_index(slot_weight),
-            slot_sign=np.array(slot_sign, dtype=np.float64),
-            slot_arity=as_index(slot_arity),
-            slots_all_others=as_index(cat_all_others),
-            slots_none_others=as_index(cat_none_others),
-            slots_equal=as_index(cat_equal),
-            slots_imply_body=as_index(cat_imply_body),
-            imply_head_edge=as_index(imply_head_edge))
+            edge_factor=edge_factor,
+            slot_var=local_pos[edge_vars[slot_edge]],
+            slot_weight=self.general_weight[factor_ids][slot_factor],
+            slot_sign=np.where(edge_negated[slot_edge], -1.0, 1.0),
+            match=group(~imply_body & ~equal),
+            equal=group(equal),
+            imply_body=group(imply_body),
+            imply_head_edge=head_edge[slot_factor[imply_body]])
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -247,11 +238,12 @@ class CompiledGraph:
         for a negated literal, by -1 (``-w``).  Independent of the current
         assignment, so it is recomputed only when weights change.
         """
-        deltas = np.zeros(self.num_variables, dtype=np.float64)
-        if self.num_unary:
-            np.add.at(deltas, self.unary_var,
-                      self.unary_sign * self.weight_values[self.unary_weight])
-        return deltas
+        if not self.num_unary:     # bincount of nothing is int64, even weighted
+            return np.zeros(self.num_variables, dtype=np.float64)
+        return np.bincount(
+            self.unary_var,
+            weights=self.unary_sign * self.weight_values[self.unary_weight],
+            minlength=self.num_variables)
 
     def unary_value_sums(self, assignment: np.ndarray) -> np.ndarray:
         """Per-weight sum of unary factor values under ``assignment``.
@@ -260,11 +252,11 @@ class CompiledGraph:
         weight is the difference of this quantity between the evidence-clamped
         and free chains.
         """
-        sums = np.zeros(self.num_weights, dtype=np.float64)
-        if self.num_unary:
-            literal = assignment[self.unary_var] ^ (self.unary_sign < 0)
-            np.add.at(sums, self.unary_weight, literal.astype(np.float64))
-        return sums
+        if not self.num_unary:
+            return np.zeros(self.num_weights, dtype=np.float64)
+        literal = assignment[self.unary_var] ^ (self.unary_sign < 0)
+        return np.bincount(self.unary_weight, weights=literal,
+                           minlength=self.num_weights)
 
     # --------------------------------------------------------- general factors
     def general_factor_value(self, fi: int, assignment: np.ndarray) -> int:
@@ -282,12 +274,46 @@ class CompiledGraph:
             return int(bool(literals[0]) == bool(literals[1]))
         raise ValueError(f"unexpected general factor function {function}")
 
+    def general_values(self, assignment: np.ndarray) -> np.ndarray:
+        """Value (0.0 / 1.0) of every general factor under ``assignment``.
+
+        One pass over the row CSR: gather the literals, count the true ones
+        per factor, then apply each factor function to its index set.
+        Equals :meth:`general_factor_value` factor for factor (the property
+        tests pin that); every general factor has arity >= 1.
+        """
+        if not self.num_general:
+            return np.zeros(0, dtype=np.float64)
+        kernel = self._value_kernel
+        if kernel is None:
+            kernel = self._value_kernel = _ValueKernel.derive(self)
+        literals = assignment[self.fv_vars] ^ self.fv_negated
+        true_counts = np.add.reduceat(literals.astype(np.int64), kernel.starts)
+        values = np.empty(self.num_general, dtype=np.float64)
+        sel = kernel.conj
+        if len(sel):
+            values[sel] = true_counts[sel] == kernel.arity[sel]
+        sel = kernel.disj
+        if len(sel):
+            values[sel] = true_counts[sel] > 0
+        sel = kernel.equal
+        if len(sel):
+            first = kernel.starts[sel]
+            values[sel] = literals[first] == literals[first + 1]
+        sel = kernel.imply
+        if len(sel):
+            head = literals[kernel.imply_head_edge]
+            body_holds = true_counts[sel] - head == kernel.arity[sel] - 1
+            values[sel] = ~body_holds | head
+        return values
+
     def general_value_sums(self, assignment: np.ndarray) -> np.ndarray:
         """Per-weight sum of general factor values under ``assignment``."""
-        sums = np.zeros(self.num_weights, dtype=np.float64)
-        for fi in range(self.num_general):
-            sums[self.general_weight[fi]] += self.general_factor_value(fi, assignment)
-        return sums
+        if not self.num_general:
+            return np.zeros(self.num_weights, dtype=np.float64)
+        return np.bincount(self.general_weight,
+                           weights=self.general_values(assignment),
+                           minlength=self.num_weights)
 
     def general_delta(self, var: int, assignment: np.ndarray) -> float:
         """Log-weight delta of flipping ``var`` 0 -> 1 over its general factors."""
@@ -327,42 +353,93 @@ class CompiledGraph:
 
 
 @dataclass(frozen=True)
+class _ValueKernel:
+    """Per-function index sets for :meth:`CompiledGraph.general_values`.
+
+    Derived from ``general_function`` / ``fv_indptr`` alone, so a
+    shared-memory view re-derives them from the arrays it already maps.
+    """
+
+    starts: np.ndarray           # first edge of every general factor
+    arity: np.ndarray            # literals per general factor
+    imply: np.ndarray            # factor indices per function
+    conj: np.ndarray
+    disj: np.ndarray
+    equal: np.ndarray
+    imply_head_edge: np.ndarray  # aligned with ``imply``
+
+    @classmethod
+    def derive(cls, compiled: CompiledGraph) -> "_ValueKernel":
+        function = compiled.general_function
+        imply, conj, disj, equal = (
+            np.nonzero(function == int(f))[0]
+            for f in (FactorFunction.IMPLY, FactorFunction.AND,
+                      FactorFunction.OR, FactorFunction.EQUAL))
+        return cls(starts=compiled.fv_indptr[:-1],
+                   arity=np.diff(compiled.fv_indptr),
+                   imply=imply, conj=conj, disj=disj, equal=equal,
+                   imply_head_edge=compiled.fv_indptr[imply + 1] - 1)
+
+
+@dataclass(frozen=True)
+class SlotGroup:
+    """The slots of one color block that share a flip-contribution formula.
+
+    Pre-split at compile time so a sweep gathers each group's inputs
+    directly instead of slicing per-slot arrays by category every pass.
+    """
+
+    slots: np.ndarray            # positions in the block's slot arrays
+    factor: np.ndarray           # slot -> local factor row
+    edge: np.ndarray             # slot -> the variable's own edge
+    target: np.ndarray           # others-true count the formula tests for
+                                 # (unused by EQUAL)
+
+
+@dataclass(frozen=True)
 class ColorBlock:
     """Flat index arrays for one color of the chromatic schedule.
 
     The sampler evaluates a whole block per sweep with vectorized gathers:
 
-    * ``edge_*`` are the compacted CSR rows of every general factor incident
-      on the block (``edge_indptr`` delimits local factor rows);
+    * ``edge_*`` are the compacted rows of every general factor incident on
+      the block (``edge_factor`` maps each edge to its local factor row);
     * each *slot* is one (variable, factor occurrence) incidence --
-      ``slot_var`` indexes into ``variables``, ``slot_edge`` locates the
-      variable's own literal inside the edge arrays;
-    * ``slots_*`` partition the slots by how the factor's contribution to the
-      flip delta is computed: ``all_others`` (AND, and IMPLY where the
-      variable is the head), ``none_others`` (OR), ``equal`` (EQUAL), and
-      ``imply_body`` (IMPLY body literals, with ``imply_head_edge`` giving
-      the head literal of each such slot's factor).
+      ``slot_var`` indexes into ``variables``;
+    * the slot groups partition the slots by how the factor's contribution
+      to the flip delta is computed from the count of *other* true literals:
+      ``match`` fires +1 when the count equals the group's ``target`` (all
+      others for AND and for IMPLY where the variable is the head, none for
+      OR), ``equal`` is +1/-1 on the other literal, and ``imply_body`` (IMPLY
+      body literals, with ``imply_head_edge`` giving the head literal of
+      each such slot's factor) fires -1 when the remaining body holds and
+      the head is false.
     """
 
     variables: np.ndarray        # compiled variable indices in this block
     edge_vars: np.ndarray        # member variable per compacted edge
     edge_negated: np.ndarray     # literal polarity per compacted edge
-    edge_indptr: np.ndarray      # CSR row boundaries over the edges
+    edge_factor: np.ndarray      # edge -> local factor row
     slot_var: np.ndarray         # slot -> position in ``variables``
-    slot_factor: np.ndarray      # slot -> local factor row
-    slot_edge: np.ndarray        # slot -> this variable's own edge
     slot_weight: np.ndarray      # slot -> global weight index
     slot_sign: np.ndarray        # -1 where the variable's literal is negated
-    slot_arity: np.ndarray       # slot -> factor arity
-    slots_all_others: np.ndarray
-    slots_none_others: np.ndarray
-    slots_equal: np.ndarray
-    slots_imply_body: np.ndarray
-    imply_head_edge: np.ndarray  # aligned with ``slots_imply_body``
+    match: SlotGroup
+    equal: SlotGroup
+    imply_body: SlotGroup
+    imply_head_edge: np.ndarray  # aligned with ``imply_body``
 
     @property
     def num_slots(self) -> int:
         return len(self.slot_var)
+
+
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the CSR ``rows``, row after row, and their lengths."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    first = np.cumsum(lengths) - lengths         # output offset of each row
+    positions = np.repeat(starts - first, lengths) + np.arange(lengths.sum())
+    return positions, lengths
 
 
 def _general_value(function: int, literals: np.ndarray) -> int:

@@ -57,11 +57,40 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid` for a float64 array, without the scalar prologue.
+
+    Both branches of :func:`sigmoid` exponentiate ``-min(|x|, 500)`` and
+    divide by one plus that, so one ``exp`` over the whole array plus a
+    numerator select is element for element the same arithmetic (the tests
+    pin it bit-identical) in half the numpy calls, with no masked gathers
+    or scatters.  The exponent is never positive, so it is just as silent
+    under ``np.errstate(all="raise")``.
+    """
+    e = np.abs(x)
+    np.minimum(e, 500.0, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=numerator)
+
+
 def _sigmoid_scalar(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-min(x, 500.0)))
     e = math.exp(max(x, -500.0))
     return e / (1.0 + e)
+
+
+def _observe_color(color: int, before: np.ndarray, after: np.ndarray,
+                   started: float) -> None:
+    """Per-color hook of the traced sweep (see ``_sweep_chromatic_traced``)."""
+    obs.observe("gibbs.color_sweep_seconds", perf_counter() - started,
+                color=color)
+    obs.observe("gibbs.flip_fraction",
+                int(np.count_nonzero(before != after)) / max(len(after), 1),
+                color=color)
 
 
 @dataclass
@@ -75,6 +104,72 @@ class MarginalResult:
     def by_key(self, compiled: CompiledGraph) -> dict:
         """Map variable key -> marginal probability."""
         return {key: float(p) for key, p in zip(compiled.var_keys, self.marginals)}
+
+
+class _BlockKernel:
+    """One color block bound to a sampler: cached weights plus scratch.
+
+    :meth:`deltas` is the per-color inner loop of every sweep, so everything
+    that does not depend on the current world is hoisted out of it: the
+    signed slot weights and the block's unary deltas are gathered once per
+    :meth:`refresh`, the slot groups arrive pre-split from the compiled
+    block, and the per-slot contribution buffer is allocated once (every
+    slot belongs to exactly one group, so each pass overwrites all of it).
+    """
+
+    __slots__ = ("block", "signed_weights", "unary", "_contribution")
+
+    def __init__(self, block: ColorBlock) -> None:
+        self.block = block
+        self._contribution = np.empty(block.num_slots, dtype=np.float64)
+
+    def refresh(self, weights: np.ndarray, unary_deltas: np.ndarray) -> None:
+        block = self.block
+        self.signed_weights = block.slot_sign * weights[block.slot_weight]
+        self.unary = unary_deltas[block.variables]
+
+    def deltas(self, assignment: np.ndarray) -> np.ndarray:
+        """Flip deltas (log-odds) for every variable of the block.
+
+        For each slot the factor's contribution to flipping the variable's
+        *literal* 0 -> 1 depends only on the other members' literals:
+
+        * AND, and IMPLY when the variable is the head: +1 iff all others
+          are true;
+        * OR: +1 iff no other is true;
+        * EQUAL: +1 if the other literal is true else -1;
+        * IMPLY body literal: raising it can only violate the implication,
+          so -1 iff the remaining body literals hold and the head is false.
+
+        A negated self-literal mirrors the contribution (``slot_sign``,
+        folded into ``signed_weights``).  Per-variable accumulation runs in
+        slot order, the same order the scalar reference engine adds in.
+        """
+        block = self.block
+        literals = assignment[block.edge_vars] ^ block.edge_negated
+        true_counts = np.bincount(block.edge_factor, weights=literals)
+        contribution = self._contribution
+
+        group = block.match
+        if len(group.slots):
+            others_true = true_counts[group.factor] - literals[group.edge]
+            contribution[group.slots] = others_true == group.target
+        group = block.equal
+        if len(group.slots):
+            others_true = true_counts[group.factor] - literals[group.edge]
+            contribution[group.slots] = 2.0 * others_true - 1.0
+        group = block.imply_body
+        if len(group.slots):
+            others_true = true_counts[group.factor] - literals[group.edge]
+            head = literals[block.imply_head_edge]
+            # with a false head the other body literals are all the others
+            contribution[group.slots] = np.where(
+                (others_true == group.target) & ~head, -1.0, 0.0)
+
+        np.multiply(contribution, self.signed_weights, out=contribution)
+        deltas = np.bincount(block.slot_var, weights=contribution,
+                             minlength=len(block.variables))
+        return np.add(self.unary, deltas, out=deltas)
 
 
 class GibbsSampler:
@@ -108,19 +203,13 @@ class GibbsSampler:
             compiled.num_variables, dtype=bool)
         has_general = compiled.vf_indptr[1:] > compiled.vf_indptr[:-1]
         self._independent = ~has_general & ~self.clamped
+        self._independent_index = np.nonzero(self._independent)[0]
         self._blocks = compiled.color_blocks(has_general & ~self.clamped)
+        self._kernels = [_BlockKernel(block) for block in self._blocks]
         self._dependent = (np.concatenate([b.variables for b in self._blocks])
                            if self._blocks else np.zeros(0, dtype=np.int64))
         self._reference_adjacency: list[list[tuple]] | None = None
-        self._unary_deltas = compiled.unary_deltas()
-        self._block_weights = self._compute_block_weights()
-        self._independent_probs = self._compute_independent_probs()
-
-    def _compute_block_weights(self) -> list[np.ndarray]:
-        """Signed per-slot weights, cached until :meth:`refresh_weights`."""
-        weights = self.compiled.weight_values
-        return [block.slot_sign * weights[block.slot_weight]
-                for block in self._blocks]
+        self.refresh_weights()
 
     def _prepare_reference_adjacency(self) -> list[list[tuple]]:
         """Python-native per-variable factor lists for the scalar engine.
@@ -145,9 +234,6 @@ class GibbsSampler:
             adjacency.append(factors)
         return adjacency
 
-    def _compute_independent_probs(self) -> np.ndarray:
-        return np.atleast_1d(sigmoid(self._unary_deltas[self._independent]))
-
     # ----------------------------------------------------------------- state
     def initial_assignment(self) -> np.ndarray:
         """Random initial world with evidence variables at their labels."""
@@ -159,8 +245,10 @@ class GibbsSampler:
     def refresh_weights(self) -> None:
         """Recompute cached weight gathers after the learner updates weights."""
         self._unary_deltas = self.compiled.unary_deltas()
-        self._block_weights = self._compute_block_weights()
-        self._independent_probs = self._compute_independent_probs()
+        for kernel in self._kernels:
+            kernel.refresh(self.compiled.weight_values, self._unary_deltas)
+        self._independent_probs = _sigmoid_array(
+            self._unary_deltas[self._independent_index])
 
     # ----------------------------------------------------------------- sweeps
     def sweep(self, assignment: np.ndarray) -> int:
@@ -170,106 +258,51 @@ class GibbsSampler:
         return self.sweep_chromatic(assignment)
 
     def _sweep_independent(self, assignment: np.ndarray) -> int:
-        independent = self._independent
         n_independent = len(self._independent_probs)
         if n_independent:
-            assignment[independent] = (
+            assignment[self._independent_index] = (
                 self.rng.random(n_independent) < self._independent_probs)
         return n_independent
 
-    def sweep_chromatic(self, assignment: np.ndarray) -> int:
-        """Vectorized sweep: the unary-only pass plus one pass per color."""
-        if obs.enabled():
+    def sweep_chromatic(self, assignment: np.ndarray, on_color=None) -> int:
+        """Vectorized sweep: the unary-only pass plus one pass per color.
+
+        ``on_color(color, before, after, started)``, when given, sees every
+        color block's old and freshly sampled values just before they are
+        written; it observes only, so a hooked sweep is the same chain.
+        """
+        if on_color is None and obs.enabled():
             return self._sweep_chromatic_traced(assignment)
         sampled = self._sweep_independent(assignment)
-        if len(self._dependent):
-            uniforms = self.rng.random(len(self._dependent))
+        n_dependent = len(self._dependent)
+        if n_dependent:
+            uniforms = self.rng.random(n_dependent)
             offset = 0
-            for block, signed_weights in zip(self._blocks, self._block_weights):
-                n = len(block.variables)
-                deltas = self._block_deltas(block, signed_weights, assignment)
-                assignment[block.variables] = (
-                    uniforms[offset:offset + n] < sigmoid(deltas))
+            for color, kernel in enumerate(self._kernels):
+                started = perf_counter() if on_color is not None else 0.0
+                variables = kernel.block.variables
+                n = len(variables)
+                values = (uniforms[offset:offset + n]
+                          < _sigmoid_array(kernel.deltas(assignment)))
+                if on_color is not None:
+                    on_color(color, assignment[variables], values, started)
+                assignment[variables] = values
                 offset += n
-            sampled += len(self._dependent)
+            sampled += n_dependent
         return sampled
 
     def _sweep_chromatic_traced(self, assignment: np.ndarray) -> int:
         """The chromatic sweep with per-color timing and flip statistics.
 
-        Identical arithmetic and RNG consumption to the fast path; only
-        entered when a collector is installed, so the probe cost never taxes
-        untraced runs.  Records one timing and one flip-fraction observation
-        per color per sweep -- histograms, not spans, because a run makes
-        thousands of color passes.
+        Only entered when a collector is installed, so the probe cost never
+        taxes untraced runs.  Records one timing and one flip-fraction
+        observation per color per sweep -- histograms, not spans, because a
+        run makes thousands of color passes.
         """
-        sampled = self._sweep_independent(assignment)
-        if len(self._dependent):
-            uniforms = self.rng.random(len(self._dependent))
-            offset = 0
-            for color, (block, signed_weights) in enumerate(
-                    zip(self._blocks, self._block_weights)):
-                started = perf_counter()
-                n = len(block.variables)
-                deltas = self._block_deltas(block, signed_weights, assignment)
-                before = assignment[block.variables]
-                sampled_values = uniforms[offset:offset + n] < sigmoid(deltas)
-                flips = int(np.count_nonzero(before != sampled_values))
-                assignment[block.variables] = sampled_values
-                offset += n
-                obs.observe("gibbs.color_sweep_seconds",
-                            perf_counter() - started, color=color)
-                obs.observe("gibbs.flip_fraction", flips / max(n, 1),
-                            color=color)
-            sampled += len(self._dependent)
+        sampled = self.sweep_chromatic(assignment, on_color=_observe_color)
         obs.count("gibbs.sweeps")
         obs.count("gibbs.samples", sampled)
         return sampled
-
-    def _block_deltas(self, block: ColorBlock, signed_weights: np.ndarray,
-                      assignment: np.ndarray) -> np.ndarray:
-        """Flip deltas (log-odds) for every variable of one color block.
-
-        For each slot the factor's contribution to flipping the variable's
-        *literal* 0 -> 1 depends only on the other members' literals:
-
-        * AND, and IMPLY when the variable is the head: +1 iff all others
-          are true;
-        * OR: +1 iff no other is true;
-        * EQUAL: +1 if the other literal is true else -1;
-        * IMPLY body literal: raising it can only violate the implication,
-          so -1 iff the remaining body literals hold and the head is false.
-
-        A negated self-literal mirrors the contribution (``slot_sign``,
-        folded into ``signed_weights``).
-        """
-        literals = assignment[block.edge_vars] ^ block.edge_negated
-        true_counts = np.add.reduceat(
-            literals.astype(np.int64), block.edge_indptr[:-1])
-        others_true = (true_counts[block.slot_factor]
-                       - literals[block.slot_edge])
-        contribution = np.zeros(block.num_slots, dtype=np.float64)
-
-        sel = block.slots_all_others
-        if len(sel):
-            contribution[sel] = (others_true[sel] == block.slot_arity[sel] - 1)
-        sel = block.slots_none_others
-        if len(sel):
-            contribution[sel] = (others_true[sel] == 0)
-        sel = block.slots_equal
-        if len(sel):
-            contribution[sel] = 2.0 * others_true[sel] - 1.0
-        sel = block.slots_imply_body
-        if len(sel):
-            head = literals[block.imply_head_edge]
-            body_others = others_true[sel] - head
-            contribution[sel] = np.where(
-                (body_others == block.slot_arity[sel] - 2) & ~head, -1.0, 0.0)
-
-        deltas = np.bincount(block.slot_var,
-                             weights=contribution * signed_weights,
-                             minlength=len(block.variables))
-        return self._unary_deltas[block.variables] + deltas
 
     def sweep_reference(self, assignment: np.ndarray) -> int:
         """Scalar per-variable sweep (the pre-chromatic engine), retained as

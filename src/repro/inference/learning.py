@@ -34,6 +34,10 @@ class LearningOptions:
     ``engine`` picks the Gibbs sweep implementation for both persistent
     chains: ``"chromatic"`` (vectorized color blocks, the default) or
     ``"reference"`` (scalar loop, for equivalence testing).
+
+    Out-of-range values raise ``ValueError`` at construction: ``epochs``
+    must be >= 0, ``sweeps_per_epoch`` >= 1, ``step_size`` > 0, ``decay`` in
+    (0, 1] and ``l2`` >= 0.
     """
 
     epochs: int = 50
@@ -50,6 +54,18 @@ class LearningOptions:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.sweeps_per_epoch < 1:
+            # 0 would take every gradient from two never-advanced chains
+            raise ValueError(
+                f"sweeps_per_epoch must be >= 1, got {self.sweeps_per_epoch}")
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 < self.decay <= 1:
+            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+        if not self.l2 >= 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2}")
 
 
 @dataclass

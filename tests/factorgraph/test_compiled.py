@@ -127,3 +127,63 @@ class TestCompiledGraph:
             for v in compiled.fv_vars[compiled.fv_indptr[fi]:compiled.fv_indptr[fi + 1]]:
                 factors = compiled.vf_factors[compiled.vf_indptr[v]:compiled.vf_indptr[v + 1]]
                 assert fi in factors
+
+
+def tied_graph(seed=0, num_variables=40, num_unary=400):
+    """Many unary factors per variable and per (tied) weight, with weights
+    whose float sums depend on the order they are added in."""
+    rng = np.random.default_rng(seed)
+    graph = FactorGraph()
+    variables = [graph.variable(i) for i in range(num_variables)]
+    weights = [graph.weight(("w", k),
+                            float(rng.normal() * 10.0 ** rng.integers(-6, 6)))
+               for k in range(7)]
+    for _ in range(num_unary):
+        graph.add_factor(FactorFunction.IS_TRUE,
+                         [variables[rng.integers(num_variables)]],
+                         weights[rng.integers(len(weights))],
+                         negated=[bool(rng.integers(2))])
+    return graph
+
+
+class TestKernels:
+    """The bincount accumulators against their ``np.add.at`` forms, and the
+    empty cases (the general-factor kernel's oracle suite is the hypothesis
+    one in tests/property/test_factorgraph_properties.py)."""
+
+    def test_unary_deltas_bit_identical_to_add_at(self):
+        compiled = CompiledGraph(tied_graph())
+        expected = np.zeros(compiled.num_variables)
+        np.add.at(expected, compiled.unary_var,
+                  compiled.unary_sign * compiled.weight_values[compiled.unary_weight])
+        np.testing.assert_array_equal(compiled.unary_deltas(), expected)
+
+    def test_unary_value_sums_bit_identical_to_add_at(self):
+        compiled = CompiledGraph(tied_graph())
+        world = np.random.default_rng(1).random(compiled.num_variables) < 0.5
+        literal = world[compiled.unary_var] ^ (compiled.unary_sign < 0)
+        expected = np.zeros(compiled.num_weights)
+        np.add.at(expected, compiled.unary_weight, literal.astype(np.float64))
+        np.testing.assert_array_equal(compiled.unary_value_sums(world), expected)
+
+    def test_unary_kernels_without_unary_factors(self):
+        graph = FactorGraph()
+        a, b = graph.variable("a"), graph.variable("b")
+        graph.add_factor(FactorFunction.EQUAL, [a, b], graph.weight("w", 1.0))
+        compiled = CompiledGraph(graph)
+        world = np.array([True, False])
+        for result, size in ((compiled.unary_deltas(), 2),
+                             (compiled.unary_value_sums(world), 1)):
+            assert result.dtype == np.float64
+            np.testing.assert_array_equal(result, np.zeros(size))
+
+    def test_general_kernels_without_general_factors(self):
+        graph = FactorGraph()
+        graph.add_factor(FactorFunction.IS_TRUE, [graph.variable("a")],
+                         graph.weight("w", 1.0))
+        compiled = CompiledGraph(graph)
+        world = np.array([True])
+        assert compiled.general_values(world).shape == (0,)
+        sums = compiled.general_value_sums(world)
+        assert sums.dtype == np.float64
+        np.testing.assert_array_equal(sums, [0.0])

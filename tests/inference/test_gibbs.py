@@ -4,8 +4,10 @@ the exact-inference oracle on small graphs."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler, exact_marginals, sigmoid
+from repro.inference.gibbs import _sigmoid_array
 
 
 def assert_close_to_exact(graph: FactorGraph, atol: float = 0.03) -> None:
@@ -46,6 +48,21 @@ class TestSigmoid:
     def test_scalar_returns_float(self):
         assert isinstance(sigmoid(0.3), float)
         assert isinstance(sigmoid(np.float64(-0.3)), float)
+
+    def test_array_fast_path_bit_identical(self):
+        """The sweep's array-only sigmoid is the same arithmetic element for
+        element, not an approximation of it."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.normal(size=5000), rng.normal(size=5000) * 300,
+            [0.0, -0.0, 5e-324, -5e-324, 500.0, -500.0, 500.0001, -500.0001,
+             1e9, -1e9, np.inf, -np.inf]])
+        before = x.copy()
+        with np.errstate(all="raise"):
+            fast = _sigmoid_array(x)
+        np.testing.assert_array_equal(fast, sigmoid(x))
+        np.testing.assert_array_equal(x, before)          # input left intact
+        assert _sigmoid_array(np.zeros(0)).shape == (0,)
 
 
 class TestSingleVariable:
@@ -162,3 +179,111 @@ class TestMechanics:
         m1 = GibbsSampler(compiled, seed=3).marginals(num_samples=100, burn_in=10)
         m2 = GibbsSampler(compiled, seed=3).marginals(num_samples=100, burn_in=10)
         np.testing.assert_array_equal(m1.marginals, m2.marginals)
+
+
+def mixed_graph(seed=0, num_variables=30):
+    """Every factor function with negations and evidence, dense enough for
+    several colors."""
+    rng = np.random.default_rng(seed)
+    graph = FactorGraph()
+    variables = [graph.variable(i) for i in range(num_variables)]
+    weights = [graph.weight(("w", k), float(rng.normal())) for k in range(6)]
+    for v in variables:
+        graph.add_factor(FactorFunction.IS_TRUE, [v],
+                         weights[rng.integers(len(weights))],
+                         negated=[bool(rng.integers(2))])
+    functions = [FactorFunction.IMPLY, FactorFunction.AND, FactorFunction.OR,
+                 FactorFunction.EQUAL]
+    for _ in range(40):
+        function = functions[rng.integers(len(functions))]
+        arity = 2 if function == FactorFunction.EQUAL else int(rng.integers(2, 5))
+        members = rng.choice(num_variables, size=arity, replace=False)
+        graph.add_factor(function, [variables[m] for m in members],
+                         weights[rng.integers(len(weights))],
+                         negated=[bool(b) for b in rng.integers(2, size=arity)])
+    for i in range(0, num_variables, 7):
+        graph.set_evidence(i, bool(rng.integers(2)))
+    return graph
+
+
+class TestUnifiedSweep:
+    """One sweep body serves the fast path, the traced path and (through the
+    shared RNG stream and visit order) mirrors the scalar reference."""
+
+    @pytest.fixture(autouse=True)
+    def clean_collector(self):
+        obs.uninstall()
+        yield
+        obs.uninstall()
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_chromatic_matches_reference(self, clamp):
+        compiled = CompiledGraph(mixed_graph())
+        fast = GibbsSampler(compiled, seed=5, clamp_evidence=clamp)
+        slow = GibbsSampler(compiled, seed=5, clamp_evidence=clamp,
+                            engine="reference")
+        assert len(fast._blocks) > 1
+        world_fast = fast.initial_assignment()
+        world_slow = slow.initial_assignment()
+        for _ in range(25):
+            assert fast.sweep(world_fast) == slow.sweep(world_slow)
+            np.testing.assert_array_equal(world_fast, world_slow)
+
+    def test_traced_matches_untraced(self):
+        compiled = CompiledGraph(mixed_graph())
+        plain = GibbsSampler(compiled, seed=5)
+        traced = GibbsSampler(compiled, seed=5)
+        world_plain = plain.initial_assignment()
+        world_traced = traced.initial_assignment()
+        sweeps = 25
+        for _ in range(sweeps):
+            plain.sweep(world_plain)
+        with obs.installed(obs.Collector()) as collector:
+            for _ in range(sweeps):
+                traced.sweep(world_traced)
+        np.testing.assert_array_equal(world_plain, world_traced)
+        np.testing.assert_array_equal(plain.rng.random(4), traced.rng.random(4))
+
+        metrics = collector.metrics
+        assert metrics.counter_total("gibbs.sweeps") == sweeps
+        assert metrics.counter_total("gibbs.samples") == sweeps * (
+            compiled.num_variables - int(compiled.is_evidence.sum()))
+        for color in range(len(traced._blocks)):
+            assert metrics.histogram("gibbs.color_sweep_seconds",
+                                     color=color).count == sweeps
+            flips = metrics.histogram("gibbs.flip_fraction", color=color)
+            assert flips.count == sweeps
+            assert 0.0 <= flips.mean <= 1.0
+
+    def test_hook_sees_values_before_they_are_written(self):
+        compiled = CompiledGraph(mixed_graph())
+        sampler = GibbsSampler(compiled, seed=5)
+        world = sampler.initial_assignment()
+        seen = []
+
+        def on_color(color, before, after, started):
+            block = sampler._blocks[color]
+            np.testing.assert_array_equal(before, world[block.variables])
+            seen.append((color, after.copy()))
+
+        sampler.sweep_chromatic(world, on_color=on_color)
+        assert [color for color, _ in seen] == list(range(len(sampler._blocks)))
+        for color, after in seen:
+            np.testing.assert_array_equal(
+                world[sampler._blocks[color].variables], after)
+
+    def test_sampling_never_derives_the_learners_kernel(self):
+        """Laziness is structural: compiling, building samplers and sweeping
+        (all a serving refresh ever does) leave the factor-value index sets
+        underived; only the learner's statistics build them."""
+        compiled = CompiledGraph(mixed_graph())
+        assert "_value_kernel" not in vars(compiled)
+        for clamp in (True, False):
+            sampler = GibbsSampler(compiled, seed=1, clamp_evidence=clamp)
+            sampler.marginals(num_samples=5, burn_in=2)
+            sampler.refresh_weights()
+        GibbsSampler(compiled, seed=1, engine="reference").marginals(
+            num_samples=2, burn_in=1)
+        assert "_value_kernel" not in vars(compiled)
+        compiled.general_value_sums(np.zeros(compiled.num_variables, dtype=bool))
+        assert vars(compiled)["_value_kernel"] is not None

@@ -1,6 +1,7 @@
 """Tests for weight learning: trained weights must make the evidence likely."""
 
 import numpy as np
+import pytest
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import (GibbsSampler, LearningOptions, learn_weights)
@@ -119,7 +120,6 @@ class TestSeedDeterminism:
         assert d1.gradient_norms == d2.gradient_norms
 
     def test_unknown_engine_rejected(self):
-        import pytest
         with pytest.raises(ValueError, match="engine"):
             LearningOptions(engine="turbo")
 
@@ -172,15 +172,13 @@ class TestWeightRefresh:
         compiled = CompiledGraph(self.coupled_graph())
         sampler = GibbsSampler(compiled, seed=0)
         world = np.array([True, False])
-        before = sampler._block_deltas(sampler._blocks[0],
-                                       sampler._block_weights[0], world).copy()
+        before = sampler._kernels[0].deltas(world).copy()
         couple = compiled.weight_keys.index("couple")
         new_weights = compiled.weight_values.copy()
         new_weights[couple] = 5.0
         compiled.set_weights(new_weights)
         sampler.refresh_weights()
-        after = sampler._block_deltas(sampler._blocks[0],
-                                      sampler._block_weights[0], world)
+        after = sampler._kernels[0].deltas(world)
         assert not np.array_equal(before, after)
 
 
@@ -218,6 +216,104 @@ class TestAdaGrad:
         assert drift < 1.0
 
     def test_unknown_optimizer_rejected(self):
-        import pytest
         with pytest.raises(ValueError, match="optimizer"):
             LearningOptions(optimizer="adam")
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1),
+        ("sweeps_per_epoch", 0),     # would learn from two never-advanced chains
+        ("sweeps_per_epoch", -3),
+        ("step_size", 0.0),
+        ("step_size", -0.1),
+        ("decay", 0.0),
+        ("decay", 1.5),
+        ("l2", -0.01),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearningOptions(**{field: value})
+
+    def test_boundaries_accepted(self):
+        options = LearningOptions(epochs=0, sweeps_per_epoch=1, decay=1.0, l2=0.0)
+        diagnostics = learn_weights(CompiledGraph(classifier_graph()), options)
+        assert diagnostics.epochs_run == 0
+
+
+def joint_graph():
+    """Labelled classifier variables coupled by every general function,
+    through tied weights, one of them fixed."""
+    rng = np.random.default_rng(7)
+    graph = FactorGraph()
+    features = [graph.weight(("f", k)) for k in range(5)]
+    rules = {"imply": graph.weight("imply", 0.5),
+             "and": graph.weight("and", 0.2),
+             "or": graph.weight("or"),
+             "equal": graph.weight("equal", 1.5, fixed=True)}
+    variables = []
+    for i in range(60):
+        v = graph.variable(i)
+        variables.append(v)
+        for k in rng.choice(len(features), size=2, replace=False):
+            graph.add_factor(FactorFunction.IS_TRUE, [v], features[k],
+                             negated=[bool(rng.integers(2))])
+        if i % 3 == 0:
+            graph.set_evidence(i, bool(rng.integers(2)))
+    for _ in range(40):
+        a, b, c = (variables[m] for m in rng.choice(60, size=3, replace=False))
+        negated = [bool(n) for n in rng.integers(2, size=3)]
+        graph.add_factor(FactorFunction.IMPLY, [a, b, c], rules["imply"],
+                         negated=negated)
+        graph.add_factor(FactorFunction.AND, [a, c], rules["and"],
+                         negated=negated[:2])
+        graph.add_factor(FactorFunction.OR, [b, c, a], rules["or"])
+        graph.add_factor(FactorFunction.EQUAL, [a, b], rules["equal"],
+                         negated=negated[1:])
+    return graph
+
+
+def scalar_general_value_sums(compiled, assignment):
+    """The learner's general-factor statistic as the scalar oracle computes
+    it: one ``general_factor_value`` call per factor."""
+    sums = np.zeros(compiled.num_weights, dtype=np.float64)
+    for fi in range(compiled.num_general):
+        sums[compiled.general_weight[fi]] += compiled.general_factor_value(
+            fi, assignment)
+    return sums
+
+
+def scalar_unary_value_sums(compiled, assignment):
+    sums = np.zeros(compiled.num_weights, dtype=np.float64)
+    for var, weight, sign in zip(compiled.unary_var, compiled.unary_weight,
+                                 compiled.unary_sign):
+        sums[weight] += float(bool(assignment[var]) != (sign < 0))
+    return sums
+
+
+class TestKernelLearnerMatchesOracle:
+    """The kernels change how the gradient statistics are computed, not what
+    they are: a learner running on the scalar oracle learns the same bits."""
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_weights_and_gradient_norms_bit_identical(self, optimizer,
+                                                      monkeypatch):
+        options = LearningOptions(epochs=12, seed=3, optimizer=optimizer,
+                                  sweeps_per_epoch=2)
+        kernel = CompiledGraph(joint_graph())
+        kernel_run = learn_weights(kernel, options)
+
+        monkeypatch.setattr(CompiledGraph, "general_value_sums",
+                            scalar_general_value_sums)
+        monkeypatch.setattr(CompiledGraph, "unary_value_sums",
+                            scalar_unary_value_sums)
+        oracle = CompiledGraph(joint_graph())
+        oracle_run = learn_weights(oracle, options)
+
+        assert oracle._value_kernel is None         # really ran the oracle
+        np.testing.assert_array_equal(kernel.weight_values,
+                                      oracle.weight_values)
+        assert kernel_run.gradient_norms == oracle_run.gradient_norms
+        assert kernel_run.gradient_norms[0] > 0
+        fixed = kernel.weight_keys.index("equal")
+        assert kernel.weight_values[fixed] == 1.5

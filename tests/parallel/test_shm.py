@@ -101,3 +101,20 @@ class TestShareCompiled:
             attached.close()
         finally:
             pack.close()
+
+    def test_value_kernel_rederived_on_view(self):
+        """The learner's kernel index sets are not packed: a view derives
+        them from the CSR arrays it already maps."""
+        compiled = small_graph()
+        world = np.random.default_rng(3).random(compiled.num_variables) < 0.5
+        pack = share_compiled(compiled)
+        try:
+            attached, view = attach_compiled(pack.handle)
+            assert view._value_kernel is None
+            assert np.array_equal(view.general_value_sums(world),
+                                  compiled.general_value_sums(world))
+            assert view._value_kernel is not None
+            del view
+            attached.close()
+        finally:
+            pack.close()

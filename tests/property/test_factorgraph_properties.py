@@ -98,6 +98,60 @@ class TestCompiledInvariants:
         np.testing.assert_allclose(sums, expected)
 
 
+@st.composite
+def kernel_graph(draw):
+    """A random graph shaped to stress the factor-value kernel: every general
+    function with negated literals, arity 1-5 (a body-less IMPLY can only
+    come from a restored checkpoint, so factors go in through
+    ``restore_factor``), a small pool of tied weights some of which are
+    fixed, and sometimes no general factor at all."""
+    num_variables = draw(st.integers(min_value=2, max_value=8))
+    graph = FactorGraph()
+    for i in range(num_variables):
+        graph.variable(i)
+    weights = [graph.weight(("w", k), draw(st.floats(-3, 3)),
+                            fixed=draw(st.booleans()))
+               for k in range(draw(st.integers(1, 4)))]
+    for f in range(draw(st.integers(min_value=0, max_value=12))):
+        function = draw(st.sampled_from(list(FactorFunction)))
+        if function == FactorFunction.IS_TRUE:
+            arity = 1
+        elif function == FactorFunction.EQUAL:
+            arity = 2
+        else:
+            arity = draw(st.integers(1, min(5, num_variables)))
+        members = draw(st.lists(st.integers(0, num_variables - 1),
+                                min_size=arity, max_size=arity, unique=True))
+        negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
+        graph.restore_factor(f, function, members,
+                             draw(st.sampled_from(weights)), negated=negated)
+    return graph
+
+
+class TestValueKernel:
+    """``general_values`` / ``general_value_sums`` against the scalar oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_graph(), st.integers(0, 2**31 - 1))
+    def test_general_values_match_scalar_oracle(self, graph, seed):
+        compiled = CompiledGraph(graph)
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            world = rng.random(compiled.num_variables) < 0.5
+            expected = np.array(
+                [compiled.general_factor_value(fi, world)
+                 for fi in range(compiled.num_general)], dtype=np.float64)
+            values = compiled.general_values(world)
+            assert values.dtype == np.float64
+            np.testing.assert_array_equal(values, expected)
+            sums = np.zeros(compiled.num_weights)
+            for fi in range(compiled.num_general):
+                sums[compiled.general_weight[fi]] += expected[fi]
+            result = compiled.general_value_sums(world)
+            assert result.dtype == np.float64
+            np.testing.assert_array_equal(result, sums)
+
+
 class TestSamplerInvariants:
     @settings(max_examples=40, deadline=None)
     @given(random_graph(), st.integers(0, 1000))
