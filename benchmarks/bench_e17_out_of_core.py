@@ -19,6 +19,14 @@ configured memory budget:
 Machine-readable results land in ``results/BENCH_e17_out_of_core.json``; the
 RSS check is soft-gated (``rss_enforced``) on hosts without ``/proc``, like
 e15's CPU-count gate.
+
+A second report, **ingest kernels**, times the two per-row kernels of the
+load path against the scalar code they are checked against: the NLP row
+kernel (``sentence_rows``) vs the object-building reference composition
+(``tokenize`` -> ``Token``, ``tag_token`` per token, ``Sentence``,
+``sentence_row``), asserted row-for-row identical with a 1.5x floor, and
+the compiled row validator vs per-cell ``coerce``.  Results land in
+``results/BENCH_e17_ingest_kernels.json``.
 """
 
 from __future__ import annotations
@@ -29,11 +37,17 @@ from time import perf_counter, sleep
 
 from conftest import once, write_json
 
-from repro.corpus import spouse
+from repro.corpus import materials, spouse
 from repro.datastore import Database, Relation, Schema
 from repro.datastore import query as Q
 from repro.datastore.io import database_from_dict, database_to_dict
-from repro.nlp.pipeline import DOCUMENT_SCHEMA, SENTENCE_SCHEMA, load_corpus
+from repro.datastore.types import coerce
+from repro.nlp.htmlstrip import strip_html
+from repro.nlp.pipeline import (DOCUMENT_SCHEMA, SENTENCE_SCHEMA, Sentence,
+                                load_corpus, sentence_row, sentence_rows)
+from repro.nlp.pos import tag_token
+from repro.nlp.sentences import split_sentences
+from repro.nlp.tokenize import tokenize
 from repro.obs.config import EngineConfig
 from repro.serve import CheckpointManager
 
@@ -42,6 +56,8 @@ CORPUS_MULTIPLE = 10             # corpus must be >= this many budgets of text
 RSS_MULTIPLE = 2.0               # peak RSS delta must stay <= 2x budget
 CHECKPOINT_SPEEDUP_FLOOR = 5.0
 SEGMENT_ROWS = 512               # small seals keep the resident tail tiny
+ROW_KERNEL_FLOOR = 1.5           # row kernel vs the reference composition
+KERNEL_CHUNKS = 20               # generator chunks the kernel report times
 
 CHUNK_CONFIG = spouse.SpouseConfig(num_couples=120, num_distractor_pairs=120,
                                    num_sibling_pairs=40)
@@ -306,3 +322,117 @@ def test_e17_out_of_core(benchmark, reporter, tmp_path):
         assert results["rss_ok"], (
             f"peak RSS delta {results['peak_rss_delta_bytes']} exceeds "
             f"{RSS_MULTIPLE}x the {MEMORY_BUDGET}-byte budget")
+
+
+# ------------------------------------------------------------ ingest kernels
+def reference_sentence_rows(doc_id, content):
+    """The reference composition the row kernel is held equal to: one
+    ``Token`` per token, one scalar ``tag_token`` call per token plus the
+    repair pass, one ``Sentence`` per sentence."""
+    rows = []
+    for index, text in enumerate(split_sentences(strip_html(content))):
+        tokens = [token.text for token in tokenize(text)]
+        tags = [tag_token(token, is_sentence_initial=(i == 0))
+                for i, token in enumerate(tokens)]
+        if (len(tags) >= 2 and tags[1] == "NNP" and tokens[0][:1].isupper()
+                and tags[0] in ("NN", "JJ", "VB")):
+            tags[0] = "NNP"
+        rows.append(sentence_row(Sentence(
+            doc_id=doc_id, sentence_id=index, text=text,
+            tokens=tuple(tokens), pos_tags=tuple(tags))))
+    return rows
+
+
+def per_cell_validate(schema, rows):
+    """Row validation as one ``coerce`` call per cell."""
+    arity = schema.arity
+    columns = schema.columns
+    out = []
+    for row in rows:
+        assert len(row) == arity
+        out.append(tuple(coerce(value, column.type)
+                         for value, column in zip(row, columns)))
+    return out
+
+
+def best_of(fn, repeats=3):
+    """(fastest seconds, last result) over ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = perf_counter()
+        result = fn()
+        best = min(best, perf_counter() - started)
+    return best, result
+
+
+def test_e17_ingest_kernels(benchmark, reporter):
+    documents = list(spouse.stream(KERNEL_CHUNKS, config=CHUNK_CONFIG, seed=7))
+    documents += materials.generate(seed=7).documents     # HTML, tables
+    corpus_bytes = sum(len(doc.content) for doc in documents)
+    results = {"experiment": "e17_ingest_kernels"}
+
+    def experiment():
+        kernel_seconds, kernel_rows = best_of(lambda: [
+            row for doc in documents
+            for row in sentence_rows(doc.doc_id, doc.content)])
+        reference_seconds, reference_rows = best_of(lambda: [
+            row for doc in documents
+            for row in reference_sentence_rows(doc.doc_id, doc.content)])
+        validate_row = SENTENCE_SCHEMA.validate_row
+        compiled_seconds, compiled = best_of(
+            lambda: [validate_row(row) for row in kernel_rows])
+        per_cell_seconds, per_cell = best_of(
+            lambda: per_cell_validate(SENTENCE_SCHEMA, kernel_rows))
+        results.update({
+            "documents": len(documents),
+            "sentences": len(kernel_rows),
+            "corpus_bytes": corpus_bytes,
+            "rows_identical": kernel_rows == reference_rows,
+            "row_kernel_docs_per_sec": len(documents) / kernel_seconds,
+            "row_kernel_mb_per_sec": corpus_bytes / 1e6 / kernel_seconds,
+            "reference_docs_per_sec": len(documents) / reference_seconds,
+            "reference_mb_per_sec": corpus_bytes / 1e6 / reference_seconds,
+            "row_kernel_speedup": reference_seconds / kernel_seconds,
+            "row_kernel_floor": ROW_KERNEL_FLOOR,
+            "validated_identical": compiled == per_cell,
+            "compiled_validate_rows_per_sec":
+                len(kernel_rows) / compiled_seconds,
+            "per_cell_validate_rows_per_sec":
+                len(kernel_rows) / per_cell_seconds,
+            "validate_speedup": per_cell_seconds / compiled_seconds,
+        })
+        return results
+
+    once(benchmark, experiment)
+
+    reporter.line("E17 -- ingest kernels: documents -> validated sentence rows")
+    reporter.line()
+    reporter.line(f"{results['documents']} documents, "
+                  f"{results['sentences']} sentences, "
+                  f"{corpus_bytes / 1e6:.2f} MB of text; best of 3")
+    reporter.line()
+    reporter.table(
+        ["kernel", "rate", "vs reference"],
+        [["NLP, reference composition",
+          f"{results['reference_docs_per_sec']:.0f} docs/s "
+          f"({results['reference_mb_per_sec']:.2f} MB/s)", "1.0x"],
+         ["NLP, row kernel",
+          f"{results['row_kernel_docs_per_sec']:.0f} docs/s "
+          f"({results['row_kernel_mb_per_sec']:.2f} MB/s)",
+          f"{results['row_kernel_speedup']:.1f}x "
+          f"(floor {ROW_KERNEL_FLOOR}x)"],
+         ["validation, per-cell coerce",
+          f"{results['per_cell_validate_rows_per_sec']:.0f} rows/s", "1.0x"],
+         ["validation, compiled",
+          f"{results['compiled_validate_rows_per_sec']:.0f} rows/s",
+          f"{results['validate_speedup']:.1f}x"]])
+    reporter.line()
+    reporter.line(f"rows identical: {results['rows_identical']}; "
+                  f"validated rows identical: "
+                  f"{results['validated_identical']}")
+    write_json("BENCH_e17_ingest_kernels", results)
+
+    assert results["rows_identical"]
+    assert results["validated_identical"]
+    assert results["row_kernel_speedup"] >= ROW_KERNEL_FLOOR
+    assert results["validate_speedup"] > 1.0

@@ -36,6 +36,7 @@ comparison closures implement the same rule).
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -87,8 +88,25 @@ class InternPool:
         return self._codes.get(self._key(value), -1)
 
     def encode_column(self, values: Iterable[Any]) -> np.ndarray:
-        code = self.code
-        return np.fromiter((code(v) for v in values), dtype=np.int64)
+        """Codes of ``values``, interning new ones in order of appearance.
+
+        Whole-column dictionary passes: no per-cell Python call.
+        """
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        known = self._codes
+        if set(map(type, values)) <= {str}:
+            keys = values
+        else:
+            keys = [self._key(value) for value in values]
+        fresh = list(filterfalse(known.__contains__, dict.fromkeys(keys)))
+        if fresh:
+            start = len(self.values)
+            known.update(zip(fresh, range(start, start + len(fresh))))
+            self.values.extend(key if key.__class__ is str else key[1]
+                               for key in fresh)
+        return np.fromiter(map(known.__getitem__, keys), dtype=np.int64,
+                           count=len(keys))
 
     # ----------------------------------------------------------- decode views
     def object_array(self) -> np.ndarray:
@@ -142,7 +160,7 @@ class ColumnStore:
     @classmethod
     def from_relation(cls, relation: Relation,
                       pool: InternPool | None = None) -> "ColumnStore":
-        pool = pool or DEFAULT_POOL
+        pool = DEFAULT_POOL if pool is None else pool
         rows = list(relation.distinct_rows())
         counts = np.fromiter((c for _, c in relation.counted_rows()),
                              dtype=np.int64, count=len(rows))
@@ -152,13 +170,11 @@ class ColumnStore:
     def from_counted_rows(cls, schema: Schema,
                           counted: Iterable[tuple[Row, int]],
                           pool: InternPool | None = None) -> "ColumnStore":
-        pool = pool or DEFAULT_POOL
-        rows, counts = [], []
-        for row, count in counted:
-            rows.append(row)
-            counts.append(count)
-        return cls._from_rows(schema, rows, np.asarray(counts, dtype=np.int64)
-                              if counts else np.empty(0, dtype=np.int64), pool)
+        pool = DEFAULT_POOL if pool is None else pool
+        pairs = list(counted)
+        rows, counts = zip(*pairs) if pairs else ((), ())
+        return cls._from_rows(schema, rows,
+                              np.array(counts, dtype=np.int64), pool)
 
     @classmethod
     def _from_rows(cls, schema: Schema, rows: Sequence[Row],
@@ -166,10 +182,8 @@ class ColumnStore:
         arity = schema.arity
         n = len(rows)
         codes = np.empty((arity, n), dtype=np.int64)
-        code = pool.code
-        for j in range(arity):
-            codes[j] = np.fromiter((code(r[j]) for r in rows),
-                                   dtype=np.int64, count=n)
+        for j, column in enumerate(zip(*rows)):
+            codes[j] = pool.encode_column(column)
         return cls(schema, codes, counts, pool)
 
     # ----------------------------------------------------------------- basics

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.datastore.types import ColumnType, coerce
+from repro.datastore.types import PYTHON_TYPES, ColumnType, coerce
 
 
 class SchemaError(ValueError):
@@ -37,12 +37,17 @@ class Schema:
 
     columns: tuple[Column, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    #: the compiled row validator: the exact cell types of a row that needs
+    #: no coercion (``bool`` is not ``int`` here, ``None`` is not exact)
+    _exact: tuple[type, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in schema: {names}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_exact",
+                           tuple(PYTHON_TYPES[c.type] for c in self.columns))
 
     @classmethod
     def of(cls, **column_types: ColumnType | str) -> "Schema":
@@ -73,7 +78,17 @@ class Schema:
         return name in self._index
 
     def validate_row(self, row: Sequence[Any]) -> tuple[Any, ...]:
-        """Coerce and validate one row against this schema; return the stored tuple."""
+        """Coerce and validate one row against this schema; return the stored tuple.
+
+        A tuple whose cells already have exactly the column types is returned
+        as is (the same object); any other row goes cell by cell through
+        :func:`~repro.datastore.types.coerce`.
+        """
+        if row.__class__ is tuple and tuple(map(type, row)) == self._exact:
+            return row
+        return self._coerce_row(row)
+
+    def _coerce_row(self, row: Sequence[Any]) -> tuple[Any, ...]:
         if len(row) != self.arity:
             raise SchemaError(f"row arity {len(row)} != schema arity {self.arity} ({self.names})")
         return tuple(coerce(value, col.type) for value, col in zip(row, self.columns))

@@ -124,7 +124,8 @@ def write_segment(directory: str | os.PathLike, codes: np.ndarray,
         "arity": int(codes.shape[0]),
         "rows": int(codes.shape[1]),
         "total": int(counts.sum()),
-        "pool": [encode_value(v) for v in pool_values],
+        # json writes a tuple as an array at any depth, as encode_value would
+        "pool": list(pool_values),
     }, separators=(",", ":")).encode("utf-8")
     digest = hashlib.sha256()
     digest.update(header)
@@ -383,7 +384,7 @@ class SegmentedRelation(Relation):
         }
         temp = self.directory / (META_NAME + f".tmp-{os.getpid()}")
         with open(temp, "w", encoding="utf-8") as stream:
-            json.dump(meta, stream)
+            stream.write(json.dumps(meta))
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(temp, self.directory / META_NAME)
@@ -395,40 +396,50 @@ class SegmentedRelation(Relation):
                 f"segmented relation {self.name!r} is a read-only snapshot")
 
     def _maybe_seal(self) -> None:
-        while len(self._counts) >= self.segment_rows:
-            items = list(self._counts.items())
-            self._seal_items(items[:self.segment_rows])
+        full = len(self._counts) - len(self._counts) % self.segment_rows
+        if full:
+            self._seal(full)
 
     def flush(self) -> list[SegmentRef]:
         """Seal the in-memory tail (if any) so all rows are on disk."""
         self._check_writable()
         if self._counts:
-            self._seal_items(list(self._counts.items()))
+            self._seal(len(self._counts))
         elif not (self.directory / META_NAME).exists():
             self._write_meta()
         return list(self._refs)
 
-    def _seal_items(self, items: list[tuple[Row, int]]) -> None:
+    def _seal(self, upto: int) -> None:
+        """Seal the first ``upto`` rows of the tail (insertion order) as
+        segments of at most ``segment_rows`` rows, then commit the manifest
+        once.
+
+        A crash before the commit leaves segment files ``meta.json`` does not
+        reference, which :meth:`open` ignores -- the same outcome as a crash
+        before the first of them was written.
+        """
         from repro.datastore import columnar as C
-        pool = C.InternPool()
-        arity = self.schema.arity
-        n = len(items)
-        codes = np.empty((arity, n), dtype=np.int64)
-        code = pool.code
-        for j in range(arity):
-            codes[j] = np.fromiter((code(row[j]) for row, _ in items),
-                                   dtype=np.int64, count=n)
-        counts = np.fromiter((count for _, count in items),
-                             dtype=np.int64, count=n)
-        ref = write_segment(self.directory, codes, counts, pool.values)
-        self._refs.append(ref)
-        self._sealed_total += ref.total
-        self._sealed_distinct += ref.rows
+        items = list(self._counts.items())
+        sealed = 0
+        try:
+            while sealed < upto:
+                stop = min(sealed + self.segment_rows, upto)
+                store = C.ColumnStore.from_counted_rows(
+                    self.schema, items[sealed:stop], C.InternPool())
+                ref = write_segment(self.directory, store.codes, store.counts,
+                                    store.pool.values)
+                self._refs.append(ref)
+                self._sealed_total += ref.total
+                self._sealed_distinct += ref.rows
+                sealed = stop
+        finally:
+            # whatever was sealed leaves the tail, even if a later write failed
+            if sealed:
+                tail = items[sealed:]
+                self._counts = Counter(dict(tail))
+                self._total = sum(count for _, count in tail)
+                self._columnar = None
         self._write_meta()
-        for row, count in items:
-            del self._counts[row]
-            self._total -= count
-        self._columnar = None
 
     # ------------------------------------------------------------- accessors
     @property

@@ -28,7 +28,8 @@ class ColumnType(enum.Enum):
         return self.value
 
 
-_PYTHON_TYPES = {
+#: the Python class a non-null value of each column type is stored as
+PYTHON_TYPES = {
     ColumnType.TEXT: str,
     ColumnType.INT: int,
     ColumnType.FLOAT: float,
@@ -60,7 +61,7 @@ def coerce(value: Any, column_type: ColumnType) -> Any:
         return float(value)
     if column_type is ColumnType.BOOL and not isinstance(value, bool):
         raise TypeError_(f"expected bool, got {type(value).__name__}")
-    expected = _PYTHON_TYPES[column_type]
+    expected = PYTHON_TYPES[column_type]
     if isinstance(value, bool) and column_type is ColumnType.INT:
         raise TypeError_("bool is not a valid INT value")
     if not isinstance(value, expected):

@@ -31,11 +31,17 @@ def strip_html(raw: str) -> str:
     normalized.  Plain-text input passes through unchanged apart from
     whitespace normalization, so the loader can apply this unconditionally.
     """
-    text = _SCRIPT_STYLE.sub(" ", raw)
-    text = _COMMENT.sub(" ", text)
-    text = _BLOCK_TAG.sub("\n", text)
-    text = _ANY_TAG.sub(" ", text)
-    text = html.unescape(text)
-    text = _BLANK_RUNS.sub(" ", text)
+    text = raw
+    if "<" in text:
+        text = _SCRIPT_STYLE.sub(" ", text)
+        text = _COMMENT.sub(" ", text)
+        text = _BLOCK_TAG.sub("\n", text)
+        text = _ANY_TAG.sub(" ", text)
+    if "&" in text:
+        text = html.unescape(text)
+    if "  " in text or "\t" in text:
+        text = _BLANK_RUNS.sub(" ", text)
+    if "\n" not in text:
+        return text.strip()
     text = _NEWLINE_RUNS.sub("\n", text)
     return "\n".join(line.strip() for line in text.split("\n")).strip()

@@ -7,8 +7,9 @@ sentence per row* in the ``sentences`` relation of the datastore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.datastore import Database, Schema
@@ -16,7 +17,7 @@ from repro.nlp.chunker import Chunk, noun_phrases
 from repro.nlp.htmlstrip import strip_html
 from repro.nlp.pos import tag
 from repro.nlp.sentences import split_sentences
-from repro.nlp.tokenize import Token, tokenize
+from repro.nlp.tokenize import token_texts, tokenize
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,20 @@ class Sentence:
     text: str
     tokens: tuple[str, ...]
     pos_tags: tuple[str, ...]
-    offsets: tuple[tuple[int, int], ...] = field(default=())
 
     @property
     def key(self) -> str:
         """Globally unique sentence identifier."""
         return f"{self.doc_id}:{self.sentence_id}"
+
+    @property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        """Character span of each token within :attr:`text`.
+
+        Derived on demand, so it is no part of equality and a sentence
+        rebuilt from its relation row equals the original.
+        """
+        return tuple((t.start, t.end) for t in tokenize(self.text))
 
     def noun_phrase_chunks(self) -> list[Chunk]:
         return noun_phrases(list(self.pos_tags))
@@ -54,39 +63,72 @@ SENTENCE_SCHEMA = Schema.of(
 DOCUMENT_SCHEMA = Schema.of(doc_id="text", content="text")
 
 
-def preprocess_document(doc: Document) -> list[Sentence]:
-    """Run the full NLP chain on one document."""
-    text = strip_html(doc.content)
-    sentences = []
-    for index, sentence_text in enumerate(split_sentences(text)):
-        tokens: list[Token] = tokenize(sentence_text)
-        texts = [t.text for t in tokens]
-        sentences.append(Sentence(
-            doc_id=doc.doc_id,
-            sentence_id=index,
-            text=sentence_text,
-            tokens=tuple(texts),
-            pos_tags=tuple(tag(texts)),
-            offsets=tuple((t.start, t.end) for t in tokens),
-        ))
+def sentence_rows(doc_id: str, content: str) -> list[tuple]:
+    """The ``sentences`` relation rows of one document: the row kernel.
+
+    HTML strip, sentence split, tokenize and tag, straight into
+    ``(key, doc_id, sentence_id, text, tokens, pos_tags)`` tuples with no
+    per-token or per-sentence objects in between.  Everything that
+    preprocesses a document goes through here.
+    """
+    rows = []
+    for index, text in enumerate(split_sentences(strip_html(content))):
+        tokens = token_texts(text)
+        rows.append((f"{doc_id}:{index}", doc_id, index, text,
+                     tuple(tokens), tuple(tag(tokens))))
     if obs.enabled():
         obs.count("nlp.documents")
-        obs.observe("nlp.sentences_per_doc", len(sentences))
-        obs.observe("nlp.tokens_per_doc",
-                    sum(len(s.tokens) for s in sentences))
-    return sentences
+        obs.observe("nlp.sentences_per_doc", len(rows))
+        obs.observe("nlp.tokens_per_doc", sum(len(row[4]) for row in rows))
+    return rows
 
 
 def preprocess_document_rows(doc: Document) -> list[tuple]:
     """The ``sentences`` relation rows for one document.
 
-    The row-returning face of :func:`preprocess_document`: pool workers
-    ship plain row tuples back to the parent instead of :class:`Sentence`
-    objects (smaller pickles, no ``offsets``), and the parent-side merge
-    can stream them straight into ``insert_many`` — see
-    :func:`iter_corpus_rows`.
+    What pool workers map over a corpus for :func:`iter_corpus_rows`: plain
+    row tuples pickle smaller than :class:`Sentence` objects and stream
+    straight into ``insert_many``.
     """
-    return [sentence_row(sentence) for sentence in preprocess_document(doc)]
+    return sentence_rows(doc.doc_id, doc.content)
+
+
+def preprocess_document(doc: Document) -> list[Sentence]:
+    """Run the full NLP chain on one document."""
+    return [sentence_from_row(row)
+            for row in sentence_rows(doc.doc_id, doc.content)]
+
+
+def _pool_map(fn: Callable[[Document], list],
+              documents: Sequence[Document], workers: int,
+              parallel_mode: str, pool_warm: bool,
+              pool_min_work: int | None,
+              pool_owner: str | None) -> list[list] | None:
+    """``[fn(d) for d in documents]`` computed on the worker pool, or
+    ``None`` when the sequential loop should run instead.
+
+    The adaptive dispatcher keeps corpora whose total character count
+    estimates below ``pool_min_work`` sequential, ``pool_warm`` picks the
+    persistent pool over the historical per-call one, ``pool_owner`` selects
+    a private registry partition (a sharded service's per-shard pool), and a
+    pool failure is ``None`` too.
+    """
+    if workers <= 0 or len(documents) <= 1:
+        return None
+    from repro.obs.config import DEFAULT_POOL_MIN_WORK
+    from repro.parallel import decide_map, get_pool, parallel_preprocess
+    if pool_min_work is None:
+        pool_min_work = DEFAULT_POOL_MIN_WORK
+    decision = decide_map(sum(len(doc.content) for doc in documents),
+                          workers=workers, min_work=pool_min_work)
+    decision.record()
+    if not decision.use_pool:
+        return None
+    if not pool_warm:
+        return parallel_preprocess(documents, workers=workers,
+                                   mode=parallel_mode, fn=fn)
+    pool = get_pool(workers, mode=parallel_mode, owner=pool_owner)
+    return pool.map(fn, documents) if pool is not None else None
 
 
 def preprocess_corpus(documents: Sequence[Document], workers: int = 0,
@@ -99,31 +141,10 @@ def preprocess_corpus(documents: Sequence[Document], workers: int = 0,
     The parallel layer's chunked order-preserving merge returns exactly
     what the sequential loop would; a pool failure silently falls back to
     that loop, so callers always get ``[preprocess_document(d) for d in
-    docs]``.  The adaptive dispatcher keeps corpora whose total character
-    count estimates below ``pool_min_work`` on the sequential path,
-    ``pool_warm`` picks the persistent pool (default) over the historical
-    per-call one, and ``pool_owner`` selects a private registry partition
-    (a sharded service's per-shard pool) instead of the shared pool.
+    docs]``.  See :func:`_pool_map` for the pool parameters.
     """
-    per_doc = None
-    if workers > 0 and len(documents) > 1:
-        from repro.obs.config import DEFAULT_POOL_MIN_WORK
-        from repro.parallel import (decide_map, get_pool,
-                                    parallel_preprocess)
-        if pool_min_work is None:
-            pool_min_work = DEFAULT_POOL_MIN_WORK
-        decision = decide_map(sum(len(doc.content) for doc in documents),
-                              workers=workers, min_work=pool_min_work)
-        decision.record()
-        if decision.use_pool:
-            if pool_warm:
-                pool = get_pool(workers, mode=parallel_mode,
-                                owner=pool_owner)
-                if pool is not None:
-                    per_doc = pool.map(preprocess_document, documents)
-            else:
-                per_doc = parallel_preprocess(documents, workers=workers,
-                                              mode=parallel_mode)
+    per_doc = _pool_map(preprocess_document, documents, workers,
+                        parallel_mode, pool_warm, pool_min_work, pool_owner)
     if per_doc is None:
         per_doc = [preprocess_document(doc) for doc in documents]
     return per_doc
@@ -136,35 +157,16 @@ def iter_corpus_rows(documents: Sequence[Document], workers: int = 0,
     """Lazily yield per-document ``sentences`` row lists (the row-iterator
     protocol's NLP face).
 
-    Bit-identical to ``[preprocess_document_rows(d) for d in documents]``
-    but never materializes :class:`Sentence` objects on the parent side:
+    Bit-identical to ``[preprocess_document_rows(d) for d in documents]``:
     the sequential path is a generator (one document's rows resident at a
     time), and the pooled path maps :func:`preprocess_document_rows` so
-    workers return row tuples directly — the per-shard NLP merge of a
-    sharded service consumes these without holding a chunk of sentence
-    objects per worker.
+    workers return row tuples directly.
     """
-    if workers > 0 and len(documents) > 1:
-        from repro.obs.config import DEFAULT_POOL_MIN_WORK
-        from repro.parallel import decide_map, get_pool
-        if pool_min_work is None:
-            pool_min_work = DEFAULT_POOL_MIN_WORK
-        decision = decide_map(sum(len(doc.content) for doc in documents),
-                              workers=workers, min_work=pool_min_work)
-        decision.record()
-        if decision.use_pool:
-            if pool_warm:
-                pool = get_pool(workers, mode=parallel_mode, owner=pool_owner)
-                if pool is not None:
-                    per_doc = pool.map(preprocess_document_rows, documents)
-                    if per_doc is not None:
-                        return per_doc
-            else:
-                from repro.parallel import parallel_preprocess
-                per_doc = parallel_preprocess(documents, workers=workers,
-                                              mode=parallel_mode)
-                return ([sentence_row(s) for s in group] for group in per_doc)
-    return (preprocess_document_rows(doc) for doc in documents)
+    per_doc = _pool_map(preprocess_document_rows, documents, workers,
+                        parallel_mode, pool_warm, pool_min_work, pool_owner)
+    if per_doc is None:
+        per_doc = (preprocess_document_rows(doc) for doc in documents)
+    return per_doc
 
 
 def iter_document_chunks(documents: Iterable[Document],
@@ -240,7 +242,7 @@ def load_corpus(db: Database, documents: Iterable[Document],
                                         pool_owner=pool_owner)
         db["documents"].insert_many((doc.doc_id, doc.content) for doc in docs)
         loaded += db["sentences"].insert_many(
-            row for rows in per_doc_rows for row in rows)
+            chain.from_iterable(per_doc_rows))
     return loaded
 
 

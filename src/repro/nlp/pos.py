@@ -15,31 +15,30 @@ from __future__ import annotations
 
 import re
 
-_DETERMINERS = {"a", "an", "the", "this", "that", "these", "those", "each", "every", "some",
-                "any", "no", "all", "both"}
-_PREPOSITIONS = {"in", "on", "at", "by", "for", "with", "about", "against", "between",
-                 "into", "through", "during", "before", "after", "above", "below", "to",
-                 "from", "up", "down", "of", "off", "over", "under", "near", "per"}
-_CONJUNCTIONS = {"and", "or", "but", "nor", "so", "yet", "while", "whereas"}
-_PRONOUNS = {"i", "you", "he", "she", "it", "we", "they", "him", "her", "them", "his",
-             "hers", "its", "their", "our", "your", "my", "who", "whom", "which", "whose"}
-_MODALS = {"can", "could", "may", "might", "must", "shall", "should", "will", "would"}
-_COMMON_VERBS = {
-    "is", "are", "was", "were", "be", "been", "being", "has", "have", "had",
-    "do", "does", "did", "said", "says", "made", "make", "found", "shows",
-    "show", "showed", "reported", "reports", "married", "met", "divorced",
-    "causes", "cause", "caused", "regulates", "regulate", "regulated",
-    "inhibits", "inhibit", "inhibited", "activates", "activate", "activated",
-    "treats", "treat", "treated", "exhibits", "exhibit", "exhibited",
-    "measured", "observed", "increases", "decreases", "induces", "induced",
-    "associated", "linked", "wed", "dated", "interacts", "binds", "encodes",
-}
-_COMMON_ADVERBS = {"very", "not", "also", "never", "always", "often", "recently",
-                   "significantly", "strongly", "weakly", "reportedly", "allegedly"}
+# Closed-class words -> tag.  No word is listed under two tags.
+_LEXICON = {word: tag_name for tag_name, words in {
+    "DT": "a an the this that these those each every some any no all both",
+    "IN": "in on at by for with about against between into through during "
+          "before after above below to from up down of off over under near "
+          "per",
+    "CC": "and or but nor so yet while whereas",
+    "PRP": "i you he she it we they him her them his hers its their our "
+           "your my who whom which whose",
+    "MD": "can could may might must shall should will would",
+    "VB": "is are was were be been being has have had do does did said says "
+          "made make found shows show showed reported reports married met "
+          "divorced causes cause caused regulates regulate regulated "
+          "inhibits inhibit inhibited activates activate activated treats "
+          "treat treated exhibits exhibit exhibited measured observed "
+          "increases decreases induces induced associated linked wed dated "
+          "interacts binds encodes",
+    "RB": "very not also never always often recently significantly strongly "
+          "weakly reportedly allegedly",
+}.items() for word in words.split()}
 
-_NUMBER = re.compile(r"^\d[\d,]*(?:\.\d+)?$")
-_ORDINAL = re.compile(r"^\d+(?:st|nd|rd|th)$")
-_PUNCT = re.compile(r"^[^\w\s]+$")
+# Punctuation (group 1) | number | ordinal, in one match.
+_PUNCT_OR_NUMBER = re.compile(
+    r"(?:([^\w\s]+)|\d[\d,]*(?:\.\d+)?|\d+(?:st|nd|rd|th))$")
 _SYMBOL = set("$€£¥%")
 
 _VERB_SUFFIXES = ("ize", "ise", "ate", "ify")
@@ -49,30 +48,20 @@ _NOUN_SUFFIXES = ("tion", "sion", "ment", "ness", "ity", "ism", "ist", "ance", "
 
 
 def tag_token(text: str, is_sentence_initial: bool = False) -> str:
-    """Tag one token; ``is_sentence_initial`` damps the capitalized->NNP cue."""
-    lower = text.lower()
+    """Tag one token; ``is_sentence_initial`` damps the capitalized->NNP cue.
+
+    The scalar reference: :func:`tag` answers from a memo of this function
+    and the property tests hold the two equal.
+    """
     if text in _SYMBOL:
         return "SYM"
-    if _PUNCT.match(text):
-        return "PUNCT"
-    if _NUMBER.match(text):
-        return "CD"
-    if _ORDINAL.match(text):
-        return "CD"
-    if lower in _DETERMINERS:
-        return "DT"
-    if lower in _PREPOSITIONS:
-        return "IN"
-    if lower in _CONJUNCTIONS:
-        return "CC"
-    if lower in _PRONOUNS:
-        return "PRP"
-    if lower in _MODALS:
-        return "MD"
-    if lower in _COMMON_VERBS:
-        return "VB"
-    if lower in _COMMON_ADVERBS:
-        return "RB"
+    closed = _PUNCT_OR_NUMBER.match(text)
+    if closed:
+        return "PUNCT" if closed.lastindex else "CD"
+    lower = text.lower()
+    closed = _LEXICON.get(lower)
+    if closed:
+        return closed
     if text[0].isupper() and not is_sentence_initial:
         return "NNP"
     if lower.endswith(_ADV_SUFFIX) and len(lower) > 4:
@@ -90,6 +79,23 @@ def tag_token(text: str, is_sentence_initial: bool = False) -> str:
     return "NN"
 
 
+#: Entries each memo below may hold.  The corpus mints new names forever, so
+#: the memos must be bounded: at ~90 bytes of dict slot and key per entry the
+#: two together stay under 1 MB.  A full memo is cleared, not grown -- the
+#: frequent tokens are back within a few sentences.
+_MEMO_CAP = 4096
+#: token -> ``tag_token(token, initial)``, indexed by ``initial``
+_MEMO: tuple[dict[str, str], dict[str, str]] = ({}, {})
+
+
+def _tag_miss(text: str, is_sentence_initial: bool) -> str:
+    memo = _MEMO[is_sentence_initial]
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[text] = found = tag_token(text, is_sentence_initial)
+    return found
+
+
 def tag(tokens: list[str]) -> list[str]:
     """Tag a tokenized sentence; applies one contextual repair pass.
 
@@ -97,7 +103,15 @@ def tag(tokens: list[str]) -> list[str]:
     the following token is also NNP (names like "Barack Obama" at sentence
     start), mirroring the most valuable Brill transformation for our corpora.
     """
-    tags = [tag_token(text, is_sentence_initial=(i == 0)) for i, text in enumerate(tokens)]
-    if len(tags) >= 2 and tags[1] == "NNP" and tokens[0][:1].isupper() and tags[0] in ("NN", "JJ", "VB"):
+    if not tokens:
+        return []
+    tags = list(map(_MEMO[False].get, tokens))
+    first = tokens[0]
+    tags[0] = _MEMO[True].get(first) or _tag_miss(first, True)
+    if None in tags:
+        for i, found in enumerate(tags):
+            if found is None:
+                tags[i] = _tag_miss(tokens[i], False)
+    if len(tags) >= 2 and tags[1] == "NNP" and first[:1].isupper() and tags[0] in ("NN", "JJ", "VB"):
         tags[0] = "NNP"
     return tags

@@ -18,6 +18,9 @@ _ABBREVIATIONS = {
 }
 
 _BOUNDARY = re.compile(r"([.!?])(\s+|$)")
+# The word a period ends: from its first ASCII letter, word characters and
+# inner periods up to the end of the searched region.
+_WORD_BEFORE = re.compile(r"[A-Za-z][\w.]*$")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -58,12 +61,15 @@ def _split_line(line: str) -> list[str]:
 
 
 def _is_non_terminal_period(line: str, period_index: int) -> bool:
-    before = line[:period_index]
-    word_match = re.search(r"([A-Za-z][\w.]*)$", before)
+    # A space cannot be part of the word, so the search may start after the
+    # last one instead of at the start of the line.
+    word_match = _WORD_BEFORE.search(
+        line, line.rfind(" ", 0, period_index) + 1, period_index)
     if not word_match:
         return False
-    word = word_match.group(1)
-    if word.lower().rstrip(".") in _ABBREVIATIONS or word.lower() in _ABBREVIATIONS:
+    word = word_match.group()
+    lower = word.lower()
+    if lower.rstrip(".") in _ABBREVIATIONS or lower in _ABBREVIATIONS:
         return True
     # Single capital initial, e.g. the "B." in "B. Obama".
     if len(word) == 1 and word.isupper():

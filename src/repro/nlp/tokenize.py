@@ -48,5 +48,5 @@ def tokenize(text: str) -> list[Token]:
 
 
 def token_texts(text: str) -> list[str]:
-    """Convenience: just the surface strings."""
-    return [t.text for t in tokenize(text)]
+    """Just the surface strings of :func:`tokenize`, without the objects."""
+    return _TOKEN.findall(text)

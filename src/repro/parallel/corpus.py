@@ -13,21 +13,26 @@ way).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.parallel.pool import DEFAULT_TIMEOUT, fanout_map
 
 
 def parallel_preprocess(documents: Sequence, *, workers: int,
                         mode: str = "auto",
-                        timeout: float = DEFAULT_TIMEOUT) -> list | None:
+                        timeout: float = DEFAULT_TIMEOUT,
+                        fn: Callable | None = None) -> list | None:
     """Per-document sentence lists, computed across ``workers`` processes.
 
-    Returns ``None`` if the fan-out fails; callers fall back to the
-    sequential loop.  Worker metrics (``nlp.documents`` etc.) and chunk
-    spans merge into the parent's profile when tracing is enabled.
+    ``fn`` is the per-document function to map (default
+    :func:`~repro.nlp.pipeline.preprocess_document`; the row loader passes
+    ``preprocess_document_rows``).  Returns ``None`` if the fan-out fails;
+    callers fall back to the sequential loop.  Worker metrics
+    (``nlp.documents`` etc.) and chunk spans merge into the parent's profile
+    when tracing is enabled.
     """
-    from repro.nlp.pipeline import preprocess_document
+    if fn is None:
+        from repro.nlp.pipeline import preprocess_document as fn
 
-    return fanout_map(preprocess_document, documents, workers=workers,
+    return fanout_map(fn, documents, workers=workers,
                       mode=mode, timeout=timeout)

@@ -97,3 +97,71 @@ class TestSchema:
     def test_equality_is_structural(self):
         assert Schema.of(a="int") == Schema.of(a="int")
         assert Schema.of(a="int") != Schema.of(a="text")
+
+
+def per_cell(schema, row):
+    """The validator's contract: arity check, then ``coerce`` cell by cell."""
+    if len(row) != schema.arity:
+        raise SchemaError(f"row arity {len(row)} != schema arity "
+                          f"{schema.arity} ({schema.names})")
+    return tuple(coerce(value, column.type)
+                 for value, column in zip(row, schema.columns))
+
+
+def outcome(validate, row):
+    try:
+        return validate(row)
+    except (SchemaError, TypeError_) as error:
+        return type(error), str(error)
+
+
+class TestCompiledValidator:
+    SCHEMA = Schema.of(t="text", i="int", f="float", b="bool", a="array")
+    CLEAN = ("x", 1, 1.5, True, ("p", "q"))
+    ROWS = [
+        CLEAN,
+        list(CLEAN),
+        (None, None, None, None, None),
+        ("x", 1, 2, False, ["p", "q"]),        # int -> float, list -> tuple
+        ("x", True, 1.5, True, ()),            # bool in INT
+        ("x", 1, True, True, ()),              # bool in FLOAT
+        ("x", 1, 1.5, 1, ()),                  # non-bool in BOOL
+        ("x", 1, 1.5, None, "pq"),             # str in ARRAY
+        (1, 1, 1.5, True, ()),                 # int in TEXT
+        ("x", 1.0, 1.5, True, ()),             # float in INT
+        ("x", 1, "1.5", True, ()),             # str in FLOAT
+        ("x", 1, 1.5, True),                   # short
+        CLEAN + (0,),                          # long
+        (),
+    ]
+
+    def test_equals_per_cell_coerce(self):
+        for row in self.ROWS:
+            expected = outcome(lambda r: per_cell(self.SCHEMA, r), row)
+            got = outcome(self.SCHEMA.validate_row, row)
+            assert got == expected
+            # 2 == 2.0: the cell types must agree too
+            assert list(map(type, got)) == list(map(type, expected))
+
+    def test_clean_tuple_is_returned_untouched(self):
+        assert self.SCHEMA.validate_row(self.CLEAN) is self.CLEAN
+
+    def test_subclass_values_are_kept_like_coerce_keeps_them(self):
+        class Name(str):
+            pass
+        row = (Name("x"), 1, 1.5, True, ())
+        stored = self.SCHEMA.validate_row(row)
+        assert stored == row and type(stored[0]) is Name
+
+    def test_insert_paths_store_the_callers_tuple(self):
+        from repro.datastore import Relation
+        relation = Relation("r", self.SCHEMA)
+        relation.insert_many([self.CLEAN])
+        relation.insert_counted([(self.CLEAN, 2)])
+        (stored,) = relation.distinct_rows()
+        assert stored is self.CLEAN
+        assert relation.count(self.CLEAN) == 3
+        with pytest.raises(TypeError_, match="bool is not a valid INT"):
+            relation.insert_many([("x", True, 1.5, True, ())])
+        with pytest.raises(SchemaError, match="arity"):
+            relation.insert_counted([(("x",), 1)])

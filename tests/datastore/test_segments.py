@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datastore import Database, Relation, Schema
+from repro.datastore import columnar as C
 from repro.datastore.segments import (SegmentCache, SegmentedRelation,
                                       SegmentError, open_segment,
                                       segment_path, write_segment)
@@ -91,6 +92,96 @@ class TestSegmentedRelation:
         reopened = SegmentedRelation.open(relation.directory)
         assert reopened.counts_copy() == before
         assert (999, "ghost") not in reopened
+
+    def test_batch_commits_meta_once(self, tmp_path, monkeypatch):
+        relation = make(tmp_path, segment_rows=4)
+        commits = []
+        write_meta = SegmentedRelation._write_meta
+        monkeypatch.setattr(
+            SegmentedRelation, "_write_meta",
+            lambda self: (commits.append(len(self._refs)), write_meta(self)))
+        relation.insert_many((i, str(i)) for i in range(14))
+        assert len(relation.segment_refs) == 3
+        assert commits == [3]               # one commit, naming all three
+        assert len(relation) == 14 and relation.distinct_count == 14
+        reopened = SegmentedRelation.open(relation.directory)
+        assert len(reopened.segment_refs) == 3 and len(reopened) == 12
+
+    def test_crash_before_meta_commit_reopens_previous_manifest(
+            self, tmp_path, monkeypatch):
+        relation = make(tmp_path, segment_rows=4)
+        relation.insert_many((i, str(i)) for i in range(5))
+        before = SegmentedRelation.open(relation.directory)
+        committed = before.counts_copy()
+        assert len(before.segment_refs) == 1
+
+        def crash(self):
+            raise KeyboardInterrupt("killed before the meta commit")
+
+        monkeypatch.setattr(SegmentedRelation, "_write_meta", crash)
+        with pytest.raises(KeyboardInterrupt):
+            relation.insert_many((i, str(i)) for i in range(5, 14))
+        monkeypatch.undo()
+        # all three segment files are on disk, the manifest names one
+        assert len(list(relation.directory.glob("seg-*.seg"))) == 3
+        reopened = SegmentedRelation.open(relation.directory)
+        assert reopened.segment_refs == before.segment_refs
+        assert reopened.counts_copy() == committed
+
+    def test_failed_seal_keeps_memory_consistent(self, tmp_path, monkeypatch):
+        from repro.datastore import segments
+        relation = make(tmp_path, segment_rows=4)
+        real = segments.write_segment
+        calls = []
+
+        def second_write_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(segments, "write_segment", second_write_fails)
+        rows = [(i, str(i)) for i in range(9)]
+        with pytest.raises(OSError):
+            relation.insert_many(rows)
+        # the first segment is sealed and out of the tail; nothing is twice
+        assert len(relation.segment_refs) == 1
+        assert sorted(relation) == rows
+        relation.flush()
+        assert sorted(SegmentedRelation.open(relation.directory)) == rows
+
+    def test_digests_equal_reference_built_segments(self, tmp_path):
+        """Sealing is the per-cell interning loop it replaced, byte for byte:
+        codes in column-major first-appearance order over a fresh pool."""
+        schema = Schema.of(key="text", n="int", score="float", tags="array",
+                           note="text")
+        rows = [(f"k{i}", i % 3, float(i % 2), ("a", f"t{i % 4}"),
+                 None if i % 5 == 0 else f"k{i % 7}") for i in range(12)]
+        relation = SegmentedRelation("t", schema, tmp_path / "t",
+                                     segment_rows=4)
+        relation.insert_many(rows)
+        relation.insert((rows[0][0], 0, 0.0, ("a", "t0"), None), count=2)
+        relation.flush()
+
+        counted = [(row, 1) for row in rows] + [(rows[0], 2)]
+        expected = []
+        for start in range(0, len(counted), 4):
+            codes_of, pool = {}, []
+            chunk = counted[start:start + 4]
+            codes = np.empty((schema.arity, len(chunk)), dtype=np.int64)
+            for j in range(schema.arity):
+                for i, (row, _) in enumerate(chunk):
+                    value = row[j]
+                    key = value if type(value) is str else (type(value), value)
+                    if key not in codes_of:
+                        codes_of[key] = len(pool)
+                        pool.append(value)
+                    codes[j, i] = codes_of[key]
+            counts = np.array([count for _, count in chunk], dtype=np.int64)
+            expected.append(write_segment(tmp_path / "reference", codes,
+                                          counts, pool))
+        assert len(expected) == 4
+        assert relation.segment_refs == expected
 
     def test_missing_referenced_segment_refused(self, tmp_path):
         relation = make(tmp_path, segment_rows=2)
@@ -201,3 +292,36 @@ class TestSegmentCache:
         assert len(stores) == 3                        # 2 sealed + tail
         total = sum(int(s.counts.sum()) for s in stores)
         assert total == 8
+        # every chunk decodes through its own pool, the tail's included
+        assert stores[-1].pool is not C.DEFAULT_POOL
+        assert stores[-1].pool.values == [6, 7, "6", "7"]
+
+
+class TestColumnInterning:
+    COLUMN = ["a", 1, 1.0, True, None, ("a", 1), "a", 1, "b", (), 0, False,
+              None, ("a", 1), 2.5, "1"]
+
+    def test_encode_column_is_code_per_value(self):
+        for seeded in ([], ["b", 1, None]):
+            bulk, scalar = C.InternPool(), C.InternPool()
+            for value in seeded:
+                bulk.code(value)
+                scalar.code(value)
+            codes = bulk.encode_column(iter(self.COLUMN))
+            assert codes.dtype == np.int64
+            assert codes.tolist() == [scalar.code(v) for v in self.COLUMN]
+            assert list(map(repr, bulk.values)) \
+                == list(map(repr, scalar.values))
+            assert [bulk.lookup(v) for v in self.COLUMN] == codes.tolist()
+
+    def test_all_text_and_empty_columns(self):
+        pool = C.InternPool()
+        assert pool.encode_column(["x", "y", "x"]).tolist() == [0, 1, 0]
+        assert pool.encode_column([]).tolist() == []
+        assert pool.values == ["x", "y"]
+
+    def test_an_empty_pool_argument_is_used(self):
+        pool = C.InternPool()
+        store = C.ColumnStore.from_counted_rows(
+            Schema.of(k="int"), [((41,), 1)], pool)
+        assert store.pool is pool and pool.values == [41]

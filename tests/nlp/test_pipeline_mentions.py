@@ -45,8 +45,14 @@ class TestPipeline:
 
     def test_row_roundtrip(self, sentence):
         restored = sentence_from_row(sentence_row(sentence))
-        assert restored.tokens == sentence.tokens
+        assert restored == sentence
+        assert hash(restored) == hash(sentence)
         assert restored.key == sentence.key
+
+    def test_offsets_are_derived_from_the_text(self, sentence):
+        assert len(sentence.offsets) == len(sentence.tokens)
+        assert [sentence.text[start:end] for start, end in sentence.offsets] \
+            == list(sentence.tokens)
 
 
 class TestSpan:
