@@ -127,7 +127,7 @@ def test_e15_replica_scaling(benchmark, reporter):
             warm_readings = []
             for phase in ("cold",) + ("warm",) * 5:
                 outcome = pool.run_replicas(
-                    compiled, sockets=SOCKETS, seed=SEED, engine="chromatic",
+                    compiled, sockets=SOCKETS, seed=SEED,
                     total_sweeps=10, burn_in=5, sync_every=5)
                 if outcome is None:
                     break

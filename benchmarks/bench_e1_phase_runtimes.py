@@ -17,7 +17,6 @@ from conftest import RESULTS_DIR, once, write_json
 
 from repro.apps import spouse
 from repro.corpus import spouse as spouse_corpus
-from repro.datastore import query as Q
 from repro.inference import LearningOptions
 from repro.obs import EngineConfig
 
@@ -49,11 +48,11 @@ def ground_time(num_couples: int, backend: str, runs: int = 3,
                                        num_distractor_pairs=num_couples,
                                        num_sibling_pairs=num_couples // 3),
             seed=seed)
-        with Q.use_backend(backend):
-            app = spouse.build(corpus, seed=seed)
-            start = time.perf_counter()
-            app.grounder
-            best = min(best, time.perf_counter() - start)
+        app = spouse.build(corpus, seed=seed,
+                           config=EngineConfig(datastore_backend=backend))
+        start = time.perf_counter()
+        app.grounder
+        best = min(best, time.perf_counter() - start)
     return best
 
 

@@ -71,11 +71,11 @@ def test_e3_vertex_sweep(benchmark):
 
 
 def test_e3_chromatic_vs_reference_report(benchmark, reporter):
-    """Tentpole check: the chromatic vectorized sweep vs the scalar engine.
+    """Tentpole check: the chromatic vectorized sweep vs its scalar oracle.
 
-    Both engines run the exact same chain (same chromatic order, same RNG
-    stream), so this isolates the cost of the per-variable Python loop
-    against the per-color-block vectorized gathers.
+    ``sweep`` and ``sweep_reference`` run the exact same chain (same
+    chromatic order, same RNG stream), so this isolates the cost of the
+    per-variable Python loop against the per-color-block vectorized gathers.
     """
     graph = kbc_graph()
     sweeps = 5
@@ -83,17 +83,18 @@ def test_e3_chromatic_vs_reference_report(benchmark, reporter):
 
     def experiment():
         compiled = CompiledGraph(graph)
-        chromatic = GibbsSampler(compiled, seed=0, engine="chromatic")
+        chromatic = GibbsSampler(compiled, seed=0)
         world = chromatic.initial_assignment()
         start = time.perf_counter()
         samples_chromatic = sum(chromatic.sweep(world) for _ in range(sweeps))
         chromatic_time = time.perf_counter() - start
 
-        reference = GibbsSampler(compiled, seed=0, engine="reference")
+        reference = GibbsSampler(compiled, seed=0)
         world_ref = reference.initial_assignment()
-        reference.sweep(world_ref)        # build the lazy adjacency untimed
+        reference.sweep_reference(world_ref)   # build the lazy adjacency untimed
         start = time.perf_counter()
-        samples_reference = sum(reference.sweep(world_ref) for _ in range(sweeps))
+        samples_reference = sum(reference.sweep_reference(world_ref)
+                                for _ in range(sweeps))
         reference_time = time.perf_counter() - start
         measurements.update(chromatic_time=chromatic_time,
                             reference_time=reference_time,
@@ -104,7 +105,7 @@ def test_e3_chromatic_vs_reference_report(benchmark, reporter):
         # traced marginal pass: per-color sweep timings + flip stats
         collector = obs.Collector()
         with obs.installed(collector):
-            traced = GibbsSampler(compiled, seed=0, engine="chromatic")
+            traced = GibbsSampler(compiled, seed=0)
             traced.marginals(num_samples=5, burn_in=2)
         measurements["profile"] = obs.Profile(
             spans=collector.roots, metrics=collector.metrics.snapshot())

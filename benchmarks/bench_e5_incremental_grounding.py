@@ -18,18 +18,18 @@ from conftest import once
 
 from repro.apps import spouse
 from repro.corpus import spouse as spouse_corpus
-from repro.datastore import query as Q
 from repro.grounding import Grounder
 from repro.nlp.pipeline import Document, preprocess_document, sentence_row
+from repro.obs import EngineConfig
 
 
-def build_loaded_app(num_couples=60, seed=0):
+def build_loaded_app(num_couples=60, seed=0, config=None):
     corpus = spouse_corpus.generate(
         spouse_corpus.SpouseConfig(num_couples=num_couples,
                                    num_distractor_pairs=num_couples,
                                    num_sibling_pairs=num_couples // 3),
         seed=seed)
-    app = spouse.build(corpus, seed=seed)
+    app = spouse.build(corpus, seed=seed, config=config)
     return app, corpus
 
 
@@ -61,15 +61,15 @@ def delta_rows(app, corpus, num_docs, seed=99):
 
 def full_reground(inserts, backend):
     """Time a from-scratch reground of base + delta on ``backend``."""
-    fresh_app, _ = build_loaded_app()
-    with Q.use_backend(backend):
-        start = time.perf_counter()
-        fresh_app.db.insert("sentences", inserts["sentences"])
-        fresh_app.db.insert("SpouseSentence", inserts["SpouseSentence"])
-        fresh_app.db.insert("PersonCandidate", inserts["PersonCandidate"])
-        fresh_app.db.insert("EL", inserts["EL"])
-        fresh_app.grounder
-        return time.perf_counter() - start
+    fresh_app, _ = build_loaded_app(
+        config=EngineConfig(datastore_backend=backend))
+    start = time.perf_counter()
+    fresh_app.db.insert("sentences", inserts["sentences"])
+    fresh_app.db.insert("SpouseSentence", inserts["SpouseSentence"])
+    fresh_app.db.insert("PersonCandidate", inserts["PersonCandidate"])
+    fresh_app.db.insert("EL", inserts["EL"])
+    fresh_app.grounder
+    return time.perf_counter() - start
 
 
 def test_e5_incremental_vs_full(benchmark, reporter):

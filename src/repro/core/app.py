@@ -15,7 +15,6 @@ through DRed incremental grounding, per Section 4.1.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -40,11 +39,11 @@ class DeepDive:
     """A DeepDive application over one aspirational schema.
 
     ``config`` is the typed engine configuration: datastore backend,
-    columnar dispatch threshold, Gibbs sweep engine, NUMA topology, and
-    whether runs are traced.  When omitted it is read once from the
-    environment via :meth:`EngineConfig.from_env`; it is then threaded
-    explicitly through the database, grounder, and samplers, so mutating
-    the environment after construction has no effect.
+    worker pool, memory budget, NUMA topology, and whether runs are
+    traced.  When omitted it is read once from the environment via
+    :meth:`EngineConfig.from_env`; it is then threaded explicitly through
+    the database, grounder, and corpus loader, so mutating the environment
+    after construction has no effect.
     """
 
     def __init__(self, program: DDlogProgram | str, seed: int = 0,
@@ -62,15 +61,6 @@ class DeepDive:
         self._chain_state: dict | None = None
         self._pending_touched: set = set()
         self._ensure_corpus_relations()
-
-    @property
-    def _timings(self) -> dict[str, float]:
-        """Deprecated phase-timing dict; use ``RunResult.profile`` instead."""
-        warnings.warn(
-            "DeepDive._timings is deprecated; read RunResult.profile "
-            "(or RunResult.phase_timings, derived from it)",
-            DeprecationWarning, stacklevel=2)
-        return self._recorder.profile().phase_seconds()
 
     def _ensure_corpus_relations(self) -> None:
         from repro.nlp.pipeline import DOCUMENT_SCHEMA, SENTENCE_SCHEMA
@@ -116,7 +106,6 @@ class DeepDive:
             per_doc = preprocess_corpus(
                 documents, workers=self.config.workers,
                 parallel_mode=self.config.parallel_mode,
-                pool_warm=self.config.pool_warm,
                 pool_min_work=self.config.pool_min_work,
                 pool_owner=self.config.pool_owner)
             sentences = [s for group in per_doc for s in group]
@@ -278,18 +267,16 @@ class DeepDive:
         compiled.is_evidence[holdout] = False
         compiled.note_mutation()
 
-        options = learning or LearningOptions(
-            seed=self.seed, engine=self.config.gibbs_engine)
+        options = learning or LearningOptions(seed=self.seed)
         with self._recorder.phase("learning", replace=True,
                                   optimizer=options.optimizer) as phase:
             diagnostics = learn_weights(compiled, options)
             phase.set(epochs=diagnostics.epochs_run)
         compiled.export_weights(graph)
 
-        with self._recorder.phase("inference", replace=True,
-                                  engine=self.config.gibbs_engine) as phase:
+        with self._recorder.phase("inference", replace=True) as phase:
             sampler = GibbsSampler(compiled, seed=self.seed,
-                                   clamp_evidence=True, config=self.config)
+                                   clamp_evidence=True)
             world = sampler.initial_assignment()
             result = sampler.marginals(num_samples=num_samples,
                                        burn_in=burn_in, assignment=world)
@@ -312,7 +299,7 @@ class DeepDive:
         train_pairs: list[tuple[float, bool]] = []
         if compute_train_histogram and compiled.is_evidence.any():
             free = GibbsSampler(compiled, seed=self.seed + 1,
-                                clamp_evidence=False, config=self.config)
+                                clamp_evidence=False)
             free_result = free.marginals(num_samples=max(50, num_samples // 3),
                                          burn_in=burn_in)
             for i in np.nonzero(compiled.is_evidence)[0]:

@@ -65,8 +65,7 @@ class IncrementalEvaluator:
         with obs.span("dred.build",
                       backend="columnar" if columnar else "row") as span:
             self._root = _build(plan, db, columnar,
-                                store_cache if columnar else None,
-                                config=config)
+                                store_cache if columnar else None)
             if columnar:
                 self._current: Counter[Row] = Counter(
                     self._root.store.to_counts())
@@ -97,9 +96,9 @@ def _columnar_build(plan: Plan, db,
                     config: EngineConfig | None = None) -> bool:
     """Should the initial load run on the columnar kernels?
 
-    Follows the query-layer policy: forced backends win, then the owning
-    database's :class:`EngineConfig`; in auto mode the columnar path is
-    taken when the base relations are collectively big enough to amortize
+    Follows the query-layer policy: the owning database's
+    :class:`EngineConfig` decides; in auto mode the columnar path is taken
+    when the base relations are collectively big enough to amortize
     encoding.  Either way every join in the plan must pass the type guard
     (code equality == value equality).
     """
@@ -108,7 +107,7 @@ def _columnar_build(plan: Plan, db,
         return False
     if backend != "columnar":
         total = sum(db[name].distinct_count for name in plan.base_relations())
-        if total < Q.columnar_threshold(config):
+        if total < Q.COLUMNAR_MIN_ROWS:
             return False
     return _joins_supported(plan, db)
 
@@ -311,12 +310,10 @@ class _JoinNode(_Node):
 
     def __init__(self, plan: Join, db, left: _Node, right: _Node,
                  columnar: bool,
-                 cache: dict[int, C.ColumnStore] | None = None,
-                 config: EngineConfig | None = None) -> None:
+                 cache: dict[int, C.ColumnStore] | None = None) -> None:
         self.left = left
         self.right = right
         self.schema = plan.schema(db)
-        self._threshold = Q.columnar_threshold(config)
         self._on = list(plan.on)
         self._left_positions = [left.schema.position(a) for a, _ in plan.on]
         self._right_positions = [right.schema.position(b) for _, b in plan.on]
@@ -419,7 +416,7 @@ class _JoinNode(_Node):
         index must be flattened back into a store per apply, an O(side) cost
         that is amortized only when the delta is at least side-sized.  Small
         and medium deltas stay on O(|delta|) hash probes."""
-        return (self._kernel_ok and delta_len >= self._threshold
+        return (self._kernel_ok and delta_len >= Q.COLUMNAR_MIN_ROWS
                 and delta_len >= side_size)
 
     def apply(self, deltas: dict[str, SignedDelta]) -> SignedDelta:
@@ -512,22 +509,20 @@ class _UnionNode(_Node):
 
 
 def _build(plan: Plan, db, columnar: bool,
-           cache: dict[int, C.ColumnStore] | None = None,
-           config: EngineConfig | None = None) -> _Node:
+           cache: dict[int, C.ColumnStore] | None = None) -> _Node:
     if isinstance(plan, Scan):
         return _ScanNode(plan, db, columnar)
     if isinstance(plan, (Select, Project, Rename, Extend)):
-        return _MapNode(plan, db,
-                        _build(plan.child, db, columnar, cache, config),
+        return _MapNode(plan, db, _build(plan.child, db, columnar, cache),
                         columnar, cache)
     if isinstance(plan, Join):
         return _JoinNode(plan, db,
-                         _build(plan.left, db, columnar, cache, config),
-                         _build(plan.right, db, columnar, cache, config),
-                         columnar, cache, config=config)
+                         _build(plan.left, db, columnar, cache),
+                         _build(plan.right, db, columnar, cache),
+                         columnar, cache)
     if isinstance(plan, Union):
         return _UnionNode(plan, db,
-                          [_build(c, db, columnar, cache, config)
+                          [_build(c, db, columnar, cache)
                            for c in plan.children],
                           columnar, cache)
     raise TypeError(f"cannot incrementally evaluate {type(plan).__name__}")

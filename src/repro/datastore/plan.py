@@ -232,11 +232,6 @@ class Join(Plan):
 
     def _join_into(self, out: SignedDelta, left_rows, right_rows,
                    left_schema: Schema, right_schema: Schema) -> None:
-        left_rows = list(left_rows)
-        right_rows = list(right_rows)
-        if self._columnar_join_into(out, left_rows, right_rows,
-                                    left_schema, right_schema):
-            return
         left_positions = [left_schema.position(a) for a, _ in self.on]
         right_positions = [right_schema.position(b) for _, b in self.on]
         right_keys = [pair[1] for pair in self.on]
@@ -248,24 +243,6 @@ class Join(Plan):
         for row, count in left_rows:
             for right_row, right_count in table.get(tuple(row[i] for i in left_positions), ()):  # noqa: E501
                 out.add(row + tuple(right_row[i] for i in keep_positions), count * right_count)
-
-    def _columnar_join_into(self, out: SignedDelta, left_rows, right_rows,
-                            left_schema: Schema, right_schema: Schema) -> bool:
-        """Delta join on the columnar path when both sides are big enough.
-
-        Signed counts flow straight through the kernel: the join multiplies
-        count vectors, so insertion/deletion signs combine correctly.
-        """
-        if min(len(left_rows), len(right_rows)) < Q.columnar_threshold():
-            return False
-        from repro.datastore import columnar as C
-        if not C.columnar_supported(left_schema, right_schema, self.on):
-            return False
-        result = C.join(C.ColumnStore.from_counted_rows(left_schema, left_rows),
-                        C.ColumnStore.from_counted_rows(right_schema, right_rows),
-                        list(self.on))
-        out.add_counted(result.rows(), result.counts.tolist())
-        return True
 
 
 @dataclass(frozen=True)

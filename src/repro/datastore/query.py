@@ -9,22 +9,23 @@ All operators return *new* relations and never mutate their inputs.
 
 Two execution backends implement every operator:
 
-* the **row engine** (the ``_*_rows`` functions below) -- tuple-at-a-time
-  over dict-keyed counts; the reference implementation, and the fast path
-  for tiny inputs where kernel launch overhead would dominate;
 * the **columnar engine** (:mod:`repro.datastore.columnar`) -- vectorized
-  kernels over dictionary-encoded numpy columns.
+  kernels over dictionary-encoded numpy columns;
+* the **row engine** (the ``_*_rows`` functions below) -- tuple-at-a-time
+  over dict-keyed counts: the path for inputs too small to amortize
+  encoding, the fallback for joins whose key types the kernels cannot
+  compare by code, and the oracle the columnar kernels are tested against.
 
-Each public operator dispatches between them: an explicit ``backend=``
-argument wins, then a :func:`use_backend` override, then the operator's
-``config`` (an :class:`~repro.obs.config.EngineConfig`, normally the owning
-database's), then the process default config; in ``auto`` mode the planner
-picks the columnar engine when an input relation reaches the config's
-``columnar_threshold`` distinct rows, falling back to the row engine for
-small deltas.  The default config is built once at import by
-``EngineConfig.from_env()`` -- this module never touches the environment
-itself, and mutating it afterwards has no effect on dispatch.  The two
-backends are bag-equivalent (see ``tests/property/test_query_backends.py``).
+Each public operator dispatches between them from its ``config`` (an
+:class:`~repro.obs.config.EngineConfig`, normally the owning database's;
+the process default when omitted).  ``datastore_backend="auto"`` picks the
+columnar engine when an input relation has at least
+:data:`COLUMNAR_MIN_ROWS` distinct rows; ``"row"`` / ``"columnar"`` force
+one -- through the config object and no other way.  The default config is
+built once at import by ``EngineConfig.from_env()`` -- this module never
+touches the environment itself, and mutating it afterwards has no effect on
+dispatch.  The two backends are bag-equivalent (see
+``tests/property/test_query_backends.py``).
 
 When an enabled :mod:`repro.obs` collector is installed, every dispatch
 records the backend chosen and the input/output cardinalities
@@ -34,23 +35,26 @@ histograms).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.datastore.relation import Relation, Row
 from repro.datastore.schema import Column, Schema, SchemaError
 from repro.datastore.types import ColumnType
-from repro.obs.config import VALID_BACKENDS as _VALID_BACKENDS
 from repro.obs.config import EngineConfig
 
 Predicate = Callable[[dict[str, Any]], bool]
 
+#: ``auto`` mode's size crossover, in distinct rows: inputs at least this big
+#: take the columnar kernels (operators here, DRed view builds and bulk
+#: delta joins in :mod:`repro.datastore.incremental`).  Measured on the
+#: spouse workload: below ~tens of rows, encode/decode overhead beats
+#: vectorization.
+COLUMNAR_MIN_ROWS = 48
+
 #: Process default, frozen at import time; the env fallback is read exactly
 #: once, inside ``EngineConfig.from_env`` (see ``repro/obs/config.py``).
 _default_config: EngineConfig = EngineConfig.from_env()
-
-_forced_backend: str | None = None
 
 
 def active_config() -> EngineConfig:
@@ -58,56 +62,17 @@ def active_config() -> EngineConfig:
     return _default_config
 
 
-def set_default_config(config: EngineConfig | None) -> None:
-    """Replace the process default (``None`` restores the import-time one)."""
-    global _default_config
-    if config is None:
-        config = EngineConfig.from_env()
-    _default_config = config
-
-
 def current_backend(config: EngineConfig | None = None) -> str:
-    """The effective backend mode: ``auto``, ``row``, or ``columnar``.
-
-    A :func:`use_backend` / :func:`set_backend` override wins; otherwise the
-    mode comes from ``config`` (falling back to the process default).
-    """
-    if _forced_backend is not None:
-        return _forced_backend
+    """``config``'s backend mode (the process default's when omitted):
+    ``auto``, ``row``, or ``columnar``."""
     return (config or _default_config).datastore_backend
 
 
-def columnar_threshold(config: EngineConfig | None = None) -> int:
-    """Distinct-row count at which ``auto`` mode goes columnar."""
-    return (config or _default_config).columnar_threshold
-
-
-def set_backend(mode: str | None) -> None:
-    """Force a backend for the whole process (``None`` removes the force)."""
-    global _forced_backend
-    if mode is not None and mode not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {mode!r}; want one of {_VALID_BACKENDS}")
-    _forced_backend = mode
-
-
-@contextmanager
-def use_backend(mode: str):
-    """Scope a forced backend (debugging / benchmarking aid)."""
-    previous = _forced_backend
-    set_backend(mode)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def _pick(backend: str | None, *relations: Relation,
-          config: EngineConfig | None = None) -> str:
-    mode = backend or current_backend(config)
+def _pick(config: EngineConfig | None, *relations: Relation) -> str:
+    mode = current_backend(config)
     if mode == "auto":
         largest = max((r.distinct_count for r in relations), default=0)
-        return ("columnar" if largest >= columnar_threshold(config)
-                else "row")
+        return "columnar" if largest >= COLUMNAR_MIN_ROWS else "row"
     return mode
 
 
@@ -128,7 +93,7 @@ def _record(op: str, engine: str, inputs: tuple[Relation, ...],
 
 # ============================================================== public ops
 def select(relation: Relation, predicate: Predicate, name: str | None = None,
-           condition: tuple | None = None, backend: str | None = None,
+           condition: tuple | None = None,
            config: EngineConfig | None = None) -> Relation:
     """Rows of ``relation`` whose dict form satisfies ``predicate``.
 
@@ -137,7 +102,7 @@ def select(relation: Relation, predicate: Predicate, name: str | None = None,
     so the columnar backend can evaluate it as a vectorized mask.
     """
     out_name = name or f"select({relation.name})"
-    engine = _pick(backend, relation, config=config)
+    engine = _pick(config, relation)
     if engine == "columnar":
         from repro.datastore import columnar as C
         out = C.select(relation.columnar(), predicate,
@@ -150,11 +115,11 @@ def select(relation: Relation, predicate: Predicate, name: str | None = None,
 
 
 def project(relation: Relation, columns: Sequence[str], name: str | None = None,
-            distinct: bool = False, backend: str | None = None,
+            distinct: bool = False,
             config: EngineConfig | None = None) -> Relation:
     """Project ``relation`` onto ``columns`` (bag semantics unless ``distinct``)."""
     out_name = name or f"project({relation.name})"
-    engine = _pick(backend, relation, config=config)
+    engine = _pick(config, relation)
     if engine == "columnar":
         from repro.datastore import columnar as C
         out = C.project(relation.columnar(), columns,
@@ -167,7 +132,7 @@ def project(relation: Relation, columns: Sequence[str], name: str | None = None,
 
 
 def rename(relation: Relation, mapping: dict[str, str],
-           name: str | None = None, backend: str | None = None,
+           name: str | None = None,
            config: EngineConfig | None = None) -> Relation:
     """Rename columns of ``relation`` per ``mapping``."""
     out = Relation.from_counts(name or relation.name,
@@ -178,7 +143,6 @@ def rename(relation: Relation, mapping: dict[str, str],
 
 def extend(relation: Relation, column: str, column_type: str,
            fn: Callable[[dict[str, Any]], Any], name: str | None = None,
-           backend: str | None = None,
            config: EngineConfig | None = None) -> Relation:
     """Append a computed column ``column`` = ``fn(row_dict)`` to every row."""
     new_schema = Schema(relation.schema.columns
@@ -190,7 +154,7 @@ def extend(relation: Relation, column: str, column_type: str,
 
 
 def join(left: Relation, right: Relation, on: Sequence[tuple[str, str]] | None = None,
-         name: str | None = None, backend: str | None = None,
+         name: str | None = None,
          config: EngineConfig | None = None) -> Relation:
     """Equi-join ``left`` and ``right``.
 
@@ -208,7 +172,7 @@ def join(left: Relation, right: Relation, on: Sequence[tuple[str, str]] | None =
         right.schema.position(column)
     out_name = name or f"join({left.name},{right.name})"
 
-    engine = _pick(backend, left, right, config=config)
+    engine = _pick(config, left, right)
     out = None
     if engine == "columnar":
         from repro.datastore import columnar as C
@@ -233,12 +197,11 @@ def join(left: Relation, right: Relation, on: Sequence[tuple[str, str]] | None =
 
 
 def union(left: Relation, right: Relation, name: str | None = None,
-          backend: str | None = None,
           config: EngineConfig | None = None) -> Relation:
     """Bag union (counts add); schemas must match positionally by type."""
     _require_compatible(left, right)
     out_name = name or f"union({left.name},{right.name})"
-    engine = _pick(backend, left, right, config=config)
+    engine = _pick(config, left, right)
     if engine == "columnar":
         from repro.datastore import columnar as C
         out = C.union(left.columnar(), right.columnar()).to_relation(out_name)
@@ -252,12 +215,11 @@ def union(left: Relation, right: Relation, name: str | None = None,
 
 
 def difference(left: Relation, right: Relation, name: str | None = None,
-               backend: str | None = None,
                config: EngineConfig | None = None) -> Relation:
     """Bag difference (counts subtract, floored at zero)."""
     _require_compatible(left, right)
     out_name = name or f"diff({left.name},{right.name})"
-    engine = _pick(backend, left, right, config=config)
+    engine = _pick(config, left, right)
     if engine == "columnar":
         from repro.datastore import columnar as C
         out = C.difference(left.columnar(),
@@ -276,11 +238,10 @@ def difference(left: Relation, right: Relation, name: str | None = None,
 
 
 def distinct(relation: Relation, name: str | None = None,
-             backend: str | None = None,
              config: EngineConfig | None = None) -> Relation:
     """Set-semantics version of ``relation`` (every count becomes 1)."""
     out_name = name or f"distinct({relation.name})"
-    engine = _pick(backend, relation, config=config)
+    engine = _pick(config, relation)
     if engine == "columnar":
         from repro.datastore import columnar as C
         store = relation.columnar()
@@ -302,7 +263,7 @@ def distinct(relation: Relation, name: str | None = None,
 
 def aggregate(relation: Relation, group_by: Sequence[str],
               aggregates: dict[str, tuple[str, str]],
-              name: str | None = None, backend: str | None = None,
+              name: str | None = None,
               config: EngineConfig | None = None) -> Relation:
     """Group-by aggregation.
 
@@ -313,7 +274,7 @@ def aggregate(relation: Relation, group_by: Sequence[str],
     """
     schema, agg_specs = _aggregate_schema(relation.schema, group_by, aggregates)
     out_name = name or f"agg({relation.name})"
-    engine = _pick(backend, relation, config=config)
+    engine = _pick(config, relation)
     if engine == "columnar":
         from repro.datastore import columnar as C
         store = relation.columnar()
@@ -333,7 +294,7 @@ def aggregate(relation: Relation, group_by: Sequence[str],
     return out
 
 
-# ===================================================== row-engine reference
+# ======================================= row engine: small inputs and oracle
 def _select_rows(relation: Relation, predicate: Predicate, name: str) -> Relation:
     counts = {}
     row_dict = relation.schema.row_dict

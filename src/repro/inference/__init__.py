@@ -9,8 +9,7 @@ from repro.inference.diagnostics import (ConvergenceReport, check_convergence,
                                           effective_samples, split_r_hat)
 from repro.inference.exact import (ExactResult, enumerate_worlds,
                                    exact_marginals, world_log_weights)
-from repro.inference.gibbs import (ENGINES, GibbsSampler, MarginalResult,
-                                   sigmoid)
+from repro.inference.gibbs import GibbsSampler, MarginalResult, sigmoid
 from repro.inference.learning import (LearningDiagnostics, LearningOptions,
                                       learn_weights)
 from repro.inference.map_inference import (AnnealedGibbs, MapResult,
@@ -19,7 +18,6 @@ from repro.inference.numa import NumaConfig, NumaGibbs, NumaRunResult
 
 __all__ = [
     "ConvergenceReport",
-    "ENGINES",
     "ExactResult",
     "GibbsSampler",
     "LearningDiagnostics",

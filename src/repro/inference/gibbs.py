@@ -18,8 +18,8 @@ Blocked sampling preserves the Gibbs stationary distribution because the
 conditional of a variable never depends on same-color variables (they share
 no factor).  For the same reason, sampling a color block simultaneously is
 *bit-identical* to sampling its variables sequentially with the same uniform
-draws -- which is what :meth:`GibbsSampler.sweep_reference` (the retained
-scalar engine) does, and what the equivalence tests assert.
+draws -- which is what :meth:`GibbsSampler.sweep_reference` (the scalar
+oracle) does, and what the equivalence tests assert.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import numpy as np
 from repro import obs
 from repro.factorgraph.compiled import ColorBlock, CompiledGraph
 from repro.factorgraph.factor_functions import FactorFunction
-from repro.obs.config import VALID_ENGINES as ENGINES
-from repro.obs.config import EngineConfig
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -85,7 +83,7 @@ def _sigmoid_scalar(x: float) -> float:
 
 def _observe_color(color: int, before: np.ndarray, after: np.ndarray,
                    started: float) -> None:
-    """Per-color hook of the traced sweep (see ``_sweep_chromatic_traced``)."""
+    """Per-color hook of the traced sweep (see ``_sweep_traced``)."""
     obs.observe("gibbs.color_sweep_seconds", perf_counter() - started,
                 color=color)
     obs.observe("gibbs.flip_fraction",
@@ -143,7 +141,7 @@ class _BlockKernel:
 
         A negated self-literal mirrors the contribution (``slot_sign``,
         folded into ``signed_weights``).  Per-variable accumulation runs in
-        slot order, the same order the scalar reference engine adds in.
+        slot order, the same order the scalar oracle adds in.
         """
         block = self.block
         literals = assignment[block.edge_vars] ^ block.edge_negated
@@ -180,24 +178,17 @@ class GibbsSampler:
     variables to their labels; ``False`` resamples everything (the learner's
     free chain).
 
-    ``engine`` selects the sweep implementation: ``"chromatic"`` (vectorized
-    color blocks, the default) or ``"reference"`` (the scalar per-variable
-    loop, kept for equivalence testing).  Both visit dependent variables in
-    the same chromatic order and consume the RNG identically, so with equal
-    seeds they produce bit-identical chains.  When ``engine`` is ``None``
-    the sampler takes it from ``config`` (an :class:`EngineConfig`), and
-    failing that uses ``"chromatic"``.
+    :meth:`sweep` is the one sweep the system runs: vectorized color
+    blocks.  :meth:`sweep_reference` is its oracle -- the scalar
+    per-variable loop, which visits dependent variables in the same
+    chromatic order and consumes the RNG identically, so with equal seeds
+    the two produce bit-identical chains.  Tests call (or patch in) the
+    oracle directly; no configuration reaches it.
     """
 
     def __init__(self, compiled: CompiledGraph, seed: int = 0,
-                 clamp_evidence: bool = True, engine: str | None = None,
-                 config: EngineConfig | None = None) -> None:
-        if engine is None:
-            engine = config.gibbs_engine if config is not None else "chromatic"
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+                 clamp_evidence: bool = True) -> None:
         self.compiled = compiled
-        self.engine = engine
         self.rng = np.random.default_rng(seed)
         self.clamped = compiled.is_evidence if clamp_evidence else np.zeros(
             compiled.num_variables, dtype=bool)
@@ -212,11 +203,11 @@ class GibbsSampler:
         self.refresh_weights()
 
     def _prepare_reference_adjacency(self) -> list[list[tuple]]:
-        """Python-native per-variable factor lists for the scalar engine.
+        """Python-native per-variable factor lists for the scalar oracle.
 
         Built lazily (only ``sweep_reference`` needs it) and in the same
-        chromatic variable order the vectorized engine uses, so the two
-        engines stay step-for-step comparable.
+        chromatic variable order :meth:`sweep` uses, so the two stay
+        step-for-step comparable.
         """
         compiled = self.compiled
         adjacency: list[list[tuple]] = []
@@ -251,12 +242,6 @@ class GibbsSampler:
             self._unary_deltas[self._independent_index])
 
     # ----------------------------------------------------------------- sweeps
-    def sweep(self, assignment: np.ndarray) -> int:
-        """One full Gibbs sweep in place; returns variables sampled."""
-        if self.engine == "reference":
-            return self.sweep_reference(assignment)
-        return self.sweep_chromatic(assignment)
-
     def _sweep_independent(self, assignment: np.ndarray) -> int:
         n_independent = len(self._independent_probs)
         if n_independent:
@@ -264,15 +249,16 @@ class GibbsSampler:
                 self.rng.random(n_independent) < self._independent_probs)
         return n_independent
 
-    def sweep_chromatic(self, assignment: np.ndarray, on_color=None) -> int:
-        """Vectorized sweep: the unary-only pass plus one pass per color.
+    def sweep(self, assignment: np.ndarray, on_color=None) -> int:
+        """One full Gibbs sweep in place; returns variables sampled.
 
+        Vectorized: the unary-only pass plus one pass per color.
         ``on_color(color, before, after, started)``, when given, sees every
         color block's old and freshly sampled values just before they are
         written; it observes only, so a hooked sweep is the same chain.
         """
         if on_color is None and obs.enabled():
-            return self._sweep_chromatic_traced(assignment)
+            return self._sweep_traced(assignment)
         sampled = self._sweep_independent(assignment)
         n_dependent = len(self._dependent)
         if n_dependent:
@@ -291,23 +277,23 @@ class GibbsSampler:
             sampled += n_dependent
         return sampled
 
-    def _sweep_chromatic_traced(self, assignment: np.ndarray) -> int:
-        """The chromatic sweep with per-color timing and flip statistics.
+    def _sweep_traced(self, assignment: np.ndarray) -> int:
+        """:meth:`sweep` with per-color timing and flip statistics.
 
         Only entered when a collector is installed, so the probe cost never
         taxes untraced runs.  Records one timing and one flip-fraction
         observation per color per sweep -- histograms, not spans, because a
         run makes thousands of color passes.
         """
-        sampled = self.sweep_chromatic(assignment, on_color=_observe_color)
+        sampled = self.sweep(assignment, on_color=_observe_color)
         obs.count("gibbs.sweeps")
         obs.count("gibbs.samples", sampled)
         return sampled
 
     def sweep_reference(self, assignment: np.ndarray) -> int:
-        """Scalar per-variable sweep (the pre-chromatic engine), retained as
-        the correctness reference: identical RNG stream, identical chromatic
-        visit order, sequential conditionals."""
+        """Scalar per-variable sweep, the oracle :meth:`sweep` is tested
+        against: identical RNG stream, identical chromatic visit order,
+        sequential conditionals."""
         sampled = self._sweep_independent(assignment)
         if len(self._dependent):
             if self._reference_adjacency is None:
@@ -355,8 +341,7 @@ class GibbsSampler:
         Evidence variables (when clamped) report their label as probability
         0/1, matching DeepDive's output convention.
         """
-        with obs.span("inference.marginals", engine=self.engine,
-                      colors=len(self._blocks),
+        with obs.span("inference.marginals", colors=len(self._blocks),
                       variables=self.compiled.num_variables,
                       num_samples=num_samples, burn_in=burn_in):
             if assignment is None:

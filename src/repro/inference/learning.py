@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import obs
 from repro.factorgraph.compiled import CompiledGraph
-from repro.inference.gibbs import ENGINES, GibbsSampler
+from repro.inference.gibbs import GibbsSampler
 
 
 @dataclass
@@ -30,10 +30,6 @@ class LearningOptions:
     ``optimizer`` is ``"sgd"`` (decaying step size) or ``"adagrad"``
     (per-weight adaptive steps, DeepDive's production choice: rare features
     keep large steps while frequent features settle quickly).
-
-    ``engine`` picks the Gibbs sweep implementation for both persistent
-    chains: ``"chromatic"`` (vectorized color blocks, the default) or
-    ``"reference"`` (scalar loop, for equivalence testing).
 
     Out-of-range values raise ``ValueError`` at construction: ``epochs``
     must be >= 0, ``sweeps_per_epoch`` >= 1, ``step_size`` > 0, ``decay`` in
@@ -47,13 +43,10 @@ class LearningOptions:
     sweeps_per_epoch: int = 1
     seed: int = 0
     optimizer: str = "sgd"
-    engine: str = "chromatic"
 
     def __post_init__(self) -> None:
         if self.optimizer not in ("sgd", "adagrad"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.sweeps_per_epoch < 1:
@@ -91,7 +84,7 @@ def learn_weights(compiled: CompiledGraph,
     """
     options = options or LearningOptions()
     with obs.span("learning.learn_weights", epochs=options.epochs,
-                  optimizer=options.optimizer, engine=options.engine) as sp:
+                  optimizer=options.optimizer) as sp:
         diagnostics = _learn_weights(compiled, options)
         sp.set(final_gradient_norm=diagnostics.final_gradient_norm)
     return diagnostics
@@ -99,10 +92,8 @@ def learn_weights(compiled: CompiledGraph,
 
 def _learn_weights(compiled: CompiledGraph,
                    options: LearningOptions) -> LearningDiagnostics:
-    clamped_chain = GibbsSampler(compiled, seed=options.seed, clamp_evidence=True,
-                                 engine=options.engine)
-    free_chain = GibbsSampler(compiled, seed=options.seed + 1, clamp_evidence=False,
-                              engine=options.engine)
+    clamped_chain = GibbsSampler(compiled, seed=options.seed, clamp_evidence=True)
+    free_chain = GibbsSampler(compiled, seed=options.seed + 1, clamp_evidence=False)
     clamped_world = clamped_chain.initial_assignment()
     free_world = clamped_world.copy()
 

@@ -39,35 +39,31 @@ import numpy as np
 
 from repro import obs
 from repro.factorgraph.compiled import CompiledGraph
-from repro.inference.gibbs import ENGINES, GibbsSampler
+from repro.inference.gibbs import GibbsSampler
 from repro.obs.config import (DEFAULT_POOL_MIN_WORK, VALID_PARALLEL_MODES,
                               EngineConfig)
 from repro.parallel.dispatch import decide_replicas
 from repro.parallel.registry import get_pool
-from repro.parallel.replicas import ReplicaOutcome, run_replicas_parallel
+from repro.parallel.warm import ReplicaOutcome
 
 
 @dataclass(frozen=True)
 class NumaConfig:
     """Topology and cost model of the simulated machine.
 
-    ``engine`` is forwarded to every replica's :class:`GibbsSampler`, so the
-    simulated cost model sits atop the real chromatic vectorized sweeps by
-    default (``"reference"`` selects the scalar engine for comparisons).
+    The simulated cost model sits atop real :class:`GibbsSampler` sweeps,
+    one replica chain per socket.
 
     ``workers`` turns the replica loop into *real* parallelism: with
-    ``workers > 0`` (and more than one NUMA-aware socket) each replica
-    chain runs in its own worker process against a shared-memory copy of
-    the compiled graph (:mod:`repro.parallel`), producing bit-identical
-    totals to the sequential loop.  ``workers=0`` keeps the sequential
-    reference path.  ``parallel_mode`` and ``parallel_timeout`` tune the
-    pool's start method and crash/stall deadline.
-
-    ``pool_warm`` selects the persistent warm pool
-    (:class:`~repro.parallel.warm.WorkerPool`, the default) over the
-    historical per-call cold pool; ``pool_min_work`` is the adaptive
-    dispatcher's threshold -- replica runs whose estimated work falls
-    below it stay sequential regardless of ``workers``.
+    ``workers > 0`` (and more than one NUMA-aware socket) the replica
+    chains run on the warm :class:`~repro.parallel.warm.WorkerPool`
+    against a shared-memory copy of the compiled graph, producing
+    bit-identical totals to the sequential loop.  ``workers=0`` keeps the
+    sequential reference path.  ``parallel_mode`` and ``parallel_timeout``
+    tune the pool's start method and crash/stall deadline;
+    ``pool_min_work`` is the adaptive dispatcher's threshold -- replica
+    runs whose estimated work falls below it stay sequential regardless
+    of ``workers``.
     """
 
     sockets: int = 4
@@ -75,11 +71,9 @@ class NumaConfig:
     remote_penalty: float = 3.5
     sync_every: int = 1          # sweeps between model-averaging rounds
     numa_aware: bool = True
-    engine: str = "chromatic"
     workers: int = 0
     parallel_mode: str = "auto"
     parallel_timeout: float = 120.0
-    pool_warm: bool = True
     pool_min_work: int = DEFAULT_POOL_MIN_WORK
     pool_owner: str | None = None
 
@@ -88,8 +82,6 @@ class NumaConfig:
             raise ValueError("need at least one socket")
         if self.remote_penalty < 1.0:
             raise ValueError("remote accesses cannot be cheaper than local")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.workers < 0:
             raise ValueError("workers cannot be negative (0 = sequential)")
         if self.parallel_mode not in VALID_PARALLEL_MODES:
@@ -103,14 +95,11 @@ class NumaConfig:
     @classmethod
     def from_engine_config(cls, config: EngineConfig,
                            **overrides) -> "NumaConfig":
-        """Topology seeded from an :class:`EngineConfig` (socket count,
-        sweep engine, and worker pool), with cost-model fields overridable
-        per call."""
+        """Topology seeded from an :class:`EngineConfig` (socket count and
+        worker pool), with cost-model fields overridable per call."""
         merged = {"sockets": config.numa_sockets,
-                  "engine": config.gibbs_engine,
                   "workers": config.workers,
                   "parallel_mode": config.parallel_mode,
-                  "pool_warm": config.pool_warm,
                   "pool_min_work": config.pool_min_work,
                   "pool_owner": config.pool_owner}
         merged.update(overrides)
@@ -186,8 +175,7 @@ class NumaGibbs:
                                  burn_in: int) -> ReplicaOutcome:
         """The in-process replica loop: the bit-identical reference path."""
         config = self.config
-        replicas = [GibbsSampler(self.compiled, seed=self.seed + s,
-                                 engine=config.engine)
+        replicas = [GibbsSampler(self.compiled, seed=self.seed + s)
                     for s in range(config.sockets)]
         worlds = [r.initial_assignment() for r in replicas]
         totals = np.zeros(self.compiled.num_variables, dtype=np.float64)
@@ -202,31 +190,19 @@ class NumaGibbs:
 
     def _run_replicas_pool(self, total_sweeps: int,
                            burn_in: int) -> ReplicaOutcome | None:
-        """Fan replicas out over the configured pool backend, or ``None``.
-
-        ``pool_warm=True`` routes through the shared persistent
-        :class:`~repro.parallel.warm.WorkerPool`; ``False`` keeps the
-        historical per-call cold pool.  Either way a ``None`` return sends
-        the caller to the bit-identical sequential loop.
-        """
+        """Fan replicas out over the shared warm pool, or ``None`` (no pool,
+        or the dispatch failed), which sends the caller to the
+        bit-identical sequential loop."""
         config = self.config
-        if config.pool_warm:
-            pool = get_pool(config.workers, mode=config.parallel_mode,
-                            timeout=config.parallel_timeout,
-                            owner=config.pool_owner)
-            if pool is None:
-                return None
-            return pool.run_replicas(
-                self.compiled, sockets=config.sockets, seed=self.seed,
-                engine=config.engine, total_sweeps=total_sweeps,
-                burn_in=burn_in, sync_every=config.sync_every,
-                timeout=config.parallel_timeout)
-        return run_replicas_parallel(
+        pool = get_pool(config.workers, mode=config.parallel_mode,
+                        timeout=config.parallel_timeout,
+                        owner=config.pool_owner)
+        if pool is None:
+            return None
+        return pool.run_replicas(
             self.compiled, sockets=config.sockets, seed=self.seed,
-            engine=config.engine, total_sweeps=total_sweeps,
-            burn_in=burn_in, sync_every=config.sync_every,
-            workers=config.workers, mode=config.parallel_mode,
-            timeout=config.parallel_timeout)
+            total_sweeps=total_sweeps, burn_in=burn_in,
+            sync_every=config.sync_every, timeout=config.parallel_timeout)
 
     def run(self, num_samples: int = 100, burn_in: int = 20) -> NumaRunResult:
         """Draw marginals with one independent chain per socket.
@@ -242,7 +218,7 @@ class NumaGibbs:
         total_sweeps = burn_in + num_samples
         per_socket_sweep = self._sweep_cost()
         with obs.span("numa.run", sockets=config.sockets,
-                      numa_aware=config.numa_aware, engine=config.engine,
+                      numa_aware=config.numa_aware,
                       sync_every=config.sync_every,
                       workers=config.workers) as sp:
             if config.numa_aware and config.sockets > 1:
@@ -263,8 +239,7 @@ class NumaGibbs:
                 marginals = totals / max(collected, 1)
                 per_socket_cost = [per_socket_sweep * total_sweeps] * config.sockets
             else:
-                sampler = GibbsSampler(self.compiled, seed=self.seed,
-                                       engine=config.engine)
+                sampler = GibbsSampler(self.compiled, seed=self.seed)
                 world = sampler.initial_assignment()
                 totals = np.zeros(self.compiled.num_variables, dtype=np.float64)
                 socket_samples = [0] * config.sockets

@@ -101,22 +101,20 @@ def preprocess_document(doc: Document) -> list[Sentence]:
 
 def _pool_map(fn: Callable[[Document], list],
               documents: Sequence[Document], workers: int,
-              parallel_mode: str, pool_warm: bool,
-              pool_min_work: int | None,
+              parallel_mode: str, pool_min_work: int | None,
               pool_owner: str | None) -> list[list] | None:
-    """``[fn(d) for d in documents]`` computed on the worker pool, or
+    """``[fn(d) for d in documents]`` computed on the warm worker pool, or
     ``None`` when the sequential loop should run instead.
 
     The adaptive dispatcher keeps corpora whose total character count
-    estimates below ``pool_min_work`` sequential, ``pool_warm`` picks the
-    persistent pool over the historical per-call one, ``pool_owner`` selects
-    a private registry partition (a sharded service's per-shard pool), and a
+    estimates below ``pool_min_work`` sequential, ``pool_owner`` selects a
+    private registry partition (a sharded service's per-shard pool), and a
     pool failure is ``None`` too.
     """
     if workers <= 0 or len(documents) <= 1:
         return None
     from repro.obs.config import DEFAULT_POOL_MIN_WORK
-    from repro.parallel import decide_map, get_pool, parallel_preprocess
+    from repro.parallel import decide_map, get_pool
     if pool_min_work is None:
         pool_min_work = DEFAULT_POOL_MIN_WORK
     decision = decide_map(sum(len(doc.content) for doc in documents),
@@ -124,15 +122,12 @@ def _pool_map(fn: Callable[[Document], list],
     decision.record()
     if not decision.use_pool:
         return None
-    if not pool_warm:
-        return parallel_preprocess(documents, workers=workers,
-                                   mode=parallel_mode, fn=fn)
     pool = get_pool(workers, mode=parallel_mode, owner=pool_owner)
     return pool.map(fn, documents) if pool is not None else None
 
 
 def preprocess_corpus(documents: Sequence[Document], workers: int = 0,
-                      parallel_mode: str = "auto", pool_warm: bool = True,
+                      parallel_mode: str = "auto",
                       pool_min_work: int | None = None,
                       pool_owner: str | None = None
                       ) -> list[list[Sentence]]:
@@ -144,14 +139,14 @@ def preprocess_corpus(documents: Sequence[Document], workers: int = 0,
     docs]``.  See :func:`_pool_map` for the pool parameters.
     """
     per_doc = _pool_map(preprocess_document, documents, workers,
-                        parallel_mode, pool_warm, pool_min_work, pool_owner)
+                        parallel_mode, pool_min_work, pool_owner)
     if per_doc is None:
         per_doc = [preprocess_document(doc) for doc in documents]
     return per_doc
 
 
 def iter_corpus_rows(documents: Sequence[Document], workers: int = 0,
-                     parallel_mode: str = "auto", pool_warm: bool = True,
+                     parallel_mode: str = "auto",
                      pool_min_work: int | None = None,
                      pool_owner: str | None = None):
     """Lazily yield per-document ``sentences`` row lists (the row-iterator
@@ -163,7 +158,7 @@ def iter_corpus_rows(documents: Sequence[Document], workers: int = 0,
     workers return row tuples directly.
     """
     per_doc = _pool_map(preprocess_document_rows, documents, workers,
-                        parallel_mode, pool_warm, pool_min_work, pool_owner)
+                        parallel_mode, pool_min_work, pool_owner)
     if per_doc is None:
         per_doc = (preprocess_document_rows(doc) for doc in documents)
     return per_doc
@@ -191,7 +186,6 @@ def iter_document_chunks(documents: Iterable[Document],
 def load_corpus(db: Database, documents: Iterable[Document],
                 workers: int | None = None,
                 parallel_mode: str | None = None,
-                pool_warm: bool | None = None,
                 pool_min_work: int | None = None,
                 chunk_docs: int | None = None) -> int:
     """Preprocess ``documents`` into the ``documents``/``sentences`` relations.
@@ -224,8 +218,6 @@ def load_corpus(db: Database, documents: Iterable[Document],
         workers = config.workers if config is not None else 0
     if parallel_mode is None:
         parallel_mode = config.parallel_mode if config is not None else "auto"
-    if pool_warm is None:
-        pool_warm = config.pool_warm if config is not None else True
     if pool_min_work is None:
         pool_min_work = config.pool_min_work if config is not None else None
     pool_owner = config.pool_owner if config is not None else None
@@ -237,7 +229,6 @@ def load_corpus(db: Database, documents: Iterable[Document],
     for docs in chunks:
         per_doc_rows = iter_corpus_rows(docs, workers=workers,
                                         parallel_mode=parallel_mode,
-                                        pool_warm=pool_warm,
                                         pool_min_work=pool_min_work,
                                         pool_owner=pool_owner)
         db["documents"].insert_many((doc.doc_id, doc.content) for doc in docs)

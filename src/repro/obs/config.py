@@ -1,13 +1,12 @@
 """Typed engine configuration: the one place ``REPRO_*`` env vars are read.
 
-Execution-engine choices used to be steered by environment variables read at
-query time (``datastore/query.py`` consulted ``os.environ`` on every dispatch
-call, while the columnar threshold was frozen at import -- two different
-lifetimes for two halves of one policy).  :class:`EngineConfig` replaces
-those knobs with a frozen dataclass threaded explicitly through
-:class:`~repro.core.app.DeepDive`, :class:`~repro.datastore.database.Database`,
-:class:`~repro.grounding.grounder.Grounder`, and
-:class:`~repro.inference.gibbs.GibbsSampler`.
+:class:`EngineConfig` is a frozen dataclass threaded explicitly through
+:class:`~repro.core.app.DeepDive`, :class:`~repro.datastore.database.Database`
+and :class:`~repro.grounding.grounder.Grounder`.  It holds only choices some
+workload, CI job or shard actually makes; where the system has one engine
+for a job (the chromatic Gibbs sweep, the warm worker pool) there is
+nothing to configure, and reference implementations are methods tests
+call, never options.
 
 Environment variables remain only as a documented *fallback*, read exactly
 once at config construction by :meth:`EngineConfig.from_env` -- never at
@@ -23,19 +22,15 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 VALID_BACKENDS = ("auto", "row", "columnar")
-VALID_ENGINES = ("chromatic", "reference")
 VALID_PARALLEL_MODES = ("auto", "fork", "spawn")
 
 #: Environment fallbacks honoured by :meth:`EngineConfig.from_env`.
 ENV_VARS = {
     "datastore_backend": "REPRO_DATASTORE_BACKEND",
-    "columnar_threshold": "REPRO_COLUMNAR_THRESHOLD",
-    "gibbs_engine": "REPRO_GIBBS_ENGINE",
     "numa_sockets": "REPRO_NUMA_SOCKETS",
     "trace": "REPRO_TRACE",
     "workers": "REPRO_WORKERS",
     "parallel_mode": "REPRO_PARALLEL_MODE",
-    "pool_warm": "REPRO_POOL_WARM",
     "pool_min_work": "REPRO_POOL_MIN_WORK",
     "memory_budget": "REPRO_MEMORY_BUDGET",
     "segment_rows": "REPRO_SEGMENT_ROWS",
@@ -43,6 +38,29 @@ ENV_VARS = {
 
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
+
+
+def _parse_flag(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value in _TRUTHY:
+        return True
+    if value in _FALSY:
+        return False
+    raise ValueError(f"not a boolean flag: {raw!r}")
+
+
+#: One parser per :data:`ENV_VARS` entry; range and membership checks are
+#: :meth:`EngineConfig.__post_init__`'s, applied to each parsed value.
+_ENGINE_PARSERS = {
+    "datastore_backend": str,
+    "numa_sockets": int,
+    "trace": _parse_flag,
+    "workers": int,
+    "parallel_mode": str,
+    "pool_min_work": int,
+    "memory_budget": int,
+    "segment_rows": int,
+}
 
 #: Adaptive-dispatch threshold, in dispatcher work units (roughly primitive
 #: operations: factor-graph edge visits for replica sampling, scaled
@@ -57,16 +75,10 @@ class EngineConfig:
     """Frozen per-application execution-engine configuration.
 
     ``datastore_backend``
-        Relational-operator dispatch mode: ``"auto"`` (size-based planner),
-        ``"row"``, or ``"columnar"``.
-    ``columnar_threshold``
-        In ``auto`` mode, inputs with at least this many distinct rows take
-        the columnar kernels.  Crossover measured on the spouse workload:
-        below ~tens of rows, encode/decode overhead beats vectorization.
-    ``gibbs_engine``
-        Sweep implementation for every sampler the application creates:
-        ``"chromatic"`` (vectorized color blocks) or ``"reference"``
-        (scalar loop, kept for equivalence testing).
+        Relational-operator dispatch mode: ``"auto"`` (the default: by
+        input size, see :data:`repro.datastore.query.COLUMNAR_MIN_ROWS`),
+        ``"row"``, or ``"columnar"``.  This field is the only way to
+        force a backend.
     ``numa_sockets``
         Socket count for the simulated-NUMA execution layer.
     ``trace``
@@ -76,18 +88,12 @@ class EngineConfig:
     ``workers``
         Worker-process count for the shared-memory parallel execution
         layer (:mod:`repro.parallel`): NUMA replica chains and corpus
-        preprocessing fan out over this many processes.  ``0`` (the
-        default) runs the exact sequential code path, which stays the
+        preprocessing fan out over this many warm-pool processes.  ``0``
+        (the default) runs the exact sequential code path, which stays the
         bit-identical reference.
     ``parallel_mode``
         Process start method for the worker pool: ``"auto"`` (``fork``
         where available, else ``spawn``), ``"fork"``, or ``"spawn"``.
-    ``pool_warm``
-        When true (the default) parallel work goes through the *persistent*
-        warm worker pool (:mod:`repro.parallel.warm`): worker processes and
-        shared-memory graph segments survive across calls, so repeat
-        dispatches skip process spawn and graph packing.  ``False`` keeps
-        the historical cold per-call pools.
     ``pool_min_work``
         Adaptive-dispatch threshold: parallel-eligible calls whose
         estimated work (dispatcher work units) falls below this run on the
@@ -117,13 +123,10 @@ class EngineConfig:
     """
 
     datastore_backend: str = "auto"
-    columnar_threshold: int = 48
-    gibbs_engine: str = "chromatic"
     numa_sockets: int = 4
     trace: bool = False
     workers: int = 0
     parallel_mode: str = "auto"
-    pool_warm: bool = True
     pool_min_work: int = DEFAULT_POOL_MIN_WORK
     pool_owner: str | None = None
     memory_budget: int | None = None
@@ -134,11 +137,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown datastore backend {self.datastore_backend!r}; "
                 f"want one of {VALID_BACKENDS}")
-        if self.gibbs_engine not in VALID_ENGINES:
-            raise ValueError(f"unknown gibbs engine {self.gibbs_engine!r}; "
-                             f"want one of {VALID_ENGINES}")
-        if self.columnar_threshold < 0:
-            raise ValueError("columnar_threshold cannot be negative")
         if self.numa_sockets < 1:
             raise ValueError("need at least one NUMA socket")
         if self.workers < 0:
@@ -158,77 +156,31 @@ class EngineConfig:
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None) -> "EngineConfig":
-        """Build a config from the environment, read once, leniently.
+        """Build a config from the environment, read once.
 
-        Unset or malformed variables silently fall back to the field
-        defaults (matching the historical behaviour of the env knobs).
-        This classmethod is the *only* code in the repository that reads
+        An unset (or empty) variable leaves the field at its default.  A
+        variable that is set but does not parse, or parses to a value
+        :meth:`__post_init__` rejects, also falls back to the default --
+        with a :class:`RuntimeWarning` naming the variable and the value,
+        so a typo in a CI job cannot pass vacuously.  This classmethod is
+        the *only* code in the repository that reads the engine's
         ``REPRO_*`` environment variables.
         """
         env = os.environ if environ is None else environ
-        defaults = cls()
-
-        backend = env.get(ENV_VARS["datastore_backend"],
-                          defaults.datastore_backend)
-        if backend not in VALID_BACKENDS:
-            backend = defaults.datastore_backend
-        engine = env.get(ENV_VARS["gibbs_engine"], defaults.gibbs_engine)
-        if engine not in VALID_ENGINES:
-            engine = defaults.gibbs_engine
-        try:
-            threshold = int(env.get(ENV_VARS["columnar_threshold"], ""))
-            if threshold < 0:
-                raise ValueError
-        except ValueError:
-            threshold = defaults.columnar_threshold
-        try:
-            sockets = int(env.get(ENV_VARS["numa_sockets"], ""))
-            if sockets < 1:
-                raise ValueError
-        except ValueError:
-            sockets = defaults.numa_sockets
-        trace = env.get(ENV_VARS["trace"], "").strip().lower() in _TRUTHY
-        try:
-            workers = int(env.get(ENV_VARS["workers"], ""))
-            if workers < 0:
-                raise ValueError
-        except ValueError:
-            workers = defaults.workers
-        parallel_mode = env.get(ENV_VARS["parallel_mode"],
-                                defaults.parallel_mode)
-        if parallel_mode not in VALID_PARALLEL_MODES:
-            parallel_mode = defaults.parallel_mode
-        raw_warm = env.get(ENV_VARS["pool_warm"], "").strip().lower()
-        if raw_warm in _TRUTHY:
-            pool_warm = True
-        elif raw_warm in _FALSY:
-            pool_warm = False
-        else:
-            pool_warm = defaults.pool_warm
-        try:
-            pool_min_work = int(env.get(ENV_VARS["pool_min_work"], ""))
-            if pool_min_work < 0:
-                raise ValueError
-        except ValueError:
-            pool_min_work = defaults.pool_min_work
-        try:
-            memory_budget = int(env.get(ENV_VARS["memory_budget"], ""))
-            if memory_budget < 0:
-                raise ValueError
-        except ValueError:
-            memory_budget = defaults.memory_budget
-        try:
-            segment_rows = int(env.get(ENV_VARS["segment_rows"], ""))
-            if segment_rows < 1:
-                raise ValueError
-        except ValueError:
-            segment_rows = defaults.segment_rows
-
-        return cls(datastore_backend=backend, columnar_threshold=threshold,
-                   gibbs_engine=engine, numa_sockets=sockets, trace=trace,
-                   workers=workers, parallel_mode=parallel_mode,
-                   pool_warm=pool_warm, pool_min_work=pool_min_work,
-                   memory_budget=memory_budget, segment_rows=segment_rows)
+        config = cls()
+        for field_name, var in ENV_VARS.items():
+            raw = env.get(var, "")
+            if not raw.strip():
+                continue
+            try:
+                config = replace(
+                    config, **{field_name: _ENGINE_PARSERS[field_name](raw)})
+            except ValueError:
+                warnings.warn(
+                    f"ignoring invalid engine override {var}={raw!r}; "
+                    f"using the default {getattr(config, field_name)!r}",
+                    RuntimeWarning, stacklevel=2)
+        return config
 
     def with_options(self, **changes) -> "EngineConfig":
         """A copy with ``changes`` applied (the config itself is frozen)."""

@@ -9,16 +9,12 @@ two hot paths the paper attributes DeepDive's runtimes to:
 * **corpus loading** -- the per-document NLP chain fans out over worker
   processes with an order-preserving merge.
 
-Two execution backends share those contracts:
-
-* the **warm pool** (:class:`WorkerPool`, the default) keeps worker
-  processes and shared-memory graph segments alive across calls, so
-  repeat dispatches skip process spawn and graph packing; pools are
-  shared process-wide through :func:`get_pool` / :func:`acquire_pool`;
-* the **cold path** (:func:`run_replicas_parallel`,
-  :func:`parallel_preprocess`) spawns per call -- retained as the
-  ``pool_warm=False`` escape hatch and as the warm pool's semantics
-  reference.
+One pool runs both: the **warm pool** (:class:`WorkerPool`) keeps worker
+processes and shared-memory graph segments alive across calls, so repeat
+dispatches skip process spawn and graph packing; pools are shared
+process-wide through :func:`get_pool` / :func:`acquire_pool`.  There is no
+second pool to fall back to or compare against: the semantics reference
+for every pooled call is the caller's own *sequential* loop.
 
 The **adaptive dispatcher** (:func:`decide_replicas`, :func:`decide_map`)
 routes calls whose estimated work sits below
@@ -32,18 +28,15 @@ to.  Any worker crash or timeout falls back to those paths with a
 warning -- never a hang.
 """
 
-from repro.parallel.corpus import parallel_preprocess
 from repro.parallel.dispatch import (DispatchDecision, decide_map,
                                      decide_replicas, estimate_map_work,
                                      estimate_replica_work)
-from repro.parallel.pool import (DEFAULT_TIMEOUT, chunk_slices, fanout_map,
-                                 resolve_mode)
 from repro.parallel.registry import (acquire_pool, effective_cpus, get_pool,
                                      pool_pins, release_pool, shutdown_pools)
-from repro.parallel.replicas import ReplicaOutcome, run_replicas_parallel
 from repro.parallel.shm import (AttachedPack, PackHandle, SharedArrayPack,
                                 attach_compiled, share_compiled)
-from repro.parallel.warm import WorkerPool
+from repro.parallel.warm import (DEFAULT_TIMEOUT, ReplicaOutcome, WorkerPool,
+                                 chunk_slices, resolve_mode)
 
 __all__ = [
     "AttachedPack",
@@ -61,13 +54,10 @@ __all__ = [
     "effective_cpus",
     "estimate_map_work",
     "estimate_replica_work",
-    "fanout_map",
     "get_pool",
-    "parallel_preprocess",
     "pool_pins",
     "release_pool",
     "resolve_mode",
-    "run_replicas_parallel",
     "share_compiled",
     "shutdown_pools",
 ]

@@ -34,8 +34,7 @@ import os
 import threading
 import warnings
 
-from repro.parallel.pool import DEFAULT_TIMEOUT
-from repro.parallel.warm import WorkerPool
+from repro.parallel.warm import DEFAULT_TIMEOUT, WorkerPool
 
 _PoolKey = tuple[int, str, str | None]
 

@@ -1,10 +1,9 @@
 """Persistent warm worker pool: amortize spawn, packing, and rendezvous.
 
-The historical parallel layer (:mod:`repro.parallel.pool`,
-:mod:`repro.parallel.replicas`) spawns processes, packs the compiled graph
-into shared memory, and builds a ``multiprocessing.Barrier`` *per call* --
-costs that dominated every workload BENCH_e15 measured and made the
-multiprocess path a slowdown.  :class:`WorkerPool` keeps all three warm:
+Spawning processes, packing the compiled graph into shared memory and
+building a ``multiprocessing.Barrier`` *per call* dominated every workload
+BENCH_e15 measured and made the multiprocess path a slowdown.
+:class:`WorkerPool`, the only pool, keeps all three warm:
 
 * **long-lived workers** -- processes are spawned lazily on first dispatch
   and survive across ``run_replicas`` / ``map`` calls, each connected to
@@ -20,7 +19,7 @@ multiprocess path a slowdown.  :class:`WorkerPool` keeps all three warm:
   per-round ``multiprocessing.Barrier`` (which cannot be reused across
   calls and costs a semaphore round trip per waiter per round).
 
-The invariants of the cold path carry over unchanged:
+Its invariants:
 
 * **bit-identical results** -- replica ``s`` always runs with an RNG seeded
   ``seed + s``; one cached sampler serves every replica on a worker by
@@ -32,10 +31,16 @@ The invariants of the cold path carry over unchanged:
   any failure (crash, exception, timeout, closed pool) warns and returns
   ``None``, and the caller falls back to its sequential path.  Failed
   workers are respawned on the next dispatch.
+* **deterministic merge** -- ``map`` chunks are contiguous slices of the
+  input and results are keyed by chunk index, so the merged output is
+  exactly ``[fn(x) for x in items]`` regardless of which worker ran what.
+* **observability** -- when the parent has an enabled collector, workers
+  install their own :class:`~repro.obs.span.Collector` and ship their span
+  trees and metrics back to be adopted into the parent's profile.
 
 Fault injection for the test suite: :meth:`WorkerPool.inject_fault` arms a
-one-shot fault (``exit`` or ``hang``) that a worker applies at a chosen
-sync boundary of its next replica command.
+one-shot fault (``exit``, ``hang`` or ``raise``) that a worker applies at a
+chosen sync boundary of its next replica command.
 """
 
 from __future__ import annotations
@@ -56,10 +61,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.parallel.pool import DEFAULT_TIMEOUT, chunk_slices, resolve_mode
-from repro.parallel.replicas import ReplicaOutcome
 from repro.parallel.shm import (AttachedPack, SharedArrayPack, attach_compiled,
                                 share_compiled)
+
+#: Default wall-clock budget for one dispatch before declaring it stuck.
+DEFAULT_TIMEOUT = 120.0
+
+#: Chunks per worker: small enough to amortize IPC, large enough to balance.
+_CHUNKS_PER_WORKER = 4
 
 #: CompiledGraph arrays that callers mutate in place between dispatches
 #: (the learner's weight steps, holdout evidence clamps, serve-layer
@@ -76,6 +85,38 @@ DEFAULT_MAX_SEGMENTS = 4
 _TOKENS = itertools.count(1)
 
 
+@dataclass
+class ReplicaOutcome:
+    """What the replica fan-out (or its sequential twin) produces."""
+
+    totals: np.ndarray           # per-variable post-burn-in marginal totals
+    socket_samples: list[int]    # variable samples drawn per replica
+
+
+def resolve_mode(mode: str) -> str:
+    """Map the ``parallel_mode`` knob to a concrete start method."""
+    methods = mp.get_all_start_methods()
+    if mode == "auto":
+        return "fork" if "fork" in methods else "spawn"
+    if mode not in methods:
+        raise ValueError(f"start method {mode!r} unavailable on this "
+                         f"platform (have {methods})")
+    return mode
+
+
+def chunk_slices(count: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous, order-preserving ``[lo, hi)`` slices over ``count`` items."""
+    target = max(1, min(count, workers * _CHUNKS_PER_WORKER))
+    base, extra = divmod(count, target)
+    slices = []
+    lo = 0
+    for i in range(target):
+        hi = lo + base + (1 if i < extra else 0)
+        slices.append((lo, hi))
+        lo = hi
+    return slices
+
+
 # ------------------------------------------------------------------ worker
 def _worker_replicas(worker_index: int, conn, command: dict,
                      attachments: dict, views: dict, samplers: dict) -> None:
@@ -89,16 +130,14 @@ def _worker_replicas(worker_index: int, conn, command: dict,
         attachments[name] = pack
         views[name] = view
     view = views[name]
-    generation = command["generation"]
-    engine = command["engine"]
-    key = (name, generation, engine)
+    key = (name, command["generation"])
     sampler = samplers.get(key)
     if sampler is None:
         # A new generation means the mutable arrays changed under the view;
         # drop samplers caching stale weight gathers for this segment.
         for stale in [k for k in samplers if k[0] == name]:
             del samplers[stale]
-        sampler = GibbsSampler(view, seed=0, engine=engine)
+        sampler = GibbsSampler(view, seed=0)
         samplers[key] = sampler
 
     acc_handle = command["acc"]
@@ -121,7 +160,7 @@ def _worker_replicas(worker_index: int, conn, command: dict,
     abandoned = False
     with scope:
         with obs.span("numa.replica_worker", worker=worker_index,
-                      replicas=len(replica_ids), engine=engine) as sp:
+                      replicas=len(replica_ids)) as sp:
             # One cached sampler serves every replica: swapping ``rng``
             # before each touch consumes replica s's stream (seeded
             # seed + s) exactly as a dedicated sampler would, so results
@@ -145,6 +184,8 @@ def _worker_replicas(worker_index: int, conn, command: dict,
                     if fault is not None and fault["at_sync"] == sync_round:
                         if fault["action"] == "exit":
                             os._exit(3)
+                        if fault["action"] == "raise":
+                            raise RuntimeError("injected worker fault")
                         while True:              # "hang": close() kills us
                             time.sleep(3600.0)
                     if rendezvous:
@@ -189,7 +230,7 @@ def _warm_worker(worker_index: int, conn) -> None:
     """Long-lived worker loop: serve commands until ``stop`` or pipe EOF.
 
     Caches shared-memory attachments by segment name and samplers by
-    ``(segment, generation, engine)`` so repeat commands over the same
+    ``(segment, generation)`` so repeat commands over the same
     graph skip re-attachment and sampler construction entirely.
     """
     attachments: dict[str, object] = {}
@@ -441,9 +482,11 @@ class WorkerPool:
 
         ``action="exit"`` hard-kills the worker (``os._exit``) at the
         ``at_sync``-th sync boundary; ``"hang"`` sleeps forever there
-        (exercising the deadline / shutdown paths).  Test hook only.
+        (exercising the deadline / shutdown paths); ``"raise"`` throws an
+        exception there (the worker survives and reports it).  Test hook
+        only.
         """
-        if action not in ("exit", "hang"):
+        if action not in ("exit", "hang", "raise"):
             raise ValueError(f"unknown fault action {action!r}")
         self._faults[worker_index] = {"at_sync": at_sync, "action": action}
 
@@ -526,14 +569,13 @@ class WorkerPool:
                       "falling back to the sequential path", RuntimeWarning,
                       stacklevel=4)
 
-    def run_replicas(self, compiled, *, sockets: int, seed: int, engine: str,
+    def run_replicas(self, compiled, *, sockets: int, seed: int,
                      total_sweeps: int, burn_in: int, sync_every: int = 1,
                      timeout: float | None = None) -> ReplicaOutcome | None:
         """Fan ``sockets`` replica chains over the warm workers.
 
-        Same contract as :func:`repro.parallel.replicas.
-        run_replicas_parallel`: bit-identical totals to the sequential
-        loop, ``None`` on any failure.
+        Replica ``s`` always runs with seed ``seed + s``; totals are
+        bit-identical to the sequential loop, ``None`` on any failure.
         """
         if self._closed or sockets < 1:
             return None
@@ -556,7 +598,7 @@ class WorkerPool:
                 assignments = [[s for s in range(sockets) if s % active == w]
                                for w in range(active)]
                 with obs.span("numa.parallel_replicas", sockets=sockets,
-                              workers=active, engine=engine,
+                              workers=active,
                               sync_every=sync_every) as sp:
                     for w, slot in enumerate(active_slots):
                         slot.conn.send({
@@ -566,7 +608,6 @@ class WorkerPool:
                             "acc": acc.handle,
                             "replica_ids": assignments[w],
                             "seed": seed,
-                            "engine": engine,
                             "total_sweeps": total_sweeps,
                             "burn_in": burn_in,
                             "sync_every": sync_every,
@@ -655,8 +696,8 @@ class WorkerPool:
             timeout: float | None = None) -> list | None:
         """``[fn(x) for x in items]`` across the warm workers, or ``None``.
 
-        Deterministic merge by contiguous chunk index, exactly like
-        :func:`repro.parallel.pool.fanout_map`.
+        Deterministic merge by contiguous chunk index; ``fn`` must be a
+        picklable module-level callable under ``spawn``.
         """
         if self._closed:
             return None

@@ -22,9 +22,8 @@ fallback documented in ``repro.obs.config``; ``KBClient.open`` sniffs the on-dis
     # later, or after a crash:
     client = KBClient.open(dirpath, app_factory)
 
-Reading ``KBService.snapshot()/query()/marginal()`` directly still works
-but is deprecated — those now route through the same facade code path and
-warn; hold a client instead (``service.client()``).
+A :class:`KBService` has no read methods of its own: hold a client
+(``service.client()`` hands out the facade over an existing service).
 """
 
 from repro.serve.checkpoint import (CHECKPOINT_FORMAT_VERSION, CheckpointError,

@@ -164,8 +164,7 @@ class KBService:
         # sampling all land on the same pool.
         self._pool = None
         app_config = getattr(getattr(engine, "app", None), "config", None)
-        if app_config is not None and app_config.workers > 0 \
-                and app_config.pool_warm:
+        if app_config is not None and app_config.workers > 0:
             from repro.parallel import acquire_pool
             self._pool = acquire_pool(app_config.workers,
                                       mode=app_config.parallel_mode,
@@ -375,30 +374,6 @@ class KBService:
             from repro.serve.client import KBClient
             self._facade = KBClient(self)
         return self._facade
-
-    def snapshot(self) -> Snapshot:
-        """Deprecated direct read; use :meth:`client` / ``KBClient``."""
-        warnings.warn(
-            "reading KBService.snapshot() directly is deprecated; go "
-            "through the KBClient facade (service.client().snapshot())",
-            DeprecationWarning, stacklevel=2)
-        return self.client().snapshot()
-
-    def query(self, relation: str, threshold: float | None = None) -> set:
-        """Deprecated direct read; use :meth:`client` / ``KBClient``."""
-        warnings.warn(
-            "reading KBService.query() directly is deprecated; go through "
-            "the KBClient facade (service.client().query(...))",
-            DeprecationWarning, stacklevel=2)
-        return self.client().query(relation, threshold)
-
-    def marginal(self, key, default: float | None = None) -> float:
-        """Deprecated direct read; use :meth:`client` / ``KBClient``."""
-        warnings.warn(
-            "reading KBService.marginal() directly is deprecated; go "
-            "through the KBClient facade (service.client().marginal(...))",
-            DeprecationWarning, stacklevel=2)
-        return self.client().marginal(key, default)
 
     # ------------------------------------------------------------ apply loop
     def start(self) -> None:

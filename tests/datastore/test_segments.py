@@ -247,6 +247,7 @@ class TestSegmentedRelation:
 
     def test_queries_over_segmented_relation(self, tmp_path):
         from repro.datastore import query as Q
+        from repro.obs import EngineConfig
         relation = make(tmp_path, segment_rows=4)
         plain = Relation("p", relation.schema)
         for i in range(30):
@@ -254,10 +255,11 @@ class TestSegmentedRelation:
             relation.insert(row)
             plain.insert(row)
         for backend in ("row", "columnar"):
+            config = EngineConfig(datastore_backend=backend)
             agg_seg = Q.aggregate(relation, ["k"], {"n": ("count", "*")},
-                                  backend=backend)
+                                  config=config)
             agg_plain = Q.aggregate(plain, ["k"], {"n": ("count", "*")},
-                                    backend=backend)
+                                    config=config)
             assert agg_seg.counts_copy() == agg_plain.counts_copy()
 
     def test_database_create_segmented(self, tmp_path):

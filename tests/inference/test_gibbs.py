@@ -220,13 +220,12 @@ class TestUnifiedSweep:
     def test_chromatic_matches_reference(self, clamp):
         compiled = CompiledGraph(mixed_graph())
         fast = GibbsSampler(compiled, seed=5, clamp_evidence=clamp)
-        slow = GibbsSampler(compiled, seed=5, clamp_evidence=clamp,
-                            engine="reference")
+        slow = GibbsSampler(compiled, seed=5, clamp_evidence=clamp)
         assert len(fast._blocks) > 1
         world_fast = fast.initial_assignment()
         world_slow = slow.initial_assignment()
         for _ in range(25):
-            assert fast.sweep(world_fast) == slow.sweep(world_slow)
+            assert fast.sweep(world_fast) == slow.sweep_reference(world_slow)
             np.testing.assert_array_equal(world_fast, world_slow)
 
     def test_traced_matches_untraced(self):
@@ -266,13 +265,13 @@ class TestUnifiedSweep:
             np.testing.assert_array_equal(before, world[block.variables])
             seen.append((color, after.copy()))
 
-        sampler.sweep_chromatic(world, on_color=on_color)
+        sampler.sweep(world, on_color=on_color)
         assert [color for color, _ in seen] == list(range(len(sampler._blocks)))
         for color, after in seen:
             np.testing.assert_array_equal(
                 world[sampler._blocks[color].variables], after)
 
-    def test_sampling_never_derives_the_learners_kernel(self):
+    def test_sampling_never_derives_the_learners_kernel(self, request):
         """Laziness is structural: compiling, building samplers and sweeping
         (all a serving refresh ever does) leave the factor-value index sets
         underived; only the learner's statistics build them."""
@@ -282,8 +281,8 @@ class TestUnifiedSweep:
             sampler = GibbsSampler(compiled, seed=1, clamp_evidence=clamp)
             sampler.marginals(num_samples=5, burn_in=2)
             sampler.refresh_weights()
-        GibbsSampler(compiled, seed=1, engine="reference").marginals(
-            num_samples=2, burn_in=1)
+        request.getfixturevalue("reference_sweeps")
+        GibbsSampler(compiled, seed=1).marginals(num_samples=2, burn_in=1)
         assert "_value_kernel" not in vars(compiled)
         compiled.general_value_sums(np.zeros(compiled.num_variables, dtype=bool))
         assert vars(compiled)["_value_kernel"] is not None

@@ -106,22 +106,21 @@ class TestSeedDeterminism:
                 .marginals(num_samples=200, burn_in=20) for _ in range(2)]
         np.testing.assert_array_equal(runs[0].marginals, runs[1].marginals)
 
-    def test_learning_identical_across_engines(self):
-        """The chromatic and reference engines run the same chain, so whole
+    def test_learning_identical_on_the_reference_sweep(self, request):
+        """sweep() and its scalar oracle run the same chain, so whole
         training runs must agree bit for bit."""
         chromatic = CompiledGraph(classifier_graph())
         reference = CompiledGraph(classifier_graph())
-        d1 = learn_weights(chromatic, LearningOptions(
-            epochs=20, seed=4, engine="chromatic"))
-        d2 = learn_weights(reference, LearningOptions(
-            epochs=20, seed=4, engine="reference"))
+        d1 = learn_weights(chromatic, LearningOptions(epochs=20, seed=4))
+        request.getfixturevalue("reference_sweeps")
+        d2 = learn_weights(reference, LearningOptions(epochs=20, seed=4))
         np.testing.assert_array_equal(chromatic.weight_values,
                                       reference.weight_values)
         assert d1.gradient_norms == d2.gradient_norms
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            LearningOptions(engine="turbo")
+    def test_engine_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            LearningOptions(engine="reference")
 
 
 class TestWeightRefresh:

@@ -28,9 +28,11 @@ class TestNumaConfig:
         with pytest.raises(ValueError):
             NumaConfig(remote_penalty=0.5)
 
-    def test_invalid_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            NumaConfig(engine="turbo")
+    @pytest.mark.parametrize("removed", [{"engine": "reference"},
+                                         {"pool_warm": True}])
+    def test_removed_fields_are_type_errors(self, removed):
+        with pytest.raises(TypeError):
+            NumaConfig(**removed)
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -50,13 +52,14 @@ class TestNumaConfig:
 
 
 class TestEngineThreading:
-    def test_engines_produce_identical_runs(self):
-        """Replica sweeps run the same chain under either engine, so the
+    def test_reference_sweeps_produce_identical_runs(self, request):
+        """Replica sweeps run the same chain on the scalar oracle, so the
         whole simulated run must agree bit for bit."""
         compiled = chain_graph(n=10)
-        chromatic = NumaGibbs(compiled, NumaConfig(sockets=2, engine="chromatic"),
+        chromatic = NumaGibbs(compiled, NumaConfig(sockets=2),
                               seed=3).run(num_samples=30, burn_in=5)
-        reference = NumaGibbs(compiled, NumaConfig(sockets=2, engine="reference"),
+        request.getfixturevalue("reference_sweeps")
+        reference = NumaGibbs(compiled, NumaConfig(sockets=2),
                               seed=3).run(num_samples=30, burn_in=5)
         np.testing.assert_array_equal(chromatic.marginals, reference.marginals)
         assert chromatic.modeled_time == reference.modeled_time

@@ -2,20 +2,19 @@
 
 import dataclasses
 import os
+import warnings
 
 import pytest
 
 from repro.datastore import query as Q
-from repro.obs import (ENV_VARS, VALID_BACKENDS, VALID_ENGINES,
-                       VALID_PARALLEL_MODES, EngineConfig)
+from repro.obs import (ENV_VARS, VALID_BACKENDS, VALID_PARALLEL_MODES,
+                       EngineConfig)
 
 
 class TestDefaults:
     def test_default_fields(self):
         config = EngineConfig()
         assert config.datastore_backend == "auto"
-        assert config.columnar_threshold == 48
-        assert config.gibbs_engine == "chromatic"
         assert config.numa_sockets == 4
         assert config.trace is False
         assert config.workers == 0
@@ -34,19 +33,24 @@ class TestDefaults:
         # the original is untouched
         assert EngineConfig().datastore_backend == "auto"
 
+    def test_bench_harness_construction_still_works(self):
+        # bench/harness.py builds exactly this; bench/ is frozen
+        config = EngineConfig(datastore_backend="columnar",
+                              memory_budget=1 << 20, segment_rows=512)
+        assert config.datastore_backend == "columnar"
+
 
 class TestValidation:
     def test_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):
             EngineConfig(datastore_backend="gpu")
 
-    def test_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            EngineConfig(gibbs_engine="metropolis")
-
-    def test_negative_threshold(self):
-        with pytest.raises(ValueError):
-            EngineConfig(columnar_threshold=-1)
+    @pytest.mark.parametrize("removed", [
+        {"gibbs_engine": "chromatic"}, {"pool_warm": True},
+        {"columnar_threshold": 48}])
+    def test_removed_fields_are_type_errors(self, removed):
+        with pytest.raises(TypeError):
+            EngineConfig(**removed)
 
     def test_zero_sockets(self):
         with pytest.raises(ValueError):
@@ -62,67 +66,86 @@ class TestValidation:
 
     def test_valid_constants(self):
         assert set(VALID_BACKENDS) == {"auto", "row", "columnar"}
-        assert set(VALID_ENGINES) == {"chromatic", "reference"}
         assert set(VALID_PARALLEL_MODES) == {"auto", "fork", "spawn"}
 
 
-class TestFromEnv:
-    def test_empty_environ_gives_defaults(self):
-        assert EngineConfig.from_env({}) == EngineConfig()
+#: One accepted and one rejected raw value per remaining variable.
+ENV_CASES = {
+    "datastore_backend": ("columnar", "columnar", "quantum"),
+    "numa_sockets": ("2", 2, "0"),
+    "trace": ("YES", True, "maybe"),
+    "workers": ("4", 4, "two"),
+    "parallel_mode": ("fork", "fork", "threads"),
+    "pool_min_work": ("0", 0, "-1"),
+    "memory_budget": ("4096", 4096, "4k"),
+    "segment_rows": ("64", 64, "0"),
+}
 
-    def test_all_vars_honoured(self):
-        env = {
-            ENV_VARS["datastore_backend"]: "columnar",
-            ENV_VARS["columnar_threshold"]: "7",
-            ENV_VARS["gibbs_engine"]: "reference",
-            ENV_VARS["numa_sockets"]: "2",
-            ENV_VARS["trace"]: "1",
-            ENV_VARS["workers"]: "4",
-            ENV_VARS["parallel_mode"]: "fork",
-        }
-        config = EngineConfig.from_env(env)
-        assert config == EngineConfig(datastore_backend="columnar",
-                                      columnar_threshold=7,
-                                      gibbs_engine="reference",
-                                      numa_sockets=2, trace=True,
-                                      workers=4, parallel_mode="fork")
+
+class TestFromEnv:
+    def test_cases_cover_every_variable(self):
+        assert set(ENV_CASES) == set(ENV_VARS)
+
+    def test_empty_environ_gives_defaults(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EngineConfig.from_env({}) == EngineConfig()
+
+    @pytest.mark.parametrize("field", sorted(ENV_CASES))
+    def test_each_variable_honoured(self, field):
+        raw, parsed, _ = ENV_CASES[field]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = EngineConfig.from_env({ENV_VARS[field]: raw})
+        assert config == EngineConfig(**{field: parsed})
+
+    def test_all_variables_together(self):
+        env = {ENV_VARS[f]: raw for f, (raw, _, _) in ENV_CASES.items()}
+        assert EngineConfig.from_env(env) == EngineConfig(
+            **{f: parsed for f, (_, parsed, _) in ENV_CASES.items()})
+
+    @pytest.mark.parametrize("field", sorted(ENV_CASES))
+    def test_rejected_value_warns_once_and_defaults(self, field):
+        bad = ENV_CASES[field][2]
+        var = ENV_VARS[field]
+        with pytest.warns(RuntimeWarning) as caught:
+            config = EngineConfig.from_env({var: bad})
+        assert config == EngineConfig()
+        assert len(caught) == 1
+        assert var in str(caught[0].message)
+        assert repr(bad) in str(caught[0].message)
+
+    def test_one_bad_variable_does_not_discard_the_good_ones(self):
+        env = {ENV_VARS["workers"]: "two", ENV_VARS["segment_rows"]: "64"}
+        with pytest.warns(RuntimeWarning, match="REPRO_WORKERS='two'"):
+            config = EngineConfig.from_env(env)
+        assert config == EngineConfig(segment_rows=64)
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", "On"])
     def test_trace_truthy(self, value):
         assert EngineConfig.from_env({ENV_VARS["trace"]: value}).trace
 
-    @pytest.mark.parametrize("value", ["0", "false", "", "off", "maybe"])
+    @pytest.mark.parametrize("value", ["0", "false", "", "off"])
     def test_trace_falsy(self, value):
-        assert not EngineConfig.from_env({ENV_VARS["trace"]: value}).trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not EngineConfig.from_env({ENV_VARS["trace"]: value}).trace
 
-    def test_malformed_values_fall_back(self):
-        env = {
-            ENV_VARS["datastore_backend"]: "quantum",
-            ENV_VARS["columnar_threshold"]: "not-a-number",
-            ENV_VARS["gibbs_engine"]: "",
-            ENV_VARS["numa_sockets"]: "-3",
-            ENV_VARS["workers"]: "-2",
-            ENV_VARS["parallel_mode"]: "threads",
-        }
-        assert EngineConfig.from_env(env) == EngineConfig()
-
-    def test_workers_parsed(self):
-        assert EngineConfig.from_env({ENV_VARS["workers"]: "2"}).workers == 2
-        assert EngineConfig.from_env(
-            {ENV_VARS["workers"]: "junk"}).workers == 0
+    def test_empty_value_counts_as_unset(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EngineConfig.from_env(
+                {ENV_VARS["workers"]: " "}) == EngineConfig()
 
 
 class TestDispatchIsolation:
-    """Satellite 3: backend dispatch never consults the environment."""
+    """Backend dispatch never consults the environment."""
 
     def test_env_mutation_after_construction_has_no_effect(self, monkeypatch):
-        config = EngineConfig(datastore_backend="row", columnar_threshold=5)
+        config = EngineConfig(datastore_backend="row")
         monkeypatch.setitem(os.environ,
                             ENV_VARS["datastore_backend"], "columnar")
-        monkeypatch.setitem(os.environ,
-                            ENV_VARS["columnar_threshold"], "9999")
         assert Q.current_backend(config) == "row"
-        assert Q.columnar_threshold(config) == 5
 
     def test_process_default_frozen_at_import(self, monkeypatch):
         before = Q.current_backend()
@@ -131,18 +154,3 @@ class TestDispatchIsolation:
         monkeypatch.setitem(os.environ, ENV_VARS["trace"], "1")
         assert Q.current_backend() == before
         assert Q.active_config().trace is False
-
-    def test_set_default_config_roundtrip(self):
-        original = Q.active_config()
-        try:
-            Q.set_default_config(EngineConfig(datastore_backend="columnar"))
-            assert Q.current_backend() == "columnar"
-        finally:
-            Q.set_default_config(original)
-        assert Q.active_config() == original
-
-    def test_forced_backend_beats_config(self):
-        config = EngineConfig(datastore_backend="row")
-        with Q.use_backend("columnar"):
-            assert Q.current_backend(config) == "columnar"
-        assert Q.current_backend(config) == "row"

@@ -40,3 +40,34 @@ def test_no_repro_env_var_literals_outside_obs():
     assert not offenders, (
         "REPRO_* env-var literals outside repro/obs/: "
         + ", ".join(offenders))
+
+
+REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
+                 "use_backend", "set_backend", "run_replicas_parallel",
+                 "fanout_map")
+
+
+def test_knobs_have_not_drifted():
+    """Every engine field has exactly one env fallback, every fallback is
+    documented, and the selectors retired with their duplicate engines
+    (reference Gibbs engine, cold pools, backend overrides) stay retired."""
+    import dataclasses
+
+    from repro.obs.config import (COMPLIANCE_ENV_VARS, ENV_VARS,
+                                  SERVE_ENV_VARS, EngineConfig)
+
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert set(ENV_VARS) == fields - {"pool_owner"}
+
+    guide = (SRC_ROOT.parents[1] / "docs"
+             / "developer_guide.md").read_text(encoding="utf-8")
+    undocumented = [var for table in (ENV_VARS, SERVE_ENV_VARS,
+                                      COMPLIANCE_ENV_VARS)
+                    for var in table.values() if var not in guide]
+    assert not undocumented, f"not in docs/developer_guide.md: {undocumented}"
+
+    offenders = [f"{path.relative_to(SRC_ROOT)}: {name}"
+                 for path in sorted(SRC_ROOT.rglob("*.py"))
+                 for name in REMOVED_NAMES
+                 if name in path.read_text(encoding="utf-8")]
+    assert not offenders, "retired names under src/:\n  " + "\n  ".join(offenders)

@@ -44,7 +44,7 @@ class TestConfigThreading:
         assert app.db.config is app.config
 
     def test_explicit_config_reaches_every_layer(self):
-        config = EngineConfig(datastore_backend="row", gibbs_engine="reference")
+        config = EngineConfig(datastore_backend="row")
         app = make_app(config=config)
         assert app.db.config is config
         assert app.grounder.config is config
@@ -53,44 +53,34 @@ class TestConfigThreading:
         assert result.marginals
 
     def test_snapshot_propagates_config(self):
-        config = EngineConfig(columnar_threshold=3)
+        config = EngineConfig(datastore_backend="row")
         db = Database(config=config)
         db.create("t", a="int")
         assert db.snapshot().config is config
 
-    def test_sampler_engine_from_config(self):
+    def test_sampler_takes_no_configuration(self):
         graph = FactorGraph()
         v = graph.variable(("x", 1))
         graph.add_factor(FactorFunction.IS_TRUE, [v], graph.weight("w", 1.0))
         compiled = CompiledGraph(graph)
-        sampler = GibbsSampler(
-            compiled, config=EngineConfig(gibbs_engine="reference"))
-        assert sampler.engine == "reference"
-        # explicit engine argument wins over the config
-        sampler = GibbsSampler(
-            compiled, engine="chromatic",
-            config=EngineConfig(gibbs_engine="reference"))
-        assert sampler.engine == "chromatic"
+        with pytest.raises(TypeError):
+            GibbsSampler(compiled, config=EngineConfig())
 
     def test_numa_config_from_engine_config(self):
-        config = EngineConfig(numa_sockets=2, gibbs_engine="reference")
+        config = EngineConfig(numa_sockets=2)
         numa = NumaConfig.from_engine_config(config, sync_every=3)
         assert numa.sockets == 2
-        assert numa.engine == "reference"
         assert numa.sync_every == 3
 
     def test_operator_config_beats_process_default(self):
         relation = Relation("t", Schema.of(a="int"))
-        for i in range(60):                     # above the default threshold
+        for i in range(60):                     # above COLUMNAR_MIN_ROWS
             relation.insert((i,))
         row_cfg = EngineConfig(datastore_backend="row")
-        assert Q._pick(None, relation, config=row_cfg) == "row"
+        assert Q._pick(row_cfg, relation) == "row"
         col_cfg = EngineConfig(datastore_backend="columnar")
-        assert Q._pick(None, relation, config=col_cfg) == "columnar"
-        auto_small = EngineConfig(columnar_threshold=10)
-        assert Q._pick(None, relation, config=auto_small) == "columnar"
-        auto_large = EngineConfig(columnar_threshold=1000)
-        assert Q._pick(None, relation, config=auto_large) == "row"
+        assert Q._pick(col_cfg, relation) == "columnar"
+        assert Q._pick(EngineConfig(), relation) == "columnar"
 
     def test_datastore_metrics_recorded(self):
         relation = Relation("t", Schema.of(a="int"))
@@ -149,12 +139,12 @@ class TestRunResultProfile:
         assert names.count("candidate_generation") == 2
         assert result.phase_timings["candidate_generation"] > 0.0
 
-    def test_timings_deprecated(self):
+    def test_timings_shim_is_gone(self):
         app = make_app()
-        app.run(num_samples=10, burn_in=2, compute_train_histogram=False)
-        with pytest.warns(DeprecationWarning, match="_timings"):
-            timings = app._timings
-        assert "learning" in timings
+        result = app.run(num_samples=10, burn_in=2,
+                         compute_train_histogram=False)
+        assert not hasattr(app, "_timings")
+        assert "learning" in result.profile.phase_seconds()
 
     def test_summary_still_reports_phases(self):
         app = make_app()

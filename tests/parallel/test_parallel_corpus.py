@@ -16,13 +16,11 @@ def documents(count=17):
 
 
 class TestPreprocessCorpus:
-    @pytest.mark.parametrize("pool_warm", [True, False])
-    def test_parallel_matches_sequential(self, pool_warm):
+    def test_parallel_matches_sequential(self):
         docs = documents()
         sequential = [preprocess_document(d) for d in docs]
         for workers in (2, 4):
             assert preprocess_corpus(docs, workers=workers,
-                                     pool_warm=pool_warm,
                                      pool_min_work=0) == sequential
 
     def test_single_document_stays_sequential(self):
@@ -35,22 +33,15 @@ class TestPreprocessCorpus:
         docs = documents(count=5)
         monkeypatch.setattr(repro.parallel, "get_pool",
                             lambda *a, **k: pytest.fail("pool dispatched"))
-        monkeypatch.setattr(
-            repro.parallel, "parallel_preprocess",
-            lambda *a, **k: pytest.fail("cold pool dispatched"))
         assert preprocess_corpus(docs, workers=2, pool_min_work=10 ** 9) \
             == [preprocess_document(d) for d in docs]
 
     def test_pool_failure_falls_back(self, monkeypatch):
         docs = documents(count=5)
-        monkeypatch.setattr(repro.parallel, "parallel_preprocess",
-                            lambda *args, **kwargs: None)
         monkeypatch.setattr(repro.parallel, "get_pool",
                             lambda *args, **kwargs: None)
-        for pool_warm in (True, False):
-            assert preprocess_corpus(docs, workers=2, pool_warm=pool_warm,
-                                     pool_min_work=0) \
-                == [preprocess_document(d) for d in docs]
+        assert preprocess_corpus(docs, workers=2, pool_min_work=0) \
+            == [preprocess_document(d) for d in docs]
 
 
 class TestLoadCorpus:
@@ -77,11 +68,10 @@ class TestLoadCorpus:
         monkeypatch.setattr(pipeline, "iter_corpus_rows", fake_iter_rows)
         from repro.obs import EngineConfig
         db = Database(config=EngineConfig(workers=3, parallel_mode="fork",
-                                          pool_warm=False, pool_min_work=7))
+                                          pool_min_work=7))
         load_corpus(db, documents(count=2))
         assert captured == {"workers": 3, "parallel_mode": "fork",
-                            "pool_warm": False, "pool_min_work": 7,
-                            "pool_owner": None}
+                            "pool_min_work": 7, "pool_owner": None}
 
     def test_bulk_load_single_version_bump(self):
         """Satellite: sequential load_corpus bulk-inserts, not row at a time."""

@@ -7,7 +7,7 @@ import repro.inference.numa as numa_module
 from repro import obs
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import NumaConfig, NumaGibbs
-from repro.parallel import run_replicas_parallel
+from repro.parallel import WorkerPool, get_pool
 
 
 def chain_graph(n=24, weight=0.8):
@@ -54,54 +54,38 @@ class TestDeterminism:
                             seed=9)
         reference = sampler._run_replicas_sequential(total_sweeps=12,
                                                      burn_in=4)
-        outcome = run_replicas_parallel(
-            compiled, sockets=3, seed=9, engine="chromatic",
-            total_sweeps=12, burn_in=4, sync_every=2, workers=2)
+        with WorkerPool(2) as pool:
+            outcome = pool.run_replicas(
+                compiled, sockets=3, seed=9, total_sweeps=12, burn_in=4,
+                sync_every=2)
         assert outcome is not None
         assert np.array_equal(outcome.totals, reference.totals)
         assert outcome.socket_samples == reference.socket_samples
 
 
 class TestFailureFallback:
-    def test_worker_exception_warns_and_returns_none(self):
-        compiled = chain_graph(n=8)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            outcome = run_replicas_parallel(
-                compiled, sockets=2, seed=0, engine="no-such-engine",
-                total_sweeps=4, burn_in=1, workers=2)
-        assert outcome is None
-
-    def test_deadline_warns_and_returns_none(self):
-        compiled = chain_graph(n=8)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            outcome = run_replicas_parallel(
-                compiled, sockets=2, seed=0, engine="chromatic",
-                total_sweeps=4, burn_in=1, workers=2, timeout=1e-6)
-        assert outcome is None
-
     def test_numa_gibbs_falls_back_to_sequential(self, monkeypatch):
         """A dead parallel backend must not change NumaGibbs results."""
         compiled = chain_graph()
         sequential = run(compiled, workers=0)
-        monkeypatch.setattr(numa_module, "run_replicas_parallel",
-                            lambda *args, **kwargs: None)
         monkeypatch.setattr(numa_module, "get_pool",
                             lambda *args, **kwargs: None)
-        for pool_warm in (True, False):
-            fallback = run(compiled, workers=4, pool_warm=pool_warm)
-            assert np.array_equal(sequential.marginals, fallback.marginals)
-            assert fallback.samples_drawn == sequential.samples_drawn
+        fallback = run(compiled, workers=4)
+        assert np.array_equal(sequential.marginals, fallback.marginals)
+        assert fallback.samples_drawn == sequential.samples_drawn
 
     def test_unavailable_mode_warns_and_falls_back(self, monkeypatch):
-        import repro.parallel.pool as pool_module
-        monkeypatch.setattr(pool_module.mp, "get_all_start_methods",
+        import repro.parallel.warm as warm_module
+        monkeypatch.setattr(warm_module.mp, "get_all_start_methods",
                             lambda: ["spawn"])
-        compiled = chain_graph(n=8)
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            outcome = run_replicas_parallel(
-                compiled, sockets=2, seed=0, engine="chromatic",
-                total_sweeps=4, burn_in=1, workers=2, mode="fork")
-        assert outcome is None
+            assert get_pool(2, mode="fork", owner="no-fork-here") is None
+        compiled = chain_graph()
+        sequential = run(compiled, workers=0)
+        with pytest.warns(RuntimeWarning, match="unavailable"):
+            fallback = run(compiled, workers=2, parallel_mode="fork",
+                           pool_owner="no-fork-here")
+        assert np.array_equal(sequential.marginals, fallback.marginals)
 
 
 class TestObservability:

@@ -1,19 +1,15 @@
-"""The crash-safe fan-out pool: ordering, failure modes, trace adoption."""
+"""The warm pool's fan-out map: ordering, deadline, trace adoption."""
 
 import time
 
 import pytest
 
 from repro import obs
-from repro.parallel import chunk_slices, fanout_map, resolve_mode
+from repro.parallel import WorkerPool, chunk_slices, resolve_mode
 
 
 def square(x):
     return x * x
-
-
-def explode(x):
-    raise ValueError(f"boom on {x}")
 
 
 def snail(x):
@@ -51,36 +47,30 @@ class TestResolveMode:
             resolve_mode("threads")
 
 
-class TestFanoutMap:
+class TestWorkerPoolMap:
     def test_order_preserved(self):
         items = list(range(37))
-        assert fanout_map(square, items, workers=3, mode="fork") \
-            == [square(x) for x in items]
+        with WorkerPool(3, mode="fork") as pool:
+            assert pool.map(square, items) == [square(x) for x in items]
 
     def test_empty_items(self):
-        assert fanout_map(square, [], workers=2) == []
+        with WorkerPool(2) as pool:
+            assert pool.map(square, []) == []
 
     def test_workers_zero_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            fanout_map(square, [1], workers=0)
-
-    def test_worker_exception_returns_none(self):
-        with pytest.warns(RuntimeWarning, match="fan-out abandoned"):
-            result = fanout_map(explode, [1, 2, 3], workers=2, mode="fork")
-        assert result is None
+            WorkerPool(0)
 
     def test_timeout_returns_none(self):
-        with pytest.warns(RuntimeWarning, match="deadline"):
-            result = fanout_map(snail, [1, 2], workers=2, mode="fork",
-                                timeout=0.5)
-        assert result is None
+        with WorkerPool(2, mode="fork") as pool:
+            with pytest.warns(RuntimeWarning, match="deadline"):
+                assert pool.map(snail, [1, 2], timeout=0.5) is None
 
     def test_worker_traces_adopted(self):
         collector = obs.Collector()
-        with obs.installed(collector):
+        with WorkerPool(2, mode="fork") as pool, obs.installed(collector):
             with obs.span("parent"):
-                result = fanout_map(counted, list(range(8)), workers=2,
-                                    mode="fork")
+                result = pool.map(counted, list(range(8)))
         assert result == [x + 1 for x in range(8)]
         profile = obs.Profile(spans=collector.roots,
                               metrics=collector.metrics.snapshot())

@@ -38,13 +38,13 @@ class TestWorkerDeathMidRound:
             pool.inject_fault(1, at_sync=1, action="exit")
             with pytest.warns(RuntimeWarning, match="falling back"):
                 outcome = pool.run_replicas(
-                    compiled, sockets=4, seed=3, engine="chromatic",
+                    compiled, sockets=4, seed=3,
                     total_sweeps=25, burn_in=5, sync_every=5)
             assert outcome is None
             assert pool.stats["failures"] == 1
             # next dispatch respawns the dead/dirty slots and succeeds
             outcome = pool.run_replicas(
-                compiled, sockets=4, seed=3, engine="chromatic",
+                compiled, sockets=4, seed=3,
                 total_sweeps=25, burn_in=5, sync_every=5)
             assert outcome is not None
             assert pool.stats["restarts"] >= 1
@@ -79,7 +79,7 @@ class TestWorkerDeathMidRound:
             pool.inject_fault(0, at_sync=1, action="exit")
             with pytest.warns(RuntimeWarning, match="falling back"):
                 assert pool.run_replicas(
-                    compiled, sockets=2, seed=0, engine="chromatic",
+                    compiled, sockets=2, seed=0,
                     total_sweeps=10, burn_in=2, sync_every=2) is None
             assert pool.map(len, ["ab", "cde", "f", "gh"]) == [2, 3, 1, 2]
 
@@ -96,7 +96,7 @@ class TestShutdownWhileDispatching:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result["outcome"] = pool.run_replicas(
-                    compiled, sockets=2, seed=0, engine="chromatic",
+                    compiled, sockets=2, seed=0,
                     total_sweeps=50, burn_in=5, sync_every=5,
                     timeout=60.0)
             result["finished"] = True
@@ -117,8 +117,7 @@ class TestShutdownWhileDispatching:
         pool = WorkerPool(2)
         pool.close()
         assert pool.run_replicas(compiled, sockets=2, seed=0,
-                                 engine="chromatic", total_sweeps=4,
-                                 burn_in=1) is None
+                                 total_sweeps=4, burn_in=1) is None
         assert pool.map(len, ["ab"]) is None
 
 
@@ -138,17 +137,24 @@ class TestCloseIdempotence:
 
 
 class TestWorkerExceptionPath:
-    def test_bad_engine_warns_and_heals(self):
+    def test_worker_raise_warns_and_heals(self):
         compiled = chain_graph(n=8)
         with WorkerPool(2) as pool:
-            with pytest.warns(RuntimeWarning, match="falling back"):
+            pool.inject_fault(0, at_sync=1, action="raise")
+            with pytest.warns(RuntimeWarning,
+                              match="worker raised.*injected worker fault"):
                 assert pool.run_replicas(
-                    compiled, sockets=2, seed=0, engine="no-such-engine",
+                    compiled, sockets=2, seed=0,
                     total_sweeps=4, burn_in=1) is None
             outcome = pool.run_replicas(
-                compiled, sockets=2, seed=0, engine="chromatic",
+                compiled, sockets=2, seed=0,
                 total_sweeps=4, burn_in=1)
             assert outcome is not None
+
+    def test_unknown_fault_action_rejected(self):
+        with WorkerPool(1) as pool:
+            with pytest.raises(ValueError, match="fault action"):
+                pool.inject_fault(0, action="explode")
 
     def test_map_exception_warns_and_falls_back(self):
         with WorkerPool(2) as pool:
@@ -170,5 +176,5 @@ class TestWorkerExceptionPath:
         with WorkerPool(2) as pool:
             with pytest.warns(RuntimeWarning, match="falling back"):
                 assert pool.run_replicas(
-                    compiled, sockets=2, seed=0, engine="chromatic",
+                    compiled, sockets=2, seed=0,
                     total_sweeps=4, burn_in=1, timeout=1e-6) is None

@@ -10,11 +10,18 @@ change batches.
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datastore import Database, Join, Project, Relation, Scan, Schema, Select
+from repro import obs
 from repro.datastore import query as Q
+from repro.obs import EngineConfig
+
+ROW = EngineConfig(datastore_backend="row")
+COLUMNAR = EngineConfig(datastore_backend="columnar")
+AUTO = EngineConfig(datastore_backend="auto")
 
 # small value domains keep collision (and thus join/dup/NULL coverage) high
 ints = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
@@ -46,8 +53,8 @@ def bag(relation):
 
 
 def both_backends(op):
-    """Run ``op(backend)`` on both engines and return the two bags."""
-    return bag(op("row")), bag(op("columnar"))
+    """Run ``op(config)`` on both engines and return the two bags."""
+    return bag(op(ROW)), bag(op(COLUMNAR))
 
 
 class TestOperatorEquivalence:
@@ -56,7 +63,7 @@ class TestOperatorEquivalence:
         relation = mixed_relation("r", rows)
         predicate = lambda r: r["a"] is not None and r["a"] >= 2
         row_bag, col_bag = both_backends(
-            lambda b: Q.select(relation, predicate, backend=b))
+            lambda b: Q.select(relation, predicate, config=b))
         assert row_bag == col_bag
 
     @given(mixed_rows,
@@ -82,7 +89,7 @@ class TestOperatorEquivalence:
 
         row_bag, col_bag = both_backends(
             lambda b: Q.select(relation, predicate, condition=condition,
-                               backend=b))
+                               config=b))
         assert row_bag == col_bag
 
     @given(mixed_rows, st.sampled_from([["a"], ["s", "f"], ["flag", "a"]]),
@@ -91,7 +98,7 @@ class TestOperatorEquivalence:
         relation = mixed_relation("r", rows)
         row_bag, col_bag = both_backends(
             lambda b: Q.project(relation, columns, distinct=distinct,
-                                backend=b))
+                                config=b))
         assert row_bag == col_bag
 
     @given(int_rows, int_rows)
@@ -99,7 +106,7 @@ class TestOperatorEquivalence:
         left = int_relation("l", ("x", "y"), rows_r)
         right = int_relation("r", ("y", "z"), rows_s)
         row_bag, col_bag = both_backends(
-            lambda b: Q.join(left, right, [("y", "y")], backend=b))
+            lambda b: Q.join(left, right, [("y", "y")], config=b))
         assert row_bag == col_bag
 
     @given(mixed_rows, mixed_rows)
@@ -108,7 +115,7 @@ class TestOperatorEquivalence:
         right = mixed_relation("r", rows_b)
         row_bag, col_bag = both_backends(
             lambda b: Q.join(left, right, [("s", "s"), ("a", "a")],
-                             backend=b))
+                             config=b))
         assert row_bag == col_bag
 
     @given(mixed_rows, mixed_rows)
@@ -116,7 +123,7 @@ class TestOperatorEquivalence:
         left = mixed_relation("l", rows_a)
         right = mixed_relation("r", rows_b)
         row_bag, col_bag = both_backends(
-            lambda b: Q.union(left, right, backend=b))
+            lambda b: Q.union(left, right, config=b))
         assert row_bag == col_bag
 
     @given(mixed_rows, mixed_rows)
@@ -124,7 +131,7 @@ class TestOperatorEquivalence:
         left = mixed_relation("l", rows_a)
         right = mixed_relation("r", rows_b)
         row_bag, col_bag = both_backends(
-            lambda b: Q.difference(left, right, backend=b))
+            lambda b: Q.difference(left, right, config=b))
         assert row_bag == col_bag
 
     @given(mixed_rows)
@@ -133,16 +140,70 @@ class TestOperatorEquivalence:
         aggregates = {"n": ("count", "*"), "total": ("sum", "a"),
                       "lo": ("min", "f"), "hi": ("max", "f")}
         row_bag, col_bag = both_backends(
-            lambda b: Q.aggregate(relation, ["s"], aggregates, backend=b))
+            lambda b: Q.aggregate(relation, ["s"], aggregates, config=b))
         assert row_bag == col_bag
 
     @given(int_rows)
     def test_threshold_boundary_agrees(self, rows):
         """Whatever `auto` picks must match both forced backends."""
         relation = int_relation("r", ("x", "y"), rows)
-        auto = bag(Q.project(relation, ["x"], backend="auto"))
-        assert auto == bag(Q.project(relation, ["x"], backend="row"))
-        assert auto == bag(Q.project(relation, ["x"], backend="columnar"))
+        auto = bag(Q.project(relation, ["x"], config=AUTO))
+        assert auto == bag(Q.project(relation, ["x"], config=ROW))
+        assert auto == bag(Q.project(relation, ["x"], config=COLUMNAR))
+
+
+def dispatched(op_name, run):
+    """The ``engine`` labels one call recorded on ``datastore.<op_name>``."""
+    collector = obs.Collector()
+    with obs.installed(collector):
+        result = run()
+    engines = [engine for engine in ("row", "columnar", "columnar-spill")
+               if collector.metrics.counter_value(f"datastore.{op_name}",
+                                                  engine=engine)]
+    return result, engines
+
+
+class TestAutoDispatch:
+    """``auto`` picks by input size and key types, and by nothing else."""
+
+    def test_size_constant_has_two_sides(self):
+        assert Q.COLUMNAR_MIN_ROWS == 48
+        below = int_relation("r", ("x", "y"), [(i, i) for i in range(47)])
+        at = int_relation("r", ("x", "y"), [(i, i) for i in range(48)])
+        _, engines = dispatched(
+            "project", lambda: Q.project(below, ["x"], config=AUTO))
+        assert engines == ["row"]
+        _, engines = dispatched(
+            "project", lambda: Q.project(at, ["x"], config=AUTO))
+        assert engines == ["columnar"]
+
+    def test_duplicates_do_not_count_towards_the_crossover(self):
+        relation = int_relation("r", ("x", "y"), [(i % 47, 0)
+                                                  for i in range(200)])
+        _, engines = dispatched(
+            "distinct", lambda: Q.distinct(relation, config=AUTO))
+        assert engines == ["row"]
+
+    def test_mixed_type_join_falls_back_to_the_row_join(self):
+        left = Relation("l", Schema.of(k="int", a="int"))
+        right = Relation("r", Schema.of(k="float", b="int"))
+        for i in range(60):
+            left.insert((i, i))
+            right.insert((float(i), -i))
+        for config in (AUTO, COLUMNAR):
+            out, engines = dispatched(
+                "join", lambda: Q.join(left, right, [("k", "k")],
+                                       config=config))
+            assert engines == ["row"]
+            # 1 == 1.0: the row join matches what code equality would miss
+            assert len(out) == 60
+            assert bag(out) == bag(Q.join(left, right, [("k", "k")],
+                                          config=ROW))
+
+    def test_per_call_backend_keyword_is_gone(self):
+        relation = int_relation("r", ("x", "y"), [(1, 2)])
+        with pytest.raises(TypeError):
+            Q.distinct(relation, backend="row")
 
 
 # -------------------------------------------------------- IVM delta parity
@@ -182,8 +243,8 @@ PLAN = Select(Project(Join(Scan("R"), Scan("S"), (("y", "y"),)),
               lambda r: r["x"] != 3)
 
 
-def make_db(initial_r, initial_s):
-    db = Database()
+def make_db(initial_r, initial_s, config):
+    db = Database(config=config)
     db.create("R", x="int", y="int")
     db.create("S", y="int", z="int")
     db.insert("R", initial_r)
@@ -203,11 +264,10 @@ class TestIncrementalBackendParity:
         initial_r, initial_s, batches = scenario
         evaluators = {}
         databases = {}
-        for backend in ("row", "columnar"):
-            databases[backend] = make_db(initial_r, initial_s)
-            with Q.use_backend(backend):
-                evaluators[backend] = IncrementalEvaluator(
-                    PLAN, databases[backend])
+        for backend, config in (("row", ROW), ("columnar", COLUMNAR)):
+            databases[backend] = make_db(initial_r, initial_s, config)
+            evaluators[backend] = IncrementalEvaluator(
+                PLAN, databases[backend])
         assert evaluators["row"].current() == evaluators["columnar"].current()
 
         for inserts, deletes in batches:
@@ -224,8 +284,7 @@ class TestIncrementalBackendParity:
                         db[name].insert(r)
                     for r in deletes[name]:
                         db[name].delete(r)
-                with Q.use_backend(backend):
-                    applied = evaluators[backend].apply(deltas)
+                applied = evaluators[backend].apply(deltas)
                 outputs[backend] = Counter(dict(applied.items()))
             assert outputs["row"] == outputs["columnar"]
             assert evaluators["row"].current() == \

@@ -97,5 +97,6 @@ class TestSpillEquivalence:
         left = mixed_relation("l", left_rows)
         right = mixed_relation("r", right_rows)
         spilled = Q.join(left, right, on=[("k", "k")], config=spilly(0))
-        reference = Q.join(left, right, on=[("k", "k")], backend="row")
+        reference = Q.join(left, right, on=[("k", "k")],
+                           config=EngineConfig(datastore_backend="row"))
         assert spilled.counts_copy() == reference.counts_copy()

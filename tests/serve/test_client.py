@@ -1,4 +1,4 @@
-"""KBClient: one facade over single and sharded backends; deprecation shims."""
+"""KBClient: one facade over single and sharded backends."""
 
 import pytest
 
@@ -107,17 +107,12 @@ class TestFacadeRouting:
         with create_client(tmp_path) as client:
             assert client.service.client() is client
 
-    def test_direct_service_reads_warn_but_work(self, tmp_path):
+    def test_service_has_no_read_methods_of_its_own(self, tmp_path):
+        """Reads live on the client (TestUniformSurface); the service's
+        deprecated snapshot()/query()/marginal() wrappers are gone."""
         with create_client(tmp_path) as client:
-            service = client.service
-            with pytest.warns(DeprecationWarning):
-                snapshot = service.snapshot()
-            with pytest.warns(DeprecationWarning):
-                accepted = service.query("GoodName")
-            with pytest.warns(DeprecationWarning):
-                key = next(iter(snapshot.marginals))
-                service.marginal(key)
-            assert accepted == snapshot.output_tuples("GoodName")
+            for removed in ("snapshot", "query", "marginal"):
+                assert not hasattr(client.service, removed)
 
     def test_facade_reads_do_not_warn(self, tmp_path, recwarn):
         import warnings
@@ -126,32 +121,3 @@ class TestFacadeRouting:
                 warnings.simplefilter("error", DeprecationWarning)
                 client.snapshot()
                 client.query("GoodName")
-
-    def test_shims_route_through_the_facade(self, tmp_path):
-        """The deprecated accessors return exactly what the client does —
-        one code path, two spellings."""
-        with create_client(tmp_path) as client:
-            service = client.service
-            with pytest.warns(DeprecationWarning):
-                assert service.snapshot() is client.snapshot()
-            with pytest.warns(DeprecationWarning):
-                assert service.query("GoodName") == client.query("GoodName")
-
-    def test_shim_warnings_point_at_the_caller(self, tmp_path):
-        """The shims warn with ``stacklevel=2``, so the reported origin is
-        the *call site* (this file) — the line an operator must fix — not
-        the shim's own body in service.py."""
-        import warnings
-
-        with create_client(tmp_path) as client:
-            service = client.service
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", DeprecationWarning)
-                snapshot = service.snapshot()
-                service.query("GoodName")
-                service.marginal(next(iter(snapshot.marginals)))
-            shim_warnings = [w for w in caught
-                             if issubclass(w.category, DeprecationWarning)]
-            assert len(shim_warnings) == 3
-            for warning in shim_warnings:
-                assert warning.filename == __file__

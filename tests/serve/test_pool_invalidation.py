@@ -113,8 +113,7 @@ class TestSegmentCacheInvalidation:
 
     def outcome(self, pool, compiled):
         return pool.run_replicas(compiled, sockets=3, seed=7,
-                                 engine="chromatic", total_sweeps=15,
-                                 burn_in=5, sync_every=5)
+                                 total_sweeps=15, burn_in=5, sync_every=5)
 
     def reference(self, compiled):
         sampler = NumaGibbs(compiled, NumaConfig(sockets=3, sync_every=5),
