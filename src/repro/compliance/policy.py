@@ -33,7 +33,6 @@ stays the engine's single environment reader — and applied here once at
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -159,46 +158,28 @@ class CompliancePolicy:
 
         Compliance must not fail open: a typo'd value (say an action env
         var set to ``anonimize``) silently falling back to ``allow`` would
-        publish raw PII while the operator believes a policy is active.  Every discarded override therefore warns, and
-        when the resulting policy would be *enabled* the discard is a hard
-        :class:`PolicyError` instead — a misconfigured-but-enabled
-        compliance environment refuses to serve rather than serving raw.
+        publish raw PII while the operator believes a policy is active.
+        Every discarded override therefore warns (the one reader's
+        contract), and when the resulting policy would be *enabled* -- or
+        the ``enabled`` flag itself is what failed to parse (``ture``) --
+        the discard is a hard :class:`PolicyError` instead: a
+        misconfigured compliance environment refuses to serve rather than
+        serving raw.
         """
-        env_invalid: dict = {}
-        overrides = compliance_env_overrides(environ, invalid=env_invalid)
-        discarded: dict = {}
-        raw_rules = overrides.pop("rules", None)
-        if raw_rules is not None:
-            try:
-                overrides["rules"] = parse_rules(raw_rules)
-            except PolicyError:
-                discarded["rules"] = raw_rules
-        try:
-            policy = cls(**overrides)
-        except PolicyError:
-            sane = {}
-            for key, value in overrides.items():
-                try:
-                    cls(**{key: value})
-                except PolicyError:
-                    discarded[key] = value
-                    continue
-                sane[key] = value
-            policy = cls(**sane)
-        if env_invalid or discarded:
-            both = {**env_invalid, **discarded}
+        def check(field_name: str, value) -> None:
+            cls(**{field_name: parse_rules(value)
+                   if field_name == "rules" else value})
+
+        overrides, invalid = compliance_env_overrides(environ, check)
+        if "rules" in overrides:
+            overrides["rules"] = parse_rules(overrides["rules"])
+        policy = cls(**overrides)
+        if invalid and (policy.enabled or "enabled" in invalid):
             detail = ", ".join(f"{key}={value!r}"
-                               for key, value in sorted(both.items()))
-            if policy.enabled:
-                raise PolicyError(
-                    f"invalid compliance override(s) [{detail}] while the "
-                    f"policy is enabled via the environment; refusing to "
-                    f"construct an enabled policy from a partially-invalid "
-                    f"environment (fix or unset the variable)")
-            if discarded:        # env-layer discards already warned above
-                warnings.warn(
-                    "discarded invalid compliance override(s): "
-                    + ", ".join(f"{key}={value!r}" for key, value
-                                in sorted(discarded.items())),
-                    RuntimeWarning, stacklevel=2)
+                               for key, value in sorted(invalid.items()))
+            raise PolicyError(
+                f"invalid compliance override(s) [{detail}] while the "
+                f"policy is (or may have been meant to be) enabled via the "
+                f"environment; refusing to construct a policy from a "
+                f"partially-invalid environment (fix or unset the variable)")
         return policy

@@ -29,7 +29,8 @@ from repro.ddlog.program import DDlogProgram
 from repro.eval.error_analysis import (ErrorAnalysisReport, FeatureStat,
                                        build_report, diagnose_miss)
 from repro.factorgraph import CompiledGraph, FactorFunction
-from repro.grounding import Grounder, GroundingDelta
+from repro.grounding import (ChainState, Grounder, GroundingDelta,
+                             UpdateResult, refresh)
 from repro.inference import GibbsSampler, LearningOptions, learn_weights
 from repro.nlp.pipeline import Document, preprocess_corpus, sentence_row
 from repro.obs import EngineConfig, PhaseRecorder
@@ -58,7 +59,7 @@ class DeepDive:
         self._grounder: Grounder | None = None
         self._recorder = PhaseRecorder(trace=self.config.trace)
         # incremental-inference state: last run's chain + pending deltas
-        self._chain_state: dict | None = None
+        self._chain_state: ChainState | None = None
         self._pending_touched: set = set()
         self._ensure_corpus_relations()
 
@@ -186,18 +187,25 @@ class DeepDive:
 
     # ----------------------------------------------------- serving interface
     @property
-    def chain_state(self) -> dict | None:
-        """The last run's materialized Gibbs chain (world + marginals by
-        variable key), or ``None`` before any run.  The serving layer
-        checkpoints this so a recovered service resumes incremental
-        inference from the exact chain the crashed one held."""
+    def chain_state(self) -> ChainState | None:
+        """The materialized inference state (world, marginals and
+        mean-field parameters by variable key) the last :meth:`run` or
+        incremental refresh left, or ``None`` before any run.  The serving
+        layer refreshes it per batch and checkpoints it, so a recovered
+        service resumes from the exact chain the crashed one held."""
         return self._chain_state
 
-    @chain_state.setter
-    def chain_state(self, state: dict | None) -> None:
-        if state is not None and not {"world", "marginals"} <= set(state):
-            raise ValueError("chain state needs 'world' and 'marginals'")
-        self._chain_state = state
+    def refresh_chain(self, compiled: CompiledGraph, touched: set,
+                      **options) -> tuple[str, UpdateResult | None]:
+        """Advance :attr:`chain_state` to ``compiled`` (this app's graph,
+        freshly compiled) through :func:`repro.grounding.refresh`, which
+        takes ``options``.  Returns the refresh that ran and its
+        :class:`~repro.grounding.UpdateResult`.  :meth:`run_incremental`
+        and the serving apply loop are its two callers; they differ only in
+        seed, strategy and sampling arguments."""
+        self._chain_state, refreshed, update = refresh(
+            self._chain_state, compiled, touched, **options)
+        return refreshed, update
 
     def drain_touched(self) -> set:
         """Return and clear the variable keys touched since the last drain.
@@ -211,7 +219,7 @@ class DeepDive:
         return touched
 
     def adopt(self, db: Database, grounder: Grounder | None,
-              chain_state: dict | None = None) -> None:
+              chain_state: ChainState | None) -> None:
         """Install recovered state: database, grounder, and chain.
 
         Used by checkpoint recovery (:mod:`repro.serve`): the database comes
@@ -281,17 +289,9 @@ class DeepDive:
             result = sampler.marginals(num_samples=num_samples,
                                        burn_in=burn_in, assignment=world)
             phase.set(num_samples=num_samples, burn_in=burn_in)
-        self._chain_state = {
-            "world": {key: bool(world[i])
-                      for i, key in enumerate(compiled.var_keys)},
-            "marginals": {key: float(result.marginals[i])
-                          for i, key in enumerate(compiled.var_keys)},
-        }
+        self._chain_state = ChainState.from_run(compiled, world,
+                                                result.marginals)
         self._pending_touched.clear()
-
-        marginals: dict[VariableKey, float] = {}
-        for index, key in enumerate(compiled.var_keys):
-            marginals[key] = float(result.marginals[index])
 
         holdout_pairs = [(float(result.marginals[i]), bool(label))
                          for i, label in zip(holdout, holdout_labels)]
@@ -307,7 +307,7 @@ class DeepDive:
                                     bool(compiled.evidence_values[i])))
 
         return RunResult(
-            marginals=marginals,
+            marginals=self._chain_state.marginals_by_key(),
             threshold=threshold,
             profile=self._recorder.profile(),
             holdout_pairs=holdout_pairs,
@@ -330,50 +330,17 @@ class DeepDive:
         if self._chain_state is None:
             return self.run(threshold=threshold, num_samples=num_samples * 4,
                             burn_in=burn_in * 3)
-        from repro.grounding import SamplingMaterialization
-
         graph = self.grounder.graph
-        compiled = CompiledGraph(graph)
-        stored_world = self._chain_state["world"]
-        stored_marginals = self._chain_state["marginals"]
-
-        rng = np.random.default_rng(self.seed + 7)
-        world = rng.random(compiled.num_variables) < 0.5
-        marginals = np.full(compiled.num_variables, 0.5)
-        changed: set[int] = set()
-        for index, key in enumerate(compiled.var_keys):
-            if key in stored_world:
-                world[index] = stored_world[key]
-                marginals[index] = stored_marginals[key]
-            else:
-                changed.add(index)          # brand-new variable
-            if key in self._pending_touched:
-                changed.add(index)
-
         with self._recorder.phase("incremental_inference", replace=True,
                                   radius=radius) as phase:
-            strategy = SamplingMaterialization.from_state(
-                compiled, world, marginals, seed=self.seed + 7)
-            if changed:
-                update = strategy.update(changed, radius=radius,
-                                         num_samples=num_samples,
-                                         burn_in=burn_in)
-                marginals = update.marginals
-            else:
-                clamped = compiled.is_evidence
-                marginals[clamped] = compiled.evidence_values[clamped]
-            phase.set(resampled=len(changed))
-
-        self._chain_state = {
-            "world": {key: bool(strategy.world[i])
-                      for i, key in enumerate(compiled.var_keys)},
-            "marginals": {key: float(marginals[i])
-                          for i, key in enumerate(compiled.var_keys)},
-        }
+            refreshed, update = self.refresh_chain(
+                CompiledGraph(graph), self._pending_touched,
+                seed=self.seed + 7, strategy="sampling", radius=radius,
+                num_samples=num_samples, burn_in=burn_in)
+            phase.set(refresh=refreshed, work=update.work if update else 0.0)
         self._pending_touched.clear()
         return RunResult(
-            marginals={key: float(marginals[i])
-                       for i, key in enumerate(compiled.var_keys)},
+            marginals=self._chain_state.marginals_by_key(),
             threshold=threshold,
             profile=self._recorder.profile(),
             graph_stats=graph.stats(),

@@ -79,15 +79,13 @@ def relation_to_csv_text(relation: Relation) -> str:
 
 
 # --------------------------------------------------------------------- JSON
-#: Current JSON database format.  v3 stores each relation columnar: one or
-#: more *parts*, each a local interning pool plus per-column int64 code
-#: lists and a multiplicity vector -- every distinct row is written once
-#: (v2 expanded multiplicities into repeated rows) and dump/restore moves
-#: codes in bulk instead of decoding Python rows.  v2 adds each relation's
-#: mutation-version counter so a restored database resumes IVM/DRed cache
-#: keying where the dumped one left off; v1/v2 dumps still load.
+#: The one JSON database format this build writes and reads.  Each relation
+#: is stored columnar: one or more *parts*, each a local interning pool plus
+#: per-column int64 code lists and a multiplicity vector -- every distinct
+#: row is written once and dump/restore moves codes in bulk instead of
+#: decoding Python rows -- plus its mutation-version counter, so a restored
+#: database resumes IVM/DRed cache keying where the dumped one left off.
 DATABASE_FORMAT_VERSION = 3
-SUPPORTED_DATABASE_VERSIONS = (1, 2, 3)
 
 
 def relation_parts(relation: Relation) -> list[dict]:
@@ -145,30 +143,18 @@ def counts_from_parts(parts: Iterable[dict]) -> dict:
     return counts
 
 
-def database_to_dict(db: Database, relations: Iterable[str] | None = None,
-                     version: int = DATABASE_FORMAT_VERSION) -> dict:
-    """Serialize ``db`` (or a subset of relations) to a JSON-compatible dict.
-
-    ``version`` selects the emitted format (3 is the columnar default;
-    2 keeps the legacy expanded-rows layout for compatibility tooling).
-    """
-    if version not in (2, 3):
-        raise ValueError(f"can only write database format versions 2 and 3, "
-                         f"not {version!r}")
+def database_to_dict(db: Database,
+                     relations: Iterable[str] | None = None) -> dict:
+    """Serialize ``db`` (or a subset of relations) to a JSON-compatible dict."""
     names = list(relations) if relations is not None else db.names()
-    payload = {"version": version, "relations": {}}
+    payload = {"version": DATABASE_FORMAT_VERSION, "relations": {}}
     for name in names:
         relation = db[name]
-        item: dict = {
+        payload["relations"][name] = {
             "schema": [[c.name, c.type.value] for c in relation.schema.columns],
             "mutation_version": relation.mutation_version,
+            "parts": relation_parts(relation),
         }
-        if version == 3:
-            item["parts"] = relation_parts(relation)
-        else:
-            item["rows"] = [[list(v) if isinstance(v, tuple) else v
-                             for v in row] for row in relation]
-        payload["relations"][name] = item
     return payload
 
 
@@ -177,14 +163,14 @@ def database_from_dict(data: dict) -> Database:
 
     Restored relations resume the persisted mutation-version counters, so
     incremental machinery (DRed views, columnar caches) keyed on them
-    behaves exactly as it would have over the original database.  Unknown
-    (future) format versions are refused rather than misread.
+    behaves exactly as it would have over the original database.  Any
+    other format version, older or newer, is refused rather than misread.
     """
     version = data.get("version")
-    if version not in SUPPORTED_DATABASE_VERSIONS:
+    if version != DATABASE_FORMAT_VERSION:
         raise ValueError(
-            f"unsupported database format version {data.get('version')!r}; "
-            f"this build reads versions {SUPPORTED_DATABASE_VERSIONS}")
+            f"unsupported database format version {version!r}; "
+            f"this build reads version {DATABASE_FORMAT_VERSION} only")
     db = Database()
     for name, item in data["relations"].items():
         schema = Schema.of(**{column: type_name
@@ -193,12 +179,9 @@ def database_from_dict(data: dict) -> Database:
         # one bulk insert (a single version bump) so the persisted counter —
         # which counted at least one mutation per stored row batch — can
         # always be restored exactly
-        if version == 3:
-            relation.insert_counted(counts_from_parts(item["parts"]).items())
-        else:
-            relation.insert_many(item["rows"])
-        persisted = item.get("mutation_version")
-        if persisted is not None and persisted > relation.mutation_version:
+        relation.insert_counted(counts_from_parts(item["parts"]).items())
+        persisted = item["mutation_version"]
+        if persisted > relation.mutation_version:
             relation.restore_mutation_version(persisted)
     return db
 

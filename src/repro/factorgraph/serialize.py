@@ -8,17 +8,13 @@ is plain JSON-compatible dicts: keys are stringified, structure is
 versioned, and a round-trip is exact for every supported key type (strings,
 ints, and nested tuples thereof).
 
-Format history:
+The format (version 2, the only one this build writes or reads) records
+each variable, weight, and factor id and the weights' observation counts, so
+:func:`from_dict` reconstructs a graph whose id space matches the original
+exactly.  ``CompiledGraph`` orders variables by id, so id-exact restore is
+what makes checkpoint recovery bit-identical.
 
-* **v1** stored variables/weights/factors without stable identity; loading
-  compacted ids, which is fine for archival but useless for recovery.
-* **v2** (current) additionally records each variable, weight, and factor id
-  and the weights' observation counts, so :func:`from_dict` reconstructs a
-  graph whose id space matches the original exactly.  ``CompiledGraph``
-  orders variables by id, so id-exact restore is what makes checkpoint
-  recovery bit-identical.
-
-Loading rejects any other version outright — a payload from a newer writer
+Loading rejects any other version outright — a payload from another writer
 must never be half-parsed into a silently wrong graph.
 """
 
@@ -31,8 +27,6 @@ from repro.factorgraph.factor_functions import FactorFunction
 from repro.factorgraph.graph import FactorGraph
 
 FORMAT_VERSION = 2
-#: Versions :func:`from_dict` knows how to read.
-SUPPORTED_VERSIONS = (1, 2)
 
 
 class SerializationError(ValueError):
@@ -60,11 +54,6 @@ def decode_key(data: Any) -> Any:
     return data
 
 
-# backwards-compatible private aliases (pre-v2 internal names)
-_encode_key = encode_key
-_decode_key = decode_key
-
-
 def to_dict(graph: FactorGraph) -> dict:
     """Serialize ``graph`` to a JSON-compatible dict (current format)."""
     return {
@@ -89,26 +78,16 @@ def to_dict(graph: FactorGraph) -> dict:
     }
 
 
-def _check_version(data: dict) -> int:
+def from_dict(data: dict) -> FactorGraph:
+    """Reconstruct a graph serialized by :func:`to_dict`, ids restored
+    exactly (including gaps left by removals)."""
     version = data.get("version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported factor-graph format version {version!r}; this "
-            f"build reads versions {SUPPORTED_VERSIONS} (current "
-            f"{FORMAT_VERSION}). The payload was probably written by a "
-            f"newer repro — refusing to guess at its layout.")
-    return version
-
-
-def from_dict(data: dict) -> FactorGraph:
-    """Reconstruct a graph serialized by :func:`to_dict`.
-
-    v2 payloads restore ids exactly (including gaps left by removals); v1
-    payloads predate stable ids and load with compacted ids.
-    """
-    version = _check_version(data)
-    if version == 1:
-        return _from_dict_v1(data)
+            f"build reads version {FORMAT_VERSION} only (v1's reader is gone; "
+            f"anything higher was written by a newer repro) — refusing to "
+            f"guess at the payload's layout.")
     graph = FactorGraph()
     for item in data["variables"]:
         graph.restore_variable(item["id"], decode_key(item["key"]),
@@ -123,29 +102,6 @@ def from_dict(data: dict) -> FactorGraph:
                              item["vars"], item["weight"],
                              negated=item["negated"])
     graph.restore_next_ids(data.get("next_ids", {}))
-    return graph
-
-
-def _from_dict_v1(data: dict) -> FactorGraph:
-    graph = FactorGraph()
-    id_map: dict[int, int] = {}
-    for item in data["variables"]:
-        new_id = graph.variable(decode_key(item["key"]),
-                                initial=item["initial"])
-        graph.variables[new_id].evidence = item["evidence"]
-        id_map[item["id"]] = new_id
-    weight_map: dict[int, int] = {}
-    for item in data["weights"]:
-        new_id = graph.weight(decode_key(item["key"]),
-                              initial_value=item["value"],
-                              fixed=item["fixed"])
-        weight_map[item["id"]] = new_id
-    for item in data["factors"]:
-        graph.add_factor(FactorFunction(item["function"]),
-                         [id_map[v] for v in item["vars"]],
-                         weight_map[item["weight"]],
-                         negated=item["negated"])
-    # add_factor increments observation counts; they now match the originals
     return graph
 
 

@@ -5,13 +5,15 @@ from repro.grounding.expansion import (ExpansionError, derived_relation_plans,
                                        expanded_rule_body)
 from repro.grounding.grounder import (Grounder, GroundingDelta, GroundingError,
                                       WeightProvenance, ground)
-from repro.grounding.materialization import (MaterializationChoice,
+from repro.grounding.materialization import (ChainState,
+                                             MaterializationChoice,
                                              SamplingMaterialization,
                                              UpdateResult,
                                              VariationalMaterialization,
-                                             choose_strategy)
+                                             choose_strategy, refresh)
 
 __all__ = [
+    "ChainState",
     "ExpansionError",
     "Grounder",
     "GroundingDelta",
@@ -25,4 +27,5 @@ __all__ = [
     "derived_relation_plans",
     "expanded_rule_body",
     "ground",
+    "refresh",
 ]

@@ -25,16 +25,28 @@ the new marginals? -- with different cost profiles:
 Costs are reported in *work units* (variable-visits for sampling, edge-visits
 per pass for mean field) so benchmarks can compare strategies independent of
 interpreter noise.
+
+What the strategies materialize lives in one value, :class:`ChainState`:
+the variable keys of the graph it was computed on plus three arrays aligned
+to them (Gibbs ``world``, ``marginals``, mean-field ``mu``).  Variable
+*indices* do not survive a recompilation, keys do, so :func:`refresh` is
+the one place that re-aligns a stored state to a freshly compiled graph,
+collects the changed set (new variables + touched keys), runs the chosen
+strategy and returns the next state.  ``DeepDive.run_incremental`` and the
+serving engine are thin callers of it; the checkpoint shape of a state is
+:meth:`ChainState.to_payload`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Hashable
 
 import numpy as np
 
 from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.factor_functions import FactorFunction
+from repro.factorgraph.serialize import decode_key, encode_key
 from repro.inference.gibbs import GibbsSampler, sigmoid
 
 
@@ -261,3 +273,112 @@ def choose_strategy(compiled: CompiledGraph, expected_updates: int,
                 else "variational")
     return MaterializationChoice(strategy, affected_fraction, expected_updates,
                                  correlation_density)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainState:
+    """Inference state keyed so it survives recompilation and checkpoints.
+
+    ``keys[i]`` is the variable key that ``world[i]`` (Gibbs assignment),
+    ``marginals[i]`` and ``mu[i]`` (mean-field parameter) belong to, in the
+    compiled order of the graph the state was computed on.
+    """
+
+    keys: tuple[Hashable, ...]
+    world: np.ndarray
+    marginals: np.ndarray
+    mu: np.ndarray
+
+    @classmethod
+    def from_run(cls, compiled: CompiledGraph, world: np.ndarray,
+                 marginals: np.ndarray) -> "ChainState":
+        """The state a full inference run leaves behind; mean-field
+        parameters warm-start from the fresh marginals."""
+        marginals = np.array(marginals, dtype=np.float64)
+        return cls(tuple(compiled.var_keys), np.array(world, dtype=bool),
+                   marginals, marginals.copy())
+
+    def marginals_by_key(self) -> dict[Hashable, float]:
+        """A fresh ``{key: probability}`` dict, in compiled order."""
+        return dict(zip(self.keys, self.marginals.tolist()))
+
+    def to_payload(self) -> dict:
+        """JSON-compatible ``{"world": [[key, value], ...], "marginals":
+        ..., "mu": ...}`` -- the checkpoint format's ``"state"`` entry,
+        byte-for-byte what the per-key dicts this class replaced wrote."""
+        keys = [encode_key(key) for key in self.keys]
+        return {name: [list(pair) for pair in zip(keys, values.tolist())]
+                for name, values in (("world", self.world),
+                                     ("marginals", self.marginals),
+                                     ("mu", self.mu))}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ChainState":
+        """Inverse of :meth:`to_payload` (exact, nested-tuple keys too)."""
+        keys = tuple(decode_key(key) for key, _value in payload["world"])
+        columns = {}
+        for name, dtype in (("world", bool), ("marginals", np.float64),
+                            ("mu", np.float64)):
+            if len(payload[name]) != len(keys):
+                raise ValueError(
+                    f"chain state {name!r} has {len(payload[name])} entries "
+                    f"for {len(keys)} variables")
+            columns[name] = np.array([value for _key, value in payload[name]],
+                                     dtype=dtype)
+        return cls(keys, **columns)
+
+
+def refresh(state: ChainState, compiled: CompiledGraph,
+            touched: Collection[Hashable], *, seed: int,
+            strategy: str = "sampling", radius: int = 1,
+            num_samples: int = 40, burn_in: int = 10,
+            expected_updates: int = 100,
+            ) -> tuple[ChainState, str, UpdateResult | None]:
+    """Carry ``state`` over to ``compiled`` and refresh what changed.
+
+    Variables ``state`` knows keep their world/marginal/mu; new ones start
+    from a ``seed``-drawn world and 0.5, and form the changed set together
+    with every variable whose key is in ``touched``.  ``strategy`` is
+    ``"sampling"``, ``"variational"`` or ``"auto"``
+    (:func:`choose_strategy` on the changed-set size); the same ``seed``
+    drives the resampling chain, so equal arguments give equal bits.
+    Returns the next state, the refresh that ran (``"none"`` when nothing
+    changed: evidence marginals are clamped, nothing is sampled) and the
+    strategy's :class:`UpdateResult`.
+    """
+    n = compiled.num_variables
+    keys = tuple(compiled.var_keys)
+    old_index = {key: i for i, key in enumerate(state.keys)}
+    source = np.fromiter((old_index.get(key, -1) for key in keys),
+                         dtype=np.int64, count=n)
+    known = source >= 0
+    kept = source[known]
+    world = np.random.default_rng(seed).random(n) < 0.5
+    marginals = np.full(n, 0.5)
+    mu = np.full(n, 0.5)
+    world[known] = state.world[kept]
+    marginals[known] = state.marginals[kept]
+    mu[known] = state.mu[kept]
+    changed = set(np.nonzero(~known)[0].tolist())      # brand-new variables
+    changed.update(i for i, key in enumerate(keys) if key in touched)
+
+    if not changed:
+        clamped = compiled.is_evidence
+        marginals[clamped] = compiled.evidence_values[clamped]
+        return ChainState(keys, world, marginals, mu), "none", None
+    if strategy == "auto":
+        strategy = choose_strategy(compiled, expected_updates=expected_updates,
+                                   expected_change_size=len(changed)).strategy
+    if strategy == "sampling":
+        chain = SamplingMaterialization.from_state(compiled, world, marginals,
+                                                   seed=seed)
+        update = chain.update(changed, radius=radius, num_samples=num_samples,
+                              burn_in=burn_in)
+        world = chain.world
+    elif strategy == "variational":
+        field = VariationalMaterialization.from_state(compiled, mu)
+        update = field.update(changed)
+        mu = field.mu
+    else:
+        raise ValueError(f"unknown refresh strategy {strategy!r}")
+    return ChainState(keys, world, update.marginals, mu), strategy, update

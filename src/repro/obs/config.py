@@ -12,6 +12,11 @@ Environment variables remain only as a documented *fallback*, read exactly
 once at config construction by :meth:`EngineConfig.from_env` -- never at
 query time, and never anywhere outside this module (a hygiene test enforces
 that).  Mutating the environment after construction has no effect.
+
+The engine, serving and compliance tables all go through one reader,
+:func:`_env_overrides`, so they share one failure contract: unset or blank
+means the default; set-but-rejected means the default *and* a
+:class:`RuntimeWarning` naming variable and value.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 VALID_BACKENDS = ("auto", "row", "columnar")
 VALID_PARALLEL_MODES = ("auto", "fork", "spawn")
@@ -47,6 +52,45 @@ def _parse_flag(raw: str) -> bool:
     if value in _FALSY:
         return False
     raise ValueError(f"not a boolean flag: {raw!r}")
+
+
+def _env_overrides(table: Mapping[str, str], parsers: Mapping[str, Callable],
+                   environ: Mapping[str, str] | None,
+                   check: Callable[[str, object], object] | None = None,
+                   ) -> tuple[dict, dict]:
+    """The one ``REPRO_*`` reader: ``(overrides, invalid)`` for one table.
+
+    ``table`` maps field name -> variable, ``parsers`` field name -> parser.
+    An unset (or blank) variable is skipped.  A set variable whose value
+    the parser -- or ``check(field, value)``, the owning dataclass's own
+    validation -- rejects with :class:`ValueError` is left out of
+    ``overrides`` (the field keeps its default), recorded in ``invalid``
+    (field name -> raw value) and always announced by one
+    :class:`RuntimeWarning` naming variable and value: no table drops a
+    typo silently.  What an invalid value *means* beyond the warning is
+    the caller's policy (compliance refuses to build an enabled policy).
+    """
+    env = os.environ if environ is None else environ
+    overrides: dict = {}
+    invalid: dict = {}
+    for field_name, var in table.items():
+        raw = env.get(var, "")
+        if not raw.strip():
+            continue
+        try:
+            value = parsers[field_name](raw)
+            if check is not None:
+                check(field_name, value)
+        except ValueError:
+            # CI's non-default legs turn exactly this message into an error
+            # (-W "error:ignoring invalid environment override")
+            warnings.warn(f"ignoring invalid environment override "
+                          f"{var}={raw!r}; the default applies",
+                          RuntimeWarning, stacklevel=3)
+            invalid[field_name] = raw
+        else:
+            overrides[field_name] = value
+    return overrides, invalid
 
 
 #: One parser per :data:`ENV_VARS` entry; range and membership checks are
@@ -162,25 +206,14 @@ class EngineConfig:
         variable that is set but does not parse, or parses to a value
         :meth:`__post_init__` rejects, also falls back to the default --
         with a :class:`RuntimeWarning` naming the variable and the value,
-        so a typo in a CI job cannot pass vacuously.  This classmethod is
-        the *only* code in the repository that reads the engine's
-        ``REPRO_*`` environment variables.
+        so a typo in a CI job cannot pass vacuously
+        (:func:`_env_overrides`, shared with the serving and compliance
+        tables).
         """
-        env = os.environ if environ is None else environ
-        config = cls()
-        for field_name, var in ENV_VARS.items():
-            raw = env.get(var, "")
-            if not raw.strip():
-                continue
-            try:
-                config = replace(
-                    config, **{field_name: _ENGINE_PARSERS[field_name](raw)})
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid engine override {var}={raw!r}; "
-                    f"using the default {getattr(config, field_name)!r}",
-                    RuntimeWarning, stacklevel=2)
-        return config
+        overrides, _invalid = _env_overrides(
+            ENV_VARS, _ENGINE_PARSERS, environ,
+            check=lambda field_name, value: cls(**{field_name: value}))
+        return cls(**overrides)
 
     def with_options(self, **changes) -> "EngineConfig":
         """A copy with ``changes`` applied (the config itself is frozen)."""
@@ -209,7 +242,7 @@ SERVE_ENV_VARS = {
 _SERVE_PARSERS = {
     "checkpoint_every": int,
     "keep_checkpoints": int,
-    "wal_fsync": lambda raw: raw.strip().lower() in _TRUTHY,
+    "wal_fsync": _parse_flag,
     "max_batch_ops": int,
     "queue_capacity": int,
     "admission": str,
@@ -221,25 +254,13 @@ _SERVE_PARSERS = {
 }
 
 
-def serve_env_overrides(environ: Mapping[str, str] | None = None) -> dict:
-    """Parse ``REPRO_SERVE_*`` fallbacks into ServeConfig keyword overrides.
-
-    Read once, leniently — unset or malformed variables are simply omitted
-    so the dataclass defaults (and its own validation) apply.  Like
-    :meth:`EngineConfig.from_env`, this is environment-reading code and
-    therefore lives in this module and nowhere else.
-    """
-    env = os.environ if environ is None else environ
-    overrides: dict = {}
-    for field_name, var in SERVE_ENV_VARS.items():
-        raw = env.get(var)
-        if raw is None:
-            continue
-        try:
-            overrides[field_name] = _SERVE_PARSERS[field_name](raw)
-        except ValueError:
-            continue
-    return overrides
+def serve_env_overrides(environ: Mapping[str, str] | None = None,
+                        check: Callable[[str, object], object] | None = None,
+                        ) -> tuple[dict, dict]:
+    """``REPRO_SERVE_*`` fallbacks as ``(ServeConfig overrides, invalid)``;
+    ``check`` is ``ServeConfig``'s per-field validation.  Contract:
+    :func:`_env_overrides`."""
+    return _env_overrides(SERVE_ENV_VARS, _SERVE_PARSERS, environ, check)
 
 
 # ----------------------------------------------------------- compliance env
@@ -260,7 +281,7 @@ COMPLIANCE_ENV_VARS = {
 }
 
 _COMPLIANCE_PARSERS = {
-    "enabled": lambda raw: raw.strip().lower() in _TRUTHY,
+    "enabled": _parse_flag,
     "default_action": str,
     "min_confidence": float,
     "key": str,
@@ -270,31 +291,14 @@ _COMPLIANCE_PARSERS = {
 }
 
 
-def compliance_env_overrides(environ: Mapping[str, str] | None = None,
-                             invalid: dict | None = None) -> dict:
-    """Parse ``REPRO_COMPLIANCE_*`` fallbacks into CompliancePolicy keyword
-    overrides — read once, in this module and nowhere else.
-
-    Unlike the other ``*_env_overrides`` readers, a compliance knob that is
-    set but unparseable is never dropped *silently*: discarding a typo'd
-    value would fail open (publish raw PII while the operator believes a
-    policy is active).  Each discard emits a :class:`RuntimeWarning` and is
-    recorded in ``invalid`` (field name -> raw value) when the caller
-    passes a dict — ``CompliancePolicy.from_env`` uses that to refuse to
-    construct an *enabled* policy from a partially-invalid environment.
-    """
-    env = os.environ if environ is None else environ
-    overrides: dict = {}
-    for field_name, var in COMPLIANCE_ENV_VARS.items():
-        raw = env.get(var)
-        if raw is None:
-            continue
-        try:
-            overrides[field_name] = _COMPLIANCE_PARSERS[field_name](raw)
-        except ValueError:
-            warnings.warn(
-                f"ignoring unparseable compliance override {var}={raw!r}",
-                RuntimeWarning, stacklevel=2)
-            if invalid is not None:
-                invalid[field_name] = raw
-    return overrides
+def compliance_env_overrides(
+        environ: Mapping[str, str] | None = None,
+        check: Callable[[str, object], object] | None = None,
+        ) -> tuple[dict, dict]:
+    """``REPRO_COMPLIANCE_*`` fallbacks as ``(CompliancePolicy overrides,
+    invalid)``; ``check`` is the policy's per-field validation.  Contract:
+    :func:`_env_overrides` -- ``CompliancePolicy.from_env`` uses ``invalid``
+    to refuse to construct an *enabled* policy (or one whose ``enabled``
+    flag itself did not parse) from a partially-invalid environment."""
+    return _env_overrides(COMPLIANCE_ENV_VARS, _COMPLIANCE_PARSERS, environ,
+                          check)

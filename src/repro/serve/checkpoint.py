@@ -8,7 +8,7 @@ weight to its initial value.
 One checkpoint file carries, as a single JSON document:
 
 * the datastore — either inline (``datastore.io`` dump, mutation counters
-  included) or, the v2 default, a *segment manifest* referencing
+  included) or, the default, a *segment manifest* referencing
   content-addressed segment files in the manager's ``segments/`` directory;
 * the factor graph (``factorgraph.serialize`` v2, id-exact);
 * the grounder's bookkeeping (:meth:`Grounder.state_dict`);
@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 from repro import obs
 
-#: v2 adds the segment-manifest database layout (v1 inline databases load
-#: unchanged).
+#: The one checkpoint format this build writes and reads: the database is a
+#: segment manifest (or, for callers that pass no ``database=``, an inline
+#: ``datastore.io`` dump).  ``format: 1`` documents are refused.
 CHECKPOINT_FORMAT_VERSION = 2
-SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
 
 SEGMENTS_DIRNAME = "segments"
 
@@ -299,10 +299,10 @@ class CheckpointManager:
             raise CheckpointError(
                 f"unreadable checkpoint {info.path}: {error}") from None
         version = payload.get("format")
-        if version not in SUPPORTED_CHECKPOINT_VERSIONS:
+        if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format {version!r} in {info.path}; "
-                f"this build reads versions {SUPPORTED_CHECKPOINT_VERSIONS}")
+                f"this build reads version {CHECKPOINT_FORMAT_VERSION} only")
         if payload.get("lsn") != info.lsn:
             raise CheckpointError(
                 f"checkpoint {info.path} claims lsn {payload.get('lsn')!r} "

@@ -6,8 +6,8 @@ loop's batching and refresh policy, and admission control for the bounded
 ingest queue.  Environment fallbacks (named in
 ``repro.obs.config.SERVE_ENV_VARS``) are parsed by
 :func:`repro.obs.config.serve_env_overrides` — the observability module is
-the single environment reader in the engine — and applied here once at
-construction.
+the single environment reader in the engine, with one failure contract for
+every table — and applied here once at construction.
 """
 
 from __future__ import annotations
@@ -136,26 +136,14 @@ class ServeConfig:
     def from_env(cls, environ: Mapping[str, str] | None = None) -> "ServeConfig":
         """Defaults overridden by any valid serve env vars (see
         ``repro.obs.config.SERVE_ENV_VARS``) plus any compliance
-        policy vars (``repro.obs.config.COMPLIANCE_ENV_VARS``)."""
-        overrides = serve_env_overrides(environ)
-        overrides["compliance"] = CompliancePolicy.from_env(environ)
-        try:
-            return cls(**overrides)
-        except ValueError:
-            # a set-but-invalid value (e.g. admission=maybe) falls back to
-            # defaults, matching EngineConfig.from_env's lenient contract
-            sane = {key: value for key, value in overrides.items()
-                    if _field_valid(key, value)}
-            return cls(**sane)
+        policy vars (``repro.obs.config.COMPLIANCE_ENV_VARS``).  A set
+        variable that does not parse, or that ``__post_init__`` rejects
+        (``admission=maybe``), keeps its default and emits the reader's
+        ``RuntimeWarning`` naming variable and value."""
+        overrides, _invalid = serve_env_overrides(
+            environ, check=lambda key, value: cls(**{key: value}))
+        return cls(compliance=CompliancePolicy.from_env(environ), **overrides)
 
     def with_options(self, **changes) -> "ServeConfig":
         """A copy with ``changes`` applied (the config itself is frozen)."""
         return replace(self, **changes)
-
-
-def _field_valid(key: str, value) -> bool:
-    try:
-        ServeConfig(**{key: value})
-        return True
-    except ValueError:
-        return False

@@ -19,9 +19,7 @@ the same numbers the crashed service would have published.  Concurrency
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.compliance.anonymizer import Anonymizer
@@ -32,10 +30,9 @@ from repro.compliance.scanner import Scanner
 from repro.core.app import DeepDive
 from repro.datastore.io import database_from_dict, database_to_dict
 from repro.ddlog.validate import evidence_base
-from repro.factorgraph import CompiledGraph, decode_key, encode_key
+from repro.factorgraph import CompiledGraph
 from repro.factorgraph import serialize as fg_serialize
-from repro.grounding import (Grounder, SamplingMaterialization,
-                             VariationalMaterialization, choose_strategy)
+from repro.grounding import ChainState, Grounder
 from repro.nlp.pipeline import Document
 from repro.serve.config import ServeConfig
 from repro.serve.ops import (AddDocuments, AddRows, AddRules, IngestOp,
@@ -91,11 +88,6 @@ class ServeEngine:
         # freshly compiled graphs are prestaged into its segment cache so
         # the first dispatch against a new version pays no packing cost.
         self.pool = None
-        # inference state carried between batches, keyed by variable key so
-        # it survives graph recompilation (and checkpointing)
-        self._world: dict[Hashable, bool] = {}
-        self._marginals: dict[Hashable, float] = {}
-        self._mu: dict[Hashable, float] = {}
         # publish-time compliance: one anonymizer for the engine's lifetime
         # so the surrogate-collision backstop spans every version published
         # by this writer (surrogates themselves are pure HMAC functions)
@@ -190,78 +182,25 @@ class ServeEngine:
     def _refresh(self, touched: set) -> tuple[dict, str]:
         """Incremental marginal refresh over the touched neighbourhood."""
         compiled = CompiledGraph(self.app.graph)
-        n = compiled.num_variables
-        if n == 0:
-            self._world, self._marginals, self._mu = {}, {}, {}
-            return {}, "none"
-        self._prestage(compiled)
-        seed = self._refresh_seed()
-        rng = np.random.default_rng(seed)
-        world = rng.random(n) < 0.5
-        marginals = np.full(n, 0.5)
-        mu = np.full(n, 0.5)
-        changed: set[int] = set()
-        for index, key in enumerate(compiled.var_keys):
-            if key in self._world:
-                world[index] = self._world[key]
-                marginals[index] = self._marginals[key]
-            else:
-                changed.add(index)              # brand-new variable
-            stored_mu = self._mu.get(key)
-            if stored_mu is not None:
-                mu[index] = stored_mu
-            if key in touched:
-                changed.add(index)
-
-        if not changed:
-            clamped = compiled.is_evidence
-            marginals[clamped] = compiled.evidence_values[clamped]
-            refresh = "none"
-        else:
-            refresh = self.config.strategy
-            if refresh == "auto":
-                choice = choose_strategy(
-                    compiled, expected_updates=self.config.expected_updates,
-                    expected_change_size=len(changed))
-                refresh = choice.strategy
-            with obs.span("serve.refresh", strategy=refresh,
-                          changed=len(changed)) as sp:
-                if refresh == "sampling":
-                    strategy = SamplingMaterialization.from_state(
-                        compiled, world, marginals, seed=seed)
-                    update = strategy.update(
-                        changed, radius=self.config.radius,
-                        num_samples=self.config.refresh_samples,
-                        burn_in=self.config.refresh_burn_in)
-                    world = strategy.world
-                else:
-                    strategy = VariationalMaterialization.from_state(compiled, mu)
-                    update = strategy.update(changed)
-                    mu = strategy.mu
-                marginals = update.marginals
-                sp.set(work=update.work)
-            if obs.enabled():
-                obs.observe("serve.refresh.work", update.work,
-                            strategy=refresh)
-
-        self._world = {key: bool(world[i])
-                       for i, key in enumerate(compiled.var_keys)}
-        self._marginals = {key: float(marginals[i])
-                           for i, key in enumerate(compiled.var_keys)}
-        self._mu = {key: float(mu[i])
-                    for i, key in enumerate(compiled.var_keys)}
-        return dict(self._marginals), refresh
+        if compiled.num_variables:
+            self._prestage(compiled)
+        config = self.config
+        with obs.span("serve.refresh", touched=len(touched)) as sp:
+            refreshed, update = self.app.refresh_chain(
+                compiled, touched, seed=self._refresh_seed(),
+                strategy=config.strategy, radius=config.radius,
+                num_samples=config.refresh_samples,
+                burn_in=config.refresh_burn_in,
+                expected_updates=config.expected_updates)
+            sp.set(strategy=refreshed, work=update.work if update else 0.0)
+        if update is not None and obs.enabled():
+            obs.observe("serve.refresh.work", update.work, strategy=refreshed)
+        return self.app.chain_state.marginals_by_key(), refreshed
 
     def _full_run(self) -> dict:
-        """Full learn+inference; re-seeds the incremental state from it."""
+        """Full learn+inference; the app re-seeds its chain state from it."""
         with obs.span("serve.full_run"):
-            result = self.app.run(**self.run_kwargs)
-        chain = self.app.chain_state
-        self._world = dict(chain["world"])
-        self._marginals = dict(chain["marginals"])
-        # mean-field parameters warm-start from the fresh marginals
-        self._mu = dict(chain["marginals"])
-        return {key: float(value) for key, value in result.marginals.items()}
+            return self.app.run(**self.run_kwargs).marginals
 
     # ------------------------------------------------------------ rule delta
     def _base_relation_names(self, app: DeepDive) -> list[str]:
@@ -298,8 +237,8 @@ class ServeEngine:
                 for d in self.app.program.variable_relations()}
 
     def _publish(self, marginals: dict, lsn: int, refresh: str) -> Snapshot:
+        """Publish ``marginals`` (a fresh dict the snapshot takes over)."""
         self.version += 1
-        marginals = dict(marginals)
         manifest = None
         policy = self.config.compliance
         if policy.enabled:
@@ -354,14 +293,7 @@ class ServeEngine:
             "rule_deltas": list(self.rule_deltas),
             "graph": fg_serialize.to_dict(self.app.graph),
             "grounder": self.app.grounder.state_dict(),
-            "state": {
-                "world": [[encode_key(key), value]
-                          for key, value in self._world.items()],
-                "marginals": [[encode_key(key), value]
-                              for key, value in self._marginals.items()],
-                "mu": [[encode_key(key), value]
-                       for key, value in self._mu.items()],
-            },
+            "state": self.app.chain_state.to_payload(),
         }
         if inline_database:
             payload["database"] = database_to_dict(self.app.db)
@@ -389,18 +321,13 @@ class ServeEngine:
             grounder = Grounder.restore(app.program, db, graph,
                                         payload["grounder"],
                                         config=app.config)
-            app.adopt(db, grounder)
+            app.adopt(db, grounder,
+                      chain_state=ChainState.from_payload(payload["state"]))
         engine.app = app
-        state = payload["state"]
-        engine._world = {decode_key(key): bool(value)
-                         for key, value in state["world"]}
-        engine._marginals = {decode_key(key): float(value)
-                             for key, value in state["marginals"]}
-        engine._mu = {decode_key(key): float(value)
-                      for key, value in state["mu"]}
         return engine
 
     def current_snapshot(self, lsn: int, refresh: str = "restored") -> Snapshot:
         """Re-publish the engine's current marginals (post-restore)."""
         self.version -= 1                        # _publish re-increments
-        return self._publish(dict(self._marginals), lsn=lsn, refresh=refresh)
+        return self._publish(self.app.chain_state.marginals_by_key(),
+                             lsn=lsn, refresh=refresh)

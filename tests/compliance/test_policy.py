@@ -68,7 +68,8 @@ def test_env_overrides_parse():
         "REPRO_COMPLIANCE_KEY": "secret",
         "REPRO_COMPLIANCE_RULES": "AdPhone.phone=drop",
     }
-    overrides = compliance_env_overrides(environ)
+    overrides, invalid = compliance_env_overrides(environ)
+    assert not invalid
     assert overrides["enabled"] is True
     assert overrides["default_action"] == "anonymize"
 
@@ -79,37 +80,51 @@ def test_env_overrides_parse():
 
 
 def test_env_overrides_warn_and_report_unparseable_values():
-    invalid = {}
-    with pytest.warns(RuntimeWarning, match="SAMPLE_ROWS"):
-        overrides = compliance_env_overrides(
-            {"REPRO_COMPLIANCE_SAMPLE_ROWS": "not-a-number"},
-            invalid=invalid)
+    with pytest.warns(RuntimeWarning, match="SAMPLE_ROWS='not-a-number'"):
+        overrides, invalid = compliance_env_overrides(
+            {"REPRO_COMPLIANCE_SAMPLE_ROWS": "not-a-number"})
     assert "sample_rows" not in overrides
     assert invalid == {"sample_rows": "not-a-number"}
 
 
-def test_from_env_enabled_with_invalid_value_fails_closed():
+@pytest.mark.parametrize("raw", ["ture", "enabled", "2"])
+def test_unparseable_enabled_flag_fails_closed(raw):
+    # 'ture' used to parse as *disabled*, silently: raw PII published while
+    # the operator believed a policy was on
+    with pytest.warns(RuntimeWarning, match="REPRO_COMPLIANCE_ENABLED"):
+        with pytest.raises(PolicyError, match="enabled="):
+            CompliancePolicy.from_env({"REPRO_COMPLIANCE_ENABLED": raw,
+                                       "REPRO_COMPLIANCE_ACTION": "redact"})
+
+
+@pytest.mark.parametrize("raw,enabled", [("1", True), ("TRUE", True),
+                                         ("off", False), ("0", False),
+                                         ("", False), ("  ", False)])
+def test_enabled_flag_spellings(raw, enabled):
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        policy = CompliancePolicy.from_env({"REPRO_COMPLIANCE_ENABLED": raw})
+    assert policy.enabled is enabled
+
+
+@pytest.mark.parametrize("variable,raw,named", [
+    ("REPRO_COMPLIANCE_ACTION", "anonimize", "anonimize"),          # typo
+    ("REPRO_COMPLIANCE_SAMPLE_ROWS", "not-a-number", "sample_rows"),
+    ("REPRO_COMPLIANCE_RULES", "AdPhone.phone", "rules"),       # no action
+])
+def test_from_env_enabled_with_invalid_value_fails_closed(variable, raw, named):
     # a typo'd action under an enabled policy must not silently fall back
     # to 'allow' and publish raw PII — construction refuses instead
-    with pytest.raises(PolicyError, match="anonimize"):
-        CompliancePolicy.from_env({
-            "REPRO_COMPLIANCE_ENABLED": "1",
-            "REPRO_COMPLIANCE_ACTION": "anonimize",       # typo
-        })
-    with pytest.raises(PolicyError, match="sample_rows"):
-        CompliancePolicy.from_env({
-            "REPRO_COMPLIANCE_ENABLED": "1",
-            "REPRO_COMPLIANCE_SAMPLE_ROWS": "not-a-number",
-        })
-    with pytest.raises(PolicyError, match="rules"):
-        CompliancePolicy.from_env({
-            "REPRO_COMPLIANCE_ENABLED": "1",
-            "REPRO_COMPLIANCE_RULES": "AdPhone.phone",    # no action
-        })
+    with pytest.warns(RuntimeWarning, match=variable):
+        with pytest.raises(PolicyError, match=named):
+            CompliancePolicy.from_env({"REPRO_COMPLIANCE_ENABLED": "1",
+                                       variable: raw})
 
 
 def test_from_env_disabled_invalid_value_warns_and_falls_back():
-    with pytest.warns(RuntimeWarning, match="default_action"):
+    with pytest.warns(RuntimeWarning,
+                      match="REPRO_COMPLIANCE_ACTION='shred'"):
         policy = CompliancePolicy.from_env({
             "REPRO_COMPLIANCE_ACTION": "shred",           # invalid
         })

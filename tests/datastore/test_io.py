@@ -98,16 +98,22 @@ class TestMutationVersionRoundTrip:
         restored = database_from_dict(database_to_dict(db))
         assert restored["people"].mutation_version == before
 
-    def test_v1_payload_without_counters_loads(self):
+    @pytest.mark.parametrize("version", [1, 2, 4, "3", None])
+    def test_other_versions_are_refused(self, version):
+        """v1/v2 (expanded rows) lost their reader with their last writer;
+        anything but the current format raises, naming the one it reads."""
         db = Database()
         db.create("people", name="text")
         db.insert("people", [("alice",)])
-        data = database_to_dict(db, version=2)   # v1 = v2's rows, no counters
-        data["version"] = 1
-        for item in data["relations"].values():
-            del item["mutation_version"]
-        restored = database_from_dict(data)
-        assert sorted(restored["people"]) == sorted(db["people"])
+        data = database_to_dict(db)
+        assert data["version"] == 3
+        data["version"] = version
+        with pytest.raises(ValueError, match="reads version 3 only"):
+            database_from_dict(data)
+
+    def test_writer_takes_no_version(self):
+        with pytest.raises(TypeError):
+            database_to_dict(Database(), version=2)
 
     def test_counter_cannot_rewind(self):
         relation = Relation("r", Schema.of(a="int"))

@@ -81,17 +81,7 @@ class TestFormatVersions:
         assert serialize.FORMAT_VERSION == 2
         assert to_dict(sample_graph())["version"] == 2
 
-    def test_v1_payload_still_loads(self):
-        """Archives written before stable ids keep loading (compacted ids)."""
-        graph = sample_graph()
-        data = to_dict(graph)
-        data["version"] = 1
-        for weight in data["weights"]:
-            del weight["observations"]
-        restored = from_dict(data)
-        assert signature(restored) == signature(graph)
-
-    @pytest.mark.parametrize("version", [0, 3, 999, "2", None])
+    @pytest.mark.parametrize("version", [0, 1, 3, 999, "2", None])
     def test_unknown_version_rejected_with_clear_error(self, version):
         from repro.factorgraph.serialize import SerializationError
         data = to_dict(sample_graph())
@@ -100,7 +90,7 @@ class TestFormatVersions:
             from_dict(data)
         message = str(excinfo.value)
         assert repr(version) in message
-        assert "(1, 2)" in message          # the supported versions are named
+        assert "reads version 2 only" in message   # the one version is named
 
     def test_missing_version_rejected(self):
         data = to_dict(sample_graph())

@@ -6,6 +6,7 @@ rest of the source tree environment-free so configuration stays explicit.
 """
 
 import pathlib
+import re
 
 import repro
 
@@ -44,13 +45,19 @@ def test_no_repro_env_var_literals_outside_obs():
 
 REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "use_backend", "set_backend", "run_replicas_parallel",
-                 "fanout_map")
+                 "fanout_map",
+                 # dead format readers (datastore v1/v2, graph v1, checkpoint 1)
+                 "_from_dict_v1", "_encode_key", "_decode_key",
+                 "SUPPORTED_DATABASE_VERSIONS", "SUPPORTED_CHECKPOINT_VERSIONS",
+                 # a second copy of the chain state beside DeepDive.chain_state
+                 "self._world", "self._mu")
 
 
 def test_knobs_have_not_drifted():
     """Every engine field has exactly one env fallback, every fallback is
-    documented, and the selectors retired with their duplicate engines
-    (reference Gibbs engine, cold pools, backend overrides) stay retired."""
+    documented, and what was retired with its duplicate (reference Gibbs
+    engine, cold pools, backend overrides, readers of formats nothing
+    writes, the serving engine's own chain-state dicts) stays retired."""
     import dataclasses
 
     from repro.obs.config import (COMPLIANCE_ENV_VARS, ENV_VARS,
@@ -69,5 +76,22 @@ def test_knobs_have_not_drifted():
     offenders = [f"{path.relative_to(SRC_ROOT)}: {name}"
                  for path in sorted(SRC_ROOT.rglob("*.py"))
                  for name in REMOVED_NAMES
-                 if name in path.read_text(encoding="utf-8")]
+                 if re.search(re.escape(name) + r"\b",
+                              path.read_text(encoding="utf-8"))]
     assert not offenders, "retired names under src/:\n  " + "\n  ".join(offenders)
+
+
+def test_ambient_environment_is_accepted_by_every_reader():
+    """The process environment this suite runs under (CI's matrix legs set
+    ``REPRO_*`` variables) parses cleanly through all three tables: a typo
+    in a leg's ``engine-env`` fails here instead of running the leg with
+    defaults.  (CI also turns the reader's warning into an error.)"""
+    import warnings
+
+    from repro.obs.config import EngineConfig
+    from repro.serve import ServeConfig
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        EngineConfig.from_env()
+        ServeConfig.from_env()

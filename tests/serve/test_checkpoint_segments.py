@@ -140,24 +140,28 @@ class TestRefcountedPrune:
         assert "checkpoint-000000000002.refs.json" in names
         assert "checkpoint-000000000001.refs.json" not in names
 
-    def test_v1_inline_checkpoint_still_loads_and_blocks_nothing(
+    def test_format_1_checkpoint_is_refused_and_blocks_nothing(
             self, tmp_path):
-        """An old inline-database checkpoint (format 1) loads, and pruning
-        around it never deletes segments newer checkpoints need."""
+        """A ``format: 1`` checkpoint (the pre-segment inline layout, whose
+        reader is gone) is refused with a typed error, and pruning around
+        it never touches newer checkpoints or the segments they need."""
         db = small_db()
         manager = CheckpointManager(tmp_path, keep=2)
         from repro.datastore.io import database_to_dict
         manager.save({**payload(),
                       "database": database_to_dict(db)}, lsn=1)
-        # rewrite as format 1 (what a pre-segment build wrote)
         info = manager.list()[0]
         document = json.loads(info.path.read_text())
         document["format"] = 1
         info.path.write_text(json.dumps(document))
         db["people"].insert(("frank", 70))
         manager.save(payload(), lsn=2, database=db)
-        loaded_old = manager.load(manager.list()[0])
-        assert loaded_old["format"] == 1
+        with pytest.raises(CheckpointError, match="reads version 2 only"):
+            manager.load(manager.list()[0])
+        segments = {p.name for p in manager.segments_dir.iterdir()}
+        manager.prune()
+        assert {p.name for p in manager.segments_dir.iterdir()} == segments
+        assert [i.lsn for i in manager.list()] == [1, 2]
         restored_new = database_from_dict(manager.load()["database"])
         assert restored_new["people"].counts_copy() == db["people"].counts_copy()
 

@@ -160,11 +160,62 @@ class TestRuleDeltas:
                    for _values, positive, negative in after["GoodName"])
 
 
+class TestOneRefreshPath:
+    """The engine's refresh and ``DeepDive.run_incremental`` are the same
+    function (``repro.grounding.refresh``) behind two thin callers: given
+    the same seed and sampling arguments they publish the same bits."""
+
+    def test_engine_and_run_incremental_publish_identical_marginals(
+            self, monkeypatch):
+        from repro import Document
+        from repro.serve.engine import DEFAULT_RUN_KWARGS
+
+        # the engine seeds per version; pin it to run_incremental's seed
+        monkeypatch.setattr(ServeEngine, "_refresh_seed",
+                            lambda self: self.app.seed + 7)
+        engine = fresh_engine(strategy="sampling", radius=1)
+        engine.bootstrap(bootstrap_ops())
+
+        app = make_app_factory()("")
+        for op in bootstrap_ops():
+            if hasattr(op, "documents"):
+                app.load_documents([Document(*d) for d in op.documents])
+            else:
+                app.add_rows(op.relation, op.rows)
+        app.run(**{**DEFAULT_RUN_KWARGS, **RUN_KWARGS})
+
+        deltas = [
+            ("n0", "the grape and the blight sat there ."),
+            ("n1", "the melon sat there ."),
+        ]
+        for lsn, doc in enumerate(deltas, start=1):
+            served = engine.apply_batch([add_documents([doc])], lsn=lsn)
+            app.load_documents([Document(*doc)])
+            direct = app.run_incremental(threshold=0.7, radius=1,
+                                         num_samples=40, burn_in=10)
+            assert served.refresh == "sampling"
+            assert dict(served.marginals) == direct.marginals
+            assert list(served.marginals) == list(direct.marginals)
+        # ... and hold the same chain state afterwards
+        assert (engine.app.chain_state.to_payload()
+                == app.chain_state.to_payload())
+
+    def test_engine_keeps_no_chain_state_of_its_own(self):
+        engine = fresh_engine()
+        engine.bootstrap(bootstrap_ops())
+        for name in ("_world", "_marginals", "_mu"):
+            assert not hasattr(engine, name)
+        with pytest.raises(AttributeError):
+            engine.app.chain_state = None            # no setter
+        with pytest.raises(TypeError):
+            engine.app.adopt(engine.app.db, engine.app.grounder)
+
+
 class TestCheckpointRestore:
     def test_restore_is_bit_identical(self):
         engine = fresh_engine()
         engine.bootstrap(bootstrap_ops())
-        engine.apply_batch(
+        published = engine.apply_batch(
             [add_documents([("new", "the grape sat there .")])], lsn=1)
         payload = engine.checkpoint_payload()
 
@@ -173,7 +224,7 @@ class TestCheckpointRestore:
                                        run_kwargs=RUN_KWARGS)
         snapshot = restored.current_snapshot(lsn=1)
         assert snapshot.version == engine.version
-        assert dict(snapshot.marginals) == engine._marginals
+        assert dict(snapshot.marginals) == dict(published.marginals)
 
         # and the *next* batch behaves identically on both engines
         batch = [add_documents([("n2", "the melon and the decay sat there .")])]
