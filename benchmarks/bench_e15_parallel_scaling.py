@@ -3,8 +3,7 @@
 Unlike E4 (which scales the *modeled* NUMA cost), this experiment measures
 actual wall-clock time: the replica chains genuinely run in warm worker
 processes over one shared-memory copy of the compiled graph
-(:mod:`repro.parallel`), and the corpus loader genuinely fans the NLP
-chain across the same persistent pool.
+(:mod:`repro.parallel`) -- the pool's one caller, ``NumaGibbs``.
 
 Artifacts:
 
@@ -16,9 +15,7 @@ Artifacts:
   iteration loop sees;
 * dispatch overhead, cold vs warm: the first dispatch on a fresh pool
   pays spawn + shared-memory packing; the second hits the segment cache.
-  The warm overhead must be < 10% of the cold one;
-* corpus loading wall clock sequential vs 4 warm workers -- relation
-  contents asserted byte-identical.
+  The warm overhead must be < 10% of the cold one.
 
 Acceptance floor: >= 1.5x replica speedup at some worker count, asserted
 only when the host actually has >= 4 usable CPUs (the determinism and
@@ -35,10 +32,8 @@ import numpy as np
 import pytest
 from conftest import once, write_json
 
-from repro.datastore import Database
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import NumaConfig, NumaGibbs
-from repro.nlp.pipeline import Document, load_corpus
 from repro.parallel import get_pool, shutdown_pools
 
 SOCKETS = 4
@@ -92,14 +87,6 @@ def timed_run(compiled: CompiledGraph, workers: int):
     start = time.perf_counter()
     result = run_once(compiled, workers)
     return time.perf_counter() - start, result
-
-
-def corpus_documents(count=120, sentences_per_doc=12) -> list[Document]:
-    body = " ".join(
-        f"<p>Researcher {i} of group {{d}} studies statistical inference "
-        f"over factor graphs and reports strong marginal estimates.</p>"
-        for i in range(sentences_per_doc))
-    return [Document(f"doc{d}", body.format(d=d)) for d in range(count)]
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -214,45 +201,3 @@ def test_e15_replica_scaling(benchmark, reporter):
     if gated:
         assert best >= SPEEDUP_FLOOR
 
-
-def test_e15_corpus_fanout(benchmark, reporter):
-    measurements = {}
-
-    def experiment():
-        docs = corpus_documents()
-        db_seq = Database()
-        start = time.perf_counter()
-        rows = load_corpus(db_seq, docs, workers=0)
-        seq_time = time.perf_counter() - start
-
-        # warm the pool (spawn workers) before the timed parallel load
-        load_corpus(Database(), docs[:8], workers=4, pool_min_work=0)
-        db_par = Database()
-        start = time.perf_counter()
-        par_rows = load_corpus(db_par, docs, workers=4)
-        par_time = time.perf_counter() - start
-
-        assert rows == par_rows
-        assert list(db_seq["sentences"]) == list(db_par["sentences"])
-        assert list(db_seq["documents"]) == list(db_par["documents"])
-        measurements.update(seq_time=seq_time, par_time=par_time,
-                            docs=len(docs), rows=rows)
-        return measurements
-
-    once(benchmark, experiment)
-
-    seq_time = measurements["seq_time"]
-    par_time = measurements["par_time"]
-    speedup = seq_time / par_time
-    reporter.line("E15 -- corpus fan-out (load_corpus, 4 warm workers)")
-    reporter.line(f"{measurements['docs']} documents -> "
-                  f"{measurements['rows']} sentence rows; "
-                  f"host CPUs: {os.cpu_count() or 1} "
-                  f"({effective_cpus()} usable)")
-    reporter.line()
-    reporter.table(
-        ["path", "wall clock", "speedup"],
-        [["sequential", f"{seq_time:.3f}s", "1.00x"],
-         ["4 workers", f"{par_time:.3f}s", f"{speedup:.2f}x"]])
-    reporter.line()
-    reporter.line("relation contents byte-identical: yes")

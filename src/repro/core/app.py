@@ -40,11 +40,11 @@ class DeepDive:
     """A DeepDive application over one aspirational schema.
 
     ``config`` is the typed engine configuration: datastore backend,
-    worker pool, memory budget, NUMA topology, and whether runs are
-    traced.  When omitted it is read once from the environment via
+    memory budget, segment size, and whether runs are traced.  When
+    omitted it is read once from the environment via
     :meth:`EngineConfig.from_env`; it is then threaded explicitly through
-    the database, grounder, and corpus loader, so mutating the environment
-    after construction has no effect.
+    the database and grounder, so mutating the environment after
+    construction has no effect.
     """
 
     def __init__(self, program: DDlogProgram | str, seed: int = 0,
@@ -102,13 +102,8 @@ class DeepDive:
         NLP pipeline and the extractor UDFs are deterministic over document
         content, so recomputation is the inverse of ingestion.
         """
-        with obs.span("nlp.preprocess", documents=len(documents),
-                      workers=self.config.workers):
-            per_doc = preprocess_corpus(
-                documents, workers=self.config.workers,
-                parallel_mode=self.config.parallel_mode,
-                pool_min_work=self.config.pool_min_work,
-                pool_owner=self.config.pool_owner)
+        with obs.span("nlp.preprocess", documents=len(documents)):
+            per_doc = preprocess_corpus(documents)
             sentences = [s for group in per_doc for s in group]
         with obs.span("extractors.run",
                       extractors=len(self._extractors)) as sp:

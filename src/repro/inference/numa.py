@@ -40,11 +40,8 @@ import numpy as np
 from repro import obs
 from repro.factorgraph.compiled import CompiledGraph
 from repro.inference.gibbs import GibbsSampler
-from repro.obs.config import (DEFAULT_POOL_MIN_WORK, VALID_PARALLEL_MODES,
-                              EngineConfig)
-from repro.parallel.dispatch import decide_replicas
 from repro.parallel.registry import get_pool
-from repro.parallel.warm import ReplicaOutcome
+from repro.parallel.warm import VALID_PARALLEL_MODES, ReplicaOutcome
 
 
 @dataclass(frozen=True)
@@ -54,16 +51,13 @@ class NumaConfig:
     The simulated cost model sits atop real :class:`GibbsSampler` sweeps,
     one replica chain per socket.
 
-    ``workers`` turns the replica loop into *real* parallelism: with
+    ``workers`` is the one switch for *real* parallelism: with
     ``workers > 0`` (and more than one NUMA-aware socket) the replica
     chains run on the warm :class:`~repro.parallel.warm.WorkerPool`
     against a shared-memory copy of the compiled graph, producing
     bit-identical totals to the sequential loop.  ``workers=0`` keeps the
     sequential reference path.  ``parallel_mode`` and ``parallel_timeout``
-    tune the pool's start method and crash/stall deadline;
-    ``pool_min_work`` is the adaptive dispatcher's threshold -- replica
-    runs whose estimated work falls below it stay sequential regardless
-    of ``workers``.
+    tune the pool's start method and crash/stall deadline.
     """
 
     sockets: int = 4
@@ -74,36 +68,20 @@ class NumaConfig:
     workers: int = 0
     parallel_mode: str = "auto"
     parallel_timeout: float = 120.0
-    pool_min_work: int = DEFAULT_POOL_MIN_WORK
-    pool_owner: str | None = None
 
     def __post_init__(self) -> None:
         if self.sockets < 1:
             raise ValueError("need at least one socket")
         if self.remote_penalty < 1.0:
             raise ValueError("remote accesses cannot be cheaper than local")
+        if self.sync_every < 1:
+            raise ValueError("sync_every must be at least 1 sweep")
         if self.workers < 0:
             raise ValueError("workers cannot be negative (0 = sequential)")
         if self.parallel_mode not in VALID_PARALLEL_MODES:
             raise ValueError(f"unknown parallel mode {self.parallel_mode!r}")
         if self.parallel_timeout <= 0:
             raise ValueError("parallel_timeout must be positive")
-        if self.pool_min_work < 0:
-            raise ValueError("pool_min_work cannot be negative "
-                             "(0 = always dispatch)")
-
-    @classmethod
-    def from_engine_config(cls, config: EngineConfig,
-                           **overrides) -> "NumaConfig":
-        """Topology seeded from an :class:`EngineConfig` (socket count and
-        worker pool), with cost-model fields overridable per call."""
-        merged = {"sockets": config.numa_sockets,
-                  "workers": config.workers,
-                  "parallel_mode": config.parallel_mode,
-                  "pool_min_work": config.pool_min_work,
-                  "pool_owner": config.pool_owner}
-        merged.update(overrides)
-        return cls(**merged)
 
 
 @dataclass
@@ -195,8 +173,7 @@ class NumaGibbs:
         bit-identical sequential loop."""
         config = self.config
         pool = get_pool(config.workers, mode=config.parallel_mode,
-                        timeout=config.parallel_timeout,
-                        owner=config.pool_owner)
+                        timeout=config.parallel_timeout)
         if pool is None:
             return None
         return pool.run_replicas(
@@ -223,12 +200,7 @@ class NumaGibbs:
                       workers=config.workers) as sp:
             if config.numa_aware and config.sockets > 1:
                 outcome = None
-                decision = decide_replicas(
-                    self.compiled, sockets=config.sockets,
-                    total_sweeps=total_sweeps, workers=config.workers,
-                    min_work=config.pool_min_work)
-                decision.record()
-                if decision.use_pool:
+                if config.workers > 0:
                     outcome = self._run_replicas_pool(total_sweeps, burn_in)
                 if outcome is None:
                     outcome = self._run_replicas_sequential(total_sweeps,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.datastore import Database, Schema
@@ -86,9 +86,9 @@ def sentence_rows(doc_id: str, content: str) -> list[tuple]:
 def preprocess_document_rows(doc: Document) -> list[tuple]:
     """The ``sentences`` relation rows for one document.
 
-    What pool workers map over a corpus for :func:`iter_corpus_rows`: plain
-    row tuples pickle smaller than :class:`Sentence` objects and stream
-    straight into ``insert_many``.
+    What :func:`iter_corpus_rows` maps over a corpus: plain row tuples
+    stream straight into ``insert_many`` with no :class:`Sentence` objects
+    in between.
     """
     return sentence_rows(doc.doc_id, doc.content)
 
@@ -99,69 +99,17 @@ def preprocess_document(doc: Document) -> list[Sentence]:
             for row in sentence_rows(doc.doc_id, doc.content)]
 
 
-def _pool_map(fn: Callable[[Document], list],
-              documents: Sequence[Document], workers: int,
-              parallel_mode: str, pool_min_work: int | None,
-              pool_owner: str | None) -> list[list] | None:
-    """``[fn(d) for d in documents]`` computed on the warm worker pool, or
-    ``None`` when the sequential loop should run instead.
-
-    The adaptive dispatcher keeps corpora whose total character count
-    estimates below ``pool_min_work`` sequential, ``pool_owner`` selects a
-    private registry partition (a sharded service's per-shard pool), and a
-    pool failure is ``None`` too.
-    """
-    if workers <= 0 or len(documents) <= 1:
-        return None
-    from repro.obs.config import DEFAULT_POOL_MIN_WORK
-    from repro.parallel import decide_map, get_pool
-    if pool_min_work is None:
-        pool_min_work = DEFAULT_POOL_MIN_WORK
-    decision = decide_map(sum(len(doc.content) for doc in documents),
-                          workers=workers, min_work=pool_min_work)
-    decision.record()
-    if not decision.use_pool:
-        return None
-    pool = get_pool(workers, mode=parallel_mode, owner=pool_owner)
-    return pool.map(fn, documents) if pool is not None else None
+def preprocess_corpus(documents: Sequence[Document]) -> list[list[Sentence]]:
+    """Per-document sentence lists: ``[preprocess_document(d) for d in
+    documents]``."""
+    return [preprocess_document(doc) for doc in documents]
 
 
-def preprocess_corpus(documents: Sequence[Document], workers: int = 0,
-                      parallel_mode: str = "auto",
-                      pool_min_work: int | None = None,
-                      pool_owner: str | None = None
-                      ) -> list[list[Sentence]]:
-    """Per-document sentence lists, fanned out when ``workers > 0``.
-
-    The parallel layer's chunked order-preserving merge returns exactly
-    what the sequential loop would; a pool failure silently falls back to
-    that loop, so callers always get ``[preprocess_document(d) for d in
-    docs]``.  See :func:`_pool_map` for the pool parameters.
-    """
-    per_doc = _pool_map(preprocess_document, documents, workers,
-                        parallel_mode, pool_min_work, pool_owner)
-    if per_doc is None:
-        per_doc = [preprocess_document(doc) for doc in documents]
-    return per_doc
-
-
-def iter_corpus_rows(documents: Sequence[Document], workers: int = 0,
-                     parallel_mode: str = "auto",
-                     pool_min_work: int | None = None,
-                     pool_owner: str | None = None):
+def iter_corpus_rows(documents: Iterable[Document]):
     """Lazily yield per-document ``sentences`` row lists (the row-iterator
-    protocol's NLP face).
-
-    Bit-identical to ``[preprocess_document_rows(d) for d in documents]``:
-    the sequential path is a generator (one document's rows resident at a
-    time), and the pooled path maps :func:`preprocess_document_rows` so
-    workers return row tuples directly.
-    """
-    per_doc = _pool_map(preprocess_document_rows, documents, workers,
-                        parallel_mode, pool_min_work, pool_owner)
-    if per_doc is None:
-        per_doc = (preprocess_document_rows(doc) for doc in documents)
-    return per_doc
+    protocol's NLP face): one document's rows resident at a time, equal to
+    ``[preprocess_document_rows(d) for d in documents]``."""
+    return (preprocess_document_rows(doc) for doc in documents)
 
 
 def iter_document_chunks(documents: Iterable[Document],
@@ -184,53 +132,36 @@ def iter_document_chunks(documents: Iterable[Document],
 
 
 def load_corpus(db: Database, documents: Iterable[Document],
-                workers: int | None = None,
-                parallel_mode: str | None = None,
-                pool_min_work: int | None = None,
                 chunk_docs: int | None = None) -> int:
     """Preprocess ``documents`` into the ``documents``/``sentences`` relations.
 
     Creates the relations if absent.  Returns the number of sentences loaded.
     Rows are built per document and bulk-loaded with ``insert_many`` (one
-    relation version bump instead of one per row); ``workers`` (defaulting
-    to the database's :class:`~repro.obs.config.EngineConfig`) fans the NLP
-    chain across worker processes with byte-identical relation contents and
-    row order.
+    relation version bump instead of one per row).
 
     ``chunk_docs`` selects the streaming path: documents are pulled from the
-    iterable ``chunk_docs`` at a time, preprocessed (still through the
-    worker pool when enabled), and inserted chunk-by-chunk — peak memory is
-    bounded by one chunk regardless of corpus size, and the final relation
-    contents are identical to a one-shot load (the relations just see one
-    version bump per chunk instead of one in total).
+    iterable ``chunk_docs`` at a time, preprocessed, and inserted
+    chunk-by-chunk — peak memory is bounded by one chunk regardless of
+    corpus size, and the final relation contents are identical to a
+    one-shot load (the relations just see one version bump per chunk
+    instead of one in total).
 
     The merge consumes :func:`iter_corpus_rows`: sentence rows stream into
     ``insert_many`` directly, so no :class:`Sentence` objects are ever
-    materialized here — on the sequential path at most one document's rows
-    are resident beyond the validated insert batch.
+    materialized here — at most one document's rows are resident beyond
+    the validated insert batch.
     """
     if "documents" not in db:
         db.create("documents", DOCUMENT_SCHEMA)
     if "sentences" not in db:
         db.create("sentences", SENTENCE_SCHEMA)
-    config = getattr(db, "config", None)
-    if workers is None:
-        workers = config.workers if config is not None else 0
-    if parallel_mode is None:
-        parallel_mode = config.parallel_mode if config is not None else "auto"
-    if pool_min_work is None:
-        pool_min_work = config.pool_min_work if config is not None else None
-    pool_owner = config.pool_owner if config is not None else None
     if chunk_docs is None:
         chunks: Iterable[list[Document]] = [list(documents)]
     else:
         chunks = iter_document_chunks(documents, chunk_docs)
     loaded = 0
     for docs in chunks:
-        per_doc_rows = iter_corpus_rows(docs, workers=workers,
-                                        parallel_mode=parallel_mode,
-                                        pool_min_work=pool_min_work,
-                                        pool_owner=pool_owner)
+        per_doc_rows = iter_corpus_rows(docs)
         db["documents"].insert_many((doc.doc_id, doc.content) for doc in docs)
         loaded += db["sentences"].insert_many(
             chain.from_iterable(per_doc_rows))

@@ -27,8 +27,7 @@ Typical use::
     print(collector.roots[0].render())
 """
 
-from repro.obs.config import (ENV_VARS, VALID_BACKENDS, VALID_PARALLEL_MODES,
-                              EngineConfig)
+from repro.obs.config import ENV_VARS, VALID_BACKENDS, EngineConfig
 from repro.obs.metrics import HistogramSummary, MetricsRegistry, metric_key
 from repro.obs.profile import PhaseRecorder, Profile
 from repro.obs.sinks import InMemorySink, JsonlSink, TreePrinterSink
@@ -51,7 +50,6 @@ __all__ = [
     "Span",
     "TreePrinterSink",
     "VALID_BACKENDS",
-    "VALID_PARALLEL_MODES",
     "active",
     "adopt",
     "count",

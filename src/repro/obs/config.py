@@ -27,16 +27,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 VALID_BACKENDS = ("auto", "row", "columnar")
-VALID_PARALLEL_MODES = ("auto", "fork", "spawn")
 
 #: Environment fallbacks honoured by :meth:`EngineConfig.from_env`.
 ENV_VARS = {
     "datastore_backend": "REPRO_DATASTORE_BACKEND",
-    "numa_sockets": "REPRO_NUMA_SOCKETS",
     "trace": "REPRO_TRACE",
-    "workers": "REPRO_WORKERS",
-    "parallel_mode": "REPRO_PARALLEL_MODE",
-    "pool_min_work": "REPRO_POOL_MIN_WORK",
     "memory_budget": "REPRO_MEMORY_BUDGET",
     "segment_rows": "REPRO_SEGMENT_ROWS",
 }
@@ -97,21 +92,10 @@ def _env_overrides(table: Mapping[str, str], parsers: Mapping[str, Callable],
 #: :meth:`EngineConfig.__post_init__`'s, applied to each parsed value.
 _ENGINE_PARSERS = {
     "datastore_backend": str,
-    "numa_sockets": int,
     "trace": _parse_flag,
-    "workers": int,
-    "parallel_mode": str,
-    "pool_min_work": int,
     "memory_budget": int,
     "segment_rows": int,
 }
-
-#: Adaptive-dispatch threshold, in dispatcher work units (roughly primitive
-#: operations: factor-graph edge visits for replica sampling, scaled
-#: characters for NLP fan-out).  Calibrated against the warm pool's per-call
-#: overhead (~1-5 ms of pipe rendezvous + cache checks): below ~1e5 work
-#: units a sequential run finishes before the pool's round trips pay off.
-DEFAULT_POOL_MIN_WORK = 100_000
 
 
 @dataclass(frozen=True)
@@ -123,34 +107,10 @@ class EngineConfig:
         input size, see :data:`repro.datastore.query.COLUMNAR_MIN_ROWS`),
         ``"row"``, or ``"columnar"``.  This field is the only way to
         force a backend.
-    ``numa_sockets``
-        Socket count for the simulated-NUMA execution layer.
     ``trace``
         When true, :class:`~repro.core.app.DeepDive` installs a span
         collector around every phase so :attr:`RunResult.profile` carries
         the full span tree and metrics, not just top-level phase spans.
-    ``workers``
-        Worker-process count for the shared-memory parallel execution
-        layer (:mod:`repro.parallel`): NUMA replica chains and corpus
-        preprocessing fan out over this many warm-pool processes.  ``0``
-        (the default) runs the exact sequential code path, which stays the
-        bit-identical reference.
-    ``parallel_mode``
-        Process start method for the worker pool: ``"auto"`` (``fork``
-        where available, else ``spawn``), ``"fork"``, or ``"spawn"``.
-    ``pool_min_work``
-        Adaptive-dispatch threshold: parallel-eligible calls whose
-        estimated work (dispatcher work units) falls below this run on the
-        sequential path instead -- below the threshold, per-call dispatch
-        overhead outweighs any speedup.  ``0`` disables the guard (always
-        dispatch when ``workers > 0``).
-    ``pool_owner``
-        Registry partition token for the warm worker pool.  ``None`` (the
-        default) shares one pool per ``(workers, mode)`` across the whole
-        process; a shard of a sharded service sets its own token so its
-        NLP fan-out and replica sampling get private worker processes
-        instead of thrashing a sibling shard's pool.  Set programmatically
-        (no environment fallback): sizing is the setter's responsibility.
     ``memory_budget``
         Byte budget for the out-of-core datastore layer.  ``None`` (the
         default) keeps every operator fully in memory.  A positive value
@@ -167,12 +127,7 @@ class EngineConfig:
     """
 
     datastore_backend: str = "auto"
-    numa_sockets: int = 4
     trace: bool = False
-    workers: int = 0
-    parallel_mode: str = "auto"
-    pool_min_work: int = DEFAULT_POOL_MIN_WORK
-    pool_owner: str | None = None
     memory_budget: int | None = None
     segment_rows: int = 8192
 
@@ -181,17 +136,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown datastore backend {self.datastore_backend!r}; "
                 f"want one of {VALID_BACKENDS}")
-        if self.numa_sockets < 1:
-            raise ValueError("need at least one NUMA socket")
-        if self.workers < 0:
-            raise ValueError("workers cannot be negative (0 = sequential)")
-        if self.parallel_mode not in VALID_PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {self.parallel_mode!r}; "
-                f"want one of {VALID_PARALLEL_MODES}")
-        if self.pool_min_work < 0:
-            raise ValueError("pool_min_work cannot be negative "
-                             "(0 = always dispatch)")
         if self.memory_budget is not None and self.memory_budget < 0:
             raise ValueError("memory_budget cannot be negative "
                              "(None = unlimited, 0 = always spill)")

@@ -41,8 +41,8 @@ class Profile:
 
     def span_total(self, name: str) -> float:
         """Total inclusive seconds of every span named ``name`` in the
-        forest -- e.g. ``span_total("parallel.chunk")`` sums the time the
-        worker processes spent inside their adopted chunk spans."""
+        forest -- e.g. ``span_total("numa.replica_worker")`` sums the time
+        the worker processes spent inside their adopted replica spans."""
         return sum(span.duration for span in self.walk() if span.name == name)
 
     def phase_seconds(self) -> dict[str, float]:

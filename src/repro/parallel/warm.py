@@ -6,8 +6,8 @@ BENCH_e15 measured and made the multiprocess path a slowdown.
 :class:`WorkerPool`, the only pool, keeps all three warm:
 
 * **long-lived workers** -- processes are spawned lazily on first dispatch
-  and survive across ``run_replicas`` / ``map`` calls, each connected to
-  the parent by one duplex pipe that carries small dict commands;
+  and survive across ``run_replicas`` calls, each connected to the parent
+  by one duplex pipe that carries small dict commands;
 * **generation-tagged segment cache** -- ``share_compiled`` packing happens
   once per graph; later calls re-use the same shared-memory segment,
   syncing only the *mutable* arrays (weights, evidence, initial values)
@@ -31,9 +31,10 @@ Its invariants:
   any failure (crash, exception, timeout, closed pool) warns and returns
   ``None``, and the caller falls back to its sequential path.  Failed
   workers are respawned on the next dispatch.
-* **deterministic merge** -- ``map`` chunks are contiguous slices of the
-  input and results are keyed by chunk index, so the merged output is
-  exactly ``[fn(x) for x in items]`` regardless of which worker ran what.
+* **deterministic merge** -- replica totals are merged in a fixed order
+  regardless of which worker ran what; ``map`` chunks are contiguous
+  slices of the input keyed by chunk index, so its merged output is
+  exactly ``[fn(x) for x in items]``.
 * **observability** -- when the parent has an enabled collector, workers
   install their own :class:`~repro.obs.span.Collector` and ship their span
   trees and metrics back to be adopted into the parent's profile.
@@ -41,6 +42,9 @@ Its invariants:
 Fault injection for the test suite: :meth:`WorkerPool.inject_fault` arms a
 one-shot fault (``exit``, ``hang`` or ``raise``) that a worker applies at a
 chosen sync boundary of its next replica command.
+
+:meth:`WorkerPool.map` has no caller in the library: it stays because the
+benchmark's tracer wraps it by name (its ``parallel.dispatch`` layer).
 """
 
 from __future__ import annotations
@@ -71,15 +75,14 @@ DEFAULT_TIMEOUT = 120.0
 _CHUNKS_PER_WORKER = 4
 
 #: CompiledGraph arrays that callers mutate in place between dispatches
-#: (the learner's weight steps, holdout evidence clamps, serve-layer
-#: deltas).  Everything else in the segment is structural CSR layout that
-#: is immutable for the lifetime of a CompiledGraph instance.
+#: (the learner's weight steps, holdout evidence clamps).  Everything else
+#: in the segment is structural CSR layout that is immutable for the
+#: lifetime of a CompiledGraph instance.
 MUTABLE_FIELDS = ("weight_values", "is_evidence", "evidence_values",
                   "initial_values", "weight_fixed", "weight_observations")
 
-#: Segments kept warm per pool before LRU eviction.  Serving keeps at most
-#: a couple of live graphs (current + one being rebuilt); benches sweep a
-#: handful.
+#: Segments kept warm per pool before LRU eviction; benches sweep a
+#: handful of graphs.
 DEFAULT_MAX_SEGMENTS = 4
 
 _TOKENS = itertools.count(1)
@@ -91,6 +94,10 @@ class ReplicaOutcome:
 
     totals: np.ndarray           # per-variable post-burn-in marginal totals
     socket_samples: list[int]    # variable samples drawn per replica
+
+
+#: Start methods ``NumaConfig.parallel_mode`` accepts.
+VALID_PARALLEL_MODES = ("auto", "fork", "spawn")
 
 
 def resolve_mode(mode: str) -> str:
@@ -179,7 +186,7 @@ def _worker_replicas(worker_index: int, conn, command: dict,
                 if sweep_index >= burn_in:
                     for i, s in enumerate(replica_ids):
                         totals[s] += worlds[i]
-                if sync_every > 0 and (sweep_index + 1) % sync_every == 0:
+                if (sweep_index + 1) % sync_every == 0:
                     sync_round += 1
                     if fault is not None and fault["at_sync"] == sync_round:
                         if fault["action"] == "exit":
@@ -406,7 +413,7 @@ class WorkerPool:
         """Spawn all workers and round-trip a ping; True when all answer.
 
         Benchmarks call this before timing so measurements exclude spawn
-        cost; the serving layer calls it at pool acquisition.
+        cost.
         """
         if self._closed:
             return False
@@ -491,17 +498,6 @@ class WorkerPool:
         self._faults[worker_index] = {"at_sync": at_sync, "action": action}
 
     # ------------------------------------------------------- segment staging
-    def prestage(self, compiled) -> None:
-        """Pack (or re-sync) ``compiled`` into the segment cache now.
-
-        The serving layer calls this right after (re)compiling a graph so
-        the first query against the new generation pays no packing cost.
-        """
-        if self._closed:
-            return
-        with self._lock:
-            self._stage_graph(compiled)
-
     def _stage_graph(self, compiled) -> _SegmentEntry:
         token = getattr(compiled, "_pool_token", None)
         if token is None:
@@ -594,7 +590,7 @@ class WorkerPool:
                 entry = self._stage_graph(compiled)
                 acc = self._stage_acc(sockets, compiled.num_variables)
                 trace = obs.enabled()
-                rendezvous = active > 1 and sync_every > 0
+                rendezvous = active > 1
                 assignments = [[s for s in range(sockets) if s % active == w]
                                for w in range(active)]
                 with obs.span("numa.parallel_replicas", sockets=sockets,

@@ -84,34 +84,10 @@ class ServeEngine:
         self.app: DeepDive | None = None
         self.version = -1                       # bootstrap publishes 0
         self.rule_deltas: list[str] = []
-        # warm worker pool attached by the service (None = no pooling);
-        # freshly compiled graphs are prestaged into its segment cache so
-        # the first dispatch against a new version pays no packing cost.
-        self.pool = None
         # publish-time compliance: one anonymizer for the engine's lifetime
         # so the surrogate-collision backstop spans every version published
         # by this writer (surrogates themselves are pure HMAC functions)
         self._anonymizer = Anonymizer(self.config.compliance.key)
-
-    def attach_pool(self, pool) -> None:
-        """Adopt a warm :class:`~repro.parallel.warm.WorkerPool`.
-
-        The service owns acquisition/release through the pool registry; the
-        engine only prestages compiled graphs into the attached pool's
-        segment cache.  ``None`` detaches.
-        """
-        self.pool = pool
-
-    def _prestage(self, compiled: CompiledGraph) -> None:
-        """Pack (or re-sync) ``compiled`` into the attached pool's cache.
-
-        Called right after every (re)compilation so a graph mutated by a
-        rule delta or learning step can never be served from a stale
-        shared-memory segment: prestaging syncs the mutable arrays and
-        bumps the segment generation the workers key their samplers on.
-        """
-        if self.pool is not None and not self.pool.closed:
-            self.pool.prestage(compiled)
 
     # -------------------------------------------------------------- bootstrap
     def bootstrap(self, ops: list[IngestOp]) -> Snapshot:
@@ -182,8 +158,6 @@ class ServeEngine:
     def _refresh(self, touched: set) -> tuple[dict, str]:
         """Incremental marginal refresh over the touched neighbourhood."""
         compiled = CompiledGraph(self.app.graph)
-        if compiled.num_variables:
-            self._prestage(compiled)
         config = self.config
         with obs.span("serve.refresh", touched=len(touched)) as sp:
             refreshed, update = self.app.refresh_chain(

@@ -153,23 +153,6 @@ class KBService:
         self._batches_since_checkpoint = batches_since_checkpoint
         #: test/chaos hooks run inside the commit path; see module docstring
         self.fault_hooks: dict[str, Callable] = {}
-        # Acquire a warm worker pool for the service's lifetime when the
-        # application's engine config asks for parallelism: workers stay
-        # warm across every batch this service commits, and stop()
-        # releases the pin (the registry keeps the pool itself warm for
-        # the next service or caller).  The pool is looked up under the app
-        # config's ``pool_owner`` partition token — ``None`` shares the
-        # process-wide pool, a sharded service's per-shard token gets
-        # private workers — so the pin here, the NLP fan-out, and replica
-        # sampling all land on the same pool.
-        self._pool = None
-        app_config = getattr(getattr(engine, "app", None), "config", None)
-        if app_config is not None and app_config.workers > 0:
-            from repro.parallel import acquire_pool
-            self._pool = acquire_pool(app_config.workers,
-                                      mode=app_config.parallel_mode,
-                                      owner=app_config.pool_owner)
-            engine.attach_pool(self._pool)
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -405,11 +388,6 @@ class KBService:
         self._drain_failed(self._failure if self._failure is not None
                            else ServiceFailed("service is stopped"))
         self.wal.close()
-        if self._pool is not None:               # idempotent un-pin
-            from repro.parallel import release_pool
-            release_pool(self._pool)
-            self.engine.attach_pool(None)
-            self._pool = None
 
     def __enter__(self) -> "KBService":
         return self

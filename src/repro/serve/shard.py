@@ -3,9 +3,8 @@
 :class:`ShardedKBService` scales the serving layer horizontally: documents
 are routed by ``doc_id`` over a consistent-hash ring onto ``N``
 :class:`~repro.serve.service.KBService` shards, each with its own WAL,
-checkpoint directory, apply loop, and private worker-pool partition
-(``EngineConfig.pool_owner``).  Knowledge-base rows and rule deltas are
-*broadcast* — every shard grounds the same KB and program, so a candidate
+checkpoint directory and apply loop.  Knowledge-base rows and rule deltas
+are *broadcast* — every shard grounds the same KB and program, so a candidate
 lands on exactly one shard but is supervised identically wherever it lands.
 
 **Consistency model.**  Readers see a :class:`MergedSnapshot`: one immutable
@@ -328,9 +327,7 @@ class ShardedKBService:
         for index in range(count):
             shard_dir = directory / cls._shard_dirname(index)
             services.append(KBService.create(
-                shard_dir,
-                cls._shard_factory(app_factory, str(shard_dir), count),
-                routed.get(index, []), config=config,
+                shard_dir, app_factory, routed.get(index, []), config=config,
                 run_kwargs=run_kwargs, start=start))
         cls._write_manifest(directory, count, vnodes)
         return cls(directory, services, ring, config)
@@ -357,9 +354,8 @@ class ShardedKBService:
         for index in range(count):
             shard_dir = directory / cls._shard_dirname(index)
             services.append(KBService.open(
-                shard_dir,
-                cls._shard_factory(app_factory, str(shard_dir), count),
-                config=config, run_kwargs=run_kwargs, start=start))
+                shard_dir, app_factory, config=config,
+                run_kwargs=run_kwargs, start=start))
         return cls(directory, services, ring, config)
 
     @classmethod
@@ -426,31 +422,6 @@ class ShardedKBService:
     @staticmethod
     def _shard_dirname(index: int) -> str:
         return f"shard-{index:02d}"
-
-    @staticmethod
-    def _shard_factory(app_factory: AppFactory, owner_token: str,
-                       shards: int) -> AppFactory:
-        """Wrap ``app_factory`` with per-shard parallel-layer placement.
-
-        Each shard gets a *private* worker-pool partition (its directory
-        path as the ``pool_owner`` token, unique per layout) and a worker
-        count capped to its fair share of the visible CPUs — N shards on a
-        C-CPU box get ``max(1, min(workers, C // N))`` workers each instead
-        of N pools of C workers apiece.
-        """
-        from repro.parallel import effective_cpus
-
-        def factory(extra_rules: str):
-            app = app_factory(extra_rules)
-            workers = app.config.workers
-            if workers > 0 and shards > 1:
-                workers = max(1, min(workers, effective_cpus() // shards))
-            app.config = app.config.with_options(workers=workers,
-                                                 pool_owner=owner_token)
-            app.db.config = app.config
-            return app
-
-        return factory
 
     @staticmethod
     def _write_manifest(directory: pathlib.Path, shards: int,

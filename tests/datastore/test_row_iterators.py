@@ -85,11 +85,6 @@ class TestCorpusRowStreaming:
         assert not isinstance(lazy, list)
         assert list(lazy) == [preprocess_document_rows(d) for d in self.DOCS]
 
-    def test_iter_corpus_rows_pooled_matches_sequential(self):
-        pooled = iter_corpus_rows(self.DOCS, workers=2, pool_min_work=0)
-        assert list(pooled) == [preprocess_document_rows(d)
-                                for d in self.DOCS]
-
     def test_load_corpus_contents_unchanged(self):
         streamed = Database()
         load_corpus(streamed, self.DOCS)
@@ -106,3 +101,22 @@ class TestCorpusRowStreaming:
             reference["sentences"])
         assert sorted(streamed["documents"]) == sorted(
             reference["documents"])
+
+    def test_relations_byte_identical(self):
+        """The streamed load (one document per chunk) yields the same rows,
+        in the same order, as the one-shot load."""
+        one_shot, streamed = Database(), Database()
+        loaded = load_corpus(one_shot, self.DOCS)
+        assert load_corpus(streamed, iter(self.DOCS), chunk_docs=1) == loaded
+        assert list(streamed["sentences"]) == list(one_shot["sentences"])
+        assert list(streamed["documents"]) == list(one_shot["documents"])
+
+    def test_bulk_load_single_version_bump(self):
+        """load_corpus bulk-inserts, not row at a time."""
+        db = Database()
+        load_corpus(db, self.DOCS)
+        sentences = db["sentences"]
+        assert len(list(sentences)) > len(self.DOCS)
+        # insert_many bumps the relation version once for the whole batch
+        assert sentences._version == 1
+        assert db["documents"]._version == 1

@@ -29,7 +29,9 @@ class TestNumaConfig:
             NumaConfig(remote_penalty=0.5)
 
     @pytest.mark.parametrize("removed", [{"engine": "reference"},
-                                         {"pool_warm": True}])
+                                         {"pool_warm": True},
+                                         {"pool_min_work": 0},
+                                         {"pool_owner": "shard-00"}])
     def test_removed_fields_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             NumaConfig(**removed)
@@ -42,13 +44,12 @@ class TestNumaConfig:
         with pytest.raises(ValueError, match="parallel mode"):
             NumaConfig(parallel_mode="threads")
 
-    def test_from_engine_config_threads_worker_knobs(self):
-        from repro.obs import EngineConfig
-        config = NumaConfig.from_engine_config(
-            EngineConfig(numa_sockets=2, workers=3, parallel_mode="fork"))
-        assert config.sockets == 2
-        assert config.workers == 3
-        assert config.parallel_mode == "fork"
+    @pytest.mark.parametrize("sync_every", [0, -1])
+    def test_sync_every_below_one_rejected(self, sync_every):
+        """``sync_every=0`` used to construct and then divide by zero in
+        the cost model; a negative cadence was meaningless."""
+        with pytest.raises(ValueError, match="sync_every"):
+            NumaConfig(sync_every=sync_every)
 
 
 class TestEngineThreading:

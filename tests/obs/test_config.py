@@ -7,18 +7,17 @@ import warnings
 import pytest
 
 from repro.datastore import query as Q
-from repro.obs import (ENV_VARS, VALID_BACKENDS, VALID_PARALLEL_MODES,
-                       EngineConfig)
+from repro.obs import ENV_VARS, VALID_BACKENDS, EngineConfig
 
 
 class TestDefaults:
     def test_default_fields(self):
         config = EngineConfig()
         assert config.datastore_backend == "auto"
-        assert config.numa_sockets == 4
         assert config.trace is False
-        assert config.workers == 0
-        assert config.parallel_mode == "auto"
+        assert config.memory_budget is None
+        assert config.segment_rows == 8192
+        assert len(dataclasses.fields(EngineConfig)) == 4
 
     def test_frozen(self):
         config = EngineConfig()
@@ -47,36 +46,21 @@ class TestValidation:
 
     @pytest.mark.parametrize("removed", [
         {"gibbs_engine": "chromatic"}, {"pool_warm": True},
-        {"columnar_threshold": 48}])
+        {"columnar_threshold": 48}, {"numa_sockets": 2}, {"workers": 2},
+        {"parallel_mode": "fork"}, {"pool_min_work": 0},
+        {"pool_owner": "shard-00"}])
     def test_removed_fields_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             EngineConfig(**removed)
 
-    def test_zero_sockets(self):
-        with pytest.raises(ValueError):
-            EngineConfig(numa_sockets=0)
-
-    def test_negative_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            EngineConfig(workers=-1)
-
-    def test_bad_parallel_mode(self):
-        with pytest.raises(ValueError, match="parallel"):
-            EngineConfig(parallel_mode="threads")
-
     def test_valid_constants(self):
         assert set(VALID_BACKENDS) == {"auto", "row", "columnar"}
-        assert set(VALID_PARALLEL_MODES) == {"auto", "fork", "spawn"}
 
 
 #: One accepted and one rejected raw value per remaining variable.
 ENV_CASES = {
     "datastore_backend": ("columnar", "columnar", "quantum"),
-    "numa_sockets": ("2", 2, "0"),
     "trace": ("YES", True, "maybe"),
-    "workers": ("4", 4, "two"),
-    "parallel_mode": ("fork", "fork", "threads"),
-    "pool_min_work": ("0", 0, "-1"),
     "memory_budget": ("4096", 4096, "4k"),
     "segment_rows": ("64", 64, "0"),
 }
@@ -116,8 +100,9 @@ class TestFromEnv:
         assert repr(bad) in str(caught[0].message)
 
     def test_one_bad_variable_does_not_discard_the_good_ones(self):
-        env = {ENV_VARS["workers"]: "two", ENV_VARS["segment_rows"]: "64"}
-        with pytest.warns(RuntimeWarning, match="REPRO_WORKERS='two'"):
+        env = {ENV_VARS["memory_budget"]: "4k",
+               ENV_VARS["segment_rows"]: "64"}
+        with pytest.warns(RuntimeWarning, match="REPRO_MEMORY_BUDGET='4k'"):
             config = EngineConfig.from_env(env)
         assert config == EngineConfig(segment_rows=64)
 
@@ -135,7 +120,7 @@ class TestFromEnv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert EngineConfig.from_env(
-                {ENV_VARS["workers"]: " "}) == EngineConfig()
+                {ENV_VARS["segment_rows"]: " "}) == EngineConfig()
 
 
 class TestDispatchIsolation:

@@ -50,21 +50,27 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "_from_dict_v1", "_encode_key", "_decode_key",
                  "SUPPORTED_DATABASE_VERSIONS", "SUPPORTED_CHECKPOINT_VERSIONS",
                  # a second copy of the chain state beside DeepDive.chain_state
-                 "self._world", "self._mu")
+                 "self._world", "self._mu",
+                 # pool callers and knobs beyond NumaGibbs's replica fan-out
+                 "pool_min_work", "pool_owner", "acquire_pool",
+                 "release_pool", "pool_pins", "decide_map",
+                 "decide_replicas", "attach_pool", "prestage",
+                 "numa_sockets", "from_engine_config")
 
 
 def test_knobs_have_not_drifted():
     """Every engine field has exactly one env fallback, every fallback is
     documented, and what was retired with its duplicate (reference Gibbs
     engine, cold pools, backend overrides, readers of formats nothing
-    writes, the serving engine's own chain-state dicts) stays retired."""
+    writes, the serving engine's own chain-state dicts, every pool caller
+    and knob beyond the NUMA replicas) stays retired."""
     import dataclasses
 
     from repro.obs.config import (COMPLIANCE_ENV_VARS, ENV_VARS,
                                   SERVE_ENV_VARS, EngineConfig)
 
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    assert set(ENV_VARS) == fields - {"pool_owner"}
+    assert set(ENV_VARS) == fields
 
     guide = (SRC_ROOT.parents[1] / "docs"
              / "developer_guide.md").read_text(encoding="utf-8")

@@ -11,7 +11,6 @@ from repro.datastore.relation import Relation
 from repro.datastore.schema import Schema
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler
-from repro.inference.numa import NumaConfig
 
 PROGRAM = """
 Item(k text).
@@ -65,12 +64,6 @@ class TestConfigThreading:
         compiled = CompiledGraph(graph)
         with pytest.raises(TypeError):
             GibbsSampler(compiled, config=EngineConfig())
-
-    def test_numa_config_from_engine_config(self):
-        config = EngineConfig(numa_sockets=2)
-        numa = NumaConfig.from_engine_config(config, sync_every=3)
-        assert numa.sockets == 2
-        assert numa.sync_every == 3
 
     def test_operator_config_beats_process_default(self):
         relation = Relation("t", Schema.of(a="int"))

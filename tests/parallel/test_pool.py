@@ -1,11 +1,14 @@
-"""The warm pool's fan-out map: ordering, deadline, trace adoption."""
+"""The warm pool's fan-out map (ordering, deadline, trace adoption) and the
+process-wide pool registry."""
 
 import time
 
 import pytest
 
 from repro import obs
-from repro.parallel import WorkerPool, chunk_slices, resolve_mode
+from repro.parallel import (WorkerPool, chunk_slices, effective_cpus,
+                            get_pool, resolve_mode, shutdown_pools)
+from repro.parallel.registry import _POOLS
 
 
 def square(x):
@@ -78,3 +81,34 @@ class TestWorkerPoolMap:
         assert profile.span_total("parallel.chunk") > 0.0
         # worker-side counters merged into the parent registry
         assert collector.metrics.counter_total("pool.items") == 8
+
+
+class TestRegistry:
+    @pytest.fixture(autouse=True)
+    def clean_registry(self):
+        shutdown_pools()
+        yield
+        shutdown_pools()
+
+    def test_same_shape_shares_one_pool(self):
+        first = get_pool(2)
+        assert first is not None and get_pool(2) is first
+
+    def test_default_mode_shares_the_auto_pool(self):
+        assert get_pool(2) is get_pool(2, mode="auto")
+
+    def test_pools_are_rebuilt_after_close(self):
+        pool = get_pool(2)
+        pool.close()
+        fresh = get_pool(2)
+        assert fresh is not pool and not fresh.closed
+
+    def test_shutdown_clears_the_registry(self):
+        get_pool(1)
+        get_pool(2)
+        assert len(_POOLS) == 2
+        shutdown_pools()
+        assert len(_POOLS) == 0
+
+    def test_effective_cpus_positive(self):
+        assert effective_cpus() >= 1

@@ -57,8 +57,7 @@ class TestWorkerDeathMidRound:
         sequential = NumaGibbs(
             compiled, NumaConfig(sockets=4, sync_every=5, workers=0),
             seed=3).run(num_samples=20, burn_in=5)
-        config = NumaConfig(sockets=4, sync_every=5, workers=2,
-                            pool_min_work=0)
+        config = NumaConfig(sockets=4, sync_every=5, workers=2)
         pool = get_pool(2)
         pool.inject_fault(0, at_sync=1, action="exit")
         with pytest.warns(RuntimeWarning, match="falling back"):
