@@ -14,9 +14,7 @@ governance story for :mod:`repro.serve`:
   surrogates per detector class, so the same raw value always maps to the
   same surrogate and join keys / dedup survive scrubbing;
 * **policy** — a frozen :class:`CompliancePolicy` selecting per-relation /
-  per-column actions (``allow | redact | anonymize | drop``), with
-  env fallbacks (:data:`repro.obs.config.COMPLIANCE_ENV_VARS`) parsed
-  by the observability config module;
+  per-column actions (``allow | redact | anonymize | drop``);
 * **apply** — the snapshot-publish transform: scrub a marginal mapping
   under a policy without perturbing a single probability, so inference
   results are bit-identical pre/post anonymization.
@@ -37,7 +35,7 @@ from repro.compliance.detectors import (DEFAULT_DETECTORS, DETECTOR_NAMES,
                                         luhn_valid, mask)
 from repro.compliance.manifest import ColumnReport, ComplianceManifest
 from repro.compliance.policy import (VALID_ACTIONS, CompliancePolicy,
-                                     PolicyError, parse_rules)
+                                     PolicyError)
 from repro.compliance.scanner import (Scanner, scan_database, scan_relation,
                                       scan_rows, scan_snapshot)
 
@@ -62,7 +60,6 @@ __all__ = [
     "default_detectors",
     "luhn_valid",
     "mask",
-    "parse_rules",
     "scan_database",
     "scan_marginals",
     "scan_relation",

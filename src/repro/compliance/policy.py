@@ -16,49 +16,25 @@ per-column action:
 ``drop``
     Remove the variable from the published snapshot entirely.
 
-Explicit ``rules`` (``("AdPhone.phone", "anonymize")``; ``*`` wildcards per
-segment) apply unconditionally to their columns.  Columns without an
+Explicit ``rules`` (``(("AdPhone.phone", "anonymize"),)``; ``*`` wildcards
+per segment) apply unconditionally to their columns.  Columns without an
 explicit rule fall back to *detection*: when a scan finds PII at or above
 ``min_confidence``, ``default_action`` applies.  So
 ``CompliancePolicy(enabled=True, default_action="anonymize")`` is the
 "scrub everything that looks like PII" posture, and rules carve out
-exceptions in either direction.
-
-Environment fallbacks (:data:`repro.obs.config.COMPLIANCE_ENV_VARS`)
-are parsed by
-:func:`repro.obs.config.compliance_env_overrides` — the observability module
-stays the engine's single environment reader — and applied here once at
-:meth:`CompliancePolicy.from_env`.
+exceptions in either direction.  The environment never configures a
+policy: callers build it, and a malformed one fails at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
-
-from repro.obs.config import compliance_env_overrides
+from dataclasses import dataclass, replace
 
 VALID_ACTIONS = ("allow", "redact", "anonymize", "drop")
 
 
 class PolicyError(ValueError):
     """Raised for malformed policies or rule patterns."""
-
-
-def parse_rules(spec: str) -> tuple[tuple[str, str], ...]:
-    """Parse ``"AdPhone.phone=anonymize,docs.*=drop"`` into rule pairs."""
-    rules: list[tuple[str, str]] = []
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        pattern, _, action = clause.partition("=")
-        pattern, action = pattern.strip(), action.strip()
-        if not pattern or not action:
-            raise PolicyError(f"malformed compliance rule {clause!r}; "
-                              f"want 'relation.column=action'")
-        rules.append((pattern, action))
-    return tuple(rules)
 
 
 def _pattern_matches(pattern: str, relation: str, column: str) -> bool:
@@ -120,12 +96,20 @@ class CompliancePolicy:
         if not self.key:
             raise PolicyError("anonymization key cannot be empty")
         normalized = []
-        for pattern, action in self.rules:
+        for rule in self.rules:
+            # a flat ("AdPhone.phone", "drop") iterates as two bare strings
+            if not (isinstance(rule, (tuple, list)) and len(rule) == 2
+                    and all(isinstance(part, str) for part in rule)):
+                raise PolicyError(
+                    f"malformed compliance rule {rule!r}; want a "
+                    f"(pattern, action) pair of strings, e.g. "
+                    f"rules=(('AdPhone.phone', 'drop'),)")
+            pattern, action = rule
             if action not in VALID_ACTIONS:
                 raise PolicyError(
                     f"unknown action {action!r} for rule {pattern!r}; "
                     f"want one of {VALID_ACTIONS}")
-            normalized.append((str(pattern), str(action)))
+            normalized.append((pattern, action))
         object.__setattr__(self, "rules", tuple(normalized))
 
     # -------------------------------------------------------------- queries
@@ -148,38 +132,3 @@ class CompliancePolicy:
     def with_options(self, **changes) -> "CompliancePolicy":
         """A copy with ``changes`` applied (the policy itself is frozen)."""
         return replace(self, **changes)
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None,
-                 ) -> "CompliancePolicy":
-        """Defaults overridden by any valid compliance env vars (see
-        ``repro.obs.config.COMPLIANCE_ENV_VARS``, the single
-        environment reader).
-
-        Compliance must not fail open: a typo'd value (say an action env
-        var set to ``anonimize``) silently falling back to ``allow`` would
-        publish raw PII while the operator believes a policy is active.
-        Every discarded override therefore warns (the one reader's
-        contract), and when the resulting policy would be *enabled* -- or
-        the ``enabled`` flag itself is what failed to parse (``ture``) --
-        the discard is a hard :class:`PolicyError` instead: a
-        misconfigured compliance environment refuses to serve rather than
-        serving raw.
-        """
-        def check(field_name: str, value) -> None:
-            cls(**{field_name: parse_rules(value)
-                   if field_name == "rules" else value})
-
-        overrides, invalid = compliance_env_overrides(environ, check)
-        if "rules" in overrides:
-            overrides["rules"] = parse_rules(overrides["rules"])
-        policy = cls(**overrides)
-        if invalid and (policy.enabled or "enabled" in invalid):
-            detail = ", ".join(f"{key}={value!r}"
-                               for key, value in sorted(invalid.items()))
-            raise PolicyError(
-                f"invalid compliance override(s) [{detail}] while the "
-                f"policy is (or may have been meant to be) enabled via the "
-                f"environment; refusing to construct a policy from a "
-                f"partially-invalid environment (fix or unset the variable)")
-        return policy

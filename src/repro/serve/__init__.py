@@ -10,8 +10,8 @@ bit-identical marginals.
 
 The sanctioned surface is :class:`KBClient`, which serves identically over
 a single-writer :class:`KBService` or a sharded multi-tenant
-:class:`ShardedKBService` (``ServeConfig.shards`` picks, with the env
-fallback documented in ``repro.obs.config``; ``KBClient.open`` sniffs the on-disk layout)::
+:class:`ShardedKBService` (``ServeConfig.shards`` picks at create time;
+``KBClient.open`` sniffs the on-disk layout)::
 
     from repro.serve import KBClient, add_documents
 

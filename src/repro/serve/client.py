@@ -56,17 +56,15 @@ class KBClient:
     def create(cls, directory: str | pathlib.Path, app_factory: AppFactory,
                bootstrap_ops: Sequence[IngestOp],
                config: ServeConfig | None = None,
-               run_kwargs: dict | None = None, start: bool = True,
-               shards: int | None = None) -> "KBClient":
-        """Bootstrap a new service; sharded iff the effective shard count
-        (``shards`` argument, else ``config.shards`` and its env fallback)
-        exceeds one."""
+               run_kwargs: dict | None = None,
+               start: bool = True) -> "KBClient":
+        """Bootstrap a new service; sharded iff ``config.shards`` exceeds
+        one."""
         config = config if config is not None else ServeConfig()
-        count = shards if shards is not None else config.shards
-        if count > 1:
+        if config.shards > 1:
             backend = ShardedKBService.create(
                 directory, app_factory, bootstrap_ops, config=config,
-                run_kwargs=run_kwargs, start=start, shards=count)
+                run_kwargs=run_kwargs, start=start)
         else:
             backend = KBService.create(
                 directory, app_factory, bootstrap_ops, config=config,

@@ -3,20 +3,14 @@
 One frozen dataclass covering the three concerns of the online KBC service:
 durability cadence (WAL fsync, checkpoint frequency/retention), the apply
 loop's batching and refresh policy, and admission control for the bounded
-ingest queue.  Environment fallbacks (named in
-``repro.obs.config.SERVE_ENV_VARS``) are parsed by
-:func:`repro.obs.config.serve_env_overrides` — the observability module is
-the single environment reader in the engine, with one failure contract for
-every table — and applied here once at construction.
+ingest queue.  The environment never configures it: callers build it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from repro.compliance.policy import CompliancePolicy
-from repro.obs.config import serve_env_overrides
 
 VALID_ADMISSION = ("block", "reject")
 VALID_STRATEGIES = ("auto", "sampling", "variational")
@@ -58,11 +52,13 @@ class ServeConfig:
         The optimizer's estimate of how many future delta batches this
         service will absorb (biases the sampling/variational choice).
     ``shards``
-        Horizontal shard count.  ``1`` (the default) serves from a single
+        Horizontal shard count, the one switch at create time.  ``1`` (the
+        default) serves from a single
         :class:`~repro.serve.service.KBService`;  ``> 1`` makes
         :meth:`repro.serve.client.KBClient.create` build a
         :class:`~repro.serve.shard.ShardedKBService` routing ingest by
-        document key over this many independent shards.
+        document key over this many independent shards.  Opening an
+        existing layout ignores it: the on-disk manifest decides.
     ``tenant_quota``
         Default per-tenant admission quota: the maximum number of a
         tenant's ingest operations that may be pending (submitted, not yet
@@ -131,18 +127,6 @@ class ServeConfig:
             raise ValueError("snapshot_history must be at least 1")
         if not isinstance(self.compliance, CompliancePolicy):
             raise ValueError("compliance must be a CompliancePolicy")
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "ServeConfig":
-        """Defaults overridden by any valid serve env vars (see
-        ``repro.obs.config.SERVE_ENV_VARS``) plus any compliance
-        policy vars (``repro.obs.config.COMPLIANCE_ENV_VARS``).  A set
-        variable that does not parse, or that ``__post_init__`` rejects
-        (``admission=maybe``), keeps its default and emits the reader's
-        ``RuntimeWarning`` naming variable and value."""
-        overrides, _invalid = serve_env_overrides(
-            environ, check=lambda key, value: cls(**{key: value}))
-        return cls(compliance=CompliancePolicy.from_env(environ), **overrides)
 
     def with_options(self, **changes) -> "ServeConfig":
         """A copy with ``changes`` applied (the config itself is frozen)."""

@@ -50,7 +50,7 @@ import os
 import pathlib
 import queue
 import threading
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.serve.config import ServeConfig
@@ -59,7 +59,7 @@ from repro.serve.ops import (AddDocuments, AddRows, AddRules, IngestOp,
                              RemoveDocuments)
 from repro.serve.service import (IngestRejected, KBService, PendingCommit,
                                  ServiceFailed)
-from repro.serve.snapshot import Snapshot
+from repro.serve.snapshot import Snapshot, SnapshotReads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compliance.manifest import ComplianceManifest
@@ -144,13 +144,14 @@ def route_ops(ops: Sequence[IngestOp],
 
 
 # --------------------------------------------------------------------- reading
-class MergedSnapshot:
+class MergedSnapshot(SnapshotReads):
     """A :class:`~repro.serve.snapshot.Snapshot`-compatible view over one
     immutable snapshot per shard.
 
     Identified by its :attr:`lsn_vector` (one WAL position per shard); the
     query surface (``marginal`` / ``output_tuples`` / ``top`` /
-    ``relations`` / ``len``) matches ``Snapshot`` exactly, so
+    ``relations`` / ``len``) is ``Snapshot``'s own
+    (:class:`~repro.serve.snapshot.SnapshotReads`), so
     :class:`~repro.serve.client.KBClient` code is backend-agnostic.  The
     merged marginal dict is built lazily on first query and cached — the
     parts are immutable, so the merge is too.
@@ -200,36 +201,6 @@ class MergedSnapshot:
         return ComplianceManifest.merge_all(
             part.manifest for part in self.parts)
 
-    # ------------------------------------------------------------ query API
-    def marginal(self, key: Hashable, default: float | None = None) -> float:
-        value = self.marginals.get(key)
-        if value is None:
-            if default is not None:
-                return default
-            raise KeyError(f"no variable {key!r} in merged snapshot "
-                           f"lsn_vector={self.lsn_vector}")
-        return value
-
-    def output_tuples(self, relation: str,
-                      threshold: float | None = None) -> set[tuple]:
-        cut = self.threshold if threshold is None else threshold
-        return {values for (name, values), probability
-                in self.marginals.items()
-                if name == relation and probability >= cut}
-
-    def top(self, relation: str, k: int = 10) -> list[tuple[tuple, float]]:
-        entries = [(values, probability)
-                   for (name, values), probability in self.marginals.items()
-                   if name == relation]
-        entries.sort(key=lambda item: (-item[1], item[0]))
-        return entries[:k]
-
-    def relations(self) -> list[str]:
-        return sorted({name for (name, _values) in self.marginals})
-
-    def __len__(self) -> int:
-        return len(self.marginals)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MergedSnapshot(shards={len(self.parts)}, "
                 f"lsn_vector={self.lsn_vector})")
@@ -268,8 +239,8 @@ class ShardedKBService:
 
     Construct with :meth:`create` (bootstrap a new layout) or :meth:`open`
     (recover an existing one); the number of shards comes from
-    ``ServeConfig.shards`` (or its env fallback) or the on-disk
-    manifest.  Prefer holding a :class:`~repro.serve.client.KBClient`
+    ``ServeConfig.shards`` at create time and from the on-disk manifest at
+    open time.  Prefer holding a :class:`~repro.serve.client.KBClient`
     (via :meth:`client`): its surface is identical over single and
     sharded backends.
     """
@@ -307,10 +278,10 @@ class ShardedKBService:
     def create(cls, directory: str | pathlib.Path, app_factory: AppFactory,
                bootstrap_ops: Sequence[IngestOp],
                config: ServeConfig | None = None,
-               run_kwargs: dict | None = None, start: bool = True,
-               shards: int | None = None,
-               vnodes: int = DEFAULT_VNODES) -> "ShardedKBService":
-        """Bootstrap a new sharded layout under ``directory``.
+               run_kwargs: dict | None = None,
+               start: bool = True) -> "ShardedKBService":
+        """Bootstrap a new ``config.shards``-shard layout under
+        ``directory``.
 
         Bootstrap operations are routed exactly like live ingest (documents
         partitioned, KB rows broadcast); each shard bootstraps, learns, and
@@ -319,17 +290,16 @@ class ShardedKBService:
         """
         directory = pathlib.Path(directory)
         config = config if config is not None else ServeConfig()
-        count = shards if shards is not None else config.shards
-        ring = HashRing(count, vnodes)
+        ring = HashRing(config.shards)
         directory.mkdir(parents=True, exist_ok=True)
         routed = route_ops(list(bootstrap_ops), ring)
         services = []
-        for index in range(count):
+        for index in range(ring.shards):
             shard_dir = directory / cls._shard_dirname(index)
             services.append(KBService.create(
                 shard_dir, app_factory, routed.get(index, []), config=config,
                 run_kwargs=run_kwargs, start=start))
-        cls._write_manifest(directory, count, vnodes)
+        cls._write_manifest(directory, ring.shards, ring.vnodes)
         return cls(directory, services, ring, config)
 
     @classmethod
@@ -378,8 +348,10 @@ class ShardedKBService:
         now lives.  Relations filled by document extractors are not
         statically knowable — name them in ``derived_relations`` to exclude
         them too.  Accumulated rule deltas are re-applied to the new layout
-        as one ``AddRules`` batch.
+        as one ``AddRules`` batch.  ``new_shards`` overrides
+        ``config.shards``.
         """
+        config = config if config is not None else ServeConfig()
         old = cls.open(directory, app_factory, config=config,
                        run_kwargs=run_kwargs, start=False)
         try:
@@ -410,8 +382,8 @@ class ShardedKBService:
         finally:
             old.stop()
         rebalanced = cls.create(new_directory, app_factory, ops,
-                                config=config, run_kwargs=run_kwargs,
-                                start=True, shards=new_shards)
+                                config=config.with_options(shards=new_shards),
+                                run_kwargs=run_kwargs, start=True)
         if rule_deltas:
             rebalanced.ingest([AddRules("\n".join(rule_deltas))], wait=True)
         if not start:

@@ -20,8 +20,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 VariableKey = tuple[str, tuple]
 
 
+class SnapshotReads:
+    """The query API every published view shares: reads of
+    ``self.marginals`` (variable key -> probability) and
+    ``self.threshold``, inherited by :class:`Snapshot` and the cross-shard
+    :class:`~repro.serve.shard.MergedSnapshot`."""
+
+    __slots__ = ()
+
+    marginals: Mapping[VariableKey, float]
+    threshold: float
+
+    def marginal(self, key: Hashable, default: float | None = None) -> float:
+        """The marginal probability of one variable key."""
+        value = self.marginals.get(key)
+        if value is None:
+            if default is not None:
+                return default
+            raise KeyError(f"no variable {key!r} in this snapshot")
+        return value
+
+    def output_tuples(self, relation: str,
+                      threshold: float | None = None) -> set[tuple]:
+        """Accepted tuples of ``relation`` at ``threshold`` (default: the
+        snapshot's own)."""
+        cut = self.threshold if threshold is None else threshold
+        return {values for (name, values), probability in self.marginals.items()
+                if name == relation and probability >= cut}
+
+    def top(self, relation: str, k: int = 10) -> list[tuple[tuple, float]]:
+        """The ``k`` highest-probability tuples of ``relation``."""
+        entries = [(values, probability)
+                   for (name, values), probability in self.marginals.items()
+                   if name == relation]
+        entries.sort(key=lambda item: (-item[1], item[0]))
+        return entries[:k]
+
+    def relations(self) -> list[str]:
+        """Relation names with at least one variable in this snapshot."""
+        return sorted({name for (name, _values) in self.marginals})
+
+    def __len__(self) -> int:
+        return len(self.marginals)
+
+
 @dataclass(frozen=True)
-class Snapshot:
+class Snapshot(SnapshotReads):
     """One published version of the extracted knowledge base.
 
     ``version``
@@ -53,36 +97,3 @@ class Snapshot:
     graph_stats: Mapping[str, int] = field(default_factory=dict)
     relation_counts: Mapping[str, int] = field(default_factory=dict)
     manifest: "ComplianceManifest | None" = None
-
-    # ------------------------------------------------------------ query API
-    def marginal(self, key: Hashable, default: float | None = None) -> float:
-        """The marginal probability of one variable key."""
-        value = self.marginals.get(key)
-        if value is None:
-            if default is not None:
-                return default
-            raise KeyError(f"no variable {key!r} in snapshot v{self.version}")
-        return value
-
-    def output_tuples(self, relation: str,
-                      threshold: float | None = None) -> set[tuple]:
-        """Accepted tuples of ``relation`` at ``threshold`` (default: the
-        snapshot's own)."""
-        cut = self.threshold if threshold is None else threshold
-        return {values for (name, values), probability in self.marginals.items()
-                if name == relation and probability >= cut}
-
-    def top(self, relation: str, k: int = 10) -> list[tuple[tuple, float]]:
-        """The ``k`` highest-probability tuples of ``relation``."""
-        entries = [(values, probability)
-                   for (name, values), probability in self.marginals.items()
-                   if name == relation]
-        entries.sort(key=lambda item: (-item[1], item[0]))
-        return entries[:k]
-
-    def relations(self) -> list[str]:
-        """Relation names with at least one variable in this snapshot."""
-        return sorted({name for (name, _values) in self.marginals})
-
-    def __len__(self) -> int:
-        return len(self.marginals)

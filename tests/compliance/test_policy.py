@@ -1,18 +1,21 @@
-"""Policy parsing, precedence, validation, and env plumbing."""
+"""Policy rule shape, precedence and validation."""
 
 import pytest
 
 from repro.compliance.policy import (VALID_ACTIONS, CompliancePolicy,
-                                     PolicyError, parse_rules)
-from repro.obs.config import COMPLIANCE_ENV_VARS, compliance_env_overrides
+                                     PolicyError)
 
 
-def test_parse_rules():
-    assert parse_rules("AdPhone.phone=anonymize, docs.*=drop") == (
-        ("AdPhone.phone", "anonymize"), ("docs.*", "drop"))
-    assert parse_rules("") == ()
-    with pytest.raises(PolicyError):
-        parse_rules("AdPhone.phone")
+@pytest.mark.parametrize("rules", [
+    ("AdPhone.phone", "drop"),           # one flat pair, not a tuple of pairs
+    ("ab", "cd"),                        # used to split into characters
+    "AdPhone.phone=drop",                # the string grammar is not accepted
+    (("AdPhone.phone", "drop", "x"),),
+    (("AdPhone.phone", 3),),
+], ids=["flat-pair", "flat-short-pair", "string", "triple", "non-string"])
+def test_rules_must_be_string_pairs(rules):
+    with pytest.raises(PolicyError, match=r"\(pattern, action\) pair"):
+        CompliancePolicy(rules=rules)
 
 
 def test_rule_precedence_first_match_wins():
@@ -58,83 +61,3 @@ def test_with_options():
     policy = CompliancePolicy().with_options(enabled=True,
                                              default_action="anonymize")
     assert policy.enabled and policy.default_action == "anonymize"
-
-
-def test_env_overrides_parse():
-    environ = {
-        "REPRO_COMPLIANCE_ENABLED": "1",
-        "REPRO_COMPLIANCE_ACTION": "anonymize",
-        "REPRO_COMPLIANCE_MIN_CONFIDENCE": "0.7",
-        "REPRO_COMPLIANCE_KEY": "secret",
-        "REPRO_COMPLIANCE_RULES": "AdPhone.phone=drop",
-    }
-    overrides, invalid = compliance_env_overrides(environ)
-    assert not invalid
-    assert overrides["enabled"] is True
-    assert overrides["default_action"] == "anonymize"
-
-    policy = CompliancePolicy.from_env(environ)
-    assert policy.enabled and policy.key == "secret"
-    assert policy.min_confidence == 0.7
-    assert policy.action_for("AdPhone", "phone") == "drop"
-
-
-def test_env_overrides_warn_and_report_unparseable_values():
-    with pytest.warns(RuntimeWarning, match="SAMPLE_ROWS='not-a-number'"):
-        overrides, invalid = compliance_env_overrides(
-            {"REPRO_COMPLIANCE_SAMPLE_ROWS": "not-a-number"})
-    assert "sample_rows" not in overrides
-    assert invalid == {"sample_rows": "not-a-number"}
-
-
-@pytest.mark.parametrize("raw", ["ture", "enabled", "2"])
-def test_unparseable_enabled_flag_fails_closed(raw):
-    # 'ture' used to parse as *disabled*, silently: raw PII published while
-    # the operator believed a policy was on
-    with pytest.warns(RuntimeWarning, match="REPRO_COMPLIANCE_ENABLED"):
-        with pytest.raises(PolicyError, match="enabled="):
-            CompliancePolicy.from_env({"REPRO_COMPLIANCE_ENABLED": raw,
-                                       "REPRO_COMPLIANCE_ACTION": "redact"})
-
-
-@pytest.mark.parametrize("raw,enabled", [("1", True), ("TRUE", True),
-                                         ("off", False), ("0", False),
-                                         ("", False), ("  ", False)])
-def test_enabled_flag_spellings(raw, enabled):
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        policy = CompliancePolicy.from_env({"REPRO_COMPLIANCE_ENABLED": raw})
-    assert policy.enabled is enabled
-
-
-@pytest.mark.parametrize("variable,raw,named", [
-    ("REPRO_COMPLIANCE_ACTION", "anonimize", "anonimize"),          # typo
-    ("REPRO_COMPLIANCE_SAMPLE_ROWS", "not-a-number", "sample_rows"),
-    ("REPRO_COMPLIANCE_RULES", "AdPhone.phone", "rules"),       # no action
-])
-def test_from_env_enabled_with_invalid_value_fails_closed(variable, raw, named):
-    # a typo'd action under an enabled policy must not silently fall back
-    # to 'allow' and publish raw PII — construction refuses instead
-    with pytest.warns(RuntimeWarning, match=variable):
-        with pytest.raises(PolicyError, match=named):
-            CompliancePolicy.from_env({"REPRO_COMPLIANCE_ENABLED": "1",
-                                       variable: raw})
-
-
-def test_from_env_disabled_invalid_value_warns_and_falls_back():
-    with pytest.warns(RuntimeWarning,
-                      match="REPRO_COMPLIANCE_ACTION='shred'"):
-        policy = CompliancePolicy.from_env({
-            "REPRO_COMPLIANCE_ACTION": "shred",           # invalid
-        })
-    assert not policy.enabled
-    assert policy.default_action == "allow"
-
-
-def test_every_compliance_env_var_is_declared():
-    assert set(COMPLIANCE_ENV_VARS) == {
-        "enabled", "default_action", "min_confidence", "key", "rules",
-        "sample_rows", "max_examples"}
-    assert all(name.startswith("REPRO_COMPLIANCE_")
-               for name in COMPLIANCE_ENV_VARS.values())

@@ -55,29 +55,30 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "pool_min_work", "pool_owner", "acquire_pool",
                  "release_pool", "pool_pins", "decide_map",
                  "decide_replicas", "attach_pool", "prestage",
-                 "numa_sockets", "from_engine_config")
+                 "numa_sockets", "from_engine_config",
+                 # serving and compliance are configured in code only
+                 "SERVE_ENV_VARS", "COMPLIANCE_ENV_VARS",
+                 "serve_env_overrides", "compliance_env_overrides",
+                 "parse_rules")
 
 
 def test_knobs_have_not_drifted():
-    """Every engine field has exactly one env fallback, every fallback is
-    documented, and what was retired with its duplicate (reference Gibbs
-    engine, cold pools, backend overrides, readers of formats nothing
-    writes, the serving engine's own chain-state dicts, every pool caller
-    and knob beyond the NUMA replicas) stays retired."""
+    """Every engine field has exactly one env fallback, the developer guide
+    documents exactly those fallbacks (no variable nothing reads), and what
+    was retired with its duplicate (reference Gibbs engine, cold pools,
+    backend overrides, readers of formats nothing writes, the serving
+    engine's own chain-state dicts, every pool caller and knob beyond the
+    NUMA replicas, the serving and compliance env tables) stays retired."""
     import dataclasses
 
-    from repro.obs.config import (COMPLIANCE_ENV_VARS, ENV_VARS,
-                                  SERVE_ENV_VARS, EngineConfig)
+    from repro.obs.config import ENV_VARS, EngineConfig
 
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
     assert set(ENV_VARS) == fields
 
     guide = (SRC_ROOT.parents[1] / "docs"
              / "developer_guide.md").read_text(encoding="utf-8")
-    undocumented = [var for table in (ENV_VARS, SERVE_ENV_VARS,
-                                      COMPLIANCE_ENV_VARS)
-                    for var in table.values() if var not in guide]
-    assert not undocumented, f"not in docs/developer_guide.md: {undocumented}"
+    assert set(re.findall(r"REPRO_[A-Z_]+", guide)) == set(ENV_VARS.values())
 
     offenders = [f"{path.relative_to(SRC_ROOT)}: {name}"
                  for path in sorted(SRC_ROOT.rglob("*.py"))
@@ -88,16 +89,14 @@ def test_knobs_have_not_drifted():
 
 
 def test_ambient_environment_is_accepted_by_every_reader():
-    """The process environment this suite runs under (CI's matrix legs set
-    ``REPRO_*`` variables) parses cleanly through all three tables: a typo
+    """The process environment this suite runs under (CI's spill leg sets
+    ``REPRO_*`` variables) parses cleanly through the one reader: a typo
     in a leg's ``engine-env`` fails here instead of running the leg with
     defaults.  (CI also turns the reader's warning into an error.)"""
     import warnings
 
     from repro.obs.config import EngineConfig
-    from repro.serve import ServeConfig
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         EngineConfig.from_env()
-        ServeConfig.from_env()

@@ -32,12 +32,16 @@ class TestBackendSelection:
             assert client.sharded
             assert isinstance(client.service, ShardedKBService)
 
-    def test_shards_argument_overrides_config(self, tmp_path):
-        client = KBClient.create(tmp_path / "kb", make_app_factory(),
-                                 bootstrap_ops(), config=fast_config(),
-                                 run_kwargs=RUN_KWARGS, shards=2)
-        with client:
-            assert client.sharded
+    def test_shard_count_comes_only_from_config(self, tmp_path):
+        with pytest.raises(TypeError):
+            KBClient.create(tmp_path / "kb", make_app_factory(),
+                            bootstrap_ops(), config=fast_config(),
+                            run_kwargs=RUN_KWARGS, shards=2)
+        with pytest.raises(TypeError):
+            ShardedKBService.create(tmp_path / "kb", make_app_factory(),
+                                    bootstrap_ops(),
+                                    config=fast_config(shards=2),
+                                    run_kwargs=RUN_KWARGS, vnodes=8)
 
     def test_open_sniffs_the_layout(self, tmp_path):
         with create_client(tmp_path, shards=2):

@@ -76,11 +76,10 @@ def run_scenario(directory: pathlib.Path, name: str) -> dict:
     shards, strategy, policy = SCENARIOS[name]
     config = ServeConfig(checkpoint_every=0, refresh_samples=40,
                          refresh_burn_in=10, strategy=strategy,
-                         compliance=policy)
+                         compliance=policy, shards=shards)
     published = []
     client = KBClient.create(directory, make_app_factory(), bootstrap_ops(),
-                             config=config, run_kwargs=RUN_KWARGS,
-                             shards=shards)
+                             config=config, run_kwargs=RUN_KWARGS)
     with client:
         published.append(_marginals_digest(client.snapshot()))
         for batch in BATCHES:
