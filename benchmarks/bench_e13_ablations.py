@@ -150,7 +150,7 @@ def test_e13c_factor_graph_vs_bare_logistic(benchmark, reporter):
         candidate_features: dict[tuple, list[str]] = {}
         for variable in graph.variables.values():
             features = []
-            for fid in variable.factor_ids:
+            for fid in graph.factors_of(variable.var_id):
                 factor = graph.factors[fid]
                 key = str(graph.weights[factor.weight_id].key)
                 features.append(key.partition(":")[2])

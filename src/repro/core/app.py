@@ -362,9 +362,9 @@ class DeepDive:
         graph = self.grounder.graph
         if not graph.has_variable(key):
             return 0
-        variable = graph.variables[graph.variable_id(key)]
-        return sum(1 for fid in variable.factor_ids
-                   if graph.factors[fid].function == FactorFunction.IS_TRUE)
+        factors = graph.factors
+        return sum(1 for fid in graph.factors_of(graph.variable_id(key))
+                   if factors[fid].function == FactorFunction.IS_TRUE)
 
     def error_analysis(self, result: RunResult, relation: str,
                        truth: Iterable[tuple],

@@ -18,6 +18,7 @@ factor-graph views.  This module implements that machinery:
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -178,7 +179,9 @@ class ViewSet:
     """
 
     def __init__(self, db) -> None:
-        self._db = db
+        # the database owns its view set: a weak back-reference keeps the
+        # pair free of a cycle, so a dropped database is freed at once
+        self._db = weakref.ref(db)
         self._views: dict[str, MaterializedView] = {}
 
     def define(self, name: str, plan, build_cache=None) -> MaterializedView:
@@ -191,7 +194,7 @@ class ViewSet:
         """
         if name in self._views:
             raise ValueError(f"view {name!r} already defined")
-        view = MaterializedView(name, plan, self._db, build_cache)
+        view = MaterializedView(name, plan, self._db(), build_cache)
         self._views[name] = view
         return view
 
@@ -217,9 +220,10 @@ class ViewSet:
         deletes = deletes or {}
         touched = set(inserts) | set(deletes)
 
+        db = self._db()
         deltas: dict[str, SignedDelta] = {}
         for relation_name in touched:
-            relation = self._db[relation_name]
+            relation = db[relation_name]
             delta = SignedDelta.from_changes(
                 relation.schema, inserts.get(relation_name, ()), deletes.get(relation_name, ()))
             deltas[relation_name] = delta

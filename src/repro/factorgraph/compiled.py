@@ -58,21 +58,18 @@ class CompiledGraph:
     _value_kernel: "_ValueKernel | None" = None
 
     def __init__(self, graph: FactorGraph) -> None:
-        self.num_variables = graph.num_variables
-        var_ids = sorted(graph.variables)
-        self._var_index = {var_id: i for i, var_id in enumerate(var_ids)}
-        self.var_keys: list[Hashable] = [graph.variables[v].key for v in var_ids]
+        # Compiled indices are the live ids in id order: tombstones drop out.
+        columns = graph.columns()
+        var_ids = np.flatnonzero(columns.var_alive)
+        self.num_variables = len(var_ids)
+        var_index = np.full(len(columns.var_alive), -1, dtype=np.int64)
+        var_index[var_ids] = np.arange(self.num_variables)
+        self.var_keys: list[Hashable] = graph.variable_keys()
 
-        self.is_evidence = np.zeros(self.num_variables, dtype=bool)
-        self.evidence_values = np.zeros(self.num_variables, dtype=bool)
-        self.initial_values = np.zeros(self.num_variables, dtype=bool)
-        for var_id in var_ids:
-            variable = graph.variables[var_id]
-            i = self._var_index[var_id]
-            self.initial_values[i] = variable.initial
-            if variable.evidence is not None:
-                self.is_evidence[i] = True
-                self.evidence_values[i] = variable.evidence
+        evidence = columns.var_evidence[var_ids]
+        self.is_evidence = evidence >= 0
+        self.evidence_values = evidence == 1
+        self.initial_values = columns.var_initial[var_ids]
 
         weight_ids = sorted(graph.weights)
         self._weight_index = {w: i for i, w in enumerate(weight_ids)}
@@ -84,49 +81,38 @@ class CompiledGraph:
             [graph.weights[w].fixed for w in weight_ids], dtype=bool)
         self.weight_observations = np.array(
             [graph.weights[w].observations for w in weight_ids], dtype=np.int64)
+        weight_index = np.full(weight_ids[-1] + 1 if weight_ids else 0, -1,
+                               dtype=np.int64)
+        weight_index[weight_ids] = np.arange(self.num_weights)
 
         # ---- split factors into unary IS_TRUE vs general --------------------
-        unary_var, unary_weight, unary_sign = [], [], []
-        general = []
-        for factor in graph.factors.values():
-            if factor.function == FactorFunction.IS_TRUE:
-                unary_var.append(self._var_index[factor.var_ids[0]])
-                unary_weight.append(self._weight_index[factor.weight_id])
-                unary_sign.append(-1.0 if factor.negated[0] else 1.0)
-            else:
-                general.append(factor)
-        self.unary_var = np.array(unary_var, dtype=np.int64)
-        self.unary_weight = np.array(unary_weight, dtype=np.int64)
-        self.unary_sign = np.array(unary_sign, dtype=np.float64)
-        self.num_unary = len(unary_var)
+        live = np.flatnonzero(columns.factor_alive)
+        is_unary = columns.factor_function[live] == FactorFunction.IS_TRUE
+        unary, general = live[is_unary], live[~is_unary]
+        first_edge = columns.factor_indptr[unary]
+        self.unary_var = var_index[columns.edge_var[first_edge]]
+        self.unary_weight = weight_index[columns.factor_weight[unary]]
+        self.unary_sign = np.where(columns.edge_negated[first_edge], -1.0, 1.0)
+        self.num_unary = len(unary)
 
         # ---- general factors in row-CSR form --------------------------------
         self.num_general = len(general)
-        self.general_function = np.array([f.function for f in general], dtype=np.int8)
-        self.general_weight = np.array(
-            [self._weight_index[f.weight_id] for f in general], dtype=np.int64)
-        fv_indptr = [0]
-        fv_vars: list[int] = []
-        fv_negated: list[bool] = []
-        for factor in general:
-            fv_vars.extend(self._var_index[v] for v in factor.var_ids)
-            fv_negated.extend(factor.negated)
-            fv_indptr.append(len(fv_vars))
-        self.fv_indptr = np.array(fv_indptr, dtype=np.int64)
-        self.fv_vars = np.array(fv_vars, dtype=np.int64)
-        self.fv_negated = np.array(fv_negated, dtype=bool)
+        self.general_function = columns.factor_function[general]
+        self.general_weight = weight_index[columns.factor_weight[general]]
+        edges, arities = _csr_rows(columns.factor_indptr, general)
+        self.fv_indptr = np.concatenate(
+            ([0], np.cumsum(arities))).astype(np.int64)
+        self.fv_vars = var_index[columns.edge_var[edges]]
+        self.fv_negated = columns.edge_negated[edges]
 
         # ---- column CSR: variable -> incident general factors ---------------
-        counts = np.zeros(self.num_variables + 1, dtype=np.int64)
-        for v in self.fv_vars:
-            counts[v + 1] += 1
-        self.vf_indptr = np.cumsum(counts)
-        self.vf_factors = np.zeros(len(self.fv_vars), dtype=np.int64)
-        cursor = self.vf_indptr[:-1].copy()
-        for fi in range(self.num_general):
-            for v in self.fv_vars[self.fv_indptr[fi]:self.fv_indptr[fi + 1]]:
-                self.vf_factors[cursor[v]] = fi
-                cursor[v] += 1
+        # Per variable, its factors in factor order: a stable sort of the
+        # edges (already in factor order) by variable.
+        counts = np.bincount(self.fv_vars, minlength=self.num_variables)
+        self.vf_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        edge_factor = np.repeat(np.arange(self.num_general, dtype=np.int64),
+                                arities)
+        self.vf_factors = edge_factor[np.argsort(self.fv_vars, kind="stable")]
 
         # ---- chromatic schedule ---------------------------------------------
         self.var_colors, self.num_colors = self._greedy_coloring()

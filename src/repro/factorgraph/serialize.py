@@ -12,10 +12,14 @@ The format (version 2, the only one this build writes or reads) records
 each variable, weight, and factor id and the weights' observation counts, so
 :func:`from_dict` reconstructs a graph whose id space matches the original
 exactly.  ``CompiledGraph`` orders variables by id, so id-exact restore is
-what makes checkpoint recovery bit-identical.
+what makes checkpoint recovery bit-identical.  Ids are positions in the
+graph's columns, so variables and factors are written, and must be read,
+in increasing id order.
 
 Loading rejects any other version outright — a payload from another writer
-must never be half-parsed into a silently wrong graph.
+must never be half-parsed into a silently wrong graph — and validates every
+factor exactly as :meth:`FactorGraph.add_factor` does (arity, variable and
+weight ids), raising :class:`~repro.factorgraph.GraphError`.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def to_dict(graph: FactorGraph) -> dict:
 
 def from_dict(data: dict) -> FactorGraph:
     """Reconstruct a graph serialized by :func:`to_dict`, ids restored
-    exactly (including gaps left by removals)."""
+    exactly (gaps left by removals become tombstones)."""
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise SerializationError(

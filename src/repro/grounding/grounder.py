@@ -21,13 +21,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.datastore import Database
 from repro.datastore.relation import Row
 from repro.obs.config import EngineConfig
-from repro.ddlog.ast import (FixedWeight, HeadConnective, PerRuleWeight, Rule,
+from repro.ddlog.ast import (FixedWeight, HeadConnective, PerRuleWeight,
                              RuleKind, UdfWeight, Var, VarWeight)
 from repro.ddlog.program import DDlogProgram
 from repro.ddlog.validate import evidence_base
@@ -107,16 +111,13 @@ class Grounder:
         program.create_relations(db)
         self._derived = derived_relation_plans(program.ast, program.udfs)
         self._rules = list(program.ast.rules)
-        # (rule_index, body_row) -> factor ids grounded from that row
-        self._row_factors: dict[tuple[int, Row], list[int]] = {}
+        # (rule_index, body_row) -> factor ids grounded from that row (a
+        # range on the bulk path: one row's factors get consecutive ids)
+        self._row_factors: dict[tuple[int, Row], Sequence[int]] = {}
         # var relation -> tuple -> label counter (distant supervision votes)
         self._evidence_votes: dict[str, dict[Row, Counter]] = {}
         self._view_rules: dict[str, int] = {}
-        self._rule_schemas: dict[int, Any] = {}
-        # compiled per-rule grounding recipes: positional head readers and
-        # weight resolvers, so _ground_row never builds a row dict
-        self._head_readers: dict[int, list[Callable[[Row], Row]]] = {}
-        self._weight_fns: dict[int, Callable[[Row], list[int]]] = {}
+        self._recipes: dict[int, _Recipe] = {}
 
         with obs.span("grounding.define_views") as sp:
             self._define_views()
@@ -144,8 +145,8 @@ class Grounder:
             view_name = f"rule::{index}"
             views.define(view_name, plan, build_cache)
             self._view_rules[view_name] = index
-            self._rule_schemas[index] = views[view_name].schema
-            self._compile_rule(index)
+            self._recipes[index] = self._compile_rule(
+                index, views[view_name].schema)
 
     def _initial_load(self) -> None:
         for name in self._derived:
@@ -164,11 +165,9 @@ class Grounder:
                 self._apply_supervision(index, appeared=rows, disappeared=[],
                                         delta=delta)
         for view_name, index in self._view_rules.items():
-            rule = self._rules[index]
-            if rule.kind in (RuleKind.FEATURE, RuleKind.INFERENCE):
-                ground_row = self._ground_row
-                for row in self.db.views[view_name].iter_visible():
-                    ground_row(index, row, delta)
+            if self._rules[index].kind in (RuleKind.FEATURE, RuleKind.INFERENCE):
+                self._ground_rule(index,
+                                  self.db.views[view_name].iter_visible())
 
     # ---------------------------------------------------- checkpoint support
     def state_dict(self) -> dict:
@@ -244,9 +243,7 @@ class Grounder:
                     counter[False] = negative
                 decoded[decode_key(values)] = counter
         self._view_rules = {}
-        self._rule_schemas = {}
-        self._head_readers = {}
-        self._weight_fns = {}
+        self._recipes = {}
         with obs.span("grounding.restore_views") as sp:
             self._define_views()
             sp.set(views=len(db.views.names()))
@@ -302,30 +299,40 @@ class Grounder:
 
     def variable_marginal_keys(self) -> list[Hashable]:
         """Keys of all current variables (relation name + tuple)."""
-        return [v.key for v in self.graph.variables.values()]
+        return self.graph.variable_keys()
 
     # ------------------------------------------------------------- grounding
-    def _compile_rule(self, index: int) -> None:
-        """Precompute positional head readers and the weight resolver.
+    def _compile_rule(self, index: int, schema) -> "_Recipe":
+        """Precompute a rule's positional head readers and weight resolver.
 
         The rule view's rows arrive schema-validated, so head tuples can be
         assembled by position (re-validating only when the view's column type
-        differs from the target relation's) and weight keys resolved without
-        materializing a row dict -- the per-row hot path of grounding.
+        differs from the target relation's) and weight labels resolved
+        without materializing a row dict -- the per-row hot path of
+        grounding.
         """
         rule = self._rules[index]
-        schema = self._rule_schemas[index]
-        self._head_readers[index] = [
-            self._make_head_reader(rule, head_index, schema)
-            for head_index in range(len(rule.heads))]
-        if rule.kind in (RuleKind.FEATURE, RuleKind.INFERENCE):
-            self._weight_fns[index] = self._make_weight_fn(index, rule, schema)
+        inference = rule.kind == RuleKind.INFERENCE
+        heads = tuple((head.relation, self._make_head_reader(head, schema))
+                      for head in (rule.heads if inference else rule.heads[:1]))
+        if rule.kind not in (RuleKind.FEATURE, RuleKind.INFERENCE):
+            return _Recipe(heads)
+        spec = rule.weight
+        if inference:
+            function = _CONNECTIVE_FUNCTIONS[rule.connective]
+            negated = tuple(head.negated for head in rule.heads)
+        else:
+            function, negated = FactorFunction.IS_TRUE, (False,)
+        return _Recipe(
+            heads, _weight_labels(index, spec, schema, self.program.udfs),
+            function, negated,
+            initial_value=spec.value if isinstance(spec, FixedWeight) else 0.0,
+            fixed=isinstance(spec, FixedWeight),
+            description="per-rule" if isinstance(spec, PerRuleWeight) else None)
 
-    def _make_head_reader(self, rule: Rule, head_index: int,
-                          schema) -> Callable[[Row], Row]:
+    def _make_head_reader(self, head, schema) -> Callable[[Row], Row]:
         from repro.datastore.types import coerce
 
-        head = rule.heads[head_index]
         target = self.db[head.relation].schema
         parts: list[tuple[int | None, Any]] = []
         revalidate = False
@@ -339,103 +346,81 @@ class Grounder:
             else:
                 parts.append((None, coerce(term.value,
                                            target.columns[position].type)))
+        pick = _picker(parts)
         if revalidate:
             validate = target.validate_row
+            return lambda row: validate(pick(row))
+        return pick
 
-            def read(row: Row) -> Row:
-                return validate(tuple(row[p] if p is not None else v
-                                      for p, v in parts))
-        else:
-            def read(row: Row) -> Row:
-                return tuple(row[p] if p is not None else v for p, v in parts)
-        return read
+    def _weight_ids(self, index: int, labels: list) -> list[int]:
+        """Weight ids of ``labels``, one per label: a label's tied weight
+        (and its provenance) is created the first time any rule row names
+        it."""
+        recipe = self._recipes[index]
+        keys = [f"rule{index}:{label}" for label in labels]
+        ids: dict[str, int] = {}
+        for key, label in zip(keys, labels):
+            if key not in ids:
+                ids[key] = self.graph.weight(key, recipe.initial_value,
+                                             recipe.fixed)
+                self._note_weight(key, index,
+                                  recipe.description or str(label))
+        return list(map(ids.__getitem__, keys))
 
-    def _make_weight_fn(self, index: int, rule: Rule,
-                        schema) -> Callable[[Row], list[int]]:
-        spec = rule.weight
-        if isinstance(spec, (FixedWeight, PerRuleWeight)):
-            fixed = isinstance(spec, FixedWeight)
-            key = f"rule{index}:fixed" if fixed else f"rule{index}:*"
-            cache: list[int] = []
+    def _ground_rule(self, index: int, rows: Iterable[Row]) -> None:
+        """Ground every row of one rule's view at once (the initial load).
 
-            def constant(row: Row) -> list[int]:
-                if not cache:       # weight registered on first grounded row
-                    cache.append(self.graph.weight(
-                        key, initial_value=spec.value, fixed=True) if fixed
-                        else self.graph.weight(key))
-                    self._note_weight(key, rule, index,
-                                      "fixed" if fixed else "per-rule")
-                return cache
-            return constant
-        if isinstance(spec, VarWeight):
-            position = schema.position(spec.var)
-
-            def per_value(row: Row) -> list[int]:
-                value = row[position]
-                key = f"rule{index}:{value}"
-                weight_id = self.graph.weight(key)
-                self._note_weight(key, rule, index, str(value))
-                return [weight_id]
-            return per_value
-        if isinstance(spec, UdfWeight):
-            udf = self.program.udfs[spec.udf]
-            parts = [(schema.position(a.name), None) if isinstance(a, Var)
-                     else (None, a.value) for a in spec.args]
-
-            def per_udf(row: Row) -> list[int]:
-                values = tuple(row[p] if p is not None else v
-                               for p, v in parts)
-                try:
-                    result = udf(*values)
-                except Exception as exc:    # noqa: BLE001 - rewrapped with context
-                    from repro.ddlog.compiler import UdfError
-                    raise UdfError(spec.udf, values, exc) from exc
-                if result is None:
-                    return []
-                outputs = [result] if isinstance(result,
-                                                 (str, int, float, bool)) \
-                    else list(result)
-                weight_ids = []
-                for value in outputs:
-                    key = f"rule{index}:{value}"
-                    weight_ids.append(self.graph.weight(key))
-                    self._note_weight(key, rule, index, str(value))
-                return weight_ids
-            return per_udf
-        raise GroundingError(f"rule {index} has no weight specification")
+        Only the weight resolver runs per row; head keys are interned and
+        factors appended for the whole rule, in the order
+        :meth:`_ground_row` would create them row by row, so the graph and
+        the row->factor bookkeeping come out identical.
+        """
+        recipe = self._recipes[index]
+        labels_of = recipe.labels
+        grounded = [(row, labels) for row in rows
+                    if (labels := labels_of(row))]
+        if not grounded:
+            return
+        rows, labels = zip(*grounded)
+        weight_ids = self._weight_ids(index, list(chain.from_iterable(labels)))
+        keys = [(relation, read(row))
+                for row in rows for relation, read in recipe.heads]
+        var_ids, created = self.graph.intern(keys)
+        for key in created:
+            self._on_new_variable(key)
+        per_row = np.fromiter(map(len, labels), dtype=np.int64,
+                              count=len(labels))
+        members = np.repeat(np.array(var_ids, dtype=np.int64).reshape(
+            len(rows), len(recipe.heads)), per_row, axis=0)
+        factors = self.graph.add_factors(recipe.function, members, weight_ids,
+                                         recipe.negated)
+        ends = (np.cumsum(per_row) + factors.start).tolist()
+        self._row_factors.update(zip(
+            [(index, row) for row in rows],
+            map(range, [factors.start] + ends[:-1], ends)))
+        if obs.enabled():
+            obs.count("grounding.factors", len(factors), rule=index)
+            obs.count("grounding.variables", len(created), rule=index)
 
     def _ground_row(self, index: int, row: Row, delta: GroundingDelta) -> None:
-        rule = self._rules[index]
-        weight_ids = self._weight_fns[index](row)
-        if not weight_ids:
+        recipe = self._recipes[index]
+        labels = recipe.labels(row)
+        if not labels:
             return
+        weight_ids = self._weight_ids(index, labels)
         vars_before = delta.variables_added
-        readers = self._head_readers[index]
-        factor_ids: list[int] = []
-        if rule.kind == RuleKind.FEATURE:
-            var_id, created = self._variable_for(rule.head.relation,
-                                                 readers[0](row))
+        var_ids: list[int] = []
+        for relation, read in recipe.heads:
+            key = (relation, read(row))
+            var_id, created = self._variable_for(key)
             if created:
                 delta.variables_added += 1
-            delta.touched_keys.add(self.graph.variables[var_id].key)
-            for weight_id in weight_ids:
-                factor_ids.append(self.graph.add_factor(
-                    FactorFunction.IS_TRUE, [var_id], weight_id))
-        else:  # INFERENCE
-            var_ids: list[int] = []
-            negated: list[bool] = []
-            for head_index, head in enumerate(rule.heads):
-                var_id, created = self._variable_for(head.relation,
-                                                     readers[head_index](row))
-                if created:
-                    delta.variables_added += 1
-                delta.touched_keys.add(self.graph.variables[var_id].key)
-                var_ids.append(var_id)
-                negated.append(head.negated)
-            function = _CONNECTIVE_FUNCTIONS[rule.connective]
-            for weight_id in weight_ids:
-                factor_ids.append(self.graph.add_factor(
-                    function, var_ids, weight_id, negated=negated))
+            delta.touched_keys.add(key)
+            var_ids.append(var_id)
+        add_factor = self.graph.add_factor
+        factor_ids = [add_factor(recipe.function, var_ids, weight_id,
+                                 recipe.negated)
+                      for weight_id in weight_ids]
         self._row_factors[(index, row)] = factor_ids
         delta.factors_added += len(factor_ids)
         if obs.enabled():
@@ -447,21 +432,23 @@ class Grounder:
         factor_ids = self._row_factors.pop((index, row), None)
         if not factor_ids:
             return
+        factors = self.graph.factors
         touched_vars: set[int] = set()
         for factor_id in factor_ids:
-            factor = self.graph.factors.get(factor_id)
+            factor = factors.get(factor_id)
             if factor is None:
                 continue
             touched_vars.update(factor.var_ids)
             self.graph.remove_factor(factor_id)
             delta.factors_removed += 1
+        variables = self.graph.variables
         for var_id in touched_vars:
-            variable = self.graph.variables.get(var_id)
+            variable = variables.get(var_id)
             if variable is not None:
                 delta.touched_keys.add(variable.key)
         for var_id in touched_vars:
-            variable = self.graph.variables.get(var_id)
-            if variable is not None and not variable.factor_ids \
+            variable = variables.get(var_id)
+            if variable is not None and not variable.factor_count \
                     and variable.evidence is None:
                 self._remove_variable_and_tuple(variable.key)
                 delta.variables_removed += 1
@@ -473,24 +460,29 @@ class Grounder:
         if relation.count(values):
             relation.delete(values)
 
-    def _variable_for(self, relation_name: str, values: Row) -> tuple[int, bool]:
-        key = (relation_name, values)
+    def _variable_for(self, key: tuple[str, Row]) -> tuple[int, bool]:
         created = not self.graph.has_variable(key)
         var_id = self.graph.variable(key)
         if created:
-            relation = self.db[relation_name]
-            if not relation.count(values):
-                relation.insert(values)
-            label = self._resolved_label(relation_name, values)
-            if label is not None:
-                self.graph.variables[var_id].evidence = label
+            self._on_new_variable(key)
         return var_id, created
 
+    def _on_new_variable(self, key: tuple[str, Row]) -> None:
+        """Keep the variable's tuple in its relation and label it."""
+        relation_name, values = key
+        relation = self.db[relation_name]
+        if not relation.count(values):
+            relation.insert(values)
+        label = self._resolved_label(relation_name, values)
+        if label is not None:
+            self.graph.set_evidence(key, label)
+
     # --------------------------------------------------------------- weights
-    def _note_weight(self, key: str, rule: Rule, index: int, description: str) -> None:
+    def _note_weight(self, key: str, index: int, description: str) -> None:
         if key not in self.weight_provenance:
             self.weight_provenance[key] = WeightProvenance(
-                rule_text=rule.text, description=description, rule_index=index)
+                rule_text=self._rules[index].text, description=description,
+                rule_index=index)
 
     # -------------------------------------------------------------- evidence
     def _apply_supervision(self, index: int, appeared: Iterable[Row],
@@ -498,7 +490,7 @@ class Grounder:
                            delta: GroundingDelta) -> None:
         rule = self._rules[index]
         relation_name = evidence_base(rule.head.relation)
-        read_head = self._head_readers[index][0]
+        ((_, read_head),) = self._recipes[index].heads
         evidence_relation = self.db[rule.head.relation]
         votes = self._evidence_votes.setdefault(relation_name, {})
         touched: set[Row] = set()
@@ -537,10 +529,10 @@ class Grounder:
         variable = self.graph.variables[self.graph.variable_id(key)]
         label = self._resolved_label(relation_name, values)
         if variable.evidence != label:
-            variable.evidence = label
+            self.graph.set_evidence(key, label)
             delta.evidence_changed += 1
             delta.touched_keys.add(key)
-        if label is None and not variable.factor_ids:
+        if label is None and not variable.factor_count:
             self._remove_variable_and_tuple(key)
             delta.variables_removed += 1
 
@@ -548,3 +540,64 @@ class Grounder:
 def ground(program: DDlogProgram, db: Database) -> FactorGraph:
     """One-shot convenience: ground ``program`` over ``db`` and return the graph."""
     return Grounder(program, db).graph
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """How one rule grounds a row of its view.
+
+    Holds no reference to the grounder, so a dropped grounder is freed by
+    reference counting rather than waiting for the cyclic collector.
+    """
+
+    heads: tuple[tuple[str, Callable[[Row], Row]], ...]  # (relation, reader)
+    labels: Callable[[Row], list] | None = None          # row -> weight labels
+    function: FactorFunction = FactorFunction.IS_TRUE
+    negated: tuple[bool, ...] = (False,)
+    initial_value: float = 0.0                           # of weights it creates
+    fixed: bool = False
+    description: str | None = None                       # None: the label
+
+
+def _picker(parts: list[tuple[int | None, Any]]) -> Callable[[Row], tuple]:
+    """``row -> tuple`` of ``parts``: each a row position, or a constant
+    (position ``None``)."""
+    positions = [position for position, _ in parts]
+    if not parts or None in positions:
+        return lambda row: tuple(row[p] if p is not None else v
+                                 for p, v in parts)
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
+
+
+def _weight_labels(index: int, spec, schema,
+                   udfs) -> Callable[[Row], list]:
+    """``row -> labels`` of the tied weights one rule row grounds: the
+    weight key of label ``x`` is ``rule<index>:x``."""
+    if isinstance(spec, (FixedWeight, PerRuleWeight)):
+        constant = ["fixed" if isinstance(spec, FixedWeight) else "*"]
+        return lambda row: constant
+    if isinstance(spec, VarWeight):
+        position = schema.position(spec.var)
+        return lambda row: [row[position]]
+    if isinstance(spec, UdfWeight):
+        udf = udfs[spec.udf]
+        arguments = _picker([(schema.position(a.name), None)
+                             if isinstance(a, Var) else (None, a.value)
+                             for a in spec.args])
+
+        def per_udf(row: Row) -> list:
+            values = arguments(row)
+            try:
+                result = udf(*values)
+            except Exception as exc:    # noqa: BLE001 - rewrapped with context
+                from repro.ddlog.compiler import UdfError
+                raise UdfError(spec.udf, values, exc) from exc
+            if result is None:
+                return []
+            return [result] if isinstance(result, (str, int, float, bool)) \
+                else list(result)
+        return per_udf
+    raise GroundingError(f"rule {index} has no weight specification")

@@ -1,6 +1,9 @@
 """End-to-end tests of the DeepDive application object on a tiny inline
 spouse-extraction task."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import DeepDive, Document
@@ -217,3 +220,29 @@ class TestIncrementalFlow:
         assert keys
         assert app.feature_count(keys[0]) >= 1
         assert app.feature_count(("MarriedMentions", ("no", "pe"))) == 0
+
+
+class TestReclaim:
+    def test_dropped_app_is_freed_by_reference_counting(self):
+        """No reference cycle runs through a finished app's grounder, graph
+        or database, so dropping the app frees them without the cyclic
+        collector (which is off here)."""
+        gc.collect()
+        gc.disable()
+        try:
+            app = build_app()
+            app.load_documents(corpus())
+            app.add_rows("EL", [(m, f"E_{t}")
+                                for (s, m, t) in app.db["PersonCandidate"]])
+            app.add_rows("Married", [("E_alan", "E_beth")])
+            result = app.run(holdout_fraction=0.0, num_samples=20, burn_in=5,
+                             learning=LearningOptions(epochs=5),
+                             compute_train_histogram=False)
+            refs = {name: weakref.ref(part) for name, part in (
+                ("grounder", app.grounder), ("graph", app.graph),
+                ("db", app.db))}
+            del app, result
+            assert {name: ref() is None for name, ref in refs.items()} == \
+                {"grounder": True, "graph": True, "db": True}
+        finally:
+            gc.enable()

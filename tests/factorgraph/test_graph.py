@@ -59,7 +59,8 @@ class TestFactors:
         v = graph.variable("x")
         w = graph.weight("w")
         fid = graph.add_factor(FactorFunction.IS_TRUE, [v], w)
-        assert fid in graph.variables[v].factor_ids
+        assert graph.factors_of(v) == [fid]
+        assert graph.variables[v].factor_count == 1
         assert graph.weights[w].observations == 1
 
     def test_arity_enforced(self, graph):
@@ -93,7 +94,9 @@ class TestFactors:
         graph.remove_factor(fid)
         assert graph.num_factors == 0
         assert graph.weights[w].observations == 0
-        assert fid not in graph.variables[v].factor_ids
+        assert graph.factors_of(v) == []
+        assert graph.variables[v].factor_count == 0
+        assert fid not in graph.factors
 
     def test_remove_variable_removes_factors(self, graph):
         v1 = graph.variable("x")
@@ -102,7 +105,9 @@ class TestFactors:
         graph.add_factor(FactorFunction.EQUAL, [v1, v2], w)
         graph.remove_variable("x")
         assert graph.num_factors == 0
-        assert graph.variables[v2].factor_ids == set()
+        assert graph.factors_of(v2) == []
+        assert graph.variables[v2].factor_count == 0
+        assert v1 not in graph.variables
 
 
 class TestStats:

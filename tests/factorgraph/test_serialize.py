@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.factorgraph import (FactorFunction, FactorGraph, dumps, from_dict,
-                               loads, to_dict)
+from repro.factorgraph import (FactorFunction, FactorGraph, GraphError, dumps,
+                               from_dict, loads, to_dict)
 
 
 def sample_graph():
@@ -142,3 +142,31 @@ class TestFormatVersions:
             num_samples=200, burn_in=20).by_key(CompiledGraph(restored))
         for key, value in m1.items():
             assert abs(m2[key] - value) < 1e-12
+
+
+class TestRestoreValidation:
+    """A payload is restored only if ``add_factor`` would have built it."""
+
+    @pytest.mark.parametrize("function, members", [
+        (FactorFunction.IS_TRUE, [0, 1]),   # read as unary: drops a variable
+        (FactorFunction.EQUAL, [0]),        # read as binary: reads past it
+        (FactorFunction.IMPLY, [1]),        # a head without a body
+    ])
+    def test_bad_arity_rejected(self, function, members):
+        data = to_dict(sample_graph())
+        data["factors"][0].update(function=int(function), vars=members,
+                                  negated=[False] * len(members))
+        with pytest.raises(GraphError, match="arity"):
+            from_dict(data)
+
+    def test_unknown_variable_rejected(self):
+        data = to_dict(sample_graph())
+        data["factors"][0]["vars"] = [7]
+        with pytest.raises(GraphError, match="unknown variable"):
+            from_dict(data)
+
+    def test_ids_out_of_order_rejected(self):
+        data = to_dict(sample_graph())
+        data["variables"].reverse()
+        with pytest.raises(GraphError, match="id order"):
+            from_dict(data)

@@ -101,10 +101,10 @@ class TestCompiledInvariants:
 @st.composite
 def kernel_graph(draw):
     """A random graph shaped to stress the factor-value kernel: every general
-    function with negated literals, arity 1-5 (a body-less IMPLY can only
-    come from a restored checkpoint, so factors go in through
-    ``restore_factor``), a small pool of tied weights some of which are
-    fixed, and sometimes no general factor at all."""
+    function with negated literals, every arity the function allows up to 5
+    (AND/OR down to 1; factors go in through ``restore_factor``, which
+    checks arity like ``add_factor``), a small pool of tied weights some of
+    which are fixed, and sometimes no general factor at all."""
     num_variables = draw(st.integers(min_value=2, max_value=8))
     graph = FactorGraph()
     for i in range(num_variables):
@@ -119,7 +119,8 @@ def kernel_graph(draw):
         elif function == FactorFunction.EQUAL:
             arity = 2
         else:
-            arity = draw(st.integers(1, min(5, num_variables)))
+            lowest = 2 if function == FactorFunction.IMPLY else 1
+            arity = draw(st.integers(lowest, min(5, num_variables)))
         members = draw(st.lists(st.integers(0, num_variables - 1),
                                 min_size=arity, max_size=arity, unique=True))
         negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
