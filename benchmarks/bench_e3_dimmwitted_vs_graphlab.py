@@ -228,64 +228,85 @@ class ScalarOracleGraph(CompiledGraph):
 class PreKernelSweep:
     """The chromatic sweep as it was formulated before the lean kernels.
 
-    Same chain, same arithmetic, but per color per sweep: an ``astype`` +
-    ``reduceat`` true count, a fresh ``np.zeros`` contribution, per-category
-    masked gathers and scatters over per-slot arrays, and the general-purpose
-    ``sigmoid`` with its scalar prologue.  The per-slot arrays the old
-    compiled block carried are rebuilt once from the slot groups.
+    Same chain, same arithmetic, but per color per sweep: a gather of every
+    edge of the incident factors, an ``astype`` + ``reduceat`` true count, a
+    fresh ``np.zeros`` contribution, per-category masked gathers and
+    scatters over one slot per (variable, factor) edge, and the
+    general-purpose ``sigmoid`` with its scalar prologue.  The per-edge
+    arrays are built once from the compiled graph's CSR arrays.
     """
 
     def __init__(self, sampler: GibbsSampler) -> None:
         self.sampler = sampler
+        compiled = sampler.compiled
         self.blocks = []
-        for kernel in sampler._kernels:
-            block = kernel.block
-            slot_factor = np.zeros(block.num_slots, dtype=np.int64)
-            slot_edge = np.zeros(block.num_slots, dtype=np.int64)
-            for group in (block.match, block.equal, block.imply_body):
-                slot_factor[group.slots] = group.factor
-                slot_edge[group.slots] = group.edge
-            arity = np.bincount(block.edge_factor)
-            all_others = block.match.slots[block.match.target > 0]
-            none_others = block.match.slots[block.match.target == 0]
-            edge_starts = np.nonzero(
-                np.diff(block.edge_factor, prepend=-1))[0]
-            self.blocks.append((block, kernel, slot_factor, slot_edge,
-                                arity[slot_factor], all_others, none_others,
-                                edge_starts))
+        for block in sampler._blocks:
+            local = np.full(compiled.num_variables, -1, dtype=np.int64)
+            local[block.variables] = np.arange(len(block.variables))
+            factor_ids = np.unique(np.concatenate(
+                [compiled.vf_factors[compiled.vf_indptr[v]:
+                                     compiled.vf_indptr[v + 1]]
+                 for v in block.variables]))
+            starts = compiled.fv_indptr[factor_ids]
+            arity = compiled.fv_indptr[factor_ids + 1] - starts
+            edges = np.concatenate([np.arange(lo, lo + n)
+                                    for lo, n in zip(starts, arity)])
+            edge_vars = compiled.fv_vars[edges]
+            edge_negated = compiled.fv_negated[edges]
+            edge_factor = np.repeat(np.arange(len(factor_ids)), arity)
+            edge_starts = np.cumsum(arity) - arity
+            slot_edge = np.nonzero(local[edge_vars] >= 0)[0]
+            slot_factor = edge_factor[slot_edge]
+            function = compiled.general_function[factor_ids][slot_factor]
+            head_edge = (edge_starts + arity - 1)[slot_factor]
+            imply_body = ((function == FactorFunction.IMPLY)
+                          & (slot_edge != head_edge))
+            equal = function == FactorFunction.EQUAL
+            disjunction = function == FactorFunction.OR
+            signed_weights = (
+                np.where(edge_negated[slot_edge], -1.0, 1.0)
+                * compiled.weight_values[
+                    compiled.general_weight[factor_ids][slot_factor]])
+            self.blocks.append((
+                block.variables, edge_vars, edge_negated, edge_starts,
+                slot_factor, slot_edge, arity[slot_factor],
+                local[edge_vars[slot_edge]], signed_weights,
+                np.nonzero(~imply_body & ~equal & ~disjunction)[0],
+                np.nonzero(disjunction)[0], np.nonzero(equal)[0],
+                np.nonzero(imply_body)[0], head_edge[imply_body]))
 
     def sweep(self, assignment: np.ndarray) -> int:
         sampler = self.sampler
         sampled = sampler._sweep_independent(assignment)
         uniforms = sampler.rng.random(len(sampler._dependent))
         offset = 0
-        for (block, kernel, slot_factor, slot_edge, slot_arity, all_others,
-             none_others, edge_starts) in self.blocks:
-            literals = assignment[block.edge_vars] ^ block.edge_negated
+        for (variables, edge_vars, edge_negated, edge_starts, slot_factor,
+             slot_edge, slot_arity, slot_var, signed_weights, all_others,
+             none_others, equal, imply_body, imply_head) in self.blocks:
+            literals = assignment[edge_vars] ^ edge_negated
             true_counts = np.add.reduceat(literals.astype(np.int64),
                                           edge_starts)
             others_true = true_counts[slot_factor] - literals[slot_edge]
-            contribution = np.zeros(block.num_slots, dtype=np.float64)
+            contribution = np.zeros(len(slot_edge), dtype=np.float64)
             if len(all_others):
                 contribution[all_others] = (
                     others_true[all_others] == slot_arity[all_others] - 1)
             if len(none_others):
                 contribution[none_others] = others_true[none_others] == 0
-            sel = block.equal.slots
-            if len(sel):
-                contribution[sel] = 2.0 * others_true[sel] - 1.0
-            sel = block.imply_body.slots
-            if len(sel):
-                head = literals[block.imply_head_edge]
-                body_others = others_true[sel] - head
-                contribution[sel] = np.where(
-                    (body_others == slot_arity[sel] - 2) & ~head, -1.0, 0.0)
-            deltas = np.bincount(block.slot_var,
-                                 weights=contribution * kernel.signed_weights,
-                                 minlength=len(block.variables))
-            deltas = sampler._unary_deltas[block.variables] + deltas
-            n = len(block.variables)
-            assignment[block.variables] = (
+            if len(equal):
+                contribution[equal] = 2.0 * others_true[equal] - 1.0
+            if len(imply_body):
+                head = literals[imply_head]
+                body_others = others_true[imply_body] - head
+                contribution[imply_body] = np.where(
+                    (body_others == slot_arity[imply_body] - 2) & ~head,
+                    -1.0, 0.0)
+            deltas = np.bincount(slot_var,
+                                 weights=contribution * signed_weights,
+                                 minlength=len(variables))
+            deltas = sampler._unary_deltas[variables] + deltas
+            n = len(variables)
+            assignment[variables] = (
                 uniforms[offset:offset + n] < sigmoid(deltas))
             offset += n
         return sampled + len(sampler._dependent)

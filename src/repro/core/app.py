@@ -32,6 +32,7 @@ from repro.factorgraph import CompiledGraph, FactorFunction
 from repro.grounding import (ChainState, Grounder, GroundingDelta,
                              UpdateResult, refresh)
 from repro.inference import GibbsSampler, LearningOptions, learn_weights
+from repro.inference.gibbs import check_chain_length
 from repro.nlp.pipeline import Document, preprocess_corpus, sentence_row
 from repro.obs import EngineConfig, PhaseRecorder
 
@@ -256,8 +257,11 @@ class DeepDive:
         """Execute supervision + learning + inference and return the result.
 
         ``holdout_fraction`` of the evidence variables is hidden from the
-        learner and used for the Figure-5 calibration artifacts.
+        learner and used for the Figure-5 calibration artifacts.  Raises
+        ``ValueError`` for ``num_samples < 1`` or ``burn_in < 0`` before
+        learning touches a weight.
         """
+        check_chain_length(num_samples, burn_in)
         graph = self.grounder.graph
         compiled = CompiledGraph(graph)
         rng = np.random.default_rng(self.seed)

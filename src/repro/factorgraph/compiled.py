@@ -26,8 +26,9 @@ general factor.  Variables of one color have conditionals that are mutually
 independent given the rest of the world, so a Gibbs sweep may sample a whole
 color block simultaneously with vectorized operations without changing the
 stationary distribution.  :meth:`CompiledGraph.color_blocks` compiles each
-color into flat "slot" index arrays (one slot per variable/factor incidence)
-that the sampler turns into a handful of numpy gathers per sweep.
+color into flat "slot" index arrays (one slot per incident factor: a color
+holds at most one member variable of any factor) that the sampler turns into
+a handful of numpy calls per sweep.
 
 The learner's sufficient statistics run on the same row CSR:
 :meth:`CompiledGraph.general_values` evaluates every general factor in one
@@ -44,7 +45,8 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.factorgraph.factor_functions import FactorFunction
+from repro.factorgraph.factor_functions import (FactorFunction, evaluate,
+                                                evaluate_flip)
 from repro.factorgraph.graph import FactorGraph
 
 
@@ -166,45 +168,50 @@ class CompiledGraph:
         local_pos = np.full(self.num_variables, -1, dtype=np.int64)
         local_pos[variables] = np.arange(len(variables))
 
-        # Factors incident on the block, compacted into local edge rows.
+        # The factors incident on the block, in factor order, as rows of a
+        # conjunction or a disjunction of literals: IMPLY(body -> head) is
+        # OR(~body, head), and EQUAL(a, b) is AND(a, b) + AND(~a, ~b), two
+        # adjacent rows with the second one's literals inverted.
         incident, _ = _csr_rows(self.vf_indptr, variables)
         factor_ids = np.unique(self.vf_factors[incident])
-        edges, arities = _csr_rows(self.fv_indptr, factor_ids)
+        equal = self.general_function[factor_ids] == FactorFunction.EQUAL
+        row_factor = np.repeat(factor_ids, np.where(equal, 2, 1))
+        inverted = np.zeros(len(row_factor), dtype=bool)
+        inverted[1:] = row_factor[1:] == row_factor[:-1]
+        function = self.general_function[row_factor]
+        edges, arities = _csr_rows(self.fv_indptr, row_factor)
+        edge_row = np.repeat(np.arange(len(row_factor)), arities)
         edge_vars = self.fv_vars[edges]
-        edge_negated = self.fv_negated[edges]
-        edge_factor = np.repeat(np.arange(len(factor_ids)), arities)
-        head_edge = np.cumsum(arities) - 1       # last edge of each local row
+        body = function[edge_row] == FactorFunction.IMPLY
+        body[np.cumsum(arities) - 1] = False            # the head literal
+        negated = self.fv_negated[edges] ^ body ^ inverted[edge_row]
 
-        # One slot per (block variable, incident factor occurrence), in edge
-        # order; each slot joins the group whose formula gives its flip
-        # contribution.
-        slot_edge = np.nonzero(local_pos[edge_vars] >= 0)[0]
-        slot_factor = edge_factor[slot_edge]
-        arity = arities[slot_factor]
-        function = self.general_function[factor_ids][slot_factor]
-        imply_body = ((function == FactorFunction.IMPLY)
-                      & (slot_edge != head_edge[slot_factor]))
-        equal = function == FactorFunction.EQUAL
-        target = np.where(function == FactorFunction.OR, 0, arity - 1)
-        target[imply_body] -= 1              # the *remaining* body literals
-
-        def group(mask: np.ndarray) -> SlotGroup:
-            slots = np.nonzero(mask)[0]
-            return SlotGroup(slots, slot_factor[slots], slot_edge[slots],
-                             target[slots].astype(np.float64))
-
+        # One slot per row.  A color holds at most one member variable of a
+        # factor, so a row's own edges are the occurrences of one block
+        # variable and every other edge belongs to another color.  Flipping
+        # that variable 0 -> 1 changes the row's value only when the other
+        # literals are all true (AND) or all false (OR), and then by
+        # [every own literal is true at 1] - [every own literal is true at 0]:
+        # +1 or -1 when all occurrences share a polarity, 0 when they mix.
+        own = local_pos[edge_vars] >= 0
+        own_count = np.bincount(edge_row[own], minlength=len(row_factor))
+        own_positive = np.bincount(edge_row[own & ~negated],
+                                   minlength=len(row_factor))
+        slot_var = np.empty(len(row_factor), dtype=np.int64)
+        slot_var[edge_row[own]] = local_pos[edge_vars[own]]
+        disjunction = ((function == FactorFunction.OR)
+                       | (function == FactorFunction.IMPLY))
+        others = ~own
         return ColorBlock(
             variables=variables,
-            edge_vars=edge_vars,
-            edge_negated=edge_negated,
-            edge_factor=edge_factor,
-            slot_var=local_pos[edge_vars[slot_edge]],
-            slot_weight=self.general_weight[factor_ids][slot_factor],
-            slot_sign=np.where(edge_negated[slot_edge], -1.0, 1.0),
-            match=group(~imply_body & ~equal),
-            equal=group(equal),
-            imply_body=group(imply_body),
-            imply_head_edge=head_edge[slot_factor[imply_body]])
+            other_vars=edge_vars[others],
+            other_negated=negated[others],
+            other_slot=edge_row[others],
+            slot_var=slot_var,
+            slot_weight=self.general_weight[row_factor],
+            slot_sign=((own_positive == own_count).astype(np.float64)
+                       - (own_positive == 0)),
+            slot_target=np.where(disjunction, 0.0, arities - own_count))
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -249,16 +256,7 @@ class CompiledGraph:
         """Value of general factor ``fi`` under ``assignment``."""
         lo, hi = self.fv_indptr[fi], self.fv_indptr[fi + 1]
         literals = assignment[self.fv_vars[lo:hi]] ^ self.fv_negated[lo:hi]
-        function = self.general_function[fi]
-        if function == FactorFunction.IMPLY:
-            return int((not bool(literals[:-1].all())) or bool(literals[-1]))
-        if function == FactorFunction.AND:
-            return int(bool(literals.all()))
-        if function == FactorFunction.OR:
-            return int(bool(literals.any()))
-        if function == FactorFunction.EQUAL:
-            return int(bool(literals[0]) == bool(literals[1]))
-        raise ValueError(f"unexpected general factor function {function}")
+        return evaluate(int(self.general_function[fi]), literals.tolist())
 
     def general_values(self, assignment: np.ndarray) -> np.ndarray:
         """Value (0.0 / 1.0) of every general factor under ``assignment``.
@@ -288,7 +286,7 @@ class CompiledGraph:
             values[sel] = literals[first] == literals[first + 1]
         sel = kernel.imply
         if len(sel):
-            head = literals[kernel.imply_head_edge]
+            head = literals[kernel.imply_heads]
             body_holds = true_counts[sel] - head == kernel.arity[sel] - 1
             values[sel] = ~body_holds | head
         return values
@@ -302,20 +300,21 @@ class CompiledGraph:
                            minlength=self.num_weights)
 
     def general_delta(self, var: int, assignment: np.ndarray) -> float:
-        """Log-weight delta of flipping ``var`` 0 -> 1 over its general factors."""
+        """Log-weight delta of flipping ``var`` 0 -> 1 over its general factors.
+
+        Each incident factor counts once, as its value with every occurrence
+        of ``var`` at 1 minus its value with every occurrence at 0.
+        """
         delta = 0.0
-        for slot in range(self.vf_indptr[var], self.vf_indptr[var + 1]):
-            fi = self.vf_factors[slot]
+        lo, hi = self.vf_indptr[var], self.vf_indptr[var + 1]
+        for fi in dict.fromkeys(self.vf_factors[lo:hi].tolist()):
             lo, hi = self.fv_indptr[fi], self.fv_indptr[fi + 1]
             members = self.fv_vars[lo:hi]
-            literals = assignment[members] ^ self.fv_negated[lo:hi]
-            position = int(np.nonzero(members == var)[0][0])
-            negated = self.fv_negated[lo + position]
-            literals[position] = not negated      # var = 1
-            value_true = _general_value(self.general_function[fi], literals)
-            literals[position] = negated          # var = 0
-            value_false = _general_value(self.general_function[fi], literals)
-            delta += self.weight_values[self.general_weight[fi]] * (value_true - value_false)
+            literals = (assignment[members] ^ self.fv_negated[lo:hi]).tolist()
+            own = [j for j, member in enumerate(members.tolist()) if member == var]
+            delta += self.weight_values[self.general_weight[fi]] * evaluate_flip(
+                int(self.general_function[fi]), literals,
+                self.fv_negated[lo:hi].tolist(), own)
         return delta
 
     # ---------------------------------------------------------------- weights
@@ -352,7 +351,7 @@ class _ValueKernel:
     conj: np.ndarray
     disj: np.ndarray
     equal: np.ndarray
-    imply_head_edge: np.ndarray  # aligned with ``imply``
+    imply_heads: np.ndarray      # head edge of each ``imply`` factor
 
     @classmethod
     def derive(cls, compiled: CompiledGraph) -> "_ValueKernel":
@@ -364,55 +363,33 @@ class _ValueKernel:
         return cls(starts=compiled.fv_indptr[:-1],
                    arity=np.diff(compiled.fv_indptr),
                    imply=imply, conj=conj, disj=disj, equal=equal,
-                   imply_head_edge=compiled.fv_indptr[imply + 1] - 1)
-
-
-@dataclass(frozen=True)
-class SlotGroup:
-    """The slots of one color block that share a flip-contribution formula.
-
-    Pre-split at compile time so a sweep gathers each group's inputs
-    directly instead of slicing per-slot arrays by category every pass.
-    """
-
-    slots: np.ndarray            # positions in the block's slot arrays
-    factor: np.ndarray           # slot -> local factor row
-    edge: np.ndarray             # slot -> the variable's own edge
-    target: np.ndarray           # others-true count the formula tests for
-                                 # (unused by EQUAL)
+                   imply_heads=compiled.fv_indptr[imply + 1] - 1)
 
 
 @dataclass(frozen=True)
 class ColorBlock:
     """Flat index arrays for one color of the chromatic schedule.
 
-    The sampler evaluates a whole block per sweep with vectorized gathers:
-
-    * ``edge_*`` are the compacted rows of every general factor incident on
-      the block (``edge_factor`` maps each edge to its local factor row);
-    * each *slot* is one (variable, factor occurrence) incidence --
-      ``slot_var`` indexes into ``variables``;
-    * the slot groups partition the slots by how the factor's contribution
-      to the flip delta is computed from the count of *other* true literals:
-      ``match`` fires +1 when the count equals the group's ``target`` (all
-      others for AND and for IMPLY where the variable is the head, none for
-      OR), ``equal`` is +1/-1 on the other literal, and ``imply_body`` (IMPLY
-      body literals, with ``imply_head_edge`` giving the head literal of
-      each such slot's factor) fires -1 when the remaining body holds and
-      the head is false.
+    Each *slot* is one factor incident on the block, written as a
+    conjunction or a disjunction of literals (an EQUAL factor is two
+    conjunction slots, see ``_compile_color_block``), together with the one
+    block variable among its members -- ``slot_var`` indexes into
+    ``variables``.  The ``other_*`` arrays are the slot's remaining edges,
+    slot after slot.  Flipping the variable 0 -> 1 moves the slot's value
+    by ``slot_sign`` exactly when the count of true other literals equals
+    ``slot_target`` (all of them for a conjunction, none for a disjunction),
+    and by 0 otherwise.
     """
 
     variables: np.ndarray        # compiled variable indices in this block
-    edge_vars: np.ndarray        # member variable per compacted edge
-    edge_negated: np.ndarray     # literal polarity per compacted edge
-    edge_factor: np.ndarray      # edge -> local factor row
+    other_vars: np.ndarray       # member variable per other edge
+    other_negated: np.ndarray    # literal polarity per other edge
+    other_slot: np.ndarray       # other edge -> slot
     slot_var: np.ndarray         # slot -> position in ``variables``
     slot_weight: np.ndarray      # slot -> global weight index
-    slot_sign: np.ndarray        # -1 where the variable's literal is negated
-    match: SlotGroup
-    equal: SlotGroup
-    imply_body: SlotGroup
-    imply_head_edge: np.ndarray  # aligned with ``imply_body``
+    slot_sign: np.ndarray        # -1.0, 0.0 or +1.0
+    slot_target: np.ndarray      # true other literals at which the slot fires
+                                 # (float, like the counts it is compared to)
 
     @property
     def num_slots(self) -> int:
@@ -427,14 +404,3 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     positions = np.repeat(starts - first, lengths) + np.arange(lengths.sum())
     return positions, lengths
 
-
-def _general_value(function: int, literals: np.ndarray) -> int:
-    if function == FactorFunction.IMPLY:
-        return int((not bool(literals[:-1].all())) or bool(literals[-1]))
-    if function == FactorFunction.AND:
-        return int(bool(literals.all()))
-    if function == FactorFunction.OR:
-        return int(bool(literals.any()))
-    if function == FactorFunction.EQUAL:
-        return int(bool(literals[0]) == bool(literals[1]))
-    raise ValueError(f"unexpected general factor function {function}")

@@ -18,8 +18,7 @@ The function inventory mirrors DeepDive's grounded factor types:
 from __future__ import annotations
 
 import enum
-
-import numpy as np
+from typing import Sequence
 
 
 class FactorFunction(enum.IntEnum):
@@ -32,21 +31,34 @@ class FactorFunction(enum.IntEnum):
     EQUAL = 4
 
 
-def evaluate(function: FactorFunction, literals: np.ndarray) -> int:
-    """Value of ``function`` over boolean ``literals`` (already de-negated)."""
+def evaluate(function: FactorFunction, literals: Sequence[bool]) -> int:
+    """Value of ``function`` over boolean ``literals`` (already de-negated;
+    a list is fastest, a numpy array works too)."""
     if function == FactorFunction.IS_TRUE:
         return int(literals[0])
     if function == FactorFunction.IMPLY:
-        body = literals[:-1]
-        head = literals[-1]
-        return int((not bool(body.all())) or bool(head))
+        return int(not all(literals[:-1]) or bool(literals[-1]))
     if function == FactorFunction.AND:
-        return int(bool(literals.all()))
+        return int(all(literals))
     if function == FactorFunction.OR:
-        return int(bool(literals.any()))
+        return int(any(literals))
     if function == FactorFunction.EQUAL:
         return int(bool(literals[0]) == bool(literals[1]))
     raise ValueError(f"unknown factor function {function}")
+
+
+def evaluate_flip(function: FactorFunction, literals: list[bool],
+                  negated: Sequence[bool], own: Sequence[int]) -> int:
+    """Value change of ``function`` when a variable occurring at positions
+    ``own`` flips 0 -> 1, the other ``literals`` held: the value with every
+    occurrence at 1 minus the value with every occurrence at 0.  Overwrites
+    the ``own`` entries of ``literals``."""
+    for j in own:
+        literals[j] = not negated[j]
+    value = evaluate(function, literals)
+    for j in own:
+        literals[j] = negated[j]
+    return value - evaluate(function, literals)
 
 
 def arity_constraint(function: FactorFunction) -> tuple[int, int | None]:

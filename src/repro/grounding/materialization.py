@@ -45,7 +45,7 @@ from typing import Collection, Hashable
 import numpy as np
 
 from repro.factorgraph.compiled import CompiledGraph
-from repro.factorgraph.factor_functions import FactorFunction
+from repro.factorgraph.factor_functions import FactorFunction, evaluate_flip
 from repro.factorgraph.serialize import decode_key, encode_key
 from repro.inference.gibbs import GibbsSampler, sigmoid
 
@@ -198,18 +198,17 @@ class VariationalMaterialization:
         """Expected general-factor delta for raising P(var=1)."""
         compiled = self.compiled
         total = 0.0
-        for slot in range(compiled.vf_indptr[var], compiled.vf_indptr[var + 1]):
-            fi = compiled.vf_factors[slot]
+        lo, hi = compiled.vf_indptr[var], compiled.vf_indptr[var + 1]
+        for fi in dict.fromkeys(compiled.vf_factors[lo:hi].tolist()):
             lo, hi = compiled.fv_indptr[fi], compiled.fv_indptr[fi + 1]
             members = compiled.fv_vars[lo:hi]
             negs = compiled.fv_negated[lo:hi]
             weight = compiled.weight_values[compiled.general_weight[fi]]
             mus = np.where(negs, 1.0 - self.mu[members], self.mu[members])
-            position = int(np.nonzero(members == var)[0][0])
-            delta = _literal_delta(compiled.general_function[fi], mus, position)
-            if negs[position]:
-                delta = -delta
-            total += weight * delta
+            own = [j for j, member in enumerate(members.tolist())
+                   if member == var]
+            total += weight * _literal_delta(
+                int(compiled.general_function[fi]), mus, negs.tolist(), own)
         return total
 
     def update(self, changed: set[int]) -> UpdateResult:
@@ -220,24 +219,31 @@ class VariationalMaterialization:
         return UpdateResult(self.mu.copy(), work)
 
 
-def _literal_delta(function: int, mus: np.ndarray, position: int) -> float:
-    """E[f | literal_position = 1] - E[f | literal_position = 0], with the
-    other literals independent Bernoulli(mus)."""
-    others = np.delete(mus, position)
-    if function == FactorFunction.AND:
-        return float(np.prod(others))
-    if function == FactorFunction.OR:
-        return float(np.prod(1.0 - others))
-    if function == FactorFunction.EQUAL:
-        other = float(others[0])
-        return 2.0 * other - 1.0
+def _literal_delta(function: int, mus: np.ndarray, negated: list[bool],
+                   own: list[int]) -> float:
+    """E[f | var = 1] - E[f | var = 0] for one factor, var occurring at the
+    positions ``own`` and the other literals independent Bernoulli(mus).
+
+    Over the other literals the difference is nonzero at one setting only --
+    AND's all true, OR's all false, IMPLY's body true with a false head
+    unless var is the head -- where it is ``sign``; EQUAL's is ``sign`` when
+    the other literal is true and ``-sign`` when it is false.
+    """
+    literals = [function != FactorFunction.OR] * len(negated)
     if function == FactorFunction.IMPLY:
-        if position == len(mus) - 1:                 # the head literal
-            return float(np.prod(others))            # body all-true probability
-        body_others = np.delete(mus, [position, len(mus) - 1])
-        head = float(mus[-1])
-        # raising a body literal can only violate the implication
-        return -float(np.prod(body_others)) * (1.0 - head)
+        literals[-1] = False
+    sign = evaluate_flip(function, literals, negated, own)
+    others = np.delete(mus, own)
+    if function == FactorFunction.AND:
+        return float(np.prod(others)) * sign
+    if function == FactorFunction.OR:
+        return float(np.prod(1.0 - others)) * sign
+    if function == FactorFunction.EQUAL:
+        return (2.0 * float(others[0]) - 1.0) * sign if len(others) else 0.0
+    if function == FactorFunction.IMPLY:
+        if own[-1] == len(mus) - 1:                  # var is the head
+            return float(np.prod(others)) * sign     # body all-true probability
+        return float(np.prod(others[:-1])) * (1.0 - float(others[-1])) * sign
     raise ValueError(f"unexpected factor function {function}")
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro.factorgraph.compiled import ColorBlock, CompiledGraph
-from repro.factorgraph.factor_functions import FactorFunction
+from repro.factorgraph.factor_functions import evaluate_flip
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -81,6 +81,15 @@ def _sigmoid_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+def check_chain_length(num_samples: int, burn_in: int) -> None:
+    """Reject a chain that would estimate nothing: a marginal needs at least
+    one sample, and a burn-in cannot be negative."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+
+
 def _observe_color(color: int, before: np.ndarray, after: np.ndarray,
                    started: float) -> None:
     """Per-color hook of the traced sweep (see ``_sweep_traced``)."""
@@ -110,9 +119,7 @@ class _BlockKernel:
     :meth:`deltas` is the per-color inner loop of every sweep, so everything
     that does not depend on the current world is hoisted out of it: the
     signed slot weights and the block's unary deltas are gathered once per
-    :meth:`refresh`, the slot groups arrive pre-split from the compiled
-    block, and the per-slot contribution buffer is allocated once (every
-    slot belongs to exactly one group, so each pass overwrites all of it).
+    :meth:`refresh`, and the per-slot contribution buffer is allocated once.
     """
 
     __slots__ = ("block", "signed_weights", "unary", "_contribution")
@@ -129,42 +136,17 @@ class _BlockKernel:
     def deltas(self, assignment: np.ndarray) -> np.ndarray:
         """Flip deltas (log-odds) for every variable of the block.
 
-        For each slot the factor's contribution to flipping the variable's
-        *literal* 0 -> 1 depends only on the other members' literals:
-
-        * AND, and IMPLY when the variable is the head: +1 iff all others
-          are true;
-        * OR: +1 iff no other is true;
-        * EQUAL: +1 if the other literal is true else -1;
-        * IMPLY body literal: raising it can only violate the implication,
-          so -1 iff the remaining body literals hold and the head is false.
-
-        A negated self-literal mirrors the contribution (``slot_sign``,
-        folded into ``signed_weights``).  Per-variable accumulation runs in
-        slot order, the same order the scalar oracle adds in.
+        A slot contributes its signed weight when the count of its true
+        *other* literals equals its target, and nothing otherwise (see
+        :class:`ColorBlock`).  Per-variable accumulation runs in slot order,
+        the same factor order the scalar oracle adds in.
         """
         block = self.block
-        literals = assignment[block.edge_vars] ^ block.edge_negated
-        true_counts = np.bincount(block.edge_factor, weights=literals)
-        contribution = self._contribution
-
-        group = block.match
-        if len(group.slots):
-            others_true = true_counts[group.factor] - literals[group.edge]
-            contribution[group.slots] = others_true == group.target
-        group = block.equal
-        if len(group.slots):
-            others_true = true_counts[group.factor] - literals[group.edge]
-            contribution[group.slots] = 2.0 * others_true - 1.0
-        group = block.imply_body
-        if len(group.slots):
-            others_true = true_counts[group.factor] - literals[group.edge]
-            head = literals[block.imply_head_edge]
-            # with a false head the other body literals are all the others
-            contribution[group.slots] = np.where(
-                (others_true == group.target) & ~head, -1.0, 0.0)
-
-        np.multiply(contribution, self.signed_weights, out=contribution)
+        literals = assignment[block.other_vars] ^ block.other_negated
+        others_true = np.bincount(block.other_slot, weights=literals,
+                                  minlength=len(block.slot_var))
+        contribution = np.multiply(others_true == block.slot_target,
+                                   self.signed_weights, out=self._contribution)
         deltas = np.bincount(block.slot_var, weights=contribution,
                              minlength=len(block.variables))
         return np.add(self.unary, deltas, out=deltas)
@@ -211,17 +193,17 @@ class GibbsSampler:
         """
         compiled = self.compiled
         adjacency: list[list[tuple]] = []
-        for var in self._dependent:
+        for var in self._dependent.tolist():
             factors = []
-            for slot in range(compiled.vf_indptr[var], compiled.vf_indptr[var + 1]):
-                fi = int(compiled.vf_factors[slot])
-                lo, hi = int(compiled.fv_indptr[fi]), int(compiled.fv_indptr[fi + 1])
-                members = tuple(int(v) for v in compiled.fv_vars[lo:hi])
-                negated = tuple(bool(n) for n in compiled.fv_negated[lo:hi])
-                position = members.index(int(var))
+            lo, hi = compiled.vf_indptr[var], compiled.vf_indptr[var + 1]
+            for fi in dict.fromkeys(compiled.vf_factors[lo:hi].tolist()):
+                lo, hi = compiled.fv_indptr[fi], compiled.fv_indptr[fi + 1]
+                members = compiled.fv_vars[lo:hi].tolist()
+                negated = compiled.fv_negated[lo:hi].tolist()
+                own = [j for j, member in enumerate(members) if member == var]
                 factors.append((int(compiled.general_function[fi]),
                                 int(compiled.general_weight[fi]),
-                                members, negated, position))
+                                members, negated, own))
             adjacency.append(factors)
         return adjacency
 
@@ -293,7 +275,9 @@ class GibbsSampler:
     def sweep_reference(self, assignment: np.ndarray) -> int:
         """Scalar per-variable sweep, the oracle :meth:`sweep` is tested
         against: identical RNG stream, identical chromatic visit order,
-        sequential conditionals."""
+        sequential conditionals.  A variable's flip delta adds, per incident
+        factor, the factor's value with every occurrence of the variable at
+        1 minus its value with every occurrence at 0."""
         sampled = self._sweep_independent(assignment)
         if len(self._dependent):
             if self._reference_adjacency is None:
@@ -301,34 +285,14 @@ class GibbsSampler:
             uniforms = self.rng.random(len(self._dependent))
             unary = self._unary_deltas
             weights = self.compiled.weight_values
-            imply = int(FactorFunction.IMPLY)
-            conj = int(FactorFunction.AND)
-            disj = int(FactorFunction.OR)
-            for i, var in enumerate(self._dependent):
-                var = int(var)
+            for i, var in enumerate(self._dependent.tolist()):
                 delta = float(unary[var])
-                for function, weight_index, members, negated, position \
+                for function, weight_index, members, negated, own \
                         in self._reference_adjacency[i]:
-                    self_negated = negated[position]
-                    others = [bool(assignment[m]) != negated[j]
-                              for j, m in enumerate(members) if j != position]
-                    if function == imply:
-                        if position == len(members) - 1:     # self is the head
-                            contribution = 1.0 if all(others) else 0.0
-                        else:
-                            head = others[-1]
-                            # raising a body literal can only violate
-                            contribution = -1.0 if (all(others[:-1])
-                                                    and not head) else 0.0
-                    elif function == conj:
-                        contribution = 1.0 if all(others) else 0.0
-                    elif function == disj:
-                        contribution = 1.0 if not any(others) else 0.0
-                    else:                                     # EQUAL
-                        contribution = 1.0 if others[0] else -1.0
-                    if self_negated:
-                        contribution = -contribution
-                    delta += weights[weight_index] * contribution
+                    literals = [bool(assignment[m]) != n
+                                for m, n in zip(members, negated)]
+                    delta += weights[weight_index] * evaluate_flip(
+                        function, literals, negated, own)
                 assignment[var] = uniforms[i] < _sigmoid_scalar(delta)
             sampled += len(self._dependent)
         return sampled
@@ -339,8 +303,10 @@ class GibbsSampler:
         """Estimate marginals from ``num_samples`` post-burn-in sweeps.
 
         Evidence variables (when clamped) report their label as probability
-        0/1, matching DeepDive's output convention.
+        0/1, matching DeepDive's output convention.  Raises ``ValueError``
+        for ``num_samples < 1`` or ``burn_in < 0``.
         """
+        check_chain_length(num_samples, burn_in)
         with obs.span("inference.marginals", colors=len(self._blocks),
                       variables=self.compiled.num_variables,
                       num_samples=num_samples, burn_in=burn_in):
@@ -352,6 +318,6 @@ class GibbsSampler:
             for _ in range(num_samples):
                 self.sweep(assignment)
                 totals += assignment
-            marginals = totals / max(num_samples, 1)
+            marginals = totals / num_samples
             marginals[self.clamped] = self.compiled.evidence_values[self.clamped]
         return MarginalResult(marginals=marginals, num_samples=num_samples, burn_in=burn_in)

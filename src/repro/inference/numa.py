@@ -39,7 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.factorgraph.compiled import CompiledGraph
-from repro.inference.gibbs import GibbsSampler
+from repro.inference.gibbs import GibbsSampler, check_chain_length
 from repro.parallel.registry import get_pool
 from repro.parallel.warm import VALID_PARALLEL_MODES, ReplicaOutcome
 
@@ -190,7 +190,9 @@ class NumaGibbs:
         remote-access costs.  With ``workers > 0`` the replica chains run in
         worker processes over shared memory (bit-identical totals); any
         worker failure falls back to the sequential loop with a warning.
+        Raises ``ValueError`` for ``num_samples < 1`` or ``burn_in < 0``.
         """
+        check_chain_length(num_samples, burn_in)
         config = self.config
         total_sweeps = burn_in + num_samples
         per_socket_sweep = self._sweep_cost()
@@ -208,7 +210,7 @@ class NumaGibbs:
                 totals, socket_samples = outcome.totals, outcome.socket_samples
                 collected = config.sockets * num_samples
                 modeled_time = self._modeled_run_time(total_sweeps)
-                marginals = totals / max(collected, 1)
+                marginals = totals / collected
                 per_socket_cost = [per_socket_sweep * total_sweeps] * config.sockets
             else:
                 sampler = GibbsSampler(self.compiled, seed=self.seed)
@@ -223,7 +225,7 @@ class NumaGibbs:
                     if sweep_index >= burn_in:
                         totals += world
                         collected += 1
-                marginals = totals / max(collected, 1)
+                marginals = totals / collected
                 # One chain did the work; the interleaved-memory model
                 # spreads its accesses over the sockets, so report each
                 # socket's *share* -- replicating the full chain cost per

@@ -222,6 +222,23 @@ class TestIncrementalFlow:
         assert app.feature_count(("MarriedMentions", ("no", "pe"))) == 0
 
 
+class TestRunArguments:
+    @pytest.mark.parametrize("num_samples,burn_in", [(0, 10), (10, -1)])
+    def test_empty_chain_rejected_before_learning(self, num_samples, burn_in):
+        """``run(num_samples=0)`` used to learn, then publish 0.0 for every
+        variable; now it raises before any weight moves."""
+        app = build_app()
+        app.load_documents(corpus()[:3])
+        weights = {w: weight.value
+                   for w, weight in app.grounder.graph.weights.items()}
+        with pytest.raises(ValueError):
+            app.run(holdout_fraction=0.0, num_samples=num_samples,
+                    burn_in=burn_in, learning=LearningOptions(epochs=5),
+                    compute_train_histogram=False)
+        assert {w: weight.value for w, weight
+                in app.grounder.graph.weights.items()} == weights
+
+
 class TestReclaim:
     def test_dropped_app_is_freed_by_reference_counting(self):
         """No reference cycle runs through a finished app's grounder, graph

@@ -115,6 +115,103 @@ class TestPairwise:
         assert_close_to_exact(graph)
 
 
+#: One variable occurring twice in one factor of weight 1, and the factor's
+#: value with both occurrences at 1 minus its value with both at 0.
+REPEATED_MEMBER_CASES = [
+    (FactorFunction.IMPLY, [True, False], 1.0),     # !a => a  is  a
+    (FactorFunction.IMPLY, [False, False], 0.0),    # a => a   always holds
+    (FactorFunction.IMPLY, [False, True], -1.0),    # a => !a  is  !a
+    (FactorFunction.AND, [False, False], 1.0),
+    (FactorFunction.AND, [False, True], 0.0),       # a & !a   never holds
+    (FactorFunction.OR, [True, True], -1.0),
+    (FactorFunction.OR, [True, False], 0.0),        # !a | a   always holds
+    (FactorFunction.EQUAL, [False, False], 0.0),
+    (FactorFunction.EQUAL, [False, True], 0.0),
+]
+
+
+class TestRepeatedMembers:
+    """A variable that occurs more than once in one factor flips all of its
+    occurrences at once: every flip delta is f(all = 1) - f(all = 0)."""
+
+    @staticmethod
+    def single_factor(function, negated) -> CompiledGraph:
+        graph = FactorGraph()
+        a = graph.variable("a")
+        graph.add_factor(function, [a, a], graph.weight("w", 1.0),
+                         negated=negated)
+        return CompiledGraph(graph)
+
+    @pytest.mark.parametrize("function,negated,delta", REPEATED_MEMBER_CASES)
+    def test_every_flip_delta_moves_all_occurrences(self, function, negated,
+                                                    delta):
+        from repro.grounding.materialization import VariationalMaterialization
+
+        compiled = self.single_factor(function, negated)
+        kernel = GibbsSampler(compiled, seed=0)._kernels[0]
+        for value in (False, True):
+            world = np.array([value])
+            assert compiled.general_delta(0, world) == delta
+            assert kernel.deltas(world).tolist() == [delta]
+        mean_field = VariationalMaterialization(compiled, max_passes=1)
+        assert mean_field._signed_expected_delta(0) == delta
+
+    @pytest.mark.parametrize("function,negated,delta", REPEATED_MEMBER_CASES)
+    def test_sweeps_sample_the_exact_conditional(self, function, negated,
+                                                 delta):
+        compiled = self.single_factor(function, negated)
+        assert exact_marginals(compiled).marginals[0] == pytest.approx(
+            sigmoid(delta))
+        fast, slow = GibbsSampler(compiled, seed=3), GibbsSampler(compiled, seed=3)
+        world_fast, world_slow = fast.initial_assignment(), slow.initial_assignment()
+        for _ in range(50):
+            fast.sweep(world_fast)
+            slow.sweep_reference(world_slow)
+            np.testing.assert_array_equal(world_fast, world_slow)
+
+    def test_imply_of_a_negation_and_itself(self):
+        """IMPLY(!a -> a) of weight 1 is the unary factor a: P(a) = sigmoid(1)
+        = 0.731, where scoring each occurrence separately gave 0.637."""
+        compiled = self.single_factor(FactorFunction.IMPLY, [True, False])
+        result = GibbsSampler(compiled, seed=7).marginals(num_samples=6000,
+                                                          burn_in=300)
+        assert abs(result.marginals[0] - sigmoid(1.0)) < 0.02
+
+    def test_ddlog_self_pair_grounds_a_repeated_member(self):
+        from repro.datastore import Database
+        from repro.ddlog import DDlogProgram
+        from repro.grounding import Grounder
+
+        program = DDlogProgram.parse("""
+        Friends(x text, y text).
+        Smokes?(x text).
+        !Smokes(x) => Smokes(y) :- Friends(x, y) weight = 1.0.
+        """)
+        db = Database()
+        program.create_relations(db)
+        db.insert("Friends", [("a", "a")])
+        graph = Grounder(program, db).graph
+        (factor,) = graph.factors.values()
+        assert factor.var_ids == (0, 0) and factor.negated == (True, False)
+        compiled = CompiledGraph(graph)
+        result = GibbsSampler(compiled, seed=7).marginals(num_samples=6000,
+                                                          burn_in=300)
+        assert abs(result.marginals[0] - sigmoid(1.0)) < 0.02
+
+
+class TestChainLength:
+    """A chain that would estimate nothing is refused, not averaged to 0."""
+
+    @pytest.mark.parametrize("num_samples,burn_in", [(0, 20), (-3, 20), (10, -1)])
+    def test_marginals_reject_an_empty_chain(self, num_samples, burn_in):
+        graph = FactorGraph()
+        graph.add_factor(FactorFunction.IS_TRUE, [graph.variable("x")],
+                         graph.weight("w", 2.0))
+        sampler = GibbsSampler(CompiledGraph(graph), seed=0)
+        with pytest.raises(ValueError):
+            sampler.marginals(num_samples=num_samples, burn_in=burn_in)
+
+
 class TestEvidence:
     def test_clamped_evidence_respected(self):
         graph = FactorGraph()

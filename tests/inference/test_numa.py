@@ -52,6 +52,17 @@ class TestNumaConfig:
             NumaConfig(sync_every=sync_every)
 
 
+class TestChainLength:
+    @pytest.mark.parametrize("sockets", [1, 2])
+    @pytest.mark.parametrize("num_samples,burn_in", [(0, 5), (-2, 5), (5, -1)])
+    def test_empty_chain_rejected(self, sockets, num_samples, burn_in):
+        """No samples used to report 0.0 for every free variable, and a
+        negative burn-in ran as none."""
+        sampler = NumaGibbs(chain_graph(n=5), NumaConfig(sockets=sockets))
+        with pytest.raises(ValueError):
+            sampler.run(num_samples=num_samples, burn_in=burn_in)
+
+
 class TestEngineThreading:
     def test_reference_sweeps_produce_identical_runs(self, request):
         """Replica sweeps run the same chain on the scalar oracle, so the

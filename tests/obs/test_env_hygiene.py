@@ -59,7 +59,9 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  # serving and compliance are configured in code only
                  "SERVE_ENV_VARS", "COMPLIANCE_ENV_VARS",
                  "serve_env_overrides", "compliance_env_overrides",
-                 "parse_rules")
+                 "parse_rules",
+                 # the color block's per-formula slot groups
+                 "SlotGroup", "imply_body", "imply_head_edge")
 
 
 def test_knobs_have_not_drifted():
@@ -68,7 +70,8 @@ def test_knobs_have_not_drifted():
     was retired with its duplicate (reference Gibbs engine, cold pools,
     backend overrides, readers of formats nothing writes, the serving
     engine's own chain-state dicts, every pool caller and knob beyond the
-    NUMA replicas, the serving and compliance env tables) stays retired."""
+    NUMA replicas, the serving and compliance env tables, the color block's
+    slot groups) stays retired."""
     import dataclasses
 
     from repro.obs.config import ENV_VARS, EngineConfig

@@ -24,11 +24,9 @@ def random_graph(draw):
             arity = 2
         else:
             arity = draw(st.integers(min_value=2, max_value=3))
+        # members may repeat: a variable can occur twice in one factor
         members = draw(st.lists(st.integers(0, num_variables - 1),
-                                min_size=arity, max_size=arity, unique=True)
-                       if arity <= num_variables else st.none())
-        if members is None:
-            continue
+                                min_size=arity, max_size=arity))
         negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
         weight = graph.weight(("w", f), draw(st.floats(-2, 2)))
         graph.add_factor(function, members, weight, negated=negated)
@@ -101,10 +99,11 @@ class TestCompiledInvariants:
 @st.composite
 def kernel_graph(draw):
     """A random graph shaped to stress the factor-value kernel: every general
-    function with negated literals, every arity the function allows up to 5
-    (AND/OR down to 1; factors go in through ``restore_factor``, which
-    checks arity like ``add_factor``), a small pool of tied weights some of
-    which are fixed, and sometimes no general factor at all."""
+    function with negated literals and repeated members, every arity the
+    function allows up to 5 (AND/OR down to 1; factors go in through
+    ``restore_factor``, which checks arity like ``add_factor``), a small pool
+    of tied weights some of which are fixed, and sometimes no general factor
+    at all."""
     num_variables = draw(st.integers(min_value=2, max_value=8))
     graph = FactorGraph()
     for i in range(num_variables):
@@ -122,7 +121,7 @@ def kernel_graph(draw):
             lowest = 2 if function == FactorFunction.IMPLY else 1
             arity = draw(st.integers(lowest, min(5, num_variables)))
         members = draw(st.lists(st.integers(0, num_variables - 1),
-                                min_size=arity, max_size=arity, unique=True))
+                                min_size=arity, max_size=arity))
         negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
         graph.restore_factor(f, function, members,
                              draw(st.sampled_from(weights)), negated=negated)

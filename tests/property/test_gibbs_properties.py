@@ -25,11 +25,9 @@ def random_graph(draw):
             arity = 2
         else:
             arity = draw(st.integers(min_value=2, max_value=3))
+        # members may repeat: a variable can occur twice in one factor
         members = draw(st.lists(st.integers(0, num_variables - 1),
-                                min_size=arity, max_size=arity, unique=True)
-                       if arity <= num_variables else st.none())
-        if members is None:
-            continue
+                                min_size=arity, max_size=arity))
         negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
         weight = graph.weight(("w", f), draw(st.floats(-2, 2)))
         graph.add_factor(function, members, weight, negated=negated)
