@@ -3,8 +3,8 @@ DimmWitted-style CSR snapshot used for sampling and learning."""
 
 from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.factor_functions import FactorFunction, evaluate
-from repro.factorgraph.graph import (Factor, FactorGraph, GraphError, Variable,
-                                     Weight)
+from repro.factorgraph.graph import (Factor, FactorGraph, GraphError,
+                                     GraphImage, Variable, Weight)
 from repro.factorgraph.serialize import (FORMAT_VERSION, SerializationError,
                                          decode_key, dumps, encode_key,
                                          from_dict, loads, to_dict)
@@ -16,6 +16,7 @@ __all__ = [
     "FactorFunction",
     "FactorGraph",
     "GraphError",
+    "GraphImage",
     "SerializationError",
     "Variable",
     "Weight",

@@ -14,7 +14,10 @@ a label), initial value, the number of live factors touching it, and a live
 flag.  Per factor: function, weight id, live flag, and a CSR (``indptr`` into
 one flat variable/negation edge list).  Bulk grounding appends a whole rule
 with :meth:`FactorGraph.add_factors`; ``CompiledGraph`` reads the columns
-with numpy (:meth:`FactorGraph.columns`).
+with numpy (:meth:`FactorGraph.columns`).  Restoring is bulk too:
+:meth:`FactorGraph.image` exports the live rows as arrays
+(:class:`GraphImage`) and :meth:`FactorGraph.from_image` validates and
+rebuilds the columns from them, ids exact.
 
 ``variables`` and ``factors`` are read-only mappings that build a
 :class:`Variable` / :class:`Factor` record per lookup -- the cold, per-item
@@ -84,6 +87,28 @@ class Weight:
     observations: int = 0
 
 
+class GraphImage(NamedTuple):
+    """A graph's live rows as arrays, ids ascending: the form checkpoints and
+    :mod:`~repro.factorgraph.serialize` restore through."""
+
+    next_ids: dict               # FactorGraph.next_ids()
+    var_id: np.ndarray           # int64
+    var_key: list
+    var_evidence: np.ndarray     # int8: -1 none, 0 false, 1 true
+    var_initial: np.ndarray      # bool
+    weight_id: np.ndarray        # int64, in the graph's weight order
+    weight_key: list
+    weight_value: np.ndarray     # float64
+    weight_fixed: np.ndarray     # bool
+    weight_observations: np.ndarray  # int64
+    factor_id: np.ndarray        # int64
+    factor_function: np.ndarray  # int8
+    factor_weight: np.ndarray    # int64
+    factor_arity: np.ndarray     # int64: edges per factor
+    edge_var: np.ndarray         # int64, factor by factor
+    edge_negated: np.ndarray     # bool
+
+
 class GraphColumns(NamedTuple):
     """numpy copies of a graph's columns, indexed by id (tombstones included)."""
 
@@ -96,6 +121,33 @@ class GraphColumns(NamedTuple):
     factor_indptr: np.ndarray    # int64, one more than factor ids
     edge_var: np.ndarray         # int64
     edge_negated: np.ndarray     # bool
+
+
+def _check_arity(function: FactorFunction, arity: int) -> None:
+    lo, hi = arity_constraint(function)
+    if arity < lo or (hi is not None and arity > hi):
+        raise GraphError(f"{function.name} factor cannot have arity {arity}")
+
+
+def _check_live(var_ids: np.ndarray, alive: np.ndarray) -> None:
+    """Raise for the first of ``var_ids`` that is not a live variable."""
+    bad = (var_ids < 0) | (var_ids >= len(alive))
+    bad[~bad] = ~alive[var_ids[~bad]]
+    if bad.any():
+        raise GraphError(f"unknown variable id {var_ids[bad][0]}")
+
+
+def _check_weights(weight_ids: Iterable[int], known) -> None:
+    for weight_id in weight_ids:
+        if weight_id not in known:
+            raise GraphError(f"unknown weight id {weight_id}")
+
+
+def _scatter(ids: np.ndarray, values, size: int, fill: int, dtype) -> bytes:
+    """A column of ``size`` slots: ``values`` at ``ids``, ``fill`` elsewhere."""
+    column = np.full(size, fill, dtype=dtype)
+    column[ids] = values
+    return column.tobytes()
 
 
 def _live(flags: array, i) -> bool:
@@ -216,24 +268,18 @@ class FactorGraph:
             self._append_variables(created)
         return list(map(by_key.__getitem__, keys)), created
 
-    def _append_variables(self, keys: list[Hashable], initial: bool = False,
-                          alive: bool = True) -> int:
+    def _append_variables(self, keys: list[Hashable],
+                          initial: bool = False) -> int:
         first = len(self._var_key)
         n = len(keys)
         self._var_key.extend(keys)
         self._var_evidence.frombytes(b"\xff" * n)
         self._var_initial.frombytes(bytes([bool(initial)]) * n)
         self._var_factors.frombytes(bytes(8 * n))
-        self._var_alive.frombytes(bytes([alive]) * n)
-        if alive:
-            self._var_by_key.update(zip(keys, range(first, first + n)))
-            self._num_variables += n
+        self._var_alive.frombytes(b"\x01" * n)
+        self._var_by_key.update(zip(keys, range(first, first + n)))
+        self._num_variables += n
         return first
-
-    def _pad_variables(self, end: int) -> None:
-        """Tombstone slots up to id ``end`` (ids a restored graph skips)."""
-        self._append_variables([None] * (end - len(self._var_key)),
-                               alive=False)
 
     def has_variable(self, key: Hashable) -> bool:
         return key in self._var_by_key
@@ -244,9 +290,23 @@ class FactorGraph:
         except KeyError:
             raise GraphError(f"no variable with key {key!r}") from None
 
-    def variable_keys(self) -> list[Hashable]:
-        """Keys of the live variables, in id order."""
-        return list(compress(self._var_key, self._var_alive))
+    def variable_keys(self, var_ids=None) -> list[Hashable]:
+        """Keys of the live variables in id order, or of the live variables
+        ``var_ids`` (one key per id, in their order)."""
+        if var_ids is None:
+            return list(compress(self._var_key, self._var_alive))
+        var_ids = np.asarray(var_ids, dtype=np.int64)
+        _check_live(var_ids, np.asarray(self._var_alive, dtype=bool))
+        return list(map(self._var_key.__getitem__, var_ids.tolist()))
+
+    def variable_ids(self, keys: Iterable[Hashable]) -> np.ndarray:
+        """Ids of the live variables with ``keys``, one per key."""
+        try:
+            return np.fromiter(map(self._var_by_key.__getitem__, keys),
+                               dtype=np.int64)
+        except KeyError as error:
+            raise GraphError(f"no variable with key {error.args[0]!r}") \
+                from None
 
     def set_evidence(self, key: Hashable, value: bool | None) -> None:
         """Mark the variable with ``key`` as evidence (or clear with None)."""
@@ -311,15 +371,9 @@ class FactorGraph:
         if n == 0:
             return range(first, first)
         negated = self._check_shape(function, arity, negated)
-        alive = np.asarray(self._var_alive, dtype=bool)
-        bad = (members < 0) | (members >= len(alive))
-        bad[~bad] = ~alive[members[~bad]]
-        if bad.any():
-            raise GraphError(f"unknown variable id {members[bad][0]}")
+        _check_live(members, np.asarray(self._var_alive, dtype=bool))
         used, uses = np.unique(weight_ids, return_counts=True)
-        for weight_id in used.tolist():
-            if weight_id not in self.weights:
-                raise GraphError(f"unknown weight id {weight_id}")
+        _check_weights(used.tolist(), self.weights)
 
         self._factor_function.frombytes(bytes([int(function)]) * n)
         self._factor_weight.frombytes(weight_ids.tobytes())
@@ -348,9 +402,7 @@ class FactorGraph:
             else tuple(map(bool, negated))
         if len(negated) != arity:
             raise GraphError("negated mask length must match variable count")
-        lo, hi = arity_constraint(function)
-        if arity < lo or (hi is not None and arity > hi):
-            raise GraphError(f"{function.name} factor cannot have arity {arity}")
+        _check_arity(function, arity)
         return negated
 
     def _check_factor(self, function: FactorFunction, var_ids: Sequence[int],
@@ -362,8 +414,7 @@ class FactorGraph:
         for var_id in var_ids:
             if not _live(alive, var_id):
                 raise GraphError(f"unknown variable id {var_id}")
-        if weight_id not in self.weights:
-            raise GraphError(f"unknown weight id {weight_id}")
+        _check_weights((weight_id,), self.weights)
         return var_ids, negated
 
     def _append_factor(self, function: FactorFunction, var_ids: tuple[int, ...],
@@ -398,68 +449,7 @@ class FactorGraph:
         alive = self._factor_alive
         return [f for f in dict.fromkeys(owners.tolist()) if alive[f]]
 
-    def _pad_factors(self, end: int) -> None:
-        n = end - len(self._factor_alive)
-        if n > 0:
-            self._factor_function.frombytes(bytes(n))
-            self._factor_weight.frombytes(bytes(8 * n))
-            self._factor_alive.frombytes(bytes(n))
-            self._indptr.frombytes(np.full(n, self._indptr[-1],
-                                           dtype=np.int64).tobytes())
-
     # ----------------------------------------------------------- restoration
-    # Checkpoint recovery must rebuild a graph whose variable/weight/factor
-    # ids match the live graph exactly: CompiledGraph orders variables by id,
-    # so id drift would reorder the Gibbs sweep and break bit-identical
-    # replay, and the grounder's row->factor bookkeeping stores raw ids.
-    # Ids are positions, so variables and factors are restored in increasing
-    # id order (the order serialize.to_dict writes); skipped ids become
-    # tombstones.
-    def restore_variable(self, var_id: int, key: Hashable,
-                         evidence: bool | None = None,
-                         initial: bool = False) -> int:
-        """Insert a variable under an explicit id (checkpoint restore)."""
-        if var_id < len(self._var_key):
-            raise GraphError(f"variable id {var_id} already allocated "
-                             f"(restore in id order)")
-        if key in self._var_by_key:
-            raise GraphError(f"variable key {key!r} already present")
-        self._pad_variables(var_id)
-        self._append_variables([key], initial)
-        if evidence is not None:
-            self._var_evidence[var_id] = int(bool(evidence))
-        return var_id
-
-    def restore_weight(self, weight_id: int, key: Hashable, value: float = 0.0,
-                       fixed: bool = False, observations: int = 0) -> int:
-        """Insert a weight under an explicit id (checkpoint restore)."""
-        if weight_id in self.weights:
-            raise GraphError(f"weight id {weight_id} already present")
-        if key in self._weight_by_key:
-            raise GraphError(f"weight key {key!r} already present")
-        self.weights[weight_id] = Weight(weight_id, key, value, fixed,
-                                         observations)
-        self._weight_by_key[key] = weight_id
-        self._next_weight = max(self._next_weight, weight_id + 1)
-        return weight_id
-
-    def restore_factor(self, factor_id: int, function: FactorFunction,
-                       var_ids: Sequence[int], weight_id: int,
-                       negated: Sequence[bool] | None = None) -> int:
-        """Insert a factor under an explicit id (checkpoint restore).
-
-        Validates exactly as :meth:`add_factor` does, but does **not** bump
-        the weight's observation count: restored weights carry their
-        persisted counts.
-        """
-        if factor_id < len(self._factor_alive):
-            raise GraphError(f"factor id {factor_id} already allocated "
-                             f"(restore in id order)")
-        var_ids, negated = self._check_factor(function, var_ids, weight_id,
-                                              negated)
-        self._pad_factors(factor_id)
-        return self._append_factor(function, var_ids, weight_id, negated)
-
     def next_ids(self) -> dict[str, int]:
         """The id-allocation counters (persisted so restore + new insertions
         allocate the same ids the live graph would have)."""
@@ -467,11 +457,142 @@ class FactorGraph:
                 "factor": len(self._factor_alive),
                 "weight": self._next_weight}
 
-    def restore_next_ids(self, counters: dict[str, int]) -> None:
-        """Fast-forward the id counters to persisted values."""
-        self._pad_variables(counters.get("variable", 0))
-        self._pad_factors(counters.get("factor", 0))
-        self._next_weight = max(self._next_weight, counters.get("weight", 0))
+    def image(self) -> GraphImage:
+        """The live variables, weights and factors as arrays, ids ascending:
+        what :meth:`from_image` restores."""
+        columns = self.columns()
+        var_id = np.flatnonzero(columns.var_alive)
+        factor_id = np.flatnonzero(columns.factor_alive)
+        indptr = columns.factor_indptr
+        arity = np.diff(indptr)
+        edges = columns.factor_alive[np.repeat(np.arange(len(arity)), arity)]
+        weights = self.weights.values()
+        return GraphImage(
+            next_ids=self.next_ids(),
+            var_id=var_id,
+            var_key=self.variable_keys(),
+            var_evidence=columns.var_evidence[var_id],
+            var_initial=columns.var_initial[var_id],
+            weight_id=np.fromiter(self.weights, dtype=np.int64,
+                                  count=len(self.weights)),
+            weight_key=[w.key for w in weights],
+            weight_value=np.array([w.value for w in weights],
+                                  dtype=np.float64),
+            weight_fixed=np.array([w.fixed for w in weights], dtype=bool),
+            weight_observations=np.array([w.observations for w in weights],
+                                         dtype=np.int64),
+            factor_id=factor_id,
+            factor_function=columns.factor_function[factor_id],
+            factor_weight=columns.factor_weight[factor_id],
+            factor_arity=arity[factor_id],
+            edge_var=columns.edge_var[edges],
+            edge_negated=columns.edge_negated[edges])
+
+    @classmethod
+    def from_image(cls, image: GraphImage) -> "FactorGraph":
+        """The graph :meth:`image` describes, ids exact.
+
+        Checkpoint recovery must rebuild a graph whose ids match the live
+        graph's: ``CompiledGraph`` orders variables by id, so id drift would
+        reorder the Gibbs sweep and break bit-identical replay, and the
+        grounder's row->factor bookkeeping stores raw ids.  Skipped ids become
+        tombstones and the id counters continue from ``next_ids``.  Weights
+        keep their persisted observation counts.
+
+        Checks everything :meth:`add_factors` checks -- arity per function,
+        live variable ids, known weight ids -- plus ascending ids and unique
+        keys, all before building anything.
+        """
+        var_id = np.asarray(image.var_id, dtype=np.int64)
+        var_evidence = np.asarray(image.var_evidence, dtype=np.int64)
+        weight_id = np.asarray(image.weight_id, dtype=np.int64).tolist()
+        factor_id = np.asarray(image.factor_id, dtype=np.int64)
+        function = np.asarray(image.factor_function, dtype=np.int64)
+        arity = np.asarray(image.factor_arity, dtype=np.int64)
+        edge_var = np.asarray(image.edge_var, dtype=np.int64)
+        edge_negated = np.asarray(image.edge_negated, dtype=bool)
+        for name, ids in (("variable", var_id), ("factor", factor_id)):
+            if len(ids) and (ids[0] < 0 or (np.diff(ids) <= 0).any()):
+                raise GraphError(f"{name} ids must ascend (restore in id "
+                                 f"order)")
+        if not (len(var_id) == len(image.var_key) == len(var_evidence)
+                == len(image.var_initial)
+                and len(weight_id) == len(image.weight_key)
+                == len(image.weight_value) == len(image.weight_fixed)
+                == len(image.weight_observations)
+                and len(factor_id) == len(function) == len(arity)
+                == len(image.factor_weight)
+                and arity.sum() == len(edge_var) == len(edge_negated)):
+            raise GraphError("graph image columns differ in length")
+        if ((var_evidence < _NO_EVIDENCE) | (var_evidence > 1)).any():
+            raise GraphError("variable evidence must be -1, 0 or 1")
+        var_by_key = dict(zip(image.var_key, var_id.tolist()))
+        weight_by_key = dict(zip(image.weight_key, weight_id))
+        known_weights = set(weight_id)
+        if (len(var_by_key) < len(var_id)
+                or len(weight_by_key) < len(weight_id)
+                or len(known_weights) < len(weight_id)):
+            raise GraphError("variable keys, weight keys and weight ids "
+                             "must be unique")
+        bad = (function < 0) | (function >= len(_FUNCTIONS))
+        if bad.any():
+            raise GraphError(f"unknown factor function {function[bad][0]}")
+        for code in np.unique(function).tolist():
+            shapes = np.unique(arity[function == code])
+            _check_arity(_FUNCTIONS[code], int(shapes[0]))
+            _check_arity(_FUNCTIONS[code], int(shapes[-1]))
+        counters = image.next_ids
+        num_vars = max(counters.get("variable", 0),
+                       int(var_id[-1]) + 1 if len(var_id) else 0)
+        num_factors = max(counters.get("factor", 0),
+                          int(factor_id[-1]) + 1 if len(factor_id) else 0)
+        alive = np.zeros(num_vars, dtype=bool)
+        alive[var_id] = True
+        _check_live(edge_var, alive)
+        _check_weights(np.unique(image.factor_weight).tolist(), known_weights)
+
+        # a factor counts once per distinct member variable
+        width = max(num_vars, 1)
+        owner = np.repeat(np.arange(len(factor_id)), arity)
+        members = np.unique(owner * width + edge_var) % width
+        graph = cls()
+        keys: list[Hashable] = [None] * num_vars
+        for position, key in zip(var_id.tolist(), image.var_key):
+            keys[position] = key
+        graph._var_key = keys
+        graph._var_evidence.frombytes(
+            _scatter(var_id, var_evidence, num_vars, _NO_EVIDENCE, np.int8))
+        graph._var_initial.frombytes(
+            _scatter(var_id, image.var_initial, num_vars, 0, np.int8))
+        graph._var_factors.frombytes(
+            np.bincount(members, minlength=num_vars).astype(np.int64).tobytes())
+        graph._var_alive.frombytes(alive.astype(np.int8).tobytes())
+        graph._factor_function.frombytes(
+            _scatter(factor_id, function, num_factors, 0, np.int8))
+        graph._factor_weight.frombytes(
+            _scatter(factor_id, image.factor_weight, num_factors, 0, np.int64))
+        graph._factor_alive.frombytes(
+            _scatter(factor_id, 1, num_factors, 0, np.int8))
+        slot_arity = np.zeros(num_factors, dtype=np.int64)
+        slot_arity[factor_id] = arity
+        graph._indptr.frombytes(np.cumsum(slot_arity).tobytes())
+        graph._edge_var.frombytes(edge_var.tobytes())
+        graph._edge_negated.frombytes(edge_negated.astype(np.int8).tobytes())
+        graph._var_by_key = var_by_key
+        graph._num_variables = len(var_id)
+        graph._num_factors = len(factor_id)
+        for weight, key, value, fixed, observations in zip(
+                weight_id, image.weight_key,
+                np.asarray(image.weight_value, dtype=np.float64).tolist(),
+                np.asarray(image.weight_fixed, dtype=bool).tolist(),
+                np.asarray(image.weight_observations,
+                           dtype=np.int64).tolist()):
+            graph.weights[weight] = Weight(weight, key, value, fixed,
+                                           observations)
+        graph._weight_by_key = weight_by_key
+        graph._next_weight = max([counters.get("weight", 0),
+                                  *(w + 1 for w in weight_id)])
+        return graph
 
     # -------------------------------------------------------------- inspection
     @property

@@ -3,7 +3,7 @@
 DeepDive passes grounded factor graphs between the grounder (in the
 database) and the sampler (outside it); persisting the graph also lets the
 engineer archive each iteration's model next to its error-analysis document,
-and the serving layer's checkpoints embed it for crash recovery.  The format
+and the serving layer's checkpoints persist it for crash recovery.  The format
 is plain JSON-compatible dicts: keys are stringified, structure is
 versioned, and a round-trip is exact for every supported key type (strings,
 ints, and nested tuples thereof).
@@ -17,9 +17,12 @@ graph's columns, so variables and factors are written, and must be read,
 in increasing id order.
 
 Loading rejects any other version outright — a payload from another writer
-must never be half-parsed into a silently wrong graph — and validates every
-factor exactly as :meth:`FactorGraph.add_factor` does (arity, variable and
-weight ids), raising :class:`~repro.factorgraph.GraphError`.
+must never be half-parsed into a silently wrong graph — and restores through
+:meth:`FactorGraph.from_image`, the one graph restore path, which validates
+every factor as :meth:`FactorGraph.add_factors` does (arity, variable and
+weight ids), raising :class:`~repro.factorgraph.GraphError`.  Serving
+checkpoints store the same image as segment arrays instead
+(:mod:`repro.serve.checkpoint`); this JSON form is the export form.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.factorgraph.factor_functions import FactorFunction
-from repro.factorgraph.graph import FactorGraph
+from repro.factorgraph.graph import FactorGraph, GraphError, GraphImage
 
 FORMAT_VERSION = 2
 
@@ -92,21 +94,29 @@ def from_dict(data: dict) -> FactorGraph:
             f"build reads version {FORMAT_VERSION} only (v1's reader is gone; "
             f"anything higher was written by a newer repro) — refusing to "
             f"guess at the payload's layout.")
-    graph = FactorGraph()
-    for item in data["variables"]:
-        graph.restore_variable(item["id"], decode_key(item["key"]),
-                               evidence=item["evidence"],
-                               initial=item["initial"])
-    for item in data["weights"]:
-        graph.restore_weight(item["id"], decode_key(item["key"]),
-                             value=item["value"], fixed=item["fixed"],
-                             observations=item["observations"])
-    for item in data["factors"]:
-        graph.restore_factor(item["id"], FactorFunction(item["function"]),
-                             item["vars"], item["weight"],
-                             negated=item["negated"])
-    graph.restore_next_ids(data.get("next_ids", {}))
-    return graph
+    variables, weights, factors = (data["variables"], data["weights"],
+                                   data["factors"])
+    for item in factors:
+        if len(item["negated"]) != len(item["vars"]):
+            raise GraphError("negated mask length must match variable count")
+    return FactorGraph.from_image(GraphImage(
+        next_ids=data.get("next_ids", {}),
+        var_id=[item["id"] for item in variables],
+        var_key=[decode_key(item["key"]) for item in variables],
+        var_evidence=[-1 if item["evidence"] is None
+                      else int(bool(item["evidence"])) for item in variables],
+        var_initial=[bool(item["initial"]) for item in variables],
+        weight_id=[item["id"] for item in weights],
+        weight_key=[decode_key(item["key"]) for item in weights],
+        weight_value=[item["value"] for item in weights],
+        weight_fixed=[bool(item["fixed"]) for item in weights],
+        weight_observations=[item["observations"] for item in weights],
+        factor_id=[item["id"] for item in factors],
+        factor_function=[item["function"] for item in factors],
+        factor_weight=[item["weight"] for item in factors],
+        factor_arity=[len(item["vars"]) for item in factors],
+        edge_var=[v for item in factors for v in item["vars"]],
+        edge_negated=[bool(n) for item in factors for n in item["negated"]]))
 
 
 def dumps(graph: FactorGraph) -> str:

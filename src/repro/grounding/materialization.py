@@ -33,8 +33,10 @@ to them (Gibbs ``world``, ``marginals``, mean-field ``mu``).  Variable
 the one place that re-aligns a stored state to a freshly compiled graph,
 collects the changed set (new variables + touched keys), runs the chosen
 strategy and returns the next state.  ``DeepDive.run_incremental`` and the
-serving engine are thin callers of it; the checkpoint shape of a state is
-:meth:`ChainState.to_payload`.
+serving engine are thin callers of it.  A serving checkpoint stores a state
+as arrays, not keys: one row per variable holding its graph id, world bit
+and the bit patterns of its marginal and mean-field parameter
+(``ServeEngine.checkpoint_payload``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import numpy as np
 
 from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.factor_functions import FactorFunction, evaluate_flip
-from repro.factorgraph.serialize import decode_key, encode_key
 from repro.inference.gibbs import GibbsSampler, sigmoid
 
 
@@ -307,31 +308,6 @@ class ChainState:
     def marginals_by_key(self) -> dict[Hashable, float]:
         """A fresh ``{key: probability}`` dict, in compiled order."""
         return dict(zip(self.keys, self.marginals.tolist()))
-
-    def to_payload(self) -> dict:
-        """JSON-compatible ``{"world": [[key, value], ...], "marginals":
-        ..., "mu": ...}`` -- the checkpoint format's ``"state"`` entry,
-        byte-for-byte what the per-key dicts this class replaced wrote."""
-        keys = [encode_key(key) for key in self.keys]
-        return {name: [list(pair) for pair in zip(keys, values.tolist())]
-                for name, values in (("world", self.world),
-                                     ("marginals", self.marginals),
-                                     ("mu", self.mu))}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ChainState":
-        """Inverse of :meth:`to_payload` (exact, nested-tuple keys too)."""
-        keys = tuple(decode_key(key) for key, _value in payload["world"])
-        columns = {}
-        for name, dtype in (("world", bool), ("marginals", np.float64),
-                            ("mu", np.float64)):
-            if len(payload[name]) != len(keys):
-                raise ValueError(
-                    f"chain state {name!r} has {len(payload[name])} entries "
-                    f"for {len(keys)} variables")
-            columns[name] = np.array([value for _key, value in payload[name]],
-                                     dtype=dtype)
-        return cls(keys, **columns)
 
 
 def refresh(state: ChainState, compiled: CompiledGraph,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.compliance.anonymizer import Anonymizer
 from repro.compliance.apply import scrub_marginals
@@ -28,12 +30,12 @@ from repro.compliance.manifest import ComplianceManifest
 from repro.compliance.policy import CompliancePolicy
 from repro.compliance.scanner import Scanner
 from repro.core.app import DeepDive
-from repro.datastore.io import database_from_dict, database_to_dict
+from repro.datastore.io import database_from_dict
 from repro.ddlog.validate import evidence_base
-from repro.factorgraph import CompiledGraph
-from repro.factorgraph import serialize as fg_serialize
+from repro.factorgraph import CompiledGraph, FactorGraph, GraphImage
 from repro.grounding import ChainState, Grounder
 from repro.nlp.pipeline import Document
+from repro.serve.checkpoint import ArrayTable
 from repro.serve.config import ServeConfig
 from repro.serve.ops import (AddDocuments, AddRows, AddRules, IngestOp,
                              OpError, RemoveDocuments, RemoveRows)
@@ -253,34 +255,35 @@ class ServeEngine:
                                              relations=relations)
 
     # ---------------------------------------------------------- checkpointing
-    def checkpoint_payload(self, inline_database: bool = True) -> dict:
-        """Everything needed to resume this engine, JSON-compatible.
+    def checkpoint_payload(self) -> dict:
+        """Everything needed to resume this engine, bar the datastore.
 
-        ``inline_database=False`` omits the datastore dump: the caller then
-        passes the live database to ``CheckpointManager.save(database=...)``,
-        which seals it into shared content-addressed segment files instead
-        of re-serializing it into every checkpoint document.
+        The caller passes the live database to
+        ``CheckpointManager.save(database=...)``, which seals it into
+        content-addressed segment files.  The factor graph and the chain
+        state are :class:`~repro.serve.checkpoint.ArrayTable` values the
+        manager writes as segments too; the rest is JSON-compatible.
         """
-        payload = {
+        graph = self.app.graph
+        return {
             "engine_version": self.version,
             "threshold": self.threshold,
             "rule_deltas": list(self.rule_deltas),
-            "graph": fg_serialize.to_dict(self.app.graph),
+            "graph": _graph_tables(graph.image()),
             "grounder": self.app.grounder.state_dict(),
-            "state": self.app.chain_state.to_payload(),
+            "state": _state_table(self.app.chain_state, graph),
         }
-        if inline_database:
-            payload["database"] = database_to_dict(self.app.db)
-        return payload
 
     @classmethod
     def restore(cls, payload: dict, app_factory: AppFactory,
                 config: ServeConfig | None = None,
                 run_kwargs: dict | None = None) -> "ServeEngine":
-        """Rebuild an engine from :meth:`checkpoint_payload` output.
+        """Rebuild an engine from a loaded checkpoint: the
+        :meth:`checkpoint_payload` entries plus the inline ``"database"``
+        dict ``CheckpointManager.load`` rehydrates.
 
-        The database dump, the id-exact graph, and the grounder bookkeeping
-        are adopted as-is (no re-grounding), so subsequent batches behave
+        The database, the id-exact graph, and the grounder bookkeeping are
+        adopted as-is (no re-grounding), so subsequent batches behave
         bit-identically to the engine that was checkpointed.
         """
         engine = cls(app_factory, config=config, run_kwargs=run_kwargs)
@@ -291,12 +294,12 @@ class ServeEngine:
             app = app_factory("\n".join(engine.rule_deltas))
             db = database_from_dict(payload["database"])
             db.config = app.config
-            graph = fg_serialize.from_dict(payload["graph"])
+            graph = FactorGraph.from_image(_graph_image(payload["graph"]))
             grounder = Grounder.restore(app.program, db, graph,
                                         payload["grounder"],
                                         config=app.config)
             app.adopt(db, grounder,
-                      chain_state=ChainState.from_payload(payload["state"]))
+                      chain_state=_chain_state(payload["state"], graph))
         engine.app = app
         return engine
 
@@ -305,3 +308,72 @@ class ServeEngine:
         self.version -= 1                        # _publish re-increments
         return self._publish(self.app.chain_state.marginals_by_key(),
                              lsn=lsn, refresh=refresh)
+
+
+# ------------------------------------------------- checkpoint array tables
+def _graph_tables(image: GraphImage) -> dict:
+    """A graph image as checkpoint tables: floats by bit pattern, keys in
+    the segment pools, edges chunked with the factors they belong to."""
+    return {
+        "next_ids": image.next_ids,
+        "variables": ArrayTable(
+            ("id", "evidence", "initial"),
+            np.stack([image.var_id, image.var_evidence, image.var_initial]),
+            image.var_key),
+        "weights": ArrayTable(
+            ("id", "value", "fixed", "observations"),
+            np.stack([image.weight_id, image.weight_value.view(np.int64),
+                      image.weight_fixed, image.weight_observations]),
+            image.weight_key),
+        "factors": ArrayTable(
+            ("id", "function", "weight", "arity"),
+            np.stack([image.factor_id, image.factor_function,
+                      image.factor_weight, image.factor_arity])),
+        "edges": ArrayTable(
+            ("factor", "var", "negated"),
+            np.stack([np.repeat(image.factor_id, image.factor_arity),
+                      image.edge_var, image.edge_negated])),
+    }
+
+
+def _graph_image(tables: dict) -> GraphImage:
+    """Inverse of :func:`_graph_tables`."""
+    variables, weights = tables["variables"], tables["weights"]
+    factors, edges = tables["factors"], tables["edges"]
+    return GraphImage(
+        next_ids=tables["next_ids"],
+        var_id=variables.column("id"),
+        var_key=variables.keys,
+        var_evidence=variables.column("evidence"),
+        var_initial=variables.column("initial"),
+        weight_id=weights.column("id"),
+        weight_key=weights.keys,
+        weight_value=weights.column("value").view(np.float64),
+        weight_fixed=weights.column("fixed"),
+        weight_observations=weights.column("observations"),
+        factor_id=factors.column("id"),
+        factor_function=factors.column("function"),
+        factor_weight=factors.column("weight"),
+        factor_arity=factors.column("arity"),
+        edge_var=edges.column("var"),
+        edge_negated=edges.column("negated"))
+
+
+def _state_table(state: ChainState, graph: FactorGraph) -> ArrayTable:
+    """The chain state as one row per variable: its graph id (the key
+    order), world bit, and marginal and mean-field bit patterns."""
+    return ArrayTable(
+        ("var", "world", "marginal", "mu"),
+        np.stack([graph.variable_ids(state.keys), state.world,
+                  state.marginals.view(np.int64), state.mu.view(np.int64)]))
+
+
+def _chain_state(table: ArrayTable, graph: FactorGraph) -> ChainState:
+    """Inverse of :func:`_state_table` over the restored graph."""
+    world = table.column("world")
+    if ((world != 0) & (world != 1)).any():
+        raise ValueError("chain state world bits must be 0 or 1")
+    return ChainState(tuple(graph.variable_keys(table.column("var"))),
+                      world.astype(bool),
+                      table.column("marginal").view(np.float64).copy(),
+                      table.column("mu").view(np.float64).copy())

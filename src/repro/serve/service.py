@@ -174,7 +174,7 @@ class KBService:
         wal = WriteAheadLog(directory / "ingest.wal", fsync=config.wal_fsync)
         checkpoints = CheckpointManager(directory / "checkpoints",
                                         keep=config.keep_checkpoints)
-        checkpoints.save(engine.checkpoint_payload(inline_database=False),
+        checkpoints.save(engine.checkpoint_payload(),
                          lsn=wal.last_lsn, database=engine.app.db)
         service = cls(engine, directory, wal, checkpoints, snapshot)
         if start:
@@ -524,7 +524,7 @@ class KBService:
     def _do_checkpoint(self) -> CheckpointInfo:
         with obs.span("serve.checkpoint", lsn=self.wal.last_lsn):
             info = self.checkpoints.save(
-                self.engine.checkpoint_payload(inline_database=False),
+                self.engine.checkpoint_payload(),
                 lsn=self.wal.last_lsn, database=self.engine.app.db)
             # records the checkpoint covers will never replay again; drop
             # them so open/recovery cost stays bounded by the WAL tail

@@ -184,7 +184,10 @@ class WriteAheadLog:
         rewritten to hold only the tail beyond them, with ``base_lsn``
         stamped in the header to keep LSN continuity.  This bounds open
         and recovery cost by the WAL *tail*, not total ingest history.
-        Returns the number of records dropped.
+        The rewrite is fsynced, its rename too (a directory fsync); the
+        checkpoint it follows was made durable the same way before, so a
+        power loss can never keep the compacted log without it.  Returns
+        the number of records dropped.
 
         Note: replaying an *older* retained checkpoint forward is no
         longer possible once the records it is missing are compacted away;
@@ -210,6 +213,7 @@ class WriteAheadLog:
         if not self._stream.closed:
             self._stream.close()
         os.replace(temp, self.path)
+        fsync_directory(self.path.parent)
         self._base_lsn = upto_lsn
         self._stream = open(self.path, "a", encoding="utf-8")
         return len(scan.records) - len(keep)
@@ -245,6 +249,16 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def fsync_directory(directory: str | os.PathLike) -> None:
+    """Make the entries renamed into ``directory`` durable (``os.replace``
+    alone survives a process crash, not a power loss)."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def _header_line(base_lsn: int) -> str:

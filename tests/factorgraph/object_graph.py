@@ -4,8 +4,7 @@ One ``Variable`` (with its set of factor ids) and one ``Factor`` object per
 graph element, in dicts keyed by id -- the representation
 :class:`repro.factorgraph.FactorGraph` had before it became columns.  It
 keeps the store's contract in the plainest form: ids allocated in order and
-never reused, removal by deletion, restore in increasing id order with the
-same validation as add.  :func:`reference_compile` is ``CompiledGraph``'s
+never reused, removal by deletion.  :func:`reference_compile` is ``CompiledGraph``'s
 per-factor loop over it.  ``tests/property/test_factor_store.py`` runs both
 side by side.
 """
@@ -139,49 +138,9 @@ class ObjectGraph:
         self.weights[factor.weight_id].observations -= 1
 
     # ----------------------------------------------------------- restoration
-    def restore_variable(self, var_id: int, key: Hashable,
-                         evidence: bool | None = None,
-                         initial: bool = False) -> int:
-        if var_id < self._next_var:
-            raise GraphError(f"variable id {var_id} already allocated")
-        if key in self._var_by_key:
-            raise GraphError(f"variable key {key!r} already present")
-        self.variables[var_id] = Variable(var_id, key, evidence=evidence,
-                                          initial=initial)
-        self._var_by_key[key] = var_id
-        self._next_var = var_id + 1
-        return var_id
-
-    def restore_weight(self, weight_id: int, key: Hashable, value: float = 0.0,
-                       fixed: bool = False, observations: int = 0) -> int:
-        if weight_id in self.weights:
-            raise GraphError(f"weight id {weight_id} already present")
-        if key in self._weight_by_key:
-            raise GraphError(f"weight key {key!r} already present")
-        self.weights[weight_id] = Weight(weight_id, key, value, fixed,
-                                         observations)
-        self._weight_by_key[key] = weight_id
-        self._next_weight = max(self._next_weight, weight_id + 1)
-        return weight_id
-
-    def restore_factor(self, factor_id: int, function: FactorFunction,
-                       var_ids: Sequence[int], weight_id: int,
-                       negated: Sequence[bool] | None = None) -> int:
-        if factor_id < self._next_factor:
-            raise GraphError(f"factor id {factor_id} already allocated")
-        var_ids, negated = self._check(function, var_ids, weight_id, negated)
-        self._insert(factor_id, function, var_ids, negated, weight_id)
-        self._next_factor = factor_id + 1
-        return factor_id
-
     def next_ids(self) -> dict[str, int]:
         return {"variable": self._next_var, "factor": self._next_factor,
                 "weight": self._next_weight}
-
-    def restore_next_ids(self, counters: dict[str, int]) -> None:
-        self._next_var = max(self._next_var, counters.get("variable", 0))
-        self._next_factor = max(self._next_factor, counters.get("factor", 0))
-        self._next_weight = max(self._next_weight, counters.get("weight", 0))
 
     # -------------------------------------------------------------- inspection
     def stats(self) -> dict[str, int]:

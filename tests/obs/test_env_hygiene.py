@@ -61,7 +61,11 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "serve_env_overrides", "compliance_env_overrides",
                  "parse_rules",
                  # the color block's per-formula slot groups
-                 "SlotGroup", "imply_body", "imply_head_edge")
+                 "SlotGroup", "imply_body", "imply_head_edge",
+                 # JSON checkpoint payloads and per-item graph restore
+                 "inline_database", "to_payload", "from_payload",
+                 "restore_variable", "restore_weight", "restore_factor",
+                 "restore_next_ids")
 
 
 def test_knobs_have_not_drifted():
@@ -71,7 +75,8 @@ def test_knobs_have_not_drifted():
     backend overrides, readers of formats nothing writes, the serving
     engine's own chain-state dicts, every pool caller and knob beyond the
     NUMA replicas, the serving and compliance env tables, the color block's
-    slot groups) stays retired."""
+    slot groups, the JSON checkpoint payloads and per-item graph restore)
+    stays retired."""
     import dataclasses
 
     from repro.obs.config import ENV_VARS, EngineConfig

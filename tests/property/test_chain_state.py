@@ -6,17 +6,14 @@ kept verbatim as the oracle.  For random old/new key sets -- added, removed,
 reordered, disjoint, empty -- random touched sets and every strategy, the
 array-based :func:`repro.grounding.refresh` must land on the same bits, hand
 the strategies the same changed set in the call shape ``bench/trace.py``
-wraps, clamp evidence, and serialize to exactly the payload the dicts wrote.
+wraps, and clamp evidence.
 """
-
-import json
 
 import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.factorgraph import (CompiledGraph, FactorFunction, FactorGraph,
-                               encode_key)
+from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.grounding import (ChainState, SamplingMaterialization,
                              VariationalMaterialization, choose_strategy,
                              refresh)
@@ -201,20 +198,6 @@ def test_refresh_equals_the_dict_reference(scenario):
     assert (state.marginals[clamped]
             == compiled.evidence_values[clamped]).all()
 
-    # the payload is what the three dicts serialized to, and round-trips
-    payload = state.to_payload()
-    assert payload == {
-        "world": [[encode_key(k), v] for k, v in world.items()],
-        "marginals": [[encode_key(k), v] for k, v in marginals.items()],
-        "mu": [[encode_key(k), v] for k, v in mu.items()],
-    }
-    restored = ChainState.from_payload(json.loads(json.dumps(payload)))
-    assert restored.keys == state.keys
-    for name_ in ("world", "marginals", "mu"):
-        before, after = getattr(state, name_), getattr(restored, name_)
-        assert before.dtype == after.dtype
-        assert before.tobytes() == after.tobytes()
-
 
 def test_empty_graph_empties_the_state():
     old = state_of({"world": {"a": True}, "marginals": {"a": 0.25},
@@ -222,8 +205,8 @@ def test_empty_graph_empties_the_state():
     state, refreshed, update = refresh(old, CompiledGraph(FactorGraph()),
                                        {"a"}, seed=3, strategy="auto")
     assert (state.keys, refreshed, update) == ((), "none", None)
-    assert state.to_payload() == {"world": [], "marginals": [], "mu": []}
-    assert ChainState.from_payload(state.to_payload()).marginals_by_key() == {}
+    assert state.world.size == state.marginals.size == state.mu.size == 0
+    assert state.marginals_by_key() == {}
 
 
 def test_from_run_warm_starts_mu_and_owns_its_arrays():

@@ -100,8 +100,7 @@ class TestCompiledInvariants:
 def kernel_graph(draw):
     """A random graph shaped to stress the factor-value kernel: every general
     function with negated literals and repeated members, every arity the
-    function allows up to 5 (AND/OR down to 1; factors go in through
-    ``restore_factor``, which checks arity like ``add_factor``), a small pool
+    function allows up to 5 (AND/OR down to 1), a small pool
     of tied weights some of which are fixed, and sometimes no general factor
     at all."""
     num_variables = draw(st.integers(min_value=2, max_value=8))
@@ -111,7 +110,7 @@ def kernel_graph(draw):
     weights = [graph.weight(("w", k), draw(st.floats(-3, 3)),
                             fixed=draw(st.booleans()))
                for k in range(draw(st.integers(1, 4)))]
-    for f in range(draw(st.integers(min_value=0, max_value=12))):
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
         function = draw(st.sampled_from(list(FactorFunction)))
         if function == FactorFunction.IS_TRUE:
             arity = 1
@@ -123,8 +122,8 @@ def kernel_graph(draw):
         members = draw(st.lists(st.integers(0, num_variables - 1),
                                 min_size=arity, max_size=arity))
         negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
-        graph.restore_factor(f, function, members,
-                             draw(st.sampled_from(weights)), negated=negated)
+        graph.add_factor(function, members, draw(st.sampled_from(weights)),
+                         negated=negated)
     return graph
 
 

@@ -1,14 +1,16 @@
-"""Segment-manifest checkpoints: hard-link sealing, O(delta) saves,
-refcounted pruning, and service-level round trips."""
+"""Segment-manifest checkpoints: hard-link sealing, O(delta) saves, array
+tables, refcounted pruning, and service-level round trips."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.datastore import Database, Schema
 from repro.datastore.io import database_from_dict
 from repro.datastore.segments import SegmentedRelation
 from repro.serve import CheckpointError, CheckpointManager
+from repro.serve.checkpoint import CHUNK_IDS, ArrayTable
 
 
 def small_db():
@@ -145,25 +147,127 @@ class TestRefcountedPrune:
         """A ``format: 1`` checkpoint (the pre-segment inline layout, whose
         reader is gone) is refused with a typed error, and pruning around
         it never touches newer checkpoints or the segments they need."""
+        refuse_old_format(tmp_path, 1)
+
+    def test_format_2_checkpoint_is_refused_and_blocks_nothing(
+            self, tmp_path):
+        """Likewise ``format: 2`` (graph and chain state as JSON lists)."""
+        refuse_old_format(tmp_path, 2)
+
+    def test_prune_deletes_what_a_failed_save_left(self, tmp_path):
+        """A save that fails before its rename leaves a sidecar (and maybe
+        a temp document) with no checkpoint; the next prune deletes them."""
         db = small_db()
         manager = CheckpointManager(tmp_path, keep=2)
-        from repro.datastore.io import database_to_dict
-        manager.save({**payload(),
-                      "database": database_to_dict(db)}, lsn=1)
-        info = manager.list()[0]
-        document = json.loads(info.path.read_text())
-        document["format"] = 1
-        info.path.write_text(json.dumps(document))
-        db["people"].insert(("frank", 70))
-        manager.save(payload(), lsn=2, database=db)
-        with pytest.raises(CheckpointError, match="reads version 2 only"):
-            manager.load(manager.list()[0])
-        segments = {p.name for p in manager.segments_dir.iterdir()}
-        manager.prune()
-        assert {p.name for p in manager.segments_dir.iterdir()} == segments
-        assert [i.lsn for i in manager.list()] == [1, 2]
-        restored_new = database_from_dict(manager.load()["database"])
-        assert restored_new["people"].counts_copy() == db["people"].counts_copy()
+        manager.save(payload(), lsn=1, database=db)
+        with pytest.raises(TypeError):
+            manager.save({**payload(), "unencodable": object()}, lsn=2,
+                         database=db)
+        (tmp_path / "checkpoint-000000000003.json.tmp").write_text("{torn")
+        manager.save(payload(), lsn=4, database=db)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "segments",
+            "checkpoint-000000000001.json",
+            "checkpoint-000000000001.refs.json",
+            "checkpoint-000000000004.json",
+            "checkpoint-000000000004.refs.json"}
+
+
+def refuse_old_format(tmp_path, version):
+    """Save an inline checkpoint, stamp it ``format: version``, and check it
+    is refused while newer checkpoints and their segments stay usable."""
+    db = small_db()
+    manager = CheckpointManager(tmp_path, keep=2)
+    from repro.datastore.io import database_to_dict
+    manager.save({**payload(),
+                  "database": database_to_dict(db)}, lsn=1)
+    info = manager.list()[0]
+    document = json.loads(info.path.read_text())
+    document["format"] = version
+    info.path.write_text(json.dumps(document))
+    db["people"].insert(("frank", 70))
+    manager.save(payload(), lsn=2, database=db)
+    with pytest.raises(CheckpointError, match="reads version 3 only"):
+        manager.load(manager.list()[0])
+    segments = {p.name for p in manager.segments_dir.iterdir()}
+    manager.prune()
+    assert {p.name for p in manager.segments_dir.iterdir()} == segments
+    assert [i.lsn for i in manager.list()] == [1, 2]
+    restored_new = database_from_dict(manager.load()["database"])
+    assert restored_new["people"].counts_copy() == db["people"].counts_copy()
+
+
+def key_table(n, first_id=0, value=0.5):
+    """An array table of ``n`` rows: ids, a float column by bit pattern
+    and nested-tuple keys."""
+    ids = np.arange(first_id, first_id + n, dtype=np.int64)
+    floats = np.full(n, value) + ids
+    return ArrayTable(("id", "value"),
+                      np.stack([ids, floats.view(np.int64)]),
+                      [("R", (int(i), "x")) for i in ids])
+
+
+class TestArrayTables:
+    def test_round_trip_is_exact(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        table = key_table(CHUNK_IDS + 5)
+        empty = ArrayTable(("id",), np.empty((1, 0), dtype=np.int64))
+        manager.save({**payload(), "graph": {"t": table, "e": empty}},
+                     lsn=1, database=small_db())
+        loaded = manager.load()["graph"]
+        assert loaded["t"].fields == table.fields
+        assert loaded["t"].codes.tobytes() == table.codes.tobytes()
+        assert loaded["t"].keys == table.keys      # tuples come back tuples
+        assert loaded["t"].column("value").view(np.float64).tolist() \
+            == (0.5 + np.arange(CHUNK_IDS + 5)).tolist()
+        assert loaded["e"].codes.shape == (1, 0) and loaded["e"].keys is None
+        stored = json.loads(manager.latest().path.read_text())["graph"]["t"]
+        assert len(stored["$array_table"]["segments"]) == 2   # two id ranges
+
+    def test_unchanged_chunks_are_re_referenced(self, tmp_path):
+        manager = CheckpointManager(tmp_path, keep=5)
+        db = small_db()
+        manager.save({**payload(), "state": key_table(2 * CHUNK_IDS)},
+                     lsn=1, database=db)
+        before = {p.name for p in manager.segments_dir.iterdir()}
+        changed = key_table(2 * CHUNK_IDS)
+        changed.codes[1, -1] += 1                 # touches the last range
+        manager.save({**payload(), "state": changed}, lsn=2, database=db)
+        after = {p.name for p in manager.segments_dir.iterdir()}
+        (new,) = after - before
+        assert manager.last_save_bytes == (
+            (manager.segments_dir / new).stat().st_size
+            + manager.latest().path.stat().st_size)
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_damaged_array_segment_names_its_digest(self, tmp_path, damage):
+        manager = CheckpointManager(tmp_path)
+        manager.save({**payload(), "state": key_table(3)}, lsn=1,
+                     database=small_db())
+        stored = json.loads(manager.latest().path.read_text())["state"]
+        (digest,) = stored["$array_table"]["segments"]
+        path = manager.segments_dir / f"seg-{digest}.seg"
+        if damage == "missing":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match=digest):
+            manager.load()
+
+    def test_both_retained_checkpoints_load_after_three_saves(self, tmp_path):
+        manager = CheckpointManager(tmp_path, keep=2)
+        db = small_db()
+        for lsn in (1, 2, 3):
+            db["people"].insert((f"p{lsn}", lsn))
+            manager.save({**payload(), "state": key_table(3, value=lsn)},
+                         lsn=lsn, database=db)
+        assert [info.lsn for info in manager.list()] == [2, 3]
+        for info in manager.list():
+            loaded = manager.load(info)
+            assert loaded["state"].codes.tobytes() \
+                == key_table(3, value=info.lsn).codes.tobytes()
+            people = database_from_dict(loaded["database"])["people"]
+            assert ("p%d" % info.lsn, info.lsn) in people
 
 
 class TestServiceLevel:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.serve import (AddRules, RemoveDocuments, ServeConfig, ServeEngine,
-                         add_documents, add_rows, remove_rows)
+from repro.serve import (AddRules, CheckpointManager, RemoveDocuments,
+                         ServeConfig, ServeEngine, add_documents, add_rows,
+                         remove_rows)
 from tests.serve.conftest import (RUN_KWARGS, bootstrap_ops, keys_for_token,
                                   make_app_factory)
 
@@ -13,6 +14,14 @@ def fresh_engine(**config_changes):
                          **config_changes)
     return ServeEngine(make_app_factory(), config=config,
                        run_kwargs=RUN_KWARGS)
+
+
+def round_trip(engine, directory, lsn=1):
+    """Checkpoint ``engine`` into ``directory`` and restore it from disk."""
+    manager = CheckpointManager(directory)
+    manager.save(engine.checkpoint_payload(), lsn=lsn, database=engine.app.db)
+    return ServeEngine.restore(manager.load(), make_app_factory(),
+                               config=engine.config, run_kwargs=RUN_KWARGS)
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +206,11 @@ class TestOneRefreshPath:
             assert dict(served.marginals) == direct.marginals
             assert list(served.marginals) == list(direct.marginals)
         # ... and hold the same chain state afterwards
-        assert (engine.app.chain_state.to_payload()
-                == app.chain_state.to_payload())
+        served, direct = engine.app.chain_state, app.chain_state
+        assert served.keys == direct.keys
+        for name in ("world", "marginals", "mu"):
+            assert (getattr(served, name).tobytes()
+                    == getattr(direct, name).tobytes())
 
     def test_engine_keeps_no_chain_state_of_its_own(self):
         engine = fresh_engine()
@@ -212,16 +224,16 @@ class TestOneRefreshPath:
 
 
 class TestCheckpointRestore:
-    def test_restore_is_bit_identical(self):
+    def test_restore_is_bit_identical(self, tmp_path):
         engine = fresh_engine()
         engine.bootstrap(bootstrap_ops())
         published = engine.apply_batch(
             [add_documents([("new", "the grape sat there .")])], lsn=1)
-        payload = engine.checkpoint_payload()
 
-        restored = ServeEngine.restore(payload, make_app_factory(),
-                                       config=engine.config,
-                                       run_kwargs=RUN_KWARGS)
+        restored = round_trip(engine, tmp_path)
+        for name in ("world", "marginals", "mu"):
+            assert (getattr(restored.app.chain_state, name).tobytes()
+                    == getattr(engine.app.chain_state, name).tobytes())
         snapshot = restored.current_snapshot(lsn=1)
         assert snapshot.version == engine.version
         assert dict(snapshot.marginals) == dict(published.marginals)
@@ -232,20 +244,28 @@ class TestCheckpointRestore:
         restored_next = restored.apply_batch(batch, lsn=2)
         assert dict(original_next.marginals) == dict(restored_next.marginals)
 
-    def test_payload_is_json_compatible(self):
+    def test_checkpoint_document_is_json_with_arrays_in_segments(
+            self, tmp_path):
         import json
         engine = fresh_engine()
         engine.bootstrap(bootstrap_ops())
-        payload = engine.checkpoint_payload()
-        assert json.loads(json.dumps(payload))["engine_version"] == 0
+        manager = CheckpointManager(tmp_path)
+        info = manager.save(engine.checkpoint_payload(), lsn=0,
+                            database=engine.app.db)
+        document = json.loads(info.path.read_text())
+        assert document["engine_version"] == 0
+        # graph columns and chain state are segment references, not lists
+        for table in (*(document["graph"][name] for name in
+                        ("variables", "weights", "factors", "edges")),
+                      document["state"]):
+            assert set(table) == {"$array_table"}
+            for digest in table["$array_table"]["segments"]:
+                assert (manager.segments_dir / f"seg-{digest}.seg").exists()
 
-    def test_rule_deltas_survive_restore(self):
+    def test_rule_deltas_survive_restore(self, tmp_path):
         engine = fresh_engine()
         engine.bootstrap(bootstrap_ops())
         engine.apply_batch([AddRules("ExtraGood(token text).")], lsn=1)
-        restored = ServeEngine.restore(engine.checkpoint_payload(),
-                                       make_app_factory(),
-                                       config=engine.config,
-                                       run_kwargs=RUN_KWARGS)
+        restored = round_trip(engine, tmp_path)
         assert restored.rule_deltas == engine.rule_deltas
         assert "ExtraGood" in restored.app.db

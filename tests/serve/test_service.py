@@ -1,5 +1,6 @@
 """KBService: the queue, the apply loop, and concurrent readers."""
 
+import os
 import queue
 import threading
 import time
@@ -90,6 +91,37 @@ class TestIngestPath:
             assert service.wal.replay() == []
             assert service.wal.base_lsn == 3
             assert service.wal.last_lsn == 3
+
+    def test_checkpoint_is_durable_before_the_wal_drops_its_records(
+            self, tmp_path, monkeypatch):
+        """Directory fsyncs order the renames: the checkpoint's entry is
+        durable before the compacted WAL replaces the records it covers."""
+        events = []
+        replace, fsync = os.replace, os.fsync
+
+        def recording_replace(source, target, *args, **kwargs):
+            replace(source, target, *args, **kwargs)
+            events.append(("replace", os.path.basename(target)))
+
+        def recording_fsync(descriptor):
+            fsync(descriptor)
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+
+        with live_service(tmp_path) as service:
+            service.ingest([add_rows("GoodList", [("fig",)])], wait=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", recording_replace)
+                patch.setattr(os, "fsync", recording_fsync)
+                info = service.checkpoint()
+        expected = [
+            ("fsync", service.checkpoints.segments_dir.stat().st_ino),
+            ("replace", info.path.name),
+            ("fsync", info.path.parent.stat().st_ino),
+            ("replace", service.wal.path.name),
+            ("fsync", service.wal.path.parent.stat().st_ino),
+        ]
+        remaining = iter(events)
+        assert all(event in remaining for event in expected), events
 
 
 class TestAdmissionControl:
