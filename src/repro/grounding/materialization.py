@@ -22,6 +22,11 @@ the new marginals? -- with different cost profiles:
   when updates are large or frequent, at some accuracy cost on strongly
   coupled graphs.
 
+Both run on the Gibbs sampler's color blocks: the sampling update sweeps a
+:class:`~repro.inference.GibbsSampler` restricted to the region, and a
+mean-field pass is one Jacobi update, one expected-delta kernel call per
+color.  The scalar per-variable forms are test oracles only.
+
 Costs are reported in *work units* (variable-visits for sampling, edge-visits
 per pass for mean field) so benchmarks can compare strategies independent of
 interpreter noise.
@@ -46,9 +51,8 @@ from typing import Collection, Hashable
 
 import numpy as np
 
-from repro.factorgraph.compiled import CompiledGraph
-from repro.factorgraph.factor_functions import FactorFunction, evaluate_flip
-from repro.inference.gibbs import GibbsSampler, sigmoid
+from repro.factorgraph.compiled import CompiledGraph, _csr_rows
+from repro.inference.gibbs import GibbsSampler, check_chain_length
 
 
 @dataclass
@@ -65,10 +69,11 @@ class SamplingMaterialization:
     def __init__(self, compiled: CompiledGraph, seed: int = 0,
                  num_samples: int = 100, burn_in: int = 20) -> None:
         self.compiled = compiled
-        self.sampler = GibbsSampler(compiled, seed=seed)
-        self.world = self.sampler.initial_assignment()
-        result = self.sampler.marginals(num_samples=num_samples, burn_in=burn_in,
-                                        assignment=self.world)
+        sampler = GibbsSampler(compiled, seed=seed)
+        self.rng = sampler.rng
+        self.world = sampler.initial_assignment()
+        result = sampler.marginals(num_samples=num_samples, burn_in=burn_in,
+                                   assignment=self.world)
         self.marginals = result.marginals
         # materialization cost: full chain
         self.materialization_work = float(
@@ -85,7 +90,7 @@ class SamplingMaterialization:
         """
         strategy = cls.__new__(cls)
         strategy.compiled = compiled
-        strategy.sampler = GibbsSampler(compiled, seed=seed)
+        strategy.rng = np.random.default_rng(seed)
         strategy.world = world.copy()
         strategy.world[compiled.is_evidence] = compiled.evidence_values[
             compiled.is_evidence]
@@ -94,47 +99,44 @@ class SamplingMaterialization:
         return strategy
 
     def neighbourhood(self, changed: set[int], radius: int = 1) -> np.ndarray:
-        """Variables within ``radius`` general-factor hops of ``changed``."""
+        """Variables within ``radius`` general-factor hops of ``changed``.
+
+        Each hop expands the frontier through the column CSR (its incident
+        factors) and the row CSR (their members) in two gathers.
+        """
         compiled = self.compiled
-        frontier = set(changed)
-        region = set(changed)
+        region = np.zeros(compiled.num_variables, dtype=bool)
+        frontier = np.fromiter(changed, dtype=np.int64, count=len(changed))
+        region[frontier] = True
         for _ in range(radius):
-            next_frontier: set[int] = set()
-            for var in frontier:
-                for slot in range(compiled.vf_indptr[var], compiled.vf_indptr[var + 1]):
-                    fi = compiled.vf_factors[slot]
-                    lo, hi = compiled.fv_indptr[fi], compiled.fv_indptr[fi + 1]
-                    for other in compiled.fv_vars[lo:hi]:
-                        if other not in region:
-                            next_frontier.add(int(other))
-            region |= next_frontier
-            frontier = next_frontier
-        mask = np.zeros(compiled.num_variables, dtype=bool)
-        mask[list(region)] = True
-        return mask
+            if not len(frontier):
+                break
+            slots, _ = _csr_rows(compiled.vf_indptr, frontier)
+            edges, _ = _csr_rows(compiled.fv_indptr,
+                                 np.unique(compiled.vf_factors[slots]))
+            reached = compiled.fv_vars[edges]
+            frontier = np.unique(reached[~region[reached]])
+            region[frontier] = True
+        return region
 
     def update(self, changed: set[int], radius: int = 1,
                num_samples: int = 40, burn_in: int = 10) -> UpdateResult:
-        """Resample the changed neighbourhood, frontier clamped to the world."""
+        """Resample the changed neighbourhood, frontier clamped to the world:
+        a sampler whose region is the neighbourhood (minus evidence) sweeps
+        the stored world, continuing the strategy's RNG stream.  ``work`` is
+        region x sweeps."""
+        check_chain_length(num_samples, burn_in)
         compiled = self.compiled
-        region = self.neighbourhood(changed, radius)
-        region &= ~compiled.is_evidence
-        self.sampler.refresh_weights()
-        unary = self.sampler._unary_deltas
-        rng = self.sampler.rng
-        active = np.nonzero(region)[0]
+        sampler = GibbsSampler(compiled, seed=self.rng,
+                               region=self.neighbourhood(changed, radius))
+        active = np.flatnonzero(~sampler.clamped)
         totals = np.zeros(len(active), dtype=np.float64)
         work = 0.0
         for sweep in range(burn_in + num_samples):
-            uniforms = rng.random(len(active))
-            for i, var in enumerate(active):
-                delta = unary[var] + compiled.general_delta(var, self.world)
-                self.world[var] = uniforms[i] < sigmoid(delta)
-            work += len(active)
+            work += sampler.sweep(self.world)
             if sweep >= burn_in:
                 totals += self.world[active]
-        if num_samples:
-            self.marginals[active] = totals / num_samples
+        self.marginals[active] = totals / num_samples
         clamped = compiled.is_evidence
         self.marginals[clamped] = compiled.evidence_values[clamped]
         return UpdateResult(self.marginals.copy(), work)
@@ -175,17 +177,15 @@ class VariationalMaterialization:
         return strategy
 
     def _converge(self) -> float:
-        """Run damped mean-field passes to convergence; returns work units."""
+        """Run damped mean-field passes (``GibbsSampler.mean_field_pass``)
+        to convergence; returns work units.  The sampler is built for its
+        color schedule, compiled once per call; its RNG is never drawn."""
         compiled = self.compiled
-        free = ~compiled.is_evidence
+        schedule = GibbsSampler(compiled)
         work = 0.0
         edges = compiled.num_unary + len(compiled.fv_vars)
-        unary = compiled.unary_deltas()
         for _ in range(self.max_passes):
-            new_mu = self.mu.copy()
-            for var in np.nonzero(free)[0]:
-                delta = unary[var] + self._signed_expected_delta(int(var))
-                new_mu[var] = float(sigmoid(delta))
+            new_mu = schedule.mean_field_pass(self.mu)
             work += edges
             shift = float(np.max(np.abs(new_mu - self.mu))) if len(self.mu) else 0.0
             # light damping: enough to stabilize coupled graphs, cheap enough
@@ -195,57 +195,12 @@ class VariationalMaterialization:
                 break
         return work
 
-    def _signed_expected_delta(self, var: int) -> float:
-        """Expected general-factor delta for raising P(var=1)."""
-        compiled = self.compiled
-        total = 0.0
-        lo, hi = compiled.vf_indptr[var], compiled.vf_indptr[var + 1]
-        for fi in dict.fromkeys(compiled.vf_factors[lo:hi].tolist()):
-            lo, hi = compiled.fv_indptr[fi], compiled.fv_indptr[fi + 1]
-            members = compiled.fv_vars[lo:hi]
-            negs = compiled.fv_negated[lo:hi]
-            weight = compiled.weight_values[compiled.general_weight[fi]]
-            mus = np.where(negs, 1.0 - self.mu[members], self.mu[members])
-            own = [j for j, member in enumerate(members.tolist())
-                   if member == var]
-            total += weight * _literal_delta(
-                int(compiled.general_function[fi]), mus, negs.tolist(), own)
-        return total
-
     def update(self, changed: set[int]) -> UpdateResult:
         """Warm-start mean-field passes after weights/structure changed."""
         clamped = self.compiled.is_evidence
         self.mu[clamped] = self.compiled.evidence_values[clamped].astype(float)
         work = self._converge()
         return UpdateResult(self.mu.copy(), work)
-
-
-def _literal_delta(function: int, mus: np.ndarray, negated: list[bool],
-                   own: list[int]) -> float:
-    """E[f | var = 1] - E[f | var = 0] for one factor, var occurring at the
-    positions ``own`` and the other literals independent Bernoulli(mus).
-
-    Over the other literals the difference is nonzero at one setting only --
-    AND's all true, OR's all false, IMPLY's body true with a false head
-    unless var is the head -- where it is ``sign``; EQUAL's is ``sign`` when
-    the other literal is true and ``-sign`` when it is false.
-    """
-    literals = [function != FactorFunction.OR] * len(negated)
-    if function == FactorFunction.IMPLY:
-        literals[-1] = False
-    sign = evaluate_flip(function, literals, negated, own)
-    others = np.delete(mus, own)
-    if function == FactorFunction.AND:
-        return float(np.prod(others)) * sign
-    if function == FactorFunction.OR:
-        return float(np.prod(1.0 - others)) * sign
-    if function == FactorFunction.EQUAL:
-        return (2.0 * float(others[0]) - 1.0) * sign if len(others) else 0.0
-    if function == FactorFunction.IMPLY:
-        if own[-1] == len(mus) - 1:                  # var is the head
-            return float(np.prod(others)) * sign     # body all-true probability
-        return float(np.prod(others[:-1])) * (1.0 - float(others[-1])) * sign
-    raise ValueError(f"unexpected factor function {function}")
 
 
 @dataclass(frozen=True)
@@ -326,8 +281,13 @@ def refresh(state: ChainState, compiled: CompiledGraph,
     drives the resampling chain, so equal arguments give equal bits.
     Returns the next state, the refresh that ran (``"none"`` when nothing
     changed: evidence marginals are clamped, nothing is sampled) and the
-    strategy's :class:`UpdateResult`.
+    strategy's :class:`UpdateResult`.  Raises ``ValueError`` for
+    ``num_samples < 1``, ``burn_in < 0`` or ``radius < 0``, whatever the
+    strategy, before touching any state.
     """
+    check_chain_length(num_samples, burn_in)
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     n = compiled.num_variables
     keys = tuple(compiled.var_keys)
     old_index = {key: i for i, key in enumerate(state.keys)}

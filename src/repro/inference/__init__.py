@@ -12,8 +12,8 @@ from repro.inference.exact import (ExactResult, enumerate_worlds,
 from repro.inference.gibbs import GibbsSampler, MarginalResult, sigmoid
 from repro.inference.learning import (LearningDiagnostics, LearningOptions,
                                       learn_weights)
-from repro.inference.map_inference import (AnnealedGibbs, MapResult,
-                                            map_inference, world_log_weight)
+from repro.inference.map_inference import (MapResult, map_inference,
+                                            world_log_weight)
 from repro.inference.numa import NumaConfig, NumaGibbs, NumaRunResult
 
 __all__ = [
@@ -37,5 +37,4 @@ __all__ = [
     "split_r_hat",
     "sigmoid",
     "world_log_weight",
-    "AnnealedGibbs",
 ]

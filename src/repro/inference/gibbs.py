@@ -32,7 +32,6 @@ import numpy as np
 
 from repro import obs
 from repro.factorgraph.compiled import ColorBlock, CompiledGraph
-from repro.factorgraph.factor_functions import evaluate_flip
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -122,11 +121,12 @@ class _BlockKernel:
     :meth:`refresh`, and the per-slot contribution buffer is allocated once.
     """
 
-    __slots__ = ("block", "signed_weights", "unary", "_contribution")
+    __slots__ = ("block", "signed_weights", "unary", "_contribution", "_hits")
 
     def __init__(self, block: ColorBlock) -> None:
         self.block = block
         self._contribution = np.empty(block.num_slots, dtype=np.float64)
+        self._hits: tuple[np.ndarray, ...] | None = None
 
     def refresh(self, weights: np.ndarray, unary_deltas: np.ndarray) -> None:
         block = self.block
@@ -151,6 +151,42 @@ class _BlockKernel:
                              minlength=len(block.variables))
         return np.add(self.unary, deltas, out=deltas)
 
+    def expected_deltas(self, mu: np.ndarray) -> np.ndarray:
+        """:meth:`deltas` in expectation, every other variable independently
+        true with probability ``mu``: each slot's signed weight times the
+        probability that its other literals hit ``slot_target`` -- the
+        product over its distinct other variables of the probability of the
+        value each needs, 0 when one needs both."""
+        if self._hits is None:
+            self._hits = _slot_hits(self.block)
+        variable, value, slots, starts, impossible = self._hits
+        block = self.block
+        p = mu[variable]
+        p = np.where(value, p, 1.0 - p)
+        probability = np.ones(block.num_slots)
+        if len(p):
+            probability[slots] = np.multiply.reduceat(p, starts)
+        probability[impossible] = 0.0
+        deltas = np.bincount(block.slot_var,
+                             weights=probability * self.signed_weights,
+                             minlength=len(block.variables))
+        return np.add(self.unary, deltas, out=deltas)
+
+
+def _slot_hits(block: ColorBlock) -> tuple[np.ndarray, ...]:
+    """The distinct (other variable, value it needs) pairs slot after slot,
+    the slots that have any and where each starts, and the slots needing a
+    variable at both values.  A literal hits a conjunction when true and a
+    disjunction (target 0) when false."""
+    needed = block.other_negated ^ (block.slot_target[block.other_slot] > 0)
+    n = int(block.other_vars.max()) + 1 if len(block.other_vars) else 1
+    pair, value = np.divmod(
+        np.unique((block.other_slot * n + block.other_vars) * 2 + needed), 2)
+    slot, variable = np.divmod(pair, n)
+    starts = np.flatnonzero(np.diff(slot, prepend=-1))
+    impossible = slot[1:][pair[1:] == pair[:-1]]
+    return variable, value.astype(bool), slot[starts], starts, impossible
+
 
 class GibbsSampler:
     """Chromatic blocked Gibbs sampler with evidence clamping.
@@ -165,47 +201,34 @@ class GibbsSampler:
     per-variable loop, which visits dependent variables in the same
     chromatic order and consumes the RNG identically, so with equal seeds
     the two produce bit-identical chains.  Tests call (or patch in) the
-    oracle directly; no configuration reaches it.
+    oracle directly; no configuration reaches it.  :meth:`mean_field_pass`
+    runs the same schedule in expectation (mean field).
+
+    ``region``, a boolean mask, narrows the schedule (the served refresh):
+    variables outside it join the clamped set and keep whatever value the
+    world holds, so a sweep never writes them.  ``seed`` may be a
+    ``numpy`` Generator, whose stream the sampler then continues.
     """
 
-    def __init__(self, compiled: CompiledGraph, seed: int = 0,
-                 clamp_evidence: bool = True) -> None:
+    def __init__(self, compiled: CompiledGraph,
+                 seed: int | np.random.Generator = 0,
+                 clamp_evidence: bool = True,
+                 region: np.ndarray | None = None) -> None:
         self.compiled = compiled
         self.rng = np.random.default_rng(seed)
-        self.clamped = compiled.is_evidence if clamp_evidence else np.zeros(
+        clamped = compiled.is_evidence if clamp_evidence else np.zeros(
             compiled.num_variables, dtype=bool)
+        if region is not None:
+            clamped = clamped | ~region
+        self.clamped = clamped
         has_general = compiled.vf_indptr[1:] > compiled.vf_indptr[:-1]
-        self._independent = ~has_general & ~self.clamped
+        self._independent = ~has_general & ~clamped
         self._independent_index = np.nonzero(self._independent)[0]
-        self._blocks = compiled.color_blocks(has_general & ~self.clamped)
+        self._blocks = compiled.color_blocks(has_general & ~clamped)
         self._kernels = [_BlockKernel(block) for block in self._blocks]
         self._dependent = (np.concatenate([b.variables for b in self._blocks])
                            if self._blocks else np.zeros(0, dtype=np.int64))
-        self._reference_adjacency: list[list[tuple]] | None = None
         self.refresh_weights()
-
-    def _prepare_reference_adjacency(self) -> list[list[tuple]]:
-        """Python-native per-variable factor lists for the scalar oracle.
-
-        Built lazily (only ``sweep_reference`` needs it) and in the same
-        chromatic variable order :meth:`sweep` uses, so the two stay
-        step-for-step comparable.
-        """
-        compiled = self.compiled
-        adjacency: list[list[tuple]] = []
-        for var in self._dependent.tolist():
-            factors = []
-            lo, hi = compiled.vf_indptr[var], compiled.vf_indptr[var + 1]
-            for fi in dict.fromkeys(compiled.vf_factors[lo:hi].tolist()):
-                lo, hi = compiled.fv_indptr[fi], compiled.fv_indptr[fi + 1]
-                members = compiled.fv_vars[lo:hi].tolist()
-                negated = compiled.fv_negated[lo:hi].tolist()
-                own = [j for j, member in enumerate(members) if member == var]
-                factors.append((int(compiled.general_function[fi]),
-                                int(compiled.general_weight[fi]),
-                                members, negated, own))
-            adjacency.append(factors)
-        return adjacency
 
     # ----------------------------------------------------------------- state
     def initial_assignment(self) -> np.ndarray:
@@ -224,24 +247,32 @@ class GibbsSampler:
             self._unary_deltas[self._independent_index])
 
     # ----------------------------------------------------------------- sweeps
-    def _sweep_independent(self, assignment: np.ndarray) -> int:
-        n_independent = len(self._independent_probs)
+    def _sweep_independent(self, assignment: np.ndarray,
+                           beta: float = 1.0) -> int:
+        probs = self._independent_probs
+        if beta != 1.0:
+            probs = _sigmoid_array(
+                self._unary_deltas[self._independent_index] * beta)
+        n_independent = len(probs)
         if n_independent:
             assignment[self._independent_index] = (
-                self.rng.random(n_independent) < self._independent_probs)
+                self.rng.random(n_independent) < probs)
         return n_independent
 
-    def sweep(self, assignment: np.ndarray, on_color=None) -> int:
+    def sweep(self, assignment: np.ndarray, on_color=None,
+              beta: float = 1.0) -> int:
         """One full Gibbs sweep in place; returns variables sampled.
 
         Vectorized: the unary-only pass plus one pass per color.
         ``on_color(color, before, after, started)``, when given, sees every
         color block's old and freshly sampled values just before they are
         written; it observes only, so a hooked sweep is the same chain.
+        ``beta`` is the inverse temperature the flip deltas are scaled by
+        (annealed MAP search); at 1 the sweep samples the model itself.
         """
         if on_color is None and obs.enabled():
-            return self._sweep_traced(assignment)
-        sampled = self._sweep_independent(assignment)
+            return self._sweep_traced(assignment, beta)
+        sampled = self._sweep_independent(assignment, beta)
         n_dependent = len(self._dependent)
         if n_dependent:
             uniforms = self.rng.random(n_dependent)
@@ -250,8 +281,10 @@ class GibbsSampler:
                 started = perf_counter() if on_color is not None else 0.0
                 variables = kernel.block.variables
                 n = len(variables)
-                values = (uniforms[offset:offset + n]
-                          < _sigmoid_array(kernel.deltas(assignment)))
+                deltas = kernel.deltas(assignment)
+                if beta != 1.0:
+                    deltas *= beta
+                values = uniforms[offset:offset + n] < _sigmoid_array(deltas)
                 if on_color is not None:
                     on_color(color, assignment[variables], values, started)
                 assignment[variables] = values
@@ -259,7 +292,7 @@ class GibbsSampler:
             sampled += n_dependent
         return sampled
 
-    def _sweep_traced(self, assignment: np.ndarray) -> int:
+    def _sweep_traced(self, assignment: np.ndarray, beta: float) -> int:
         """:meth:`sweep` with per-color timing and flip statistics.
 
         Only entered when a collector is installed, so the probe cost never
@@ -267,35 +300,39 @@ class GibbsSampler:
         observation per color per sweep -- histograms, not spans, because a
         run makes thousands of color passes.
         """
-        sampled = self.sweep(assignment, on_color=_observe_color)
+        sampled = self.sweep(assignment, on_color=_observe_color, beta=beta)
         obs.count("gibbs.sweeps")
         obs.count("gibbs.samples", sampled)
         return sampled
 
-    def sweep_reference(self, assignment: np.ndarray) -> int:
+    def sweep_reference(self, assignment: np.ndarray,
+                        beta: float = 1.0) -> int:
         """Scalar per-variable sweep, the oracle :meth:`sweep` is tested
         against: identical RNG stream, identical chromatic visit order,
-        sequential conditionals.  A variable's flip delta adds, per incident
-        factor, the factor's value with every occurrence of the variable at
-        1 minus its value with every occurrence at 0."""
-        sampled = self._sweep_independent(assignment)
+        sequential conditionals, each flip delta its unary delta plus
+        :meth:`CompiledGraph.general_delta`."""
+        sampled = self._sweep_independent(assignment, beta)
         if len(self._dependent):
-            if self._reference_adjacency is None:
-                self._reference_adjacency = self._prepare_reference_adjacency()
             uniforms = self.rng.random(len(self._dependent))
             unary = self._unary_deltas
-            weights = self.compiled.weight_values
             for i, var in enumerate(self._dependent.tolist()):
-                delta = float(unary[var])
-                for function, weight_index, members, negated, own \
-                        in self._reference_adjacency[i]:
-                    literals = [bool(assignment[m]) != n
-                                for m, n in zip(members, negated)]
-                    delta += weights[weight_index] * evaluate_flip(
-                        function, literals, negated, own)
-                assignment[var] = uniforms[i] < _sigmoid_scalar(delta)
+                delta = unary[var] + self.compiled.general_delta(var, assignment)
+                assignment[var] = uniforms[i] < _sigmoid_scalar(
+                    float(delta) * beta)
             sampled += len(self._dependent)
         return sampled
+
+    def mean_field_pass(self, mu: np.ndarray) -> np.ndarray:
+        """One Jacobi mean-field pass over the sweep's schedule: a copy of
+        ``mu`` in which every variable a sweep would sample holds sigmoid of
+        its expected flip delta, the others independent Bernoulli(``mu``).
+        Unary-only variables get their exact marginal."""
+        new_mu = mu.copy()
+        new_mu[self._independent_index] = self._independent_probs
+        for kernel in self._kernels:
+            new_mu[kernel.block.variables] = _sigmoid_array(
+                kernel.expected_deltas(mu))
+        return new_mu
 
     # -------------------------------------------------------------- inference
     def marginals(self, num_samples: int = 100, burn_in: int = 20,

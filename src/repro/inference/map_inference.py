@@ -5,6 +5,9 @@ constraint checking, producing one consistent output database) instead want
 the jointly most probable assignment.  We use simulated-annealing Gibbs: the
 conditional log-odds are scaled by an inverse temperature that rises over
 sweeps, sharpening the chain toward a mode, with the best world seen kept.
+The sweep is the sampler's own chromatic kernel, its flip deltas scaled by
+the temperature in the color loop; ``GibbsSampler.sweep_reference`` at the
+same ``beta`` is its scalar oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.factorgraph.compiled import CompiledGraph
-from repro.inference.gibbs import GibbsSampler, _sigmoid_scalar, sigmoid
+from repro.inference.gibbs import GibbsSampler
 
 
 def world_log_weight(compiled: CompiledGraph, world: np.ndarray) -> float:
@@ -36,45 +39,27 @@ class MapResult:
                 for key, v in zip(compiled.var_keys, self.assignment)}
 
 
-class AnnealedGibbs(GibbsSampler):
-    """Gibbs sweeps at an inverse temperature (beta >= 1 sharpens)."""
-
-    def sweep_at(self, assignment: np.ndarray, beta: float) -> None:
-        compiled = self.compiled
-        independent = self._independent
-        n_independent = int(independent.sum())
-        if n_independent:
-            p = sigmoid(self._unary_deltas[independent] * beta)
-            assignment[independent] = self.rng.random(n_independent) < p
-        if len(self._dependent):
-            uniforms = self.rng.random(len(self._dependent))
-            unary = self._unary_deltas
-            weights = compiled.weight_values
-            for i, var in enumerate(self._dependent):
-                var = int(var)
-                delta = float(unary[var]) + compiled.general_delta(var, assignment)
-                assignment[var] = uniforms[i] < _sigmoid_scalar(delta * beta)
-
-
 def map_inference(compiled: CompiledGraph, sweeps: int = 200,
                   beta_start: float = 0.5, beta_end: float = 8.0,
                   seed: int = 0) -> MapResult:
     """Search for the most probable world by annealed Gibbs sampling.
 
     Evidence variables stay clamped.  The temperature schedule is geometric
-    from ``beta_start`` to ``beta_end``; the highest-scoring world seen over
-    the whole run is returned (not merely the final state).
+    from ``beta_start`` to ``beta_end`` (one sweep runs at ``beta_start``);
+    the highest-scoring world seen over the whole run, the random initial
+    one included, is returned (not merely the final state).  Raises
+    ``ValueError`` for ``sweeps < 1``.
     """
-    sampler = AnnealedGibbs(compiled, seed=seed)
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    sampler = GibbsSampler(compiled, seed=seed)
     world = sampler.initial_assignment()
     best = world.copy()
     best_score = world_log_weight(compiled, world)
-    if sweeps <= 1:
-        return MapResult(best, best_score)
-    ratio = (beta_end / beta_start) ** (1.0 / (sweeps - 1))
+    ratio = (beta_end / beta_start) ** (1.0 / max(sweeps - 1, 1))
     beta = beta_start
     for _ in range(sweeps):
-        sampler.sweep_at(world, beta)
+        sampler.sweep(world, beta=beta)
         score = world_log_weight(compiled, world)
         if score > best_score:
             best_score = score

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
-from repro.grounding import (SamplingMaterialization,
-                             VariationalMaterialization, choose_strategy)
+from repro.grounding import (ChainState, SamplingMaterialization,
+                             VariationalMaterialization, choose_strategy,
+                             refresh)
 
 
 def star_graph(spokes=6, coupling=1.0, bias=0.8):
@@ -68,6 +69,36 @@ class TestSamplingMaterialization:
         strategy = SamplingMaterialization(compiled, seed=0,
                                            num_samples=10, burn_in=5)
         assert strategy.materialization_work == 15 * 5
+
+
+    def test_frontier_never_written(self):
+        compiled = star_graph(spokes=6)
+        strategy = SamplingMaterialization(compiled, seed=0,
+                                           num_samples=20, burn_in=5)
+        spoke = compiled.variable_index("spoke0")
+        region = strategy.neighbourhood({spoke}, radius=1)
+        before = strategy.world.copy()
+        marginals = strategy.marginals.copy()
+        result = strategy.update({spoke}, radius=1, num_samples=30, burn_in=5)
+        assert result.work == region.sum() * 35
+        np.testing.assert_array_equal(strategy.world[~region], before[~region])
+        np.testing.assert_array_equal(result.marginals[~region],
+                                      marginals[~region])
+
+    def test_refresh_rejects_degenerate_chains(self):
+        """A refresh that would estimate nothing fails before it samples,
+        instead of flipping the world and publishing the stored marginal."""
+        graph = FactorGraph()
+        x = graph.variable("x")
+        graph.add_factor(FactorFunction.IS_TRUE, [x], graph.weight("w", 3.0))
+        compiled = CompiledGraph(graph)
+        state = ChainState(("x",), np.array([False]), np.array([0.25]),
+                           np.array([0.25]))
+        for bad in ({"num_samples": 0}, {"burn_in": -1}, {"radius": -1}):
+            with pytest.raises(ValueError):
+                refresh(state, compiled, {"x"}, seed=0, **bad)
+        assert state.world.tolist() == [False]
+        assert state.marginals.tolist() == [0.25]
 
 
 class TestVariationalMaterialization:

@@ -145,16 +145,14 @@ class TestRepeatedMembers:
     @pytest.mark.parametrize("function,negated,delta", REPEATED_MEMBER_CASES)
     def test_every_flip_delta_moves_all_occurrences(self, function, negated,
                                                     delta):
-        from repro.grounding.materialization import VariationalMaterialization
-
         compiled = self.single_factor(function, negated)
         kernel = GibbsSampler(compiled, seed=0)._kernels[0]
         for value in (False, True):
             world = np.array([value])
             assert compiled.general_delta(0, world) == delta
             assert kernel.deltas(world).tolist() == [delta]
-        mean_field = VariationalMaterialization(compiled, max_passes=1)
-        assert mean_field._signed_expected_delta(0) == delta
+        for mu in (0.0, 0.3, 1.0):          # the mean-field kernel
+            assert kernel.expected_deltas(np.array([mu])).tolist() == [delta]
 
     @pytest.mark.parametrize("function,negated,delta", REPEATED_MEMBER_CASES)
     def test_sweeps_sample_the_exact_conditional(self, function, negated,

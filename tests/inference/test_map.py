@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
-from repro.inference import map_inference, world_log_weight
+from repro.inference import GibbsSampler, map_inference, world_log_weight
 
 
 def exact_map(compiled):
@@ -79,6 +79,48 @@ class TestMapInference:
         result = map_inference(compiled, sweeps=50, seed=0)
         assert result.log_weight == pytest.approx(3.0)
         assert result.assignment[0]
+
+    def test_one_sweep_samples(self):
+        """``sweeps=1`` runs its sweep instead of returning the random
+        initial world."""
+        graph = FactorGraph()
+        v = graph.variable("x")
+        graph.add_factor(FactorFunction.IS_TRUE, [v], graph.weight("w", 50.0))
+        compiled = CompiledGraph(graph)
+        for seed in range(6):
+            result = map_inference(compiled, sweeps=1, seed=seed)
+            assert result.assignment.tolist() == [True]
+            assert result.log_weight == 50.0
+
+    @pytest.mark.parametrize("sweeps", [0, -3])
+    def test_rejects_no_sweeps(self, sweeps):
+        graph = FactorGraph()
+        graph.variable("x")
+        with pytest.raises(ValueError, match="sweeps"):
+            map_inference(CompiledGraph(graph), sweeps=sweeps)
+
+    def test_annealed_sweep_matches_scalar_oracle(self):
+        """The annealed sweep is the chromatic kernel with its deltas
+        scaled by beta; the scalar oracle at the same beta is bit-identical."""
+        graph = FactorGraph()
+        names = [graph.variable(i) for i in range(6)]
+        for i in range(6):
+            graph.add_factor(FactorFunction.IS_TRUE, [names[i]],
+                             graph.weight(("u", i), 0.3 * (i - 2)))
+        a, b, c, d, e, _ = names
+        graph.add_factor(FactorFunction.EQUAL, [a, b], graph.weight("e", 1.1))
+        graph.add_factor(FactorFunction.IMPLY, [b, c, d],
+                         graph.weight("i", -0.7), negated=[False, True, False])
+        graph.add_factor(FactorFunction.OR, [d, e, e], graph.weight("o", 0.9))
+        graph.add_factor(FactorFunction.AND, [a, e], graph.weight("a", 1.3))
+        compiled = CompiledGraph(graph)
+        fast = GibbsSampler(compiled, seed=5)
+        slow = GibbsSampler(compiled, seed=5)
+        world, reference = fast.initial_assignment(), slow.initial_assignment()
+        for beta in np.geomspace(0.5, 8.0, 40):
+            fast.sweep(world, beta=beta)
+            slow.sweep_reference(reference, beta)
+            np.testing.assert_array_equal(world, reference)
 
     def test_deterministic_under_seed(self):
         graph = FactorGraph()

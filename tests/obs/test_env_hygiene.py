@@ -5,6 +5,7 @@ The EngineConfig redesign moved every ``REPRO_*`` env-var read into
 rest of the source tree environment-free so configuration stays explicit.
 """
 
+import ast
 import pathlib
 import re
 
@@ -65,7 +66,28 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  # JSON checkpoint payloads and per-item graph restore
                  "inline_database", "to_payload", "from_payload",
                  "restore_variable", "restore_weight", "restore_factor",
-                 "restore_next_ids")
+                 "restore_next_ids",
+                 # per-variable inference loops beside the color kernel
+                 "_signed_expected_delta", "_literal_delta",
+                 "_prepare_reference_adjacency", "_reference_adjacency",
+                 "AnnealedGibbs", "sweep_at")
+
+#: The scalar flip rules are test oracles: each name may appear as a call
+#: or definition only in these src files (its definition and the other
+#: oracle that uses it), never on a production path.
+ORACLE_SITES = {
+    "general_delta": {"factorgraph/compiled.py", "inference/gibbs.py"},
+    "evaluate_flip": {"factorgraph/factor_functions.py",
+                      "factorgraph/compiled.py"},
+    "_sigmoid_scalar": {"inference/gibbs.py"},
+}
+
+#: ... and within those files, the functions allowed to call each name.
+ORACLE_CALLERS = {
+    "general_delta": {"sweep_reference"},
+    "evaluate_flip": {"general_delta"},
+    "_sigmoid_scalar": {"sweep_reference"},
+}
 
 
 def test_knobs_have_not_drifted():
@@ -94,6 +116,37 @@ def test_knobs_have_not_drifted():
                  if re.search(re.escape(name) + r"\b",
                               path.read_text(encoding="utf-8"))]
     assert not offenders, "retired names under src/:\n  " + "\n  ".join(offenders)
+
+
+def test_scalar_flip_rules_have_no_production_caller():
+    """``general_delta`` is called only by ``sweep_reference``,
+    ``evaluate_flip`` only by ``general_delta``, ``_sigmoid_scalar`` only
+    by ``sweep_reference``: every inference path runs on the color kernel."""
+    for name, allowed in ORACLE_SITES.items():
+        sites = {path.relative_to(SRC_ROOT).as_posix()
+                 for path in sorted(SRC_ROOT.rglob("*.py"))
+                 if re.search(r"\b" + re.escape(name) + r"\(",
+                              path.read_text(encoding="utf-8"))}
+        assert sites == allowed, (name, sites)
+    callers = {name: set() for name in ORACLE_CALLERS}
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        _record_oracle_callers(ast.parse(path.read_text(encoding="utf-8")),
+                               None, callers)
+    assert callers == ORACLE_CALLERS
+
+
+def _record_oracle_callers(node, function, callers):
+    """Add the innermost enclosing function of every call to an
+    ``ORACLE_CALLERS`` name under ``node`` to ``callers[name]``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        callee = node.func
+        name = getattr(callee, "id", getattr(callee, "attr", None))
+        if name in callers:
+            callers[name].add(function)
+    for child in ast.iter_child_nodes(node):
+        _record_oracle_callers(child, function, callers)
 
 
 def test_ambient_environment_is_accepted_by_every_reader():
