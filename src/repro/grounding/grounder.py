@@ -66,14 +66,6 @@ class GroundingDelta:
     evidence_changed: int = 0
     touched_keys: set = field(default_factory=set)
 
-    def merge(self, other: "GroundingDelta") -> None:
-        self.factors_added += other.factors_added
-        self.factors_removed += other.factors_removed
-        self.variables_added += other.variables_added
-        self.variables_removed += other.variables_removed
-        self.evidence_changed += other.evidence_changed
-        self.touched_keys |= other.touched_keys
-
     @property
     def total_changes(self) -> int:
         return (self.factors_added + self.factors_removed
@@ -93,41 +85,65 @@ class WeightProvenance:
 class Grounder:
     """Incremental grounder over one program and one database.
 
-    Construction performs the initial load (full view materialization and
-    full grounding); :meth:`apply_changes` afterwards runs only DRed delta
-    rules.  The factor graph is available as :attr:`graph`.
+    Construction performs the initial load -- view materialization, then the
+    grounding event "every visible row appeared" -- and :meth:`apply_changes`
+    afterwards grounds the DRed view deltas through the same event routine.
+    The factor graph is available as :attr:`graph`.
     """
 
     def __init__(self, program: DDlogProgram, db: Database,
                  config: EngineConfig | None = None) -> None:
-        program.validate()
-        self.program = program
-        self.db = db
-        self.config = config if config is not None \
-            else getattr(db, "config", None)
-        self.graph = FactorGraph()
-        self.weight_provenance: dict[Hashable, WeightProvenance] = {}
-
-        program.create_relations(db)
-        self._derived = derived_relation_plans(program.ast, program.udfs)
-        self._rules = list(program.ast.rules)
-        # (rule_index, body_row) -> factor ids grounded from that row (a
-        # range on the bulk path: one row's factors get consecutive ids)
-        self._row_factors: dict[tuple[int, Row], Sequence[int]] = {}
-        # var relation -> tuple -> label counter (distant supervision votes)
-        self._evidence_votes: dict[str, dict[Row, Counter]] = {}
-        self._view_rules: dict[str, int] = {}
-        self._recipes: dict[int, _Recipe] = {}
-
-        with obs.span("grounding.define_views") as sp:
-            self._define_views()
-            sp.set(views=len(db.views.names()))
+        self._set_up(program, db, config, FactorGraph(), {})
         with obs.span("grounding.initial_load") as sp:
             self._initial_load()
             sp.set(variables=len(self.graph.variables),
                    factors=len(self.graph.factors))
 
     # ----------------------------------------------------------------- set-up
+    def _set_up(self, program: DDlogProgram, db: Database,
+                config: EngineConfig | None, graph: FactorGraph,
+                state: dict) -> None:
+        """Bind the grounder to ``program``, ``db`` and ``graph``, adopt the
+        bookkeeping ``state`` (a :meth:`state_dict`; empty for a new
+        grounder) and define the views."""
+        program.validate()
+        self.program = program
+        self.db = db
+        self.config = config if config is not None \
+            else getattr(db, "config", None)
+        self.graph = graph
+        self.weight_provenance: dict[Hashable, WeightProvenance] = {
+            decode_key(key): WeightProvenance(rule_text, description,
+                                              rule_index)
+            for key, rule_text, description, rule_index
+            in state.get("weight_provenance", [])
+        }
+        program.create_relations(db)
+        self._derived = derived_relation_plans(program.ast, program.udfs)
+        self._rules = list(program.ast.rules)
+        # (rule_index, body_row) -> ids of the factors grounded from that
+        # row (consecutive: a range, or a list once restored)
+        self._row_factors: dict[tuple[int, Row], Sequence[int]] = {
+            (index, decode_key(row)): list(factor_ids)
+            for index, row, factor_ids in state.get("row_factors", [])
+        }
+        # var relation -> tuple -> label counter (distant supervision votes)
+        self._evidence_votes: dict[str, dict[Row, Counter]] = {}
+        for relation, votes in state.get("evidence_votes", {}).items():
+            decoded = self._evidence_votes.setdefault(relation, {})
+            for values, positive, negative in votes:
+                counter: Counter = Counter()
+                if positive:
+                    counter[True] = positive
+                if negative:
+                    counter[False] = negative
+                decoded[decode_key(values)] = counter
+        self._view_rules: dict[str, int] = {}
+        self._recipes: dict[int, _Recipe] = {}
+        with obs.span("grounding.define_views") as sp:
+            self._define_views()
+            sp.set(views=len(db.views.names()))
+
     def _define_views(self) -> None:
         views = self.db.views
         # DDlog expansion inlines derived-relation plans by object identity
@@ -149,25 +165,15 @@ class Grounder:
                 index, views[view_name].schema)
 
     def _initial_load(self) -> None:
+        views = self.db.views
         for name in self._derived:
             relation = self.db[name]
             relation.clear()
             # view rows already passed schema validation on their way in
-            relation.insert_many(
-                self.db.views[f"derived::{name}"].iter_visible(),
-                validate=False)
-        delta = GroundingDelta()
-        # Evidence first, so variables created by rule grounding see labels.
-        for view_name, index in self._view_rules.items():
-            if self._rules[index].kind == RuleKind.SUPERVISION:
-                # supervision walks its rows twice; keep the list here
-                rows = self.db.views[view_name].visible_rows()
-                self._apply_supervision(index, appeared=rows, disappeared=[],
-                                        delta=delta)
-        for view_name, index in self._view_rules.items():
-            if self._rules[index].kind in (RuleKind.FEATURE, RuleKind.INFERENCE):
-                self._ground_rule(index,
-                                  self.db.views[view_name].iter_visible())
+            relation.insert_many(views[f"derived::{name}"].iter_visible(),
+                                 validate=False)
+        self._ground_events({name: (views[name].iter_visible(), ())
+                             for name in self._view_rules})
 
     # ---------------------------------------------------- checkpoint support
     def state_dict(self) -> dict:
@@ -178,7 +184,8 @@ class Grounder:
         exactly where this grounder stands: the row->factor-id map DRed
         retractions consult, the distant-supervision vote counters, and the
         weight-provenance table.  Factor ids refer to the graph's id space,
-        which v2 graph serialization preserves exactly.
+        which the checkpoint's segment-array graph image preserves
+        exactly.
         """
         return {
             "row_factors": [
@@ -212,41 +219,8 @@ class Grounder:
         so subsequent :meth:`apply_changes` rounds behave bit-identically to
         the grounder that was checkpointed.
         """
-        program.validate()
         self = cls.__new__(cls)
-        self.program = program
-        self.db = db
-        self.config = config if config is not None \
-            else getattr(db, "config", None)
-        self.graph = graph
-        self.weight_provenance = {
-            decode_key(key): WeightProvenance(rule_text, description,
-                                              rule_index)
-            for key, rule_text, description, rule_index
-            in state.get("weight_provenance", [])
-        }
-        program.create_relations(db)
-        self._derived = derived_relation_plans(program.ast, program.udfs)
-        self._rules = list(program.ast.rules)
-        self._row_factors = {
-            (index, decode_key(row)): list(factor_ids)
-            for index, row, factor_ids in state.get("row_factors", [])
-        }
-        self._evidence_votes = {}
-        for relation, votes in state.get("evidence_votes", {}).items():
-            decoded = self._evidence_votes.setdefault(relation, {})
-            for values, positive, negative in votes:
-                counter: Counter = Counter()
-                if positive:
-                    counter[True] = positive
-                if negative:
-                    counter[False] = negative
-                decoded[decode_key(values)] = counter
-        self._view_rules = {}
-        self._recipes = {}
-        with obs.span("grounding.restore_views") as sp:
-            self._define_views()
-            sp.set(views=len(db.views.names()))
+        self._set_up(program, db, config, graph, state)
         return self
 
     # ----------------------------------------------------------- public API
@@ -264,8 +238,6 @@ class Grounder:
 
     def _apply_changes(self, inserts, deletes) -> GroundingDelta:
         events = self.db.views.apply_changes(inserts=inserts, deletes=deletes)
-        delta = GroundingDelta()
-
         for view_name, (appeared, disappeared) in events.items():
             if view_name.startswith("derived::"):
                 relation = self.db[view_name.removeprefix("derived::")]
@@ -273,28 +245,32 @@ class Grounder:
                     relation.insert(row)
                 for row in disappeared:
                     relation.delete(row)
-
-        supervision_events = []
-        rule_events = []
-        for view_name, event in events.items():
-            index = self._view_rules.get(view_name)
-            if index is None:
-                continue
-            if self._rules[index].kind == RuleKind.SUPERVISION:
-                supervision_events.append((index, event))
-            else:
-                rule_events.append((index, event))
-
-        for index, (appeared, disappeared) in supervision_events:
-            self._apply_supervision(index, appeared, disappeared, delta)
-        for index, (appeared, disappeared) in rule_events:
-            for row in disappeared:
-                self._unground_row(index, row, delta)
-            for row in appeared:
-                self._ground_row(index, row, delta)
+        delta = self._ground_events(events)
         if obs.enabled():
             obs.count("grounding.rounds")
             obs.count("grounding.touched_keys", len(delta.touched_keys))
+        return delta
+
+    def _ground_events(self, events: dict) -> GroundingDelta:
+        """Patch the graph with ``view name -> (appeared, disappeared)``
+        row events.
+
+        Supervision events go first, so variables created by rule grounding
+        see their labels; then each feature or inference rule retracts its
+        disappeared rows and grounds its appeared ones.
+        """
+        delta = GroundingDelta()
+        rule_events = [(self._view_rules[name], event)
+                       for name, event in events.items()
+                       if name in self._view_rules]
+        for index, (appeared, disappeared) in rule_events:
+            if self._rules[index].kind == RuleKind.SUPERVISION:
+                self._apply_supervision(index, appeared, disappeared, delta)
+        for index, (appeared, disappeared) in rule_events:
+            if self._rules[index].kind != RuleKind.SUPERVISION:
+                for row in disappeared:
+                    self._unground_row(index, row, delta)
+                self._ground_rule(index, appeared, delta)
         return delta
 
     def variable_marginal_keys(self) -> list[Hashable]:
@@ -367,13 +343,14 @@ class Grounder:
                                   recipe.description or str(label))
         return list(map(ids.__getitem__, keys))
 
-    def _ground_rule(self, index: int, rows: Iterable[Row]) -> None:
-        """Ground every row of one rule's view at once (the initial load).
+    def _ground_rule(self, index: int, rows: Iterable[Row],
+                     delta: GroundingDelta) -> None:
+        """Ground the appeared ``rows`` of one rule's view, all at once.
 
         Only the weight resolver runs per row; head keys are interned and
-        factors appended for the whole rule, in the order
-        :meth:`_ground_row` would create them row by row, so the graph and
-        the row->factor bookkeeping come out identical.
+        factors appended for all the rows together, in row order, so ids and
+        the row->factor bookkeeping equal those of grounding the rows one at
+        a time.  Every head key grounded counts as touched.
         """
         recipe = self._recipes[index]
         labels_of = recipe.labels
@@ -398,35 +375,12 @@ class Grounder:
         self._row_factors.update(zip(
             [(index, row) for row in rows],
             map(range, [factors.start] + ends[:-1], ends)))
+        delta.variables_added += len(created)
+        delta.factors_added += len(factors)
+        delta.touched_keys.update(keys)
         if obs.enabled():
             obs.count("grounding.factors", len(factors), rule=index)
             obs.count("grounding.variables", len(created), rule=index)
-
-    def _ground_row(self, index: int, row: Row, delta: GroundingDelta) -> None:
-        recipe = self._recipes[index]
-        labels = recipe.labels(row)
-        if not labels:
-            return
-        weight_ids = self._weight_ids(index, labels)
-        vars_before = delta.variables_added
-        var_ids: list[int] = []
-        for relation, read in recipe.heads:
-            key = (relation, read(row))
-            var_id, created = self._variable_for(key)
-            if created:
-                delta.variables_added += 1
-            delta.touched_keys.add(key)
-            var_ids.append(var_id)
-        add_factor = self.graph.add_factor
-        factor_ids = [add_factor(recipe.function, var_ids, weight_id,
-                                 recipe.negated)
-                      for weight_id in weight_ids]
-        self._row_factors[(index, row)] = factor_ids
-        delta.factors_added += len(factor_ids)
-        if obs.enabled():
-            obs.count("grounding.factors", len(factor_ids), rule=index)
-            obs.count("grounding.variables",
-                      delta.variables_added - vars_before, rule=index)
 
     def _unground_row(self, index: int, row: Row, delta: GroundingDelta) -> None:
         factor_ids = self._row_factors.pop((index, row), None)
@@ -459,13 +413,6 @@ class Grounder:
         relation = self.db[relation_name]
         if relation.count(values):
             relation.delete(values)
-
-    def _variable_for(self, key: tuple[str, Row]) -> tuple[int, bool]:
-        created = not self.graph.has_variable(key)
-        var_id = self.graph.variable(key)
-        if created:
-            self._on_new_variable(key)
-        return var_id, created
 
     def _on_new_variable(self, key: tuple[str, Row]) -> None:
         """Keep the variable's tuple in its relation and label it."""

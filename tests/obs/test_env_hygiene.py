@@ -70,7 +70,9 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  # per-variable inference loops beside the color kernel
                  "_signed_expected_delta", "_literal_delta",
                  "_prepare_reference_adjacency", "_reference_adjacency",
-                 "AnnealedGibbs", "sweep_at")
+                 "AnnealedGibbs", "sweep_at",
+                 # the per-row grounding path beside _ground_rule
+                 "_ground_row", "_variable_for")
 
 #: The scalar flip rules are test oracles: each name may appear as a call
 #: or definition only in these src files (its definition and the other
@@ -97,8 +99,10 @@ def test_knobs_have_not_drifted():
     backend overrides, readers of formats nothing writes, the serving
     engine's own chain-state dicts, every pool caller and knob beyond the
     NUMA replicas, the serving and compliance env tables, the color block's
-    slot groups, the JSON checkpoint payloads and per-item graph restore)
-    stays retired."""
+    slot groups, the JSON checkpoint payloads and per-item graph restore,
+    the per-variable inference loops beside the color kernel, and the
+    per-row grounding path beside ``Grounder._ground_rule``) stays
+    retired."""
     import dataclasses
 
     from repro.obs.config import ENV_VARS, EngineConfig
