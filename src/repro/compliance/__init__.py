@@ -7,9 +7,11 @@ governance story for :mod:`repro.serve`:
 
 * **detectors** — regex + confidence PII detectors (email, phone, SSN,
   credit card, person-adjacent location) over raw strings;
-* **scanner** — column-by-column scans of relations, databases, and
-  published snapshots, emitting a typed :class:`ComplianceManifest`
-  (per-column detector, hit rate, confidence, masked examples);
+* **scanner** — column-by-column scans of rows, databases, and marginal
+  mappings (published snapshots included), emitting a typed
+  :class:`ComplianceManifest` (per-column detector, hit rate, confidence,
+  masked examples) from one :class:`ColumnTally` per column — the same
+  tally the publish-time scrub reports from;
 * **anonymizer** — keyed deterministic anonymization: HMAC-based stable
   surrogates per detector class, so the same raw value always maps to the
   same surrogate and join keys / dedup survive scrubbing;
@@ -36,8 +38,7 @@ from repro.compliance.detectors import (DEFAULT_DETECTORS, DETECTOR_NAMES,
 from repro.compliance.manifest import ColumnReport, ComplianceManifest
 from repro.compliance.policy import (VALID_ACTIONS, CompliancePolicy,
                                      PolicyError)
-from repro.compliance.scanner import (Scanner, scan_database, scan_relation,
-                                      scan_rows, scan_snapshot)
+from repro.compliance.scanner import Scanner
 
 __all__ = [
     "Anonymizer",
@@ -60,13 +61,6 @@ __all__ = [
     "default_detectors",
     "luhn_valid",
     "mask",
-    "scan_database",
-    "scan_marginals",
-    "scan_relation",
-    "scan_rows",
-    "scan_snapshot",
     "scrub_marginals",
     "scrub_value",
 ]
-
-from repro.compliance.scanner import scan_marginals  # noqa: E402  (re-export)

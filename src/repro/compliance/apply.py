@@ -41,10 +41,10 @@ from typing import Mapping, Sequence
 
 from repro import obs
 from repro.compliance.anonymizer import Anonymizer, SurrogateCollision
-from repro.compliance.detectors import DEFAULT_DETECTORS, Detector, mask
+from repro.compliance.detectors import DEFAULT_DETECTORS, Detector
 from repro.compliance.manifest import ColumnReport, ComplianceManifest
 from repro.compliance.policy import CompliancePolicy
-from repro.compliance.scanner import Scanner
+from repro.compliance.scanner import ColumnTally, Scanner, marginal_columns
 
 
 def scrub_value(value, action: str, detector: str, anonymizer: Anonymizer,
@@ -74,77 +74,50 @@ def scrub_marginals(marginals: Mapping,
                     ) -> tuple[dict, ComplianceManifest]:
     """``(scrubbed_marginals, manifest)`` for one publish.  See above."""
     started = perf_counter()
-    schemas = schemas or {}
     anonymizer = anonymizer if anonymizer is not None \
         else Anonymizer(policy.key)
     scanner = Scanner(policy, detectors)
 
     # ---- pass 1: detect every distinct cell once, decide column actions
-    grouped: dict[str, list[tuple]] = {}
-    for (relation, values) in marginals:
-        grouped.setdefault(relation, []).append(values)
-
-    # (relation, column_index) -> {"action", "detector", "reports"}
+    # (relation, column_index) -> {"action", "explicit", "detector",
+    # "reports"}
     column_plan: dict[tuple[str, int], dict] = {}
     # (relation, column_index, cell) -> [Detection] at/above min_confidence
     cell_hits: dict[tuple[str, int, object], list] = {}
-    for relation, rows in grouped.items():
-        width = max(len(values) for values in rows)
-        names = list(schemas.get(relation, ()))[:width]
-        names += [f"col{i}" for i in range(len(names), width)]
-        for index, column in enumerate(names):
-            per_detector: dict[str, list] = {}
-            scanned = 0
-            for values in rows:
-                if len(values) <= index:
-                    continue
-                cell = values[index]
-                scanned += 1
+    for relation, (names, rows) in marginal_columns(marginals,
+                                                    schemas).items():
+        tallies = [ColumnTally(policy.max_examples) for _ in names]
+        for values in rows:
+            for index, cell in enumerate(values):
                 key = (relation, index, cell)
-                if key not in cell_hits:
-                    cell_hits[key] = [
+                hits = cell_hits.get(key)
+                if hits is None:
+                    hits = cell_hits[key] = [
                         d for d in scanner.detect_value(cell)
                         if d.confidence >= policy.min_confidence]
-                for detection in cell_hits[key]:
-                    per_detector.setdefault(detection.detector,
-                                            []).append(detection)
-            dominant = max(per_detector,
-                           key=lambda name: (len(per_detector[name]),
-                                             name)) if per_detector else None
+                tallies[index].add(hits)
+        for index, (column, tally) in enumerate(zip(names, tallies)):
             explicit = policy.action_for(relation, column)
             if explicit is not None:
                 action = explicit
-            elif per_detector and policy.default_action != "allow":
+            elif tally.hits and policy.default_action != "allow":
                 action = policy.default_action
             else:
                 action = "allow"
-            reports = []
-            for name in sorted(per_detector):
-                detections = per_detector[name]
-                examples = []
-                for detection in detections:
-                    masked = mask(detection.value)
-                    if masked not in examples:
-                        examples.append(masked)
-                    if len(examples) >= policy.max_examples:
-                        break
-                reports.append(ColumnReport(
-                    relation=relation, column=column, detector=name,
-                    rows_scanned=scanned, hits=len(detections),
-                    confidence=(sum(d.confidence for d in detections)
-                                / len(detections)),
-                    examples=tuple(examples), action=action))
+            reports = tally.reports(relation, column, sorted(tally.hits),
+                                    action)
             if explicit is not None and explicit != "allow" \
                     and not reports:
                 # the operator ruled a column the detectors missed; record
                 # the action so the manifest shows the full applied policy
                 reports.append(ColumnReport(
                     relation=relation, column=column, detector="rule",
-                    rows_scanned=scanned, hits=scanned, confidence=1.0,
-                    examples=(), action=action))
+                    rows_scanned=tally.scanned, hits=tally.scanned,
+                    confidence=1.0, examples=(), action=action))
             column_plan[(relation, index)] = {
                 "action": action, "explicit": explicit is not None,
-                "detector": dominant if dominant is not None else "value",
+                "detector": max(tally.hits, default="value",
+                                key=lambda name: (tally.hits[name], name)),
                 "reports": reports}
 
     # ---- pass 2: rebuild the mapping in original publish order

@@ -1,23 +1,27 @@
-"""Column-by-column PII scanning over relations, databases, and snapshots.
+"""Column-by-column PII scanning over rows, databases, and marginals.
 
 The scanner is the audit half of the compliance subsystem: it runs every
 detector over every (sampled) value of every column and aggregates the hits
-into a :class:`~repro.compliance.manifest.ComplianceManifest`.  Three
-sources matter to the serving layer:
+into a :class:`~repro.compliance.manifest.ComplianceManifest`.  One row loop,
+:meth:`Scanner.scan_rows`, serves both sources the serving layer needs:
 
-* **relations / databases** — the offline sweep behind
-  ``KBClient.scan()``: raw extracted relations, candidate tables, and base
-  KB tables, column-named from their schemas;
-* **marginal mappings** — what snapshot publish scrubs: variable keys are
-  ``(relation, values_tuple)``, column names resolved from the relation
-  schemas the engine passes alongside;
-* **snapshots** — a published (possibly already scrubbed) view, for
-  verifying that a redaction policy actually left nothing behind.
+* **databases** — the offline sweep behind ``KBClient.scan()``: raw
+  extracted relations, candidate tables, and base KB tables, column-named
+  from their schemas;
+* **marginal mappings** — what snapshot publish scrubs, and what a reader
+  of a published snapshot sees (``scan_marginals(snapshot.marginals,
+  source="snapshot")`` verifies that a redaction policy left nothing
+  behind): variable keys are ``(relation, values_tuple)``, column names
+  resolved by :func:`marginal_columns`.
+
+Every per-column report, the publish-time scrub's included
+(:func:`repro.compliance.apply.scrub_marginals`), comes from one
+:class:`ColumnTally`.
 
 Scans are deterministic: rows are visited in relation iteration order,
-sampling (``CompliancePolicy.sample_rows``) takes a prefix rather than a
-random draw, and detectors are pure — so two scans of the same store always
-produce the same manifest (hypothesis-tested).
+sampling (``CompliancePolicy.sample_rows``) takes a prefix of each column
+rather than a random draw, and detectors are pure — so two scans of the
+same store always produce the same manifest (hypothesis-tested).
 """
 
 from __future__ import annotations
@@ -32,47 +36,81 @@ from repro.compliance.manifest import ColumnReport, ComplianceManifest
 from repro.compliance.policy import CompliancePolicy
 
 
-class _ColumnAccumulator:
-    """Streaming per-column aggregation: hit counts, confidence sums, and
-    masked examples per detector — cell values are never retained, so a
-    scan's memory footprint is O(columns × detectors), not O(rows)."""
+class ColumnTally:
+    """Streaming per-column detection state: the cells folded in and, per
+    detector, hit counts, confidence sums, and masked examples — cell values
+    are never retained, so the state is O(detectors), not O(rows)."""
 
-    __slots__ = ("max_examples", "hits", "confidence", "examples")
+    __slots__ = ("max_examples", "scanned", "hits", "confidence", "examples")
 
     def __init__(self, max_examples: int) -> None:
         self.max_examples = max_examples
+        self.scanned = 0
         self.hits: dict[str, int] = {}
         self.confidence: dict[str, float] = {}
         self.examples: dict[str, list[str]] = {}
 
     def add(self, detections: Iterable[Detection]) -> None:
         """Fold one cell's detections in."""
+        self.scanned += 1
         for detection in detections:
             name = detection.detector
-            self.hits[name] = self.hits.get(name, 0) + 1
-            self.confidence[name] = self.confidence.get(name, 0.0) \
-                + detection.confidence
-            examples = self.examples.setdefault(name, [])
+            if name in self.hits:
+                self.hits[name] += 1
+                self.confidence[name] += detection.confidence
+            else:
+                self.hits[name] = 1
+                self.confidence[name] = detection.confidence
+                self.examples[name] = []
+            examples = self.examples[name]
             if len(examples) < self.max_examples:
                 masked = mask(detection.value)
                 if masked not in examples:
                     examples.append(masked)
 
     def reports(self, relation: str, column: str,
-                detectors: Sequence[Detector],
-                rows_scanned: int) -> list[ColumnReport]:
-        """One report per detector that hit, in battery order."""
-        out: list[ColumnReport] = []
-        for detector in detectors:
-            hits = self.hits.get(detector.name, 0)
-            if not hits:
-                continue
-            out.append(ColumnReport(
-                relation=relation, column=column, detector=detector.name,
-                rows_scanned=rows_scanned, hits=hits,
-                confidence=self.confidence[detector.name] / hits,
-                examples=tuple(self.examples.get(detector.name, ()))))
-        return out
+                detector_names: Iterable[str],
+                action: str = "allow") -> list[ColumnReport]:
+        """One report per detector in ``detector_names`` that hit, in that
+        order."""
+        return [ColumnReport(
+            relation=relation, column=column, detector=name,
+            rows_scanned=self.scanned, hits=self.hits[name],
+            confidence=self.confidence[name] / self.hits[name],
+            examples=tuple(self.examples[name]), action=action)
+            for name in detector_names if name in self.hits]
+
+
+def marginal_columns(marginals: Iterable,
+                     schemas: Mapping[str, Sequence[str]] | None,
+                     ) -> dict[str, tuple[list[str], list[tuple]]]:
+    """Group marginal keys ``(relation, values)`` into each relation's
+    ``(column_names, rows)``, relations in first-seen order.
+
+    Columns take the relation's schema names, then positional ``col<N>``
+    names past the schema (or without one); a relation is as wide as its
+    widest key.
+    """
+    schemas = schemas or {}
+    grouped: dict[str, list[tuple]] = {}
+    for (relation, values) in marginals:
+        grouped.setdefault(relation, []).append(values)
+    columns: dict[str, tuple[list[str], list[tuple]]] = {}
+    for relation, rows in grouped.items():
+        width = max(len(values) for values in rows)
+        names = list(schemas.get(relation, ()))[:width]
+        names += [f"col{i}" for i in range(len(names), width)]
+        columns[relation] = (names, rows)
+    return columns
+
+
+def _concat(manifests: Sequence[ComplianceManifest],
+            source: str) -> ComplianceManifest:
+    return ComplianceManifest(
+        source=source,
+        reports=tuple(report for manifest in manifests
+                      for report in manifest.reports),
+        rows_scanned=sum(manifest.rows_scanned for manifest in manifests))
 
 
 class Scanner:
@@ -83,7 +121,6 @@ class Scanner:
         self.policy = policy if policy is not None else CompliancePolicy()
         self.detectors = tuple(detectors)
 
-    # ------------------------------------------------------------ primitives
     def detect_value(self, value) -> list[Detection]:
         """Every detector's findings over one cell value (non-strings are
         stringified; numbers routinely hide phone/SSN shapes)."""
@@ -93,153 +130,56 @@ class Scanner:
             found.extend(detector.detect(text))
         return found
 
-    def scan_column(self, relation: str, column: str,
-                    values: Iterable) -> list[ColumnReport]:
-        """Per-detector reports over one column (only detectors that hit)."""
-        limit = self.policy.sample_rows
-        accumulator = _ColumnAccumulator(self.policy.max_examples)
-        scanned = 0
-        for value in values:
-            if limit and scanned >= limit:
-                break
-            scanned += 1
-            accumulator.add(self.detect_value(value))
-        return accumulator.reports(relation, column, self.detectors, scanned)
+    def scan_rows(self, relation: str, columns: Sequence[str],
+                  rows: Iterable) -> ComplianceManifest:
+        """Scan ``rows`` (any iterable of tuples) under ``columns`` names.
 
-    # ------------------------------------------------------------- relations
-    def scan_relation(self, relation, name: str | None = None,
-                      ) -> tuple[list[ColumnReport], int]:
-        """Scan one datastore relation column-by-column.
-
-        Returns ``(reports, rows_scanned)``.  Streams ``iter_rows()`` once,
-        feeding each cell straight into a per-column accumulator — no cell
-        value is retained, so segmented (larger-than-memory) relations
-        never materialize.
+        Streams: each cell goes straight into its column's tally and no
+        row is retained, so segmented (larger-than-memory) relations never
+        materialize.  Under ``sample_rows`` a column stops after that many
+        cells, and the loop stops reading rows once every column has them;
+        the manifest's ``rows_scanned`` is the number of rows read.  Cells
+        past ``columns`` are ignored.
         """
-        name = name if name is not None else relation.name
-        columns = relation.schema.names
         limit = self.policy.sample_rows
-        accumulators = [_ColumnAccumulator(self.policy.max_examples)
-                        for _ in columns]
-        scanned = 0
-        for row in relation.iter_rows():
-            if limit and scanned >= limit:
+        tallies = [ColumnTally(self.policy.max_examples) for _ in columns]
+        read = 0
+        for row in rows:
+            read += 1
+            for tally, value in zip(tallies, row):
+                if not limit or tally.scanned < limit:
+                    tally.add(self.detect_value(value))
+            if limit and read >= limit \
+                    and all(tally.scanned >= limit for tally in tallies):
                 break
-            scanned += 1
-            for index, value in enumerate(row):
-                if index < len(accumulators):
-                    accumulators[index].add(self.detect_value(value))
-        reports: list[ColumnReport] = []
-        for column, accumulator in zip(columns, accumulators):
-            reports.extend(accumulator.reports(name, column,
-                                               self.detectors, scanned))
-        return reports, scanned
+        names = [detector.name for detector in self.detectors]
+        reports = [report for column, tally in zip(columns, tallies)
+                   for report in tally.reports(relation, column, names)]
+        return ComplianceManifest(source="scan", reports=tuple(reports),
+                                  rows_scanned=read)
 
     def scan_database(self, db, relations: Sequence[str] | None = None,
                       ) -> ComplianceManifest:
         """Sweep ``db`` (every relation, or just ``relations``)."""
         names = list(relations) if relations is not None else db.names()
         started = perf_counter()
-        reports: list[ColumnReport] = []
-        total = 0
         with obs.span("compliance.scan", relations=len(names)) as sp:
-            for name in names:
-                relation_reports, scanned = self.scan_relation(db[name],
-                                                               name=name)
-                reports.extend(relation_reports)
-                total += scanned
-            sp.set(rows=total, findings=len(reports))
+            manifest = _concat([
+                self.scan_rows(name, db[name].schema.names,
+                               db[name].iter_rows())
+                for name in names], "scan")
+            sp.set(rows=manifest.rows_scanned, findings=len(manifest))
         if obs.enabled():
             obs.observe("compliance.scan.seconds", perf_counter() - started)
-            obs.count("compliance.scan.rows", total)
-            obs.count("compliance.scan.findings", len(reports))
-        return ComplianceManifest(source="scan", reports=tuple(reports),
-                                  rows_scanned=total)
+            obs.count("compliance.scan.rows", manifest.rows_scanned)
+            obs.count("compliance.scan.findings", len(manifest))
+        return manifest
 
-    # ------------------------------------------------------------- marginals
     def scan_marginals(self, marginals: Mapping,
                        schemas: Mapping[str, Sequence[str]] | None = None,
                        source: str = "scan") -> ComplianceManifest:
-        """Scan a marginal mapping (variable key -> probability).
-
-        ``schemas`` maps relation names to column-name sequences; columns
-        without a schema entry get positional ``col<N>`` names.
-        """
-        schemas = schemas or {}
-        grouped: dict[str, list[tuple]] = {}
-        for (relation, values) in marginals:
-            grouped.setdefault(relation, []).append(values)
-        reports: list[ColumnReport] = []
-        total = 0
-        for relation in sorted(grouped):
-            rows = grouped[relation]
-            total += len(rows)
-            width = max(len(values) for values in rows)
-            names = list(schemas.get(relation, ()))[:width]
-            names += [f"col{i}" for i in range(len(names), width)]
-            for index, column in enumerate(names):
-                cells = [values[index] for values in rows
-                         if len(values) > index]
-                reports.extend(self.scan_column(relation, column, cells))
-        return ComplianceManifest(source=source, reports=tuple(reports),
-                                  rows_scanned=total)
-
-    def scan_snapshot(self, snapshot,
-                      schemas: Mapping[str, Sequence[str]] | None = None,
-                      ) -> ComplianceManifest:
-        """Scan a published :class:`~repro.serve.snapshot.Snapshot` (or
-        merged) view — what a reader would actually see."""
-        return self.scan_marginals(snapshot.marginals, schemas,
-                                   source="snapshot")
-
-
-# ------------------------------------------------------- module-level sugar
-def scan_rows(relation: str, columns: Sequence[str], rows: Iterable,
-              policy: CompliancePolicy | None = None) -> ComplianceManifest:
-    """Scan bare rows (any iterable of tuples) under ``columns`` names,
-    streaming — rows are consumed once and never retained."""
-    scanner = Scanner(policy)
-    limit = scanner.policy.sample_rows
-    accumulators = [_ColumnAccumulator(scanner.policy.max_examples)
-                    for _ in columns]
-    scanned = 0
-    for row in rows:
-        if limit and scanned >= limit:
-            break
-        scanned += 1
-        for index, value in enumerate(row):
-            if index < len(accumulators):
-                accumulators[index].add(scanner.detect_value(value))
-    reports: list[ColumnReport] = []
-    for column, accumulator in zip(columns, accumulators):
-        reports.extend(accumulator.reports(relation, column,
-                                           scanner.detectors, scanned))
-    return ComplianceManifest(source="scan", reports=tuple(reports),
-                              rows_scanned=scanned)
-
-
-def scan_relation(relation, policy: CompliancePolicy | None = None,
-                  ) -> ComplianceManifest:
-    reports, scanned = Scanner(policy).scan_relation(relation)
-    return ComplianceManifest(source="scan", reports=tuple(reports),
-                              rows_scanned=scanned)
-
-
-def scan_database(db, policy: CompliancePolicy | None = None,
-                  relations: Sequence[str] | None = None,
-                  ) -> ComplianceManifest:
-    return Scanner(policy).scan_database(db, relations=relations)
-
-
-def scan_marginals(marginals: Mapping,
-                   schemas: Mapping[str, Sequence[str]] | None = None,
-                   policy: CompliancePolicy | None = None,
-                   ) -> ComplianceManifest:
-    return Scanner(policy).scan_marginals(marginals, schemas)
-
-
-def scan_snapshot(snapshot,
-                  schemas: Mapping[str, Sequence[str]] | None = None,
-                  policy: CompliancePolicy | None = None,
-                  ) -> ComplianceManifest:
-    return Scanner(policy).scan_snapshot(snapshot, schemas)
+        """Scan a marginal mapping (variable key -> probability), relations
+        in sorted order; see :func:`marginal_columns` for column names."""
+        columns = marginal_columns(marginals, schemas)
+        return _concat([self.scan_rows(relation, *columns[relation])
+                        for relation in sorted(columns)], source)

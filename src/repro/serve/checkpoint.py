@@ -271,7 +271,8 @@ class CheckpointManager:
 
     @staticmethod
     def _adopt_segment(source: pathlib.Path, target: pathlib.Path) -> int:
-        """Hard-link ``source`` into the segments dir (copy across devices).
+        """Hard-link ``source`` into the segments dir (copy across devices:
+        the copy is fsynced before its rename, and the rename after it).
 
         Returns bytes physically written (0 for a link: the data already
         exists; the link shares it).
@@ -283,8 +284,12 @@ class CheckpointManager:
             return 0
         except OSError:
             temp = target.with_name(target.name + f".tmp-{os.getpid()}")
-            shutil.copyfile(source, temp)
+            with open(source, "rb") as stream, open(temp, "wb") as copy:
+                shutil.copyfileobj(stream, copy)
+                copy.flush()
+                os.fsync(copy.fileno())
             os.replace(temp, target)
+            fsync_directory(target.parent)
             return target.stat().st_size
 
     def _write_refs_sidecar(self, lsn: int, digests: set[str]) -> None:

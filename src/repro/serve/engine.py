@@ -22,6 +22,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+# np.unique imports numpy.ma on its first call, which would otherwise be a
+# served KB's first refresh: pay that one-time import (~10 ms) on load
+import numpy.ma  # noqa: F401
 
 from repro import obs
 from repro.compliance.anonymizer import Anonymizer

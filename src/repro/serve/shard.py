@@ -60,6 +60,7 @@ from repro.serve.ops import (AddDocuments, AddRows, AddRules, IngestOp,
 from repro.serve.service import (IngestRejected, KBService, PendingCommit,
                                  ServiceFailed)
 from repro.serve.snapshot import Snapshot, SnapshotReads
+from repro.serve.wal import fsync_directory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compliance.manifest import ComplianceManifest
@@ -402,8 +403,12 @@ class ShardedKBService:
                    "vnodes": vnodes}
         path = directory / MANIFEST_NAME
         temp = path.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(payload), encoding="utf-8")
+        with open(temp, "w", encoding="utf-8") as stream:
+            stream.write(json.dumps(payload))
+            stream.flush()
+            os.fsync(stream.fileno())
         os.replace(temp, path)
+        fsync_directory(directory)
 
     @staticmethod
     def read_manifest(directory: str | os.PathLike) -> dict | None:

@@ -150,3 +150,15 @@ def test_shared_anonymizer_registry_spans_calls():
     scrub_marginals(MARGINALS, SCHEMAS, anonymize_policy(),
                     anonymizer=anonymizer)
     assert anonymizer._seen["phone"]           # backstop accumulated
+
+
+def test_max_examples_zero_keeps_no_publish_example():
+    # the publish manifest honours max_examples=0 as the scan does: one
+    # tally builds both, so neither keeps a masked example
+    policy = CompliancePolicy(enabled=True, default_action="redact",
+                              max_examples=0)
+    marginals = {("AdEmail", ("ad0", "ann@x.io")): 0.77}
+    _, manifest = scrub_marginals(marginals, SCHEMAS, policy)
+    report = manifest.find("AdEmail", "email", "email")
+    assert report.hits == 1 and report.action == "redact"
+    assert report.examples == ()

@@ -72,7 +72,9 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "_prepare_reference_adjacency", "_reference_adjacency",
                  "AnnealedGibbs", "sweep_at",
                  # the per-row grounding path beside _ground_rule
-                 "_ground_row", "_variable_for")
+                 "_ground_row", "_variable_for",
+                 # scan loops beside Scanner.scan_rows
+                 "scan_relation", "scan_snapshot", "scan_column")
 
 #: The scalar flip rules are test oracles: each name may appear as a call
 #: or definition only in these src files (its definition and the other

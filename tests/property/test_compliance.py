@@ -1,12 +1,14 @@
 """Compliance invariants under hypothesis: the scrub transform is a pure,
 deterministic, probability-preserving relabeling; surrogates are stable and
-injective; scanning the same data twice yields the same manifest."""
+injective; scanning the same data twice yields the same manifest; scan and
+publish manifests honour the policy's example, sampling and confidence
+bounds."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compliance import (Anonymizer, CompliancePolicy, scan_rows,
-                              scrub_marginals)
+from repro.compliance import (VALID_ACTIONS, Anonymizer, CompliancePolicy,
+                              Scanner, scrub_marginals)
 from repro.compliance.detectors import DETECTOR_NAMES
 
 # ------------------------------------------------------------------ strategies
@@ -32,6 +34,21 @@ marginal_maps = st.dictionaries(
                    st.tuples(plain_text, cells)),
     values=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     min_size=0, max_size=15)
+
+ragged_marginal_maps = st.dictionaries(
+    keys=st.tuples(st.sampled_from(["R", "S"]),
+                   st.lists(cells, min_size=0, max_size=3).map(tuple)),
+    values=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    min_size=0, max_size=15)
+
+policies = st.builds(
+    CompliancePolicy, enabled=st.just(True),
+    default_action=st.sampled_from(VALID_ACTIONS),
+    min_confidence=st.sampled_from([0.0, 0.5, 0.9]),
+    rules=st.lists(st.tuples(st.sampled_from(["R.col0", "S", "*.col1"]),
+                             st.sampled_from(VALID_ACTIONS)),
+                   max_size=2).map(tuple),
+    sample_rows=st.integers(0, 4), max_examples=st.integers(0, 3))
 
 ANON = CompliancePolicy(enabled=True, default_action="anonymize",
                         min_confidence=0.5)
@@ -63,8 +80,8 @@ def test_surrogates_never_collide_across_distinct_raws(detector, values):
 @settings(max_examples=50, deadline=None)
 @given(rows=rows2)
 def test_scanning_is_deterministic(rows):
-    first = scan_rows("t", ("a", "b"), rows)
-    second = scan_rows("t", ("a", "b"), rows)
+    first = Scanner().scan_rows("t", ("a", "b"), rows)
+    second = Scanner().scan_rows("t", ("a", "b"), rows)
     assert first == second
     assert first.rows_scanned == len(rows)
 
@@ -72,13 +89,46 @@ def test_scanning_is_deterministic(rows):
 @settings(max_examples=50, deadline=None)
 @given(rows=rows2)
 def test_scan_examples_never_contain_detected_raw_values(rows):
-    manifest = scan_rows("t", ("a", "b"), rows)
+    manifest = Scanner().scan_rows("t", ("a", "b"), rows)
     for report in manifest:
         for example in report.examples:
             # masking keeps at most the first character of the raw value
             assert not any(example == str(cell)
                            for row in rows for cell in row
                            if len(str(cell)) > 1)
+
+
+def _rows_read(rows, limit):
+    """Rows a prefix scan reads: all of them, or under ``limit`` just
+    enough for every column to reach ``limit`` cells."""
+    width = max(len(row) for row in rows)
+    filled = [0] * width
+    for read, row in enumerate(rows, start=1):
+        for index in range(len(row)):
+            filled[index] += 1
+        if limit and read >= limit and min(filled, default=limit) >= limit:
+            return read
+    return len(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(marginals=ragged_marginal_maps, policy=policies)
+def test_scan_and_publish_manifests_honour_the_policy(marginals, policy):
+    scan = Scanner(policy).scan_marginals(marginals)
+    _, publish = scrub_marginals(marginals, None, policy)
+    by_relation = {}
+    for relation, values in marginals:
+        by_relation.setdefault(relation, []).append(values)
+    assert scan.rows_scanned == sum(
+        _rows_read(rows, policy.sample_rows) for rows in by_relation.values())
+    assert publish.rows_scanned == len(marginals)
+    for report in scan.reports:
+        assert len(report.examples) <= policy.max_examples
+        assert not policy.sample_rows \
+            or report.rows_scanned <= policy.sample_rows
+    for report in publish.reports:
+        assert len(report.examples) <= policy.max_examples
+        assert report.confidence >= policy.min_confidence
 
 
 # ----------------------------------------------------------------- the scrub

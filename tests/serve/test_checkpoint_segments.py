@@ -1,7 +1,9 @@
 """Segment-manifest checkpoints: hard-link sealing, O(delta) saves, array
 tables, refcounted pruning, and service-level round trips."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -89,6 +91,48 @@ class TestManifestSaveLoad:
             target = manager.segments_dir / ref.filename
             assert target.exists()
             assert source.stat().st_ino == target.stat().st_ino
+        restored = database_from_dict(manager.load()["database"])
+        assert restored["events"].counts_copy() == relation.counts_copy()
+
+    def test_cross_device_copy_is_fsynced_before_and_after_its_rename(
+            self, tmp_path, monkeypatch):
+        """Without a hard link the segment is copied: the copy's data is
+        fsynced, then renamed into place, then the directory fsynced."""
+        db = Database()
+        relation = db.create_segmented(
+            "events", directory=tmp_path / "events", segment_rows=3,
+            k="int", v="text")
+        for i in range(10):
+            relation.insert((i, str(i)))
+        manager = CheckpointManager(tmp_path / "ckpt", keep=2)
+        events = []
+        replace, fsync = os.replace, os.fsync
+
+        def cross_device_link(source, target, *args, **kwargs):
+            raise OSError(errno.EXDEV, "cross-device link")
+
+        def recording_replace(source, target, *args, **kwargs):
+            replace(source, target, *args, **kwargs)
+            events.append(("replace", os.path.basename(target)))
+
+        def recording_fsync(descriptor):
+            fsync(descriptor)
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "link", cross_device_link)
+            patch.setattr(os, "replace", recording_replace)
+            patch.setattr(os, "fsync", recording_fsync)
+            manager.save(payload(), lsn=1, database=db)
+        directory = ("fsync", manager.segments_dir.stat().st_ino)
+        for ref in relation.segment_refs:
+            source = relation.directory / ref.filename
+            target = manager.segments_dir / ref.filename
+            assert source.stat().st_ino != target.stat().st_ino
+            expected = [("fsync", target.stat().st_ino),
+                        ("replace", ref.filename), directory]
+            assert any(events[at:at + 3] == expected
+                       for at in range(len(events))), events
         restored = database_from_dict(manager.load()["database"])
         assert restored["events"].counts_copy() == relation.counts_copy()
 

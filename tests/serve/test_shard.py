@@ -1,5 +1,6 @@
 """Sharded serving: routing, merged views, tenants, recovery, rebalance."""
 
+import os
 import threading
 import time
 
@@ -107,6 +108,32 @@ class TestShardedService:
             assert (tmp_path / "kb" / "shard-01" / "ingest.wal").exists()
         manifest = ShardedKBService.read_manifest(tmp_path / "kb")
         assert manifest["shards"] == 2
+
+    def test_manifest_is_fsynced_before_and_after_its_rename(
+            self, tmp_path, monkeypatch):
+        """``shards.json`` decides how ``KBClient.open`` recovers the
+        directory, so it is as durable as the shards: file fsync, rename,
+        directory fsync."""
+        events = []
+        replace, fsync = os.replace, os.fsync
+
+        def recording_replace(source, target, *args, **kwargs):
+            replace(source, target, *args, **kwargs)
+            events.append(("replace", os.path.basename(target)))
+
+        def recording_fsync(descriptor):
+            fsync(descriptor)
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", recording_replace)
+            patch.setattr(os, "fsync", recording_fsync)
+            ShardedKBService._write_manifest(tmp_path, 2, 64)
+        path = tmp_path / "shards.json"
+        assert events == [("fsync", path.stat().st_ino),
+                          ("replace", "shards.json"),
+                          ("fsync", tmp_path.stat().st_ino)]
+        assert ShardedKBService.read_manifest(tmp_path)["shards"] == 2
 
     def test_merged_view_unions_the_shards(self, tmp_path):
         with make_sharded(tmp_path) as service:
