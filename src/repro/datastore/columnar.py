@@ -219,8 +219,12 @@ class ColumnStore:
 
     def to_counts(self) -> dict[Row, int]:
         """Materialize as a ``row -> count`` dict (duplicates summed)."""
-        out: dict[Row, int] = {}
-        for row, count in zip(self.rows(), self.counts.tolist()):
+        rows, counts = self.rows(), self.counts.tolist()
+        out = dict(zip(rows, counts))
+        if len(out) == len(rows) and self.counts.all():
+            return out              # compact, the usual case: one pass
+        out = {}
+        for row, count in zip(rows, counts):
             out[row] = out.get(row, 0) + count
         return {row: count for row, count in out.items() if count != 0}
 

@@ -59,12 +59,13 @@ class IncrementalEvaluator:
     def __init__(self, plan: Plan, db,
                  store_cache: dict[int, C.ColumnStore] | None = None) -> None:
         self.plan = plan
-        self.schema = plan.schema(db)
+        schemas: dict[int, Schema] = {}
+        self.schema = _derive_schemas(plan, db, schemas)
         config = getattr(db, "config", None)
-        columnar = _columnar_build(plan, db, config)
+        columnar = _columnar_build(plan, db, schemas, config)
         with obs.span("dred.build",
                       backend="columnar" if columnar else "row") as span:
-            self._root = _build(plan, db, columnar,
+            self._root = _build(plan, db, schemas, columnar,
                                 store_cache if columnar else None)
             if columnar:
                 self._current: Counter[Row] = Counter(
@@ -91,8 +92,20 @@ class IncrementalEvaluator:
         return out
 
 
+def _derive_schemas(plan: Plan, db, schemas: dict[int, Schema]) -> Schema:
+    """The output schema of ``plan``, derived children first with every
+    node's schema recorded in ``schemas`` by node id: one derivation per
+    node per build, where ``Plan.schema`` would re-walk each subtree."""
+    schema = schemas.get(id(plan))
+    if schema is None:
+        schema = schemas[id(plan)] = plan.output_schema(
+            db, *(_derive_schemas(child, db, schemas)
+                  for child in plan.inputs()))
+    return schema
+
+
 # ------------------------------------------------------------ backend choice
-def _columnar_build(plan: Plan, db,
+def _columnar_build(plan: Plan, db, schemas: dict[int, Schema],
                     config: EngineConfig | None = None) -> bool:
     """Should the initial load run on the columnar kernels?
 
@@ -109,21 +122,22 @@ def _columnar_build(plan: Plan, db,
         total = sum(db[name].distinct_count for name in plan.base_relations())
         if total < Q.COLUMNAR_MIN_ROWS:
             return False
-    return _joins_supported(plan, db)
+    return _joins_supported(plan, schemas)
 
 
-def _joins_supported(plan: Plan, db) -> bool:
+def _joins_supported(plan: Plan, schemas: dict[int, Schema]) -> bool:
     if isinstance(plan, Scan):
         return True
     if isinstance(plan, (Select, Project, Rename, Extend)):
-        return _joins_supported(plan.child, db)
+        return _joins_supported(plan.child, schemas)
     if isinstance(plan, Join):
-        return (C.columnar_supported(plan.left.schema(db),
-                                     plan.right.schema(db), plan.on)
-                and _joins_supported(plan.left, db)
-                and _joins_supported(plan.right, db))
+        return (C.columnar_supported(schemas[id(plan.left)],
+                                     schemas[id(plan.right)], plan.on)
+                and _joins_supported(plan.left, schemas)
+                and _joins_supported(plan.right, schemas))
     if isinstance(plan, Union):
-        return all(_joins_supported(child, db) for child in plan.children)
+        return all(_joins_supported(child, schemas)
+                   for child in plan.children)
     return False
 
 
@@ -193,9 +207,10 @@ class _ScanNode(_Node):
     without the multiplicity guard, which the base relation enforces anyway.
     """
 
-    def __init__(self, plan: Scan, db, columnar: bool) -> None:
+    def __init__(self, plan: Scan, db, schema: Schema,
+                 columnar: bool) -> None:
         self.relation = plan.relation
-        self.schema = db[plan.relation].schema
+        self.schema = schema
         if columnar:
             # shared with the relation's cache; kernels never mutate stores
             self.store = db[plan.relation].columnar()
@@ -237,10 +252,11 @@ class _ScanNode(_Node):
 class _MapNode(_Node):
     """Stateless row-wise nodes: Select / Project / Rename / Extend."""
 
-    def __init__(self, plan: Plan, db, child: _Node, columnar: bool,
+    def __init__(self, plan: Plan, schema: Schema, child: _Node,
+                 columnar: bool,
                  cache: dict[int, C.ColumnStore] | None = None) -> None:
         self.child = child
-        self.schema = plan.schema(db)
+        self.schema = schema
         if isinstance(plan, Select):
             predicate = plan.predicate
             child_schema = child.schema
@@ -308,12 +324,12 @@ class _MapNode(_Node):
 class _JoinNode(_Node):
     """Equi-join with materialized hash indexes of both children."""
 
-    def __init__(self, plan: Join, db, left: _Node, right: _Node,
-                 columnar: bool,
+    def __init__(self, plan: Join, schema: Schema, left: _Node,
+                 right: _Node, columnar: bool,
                  cache: dict[int, C.ColumnStore] | None = None) -> None:
         self.left = left
         self.right = right
-        self.schema = plan.schema(db)
+        self.schema = schema
         self._on = list(plan.on)
         self._left_positions = [left.schema.position(a) for a, _ in plan.on]
         self._right_positions = [right.schema.position(b) for _, b in plan.on]
@@ -472,11 +488,11 @@ class _JoinNode(_Node):
 
 
 class _UnionNode(_Node):
-    def __init__(self, plan: Union, db, children: list[_Node],
+    def __init__(self, plan: Union, schema: Schema, children: list[_Node],
                  columnar: bool,
                  cache: dict[int, C.ColumnStore] | None = None) -> None:
         self.children = children
-        self.schema = plan.schema(db)
+        self.schema = schema
         if columnar:
             cached = None if cache is None else cache.get(id(plan))
             if cached is None:
@@ -508,21 +524,25 @@ class _UnionNode(_Node):
         return out
 
 
-def _build(plan: Plan, db, columnar: bool,
+def _build(plan: Plan, db, schemas: dict[int, Schema], columnar: bool,
            cache: dict[int, C.ColumnStore] | None = None) -> _Node:
+    """The node tree of ``plan``; each node takes its schema from
+    ``schemas`` (see :func:`_derive_schemas`)."""
+    schema = schemas[id(plan)]
     if isinstance(plan, Scan):
-        return _ScanNode(plan, db, columnar)
+        return _ScanNode(plan, db, schema, columnar)
     if isinstance(plan, (Select, Project, Rename, Extend)):
-        return _MapNode(plan, db, _build(plan.child, db, columnar, cache),
+        return _MapNode(plan, schema,
+                        _build(plan.child, db, schemas, columnar, cache),
                         columnar, cache)
     if isinstance(plan, Join):
-        return _JoinNode(plan, db,
-                         _build(plan.left, db, columnar, cache),
-                         _build(plan.right, db, columnar, cache),
+        return _JoinNode(plan, schema,
+                         _build(plan.left, db, schemas, columnar, cache),
+                         _build(plan.right, db, schemas, columnar, cache),
                          columnar, cache)
     if isinstance(plan, Union):
-        return _UnionNode(plan, db,
-                          [_build(c, db, columnar, cache)
+        return _UnionNode(plan, schema,
+                          [_build(c, db, schemas, columnar, cache)
                            for c in plan.children],
                           columnar, cache)
     raise TypeError(f"cannot incrementally evaluate {type(plan).__name__}")

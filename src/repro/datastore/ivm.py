@@ -96,10 +96,10 @@ class MaterializedView:
 
         self.name = name
         self.plan = plan
-        self.schema = plan.schema(db)
         with obs.span("dred.materialize", view=name) as sp:
             self._evaluator = IncrementalEvaluator(plan, db,
                                                    store_cache=build_cache)
+            self.schema = self._evaluator.schema
             self._derivations: Counter[Row] = self._evaluator.current()
             sp.set(rows=len(self._derivations))
 

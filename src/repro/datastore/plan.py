@@ -44,6 +44,18 @@ class Plan:
         raise NotImplementedError
 
     def schema(self, db: "Database") -> Schema:
+        """The output schema, derived over the whole subtree.  A caller that
+        already holds the inputs' schemas derives one node with
+        :meth:`output_schema` instead."""
+        return self.output_schema(
+            db, *(child.schema(db) for child in self.inputs()))
+
+    def inputs(self) -> tuple["Plan", ...]:
+        """The child plans, in order."""
+        raise NotImplementedError
+
+    def output_schema(self, db: "Database", *inputs: Schema) -> Schema:
+        """This node's schema given its :meth:`inputs`' schemas, in order."""
         raise NotImplementedError
 
     def base_relations(self) -> set[str]:
@@ -65,7 +77,10 @@ class Scan(Plan):
     def evaluate(self, db) -> Relation:
         return db[self.relation]
 
-    def schema(self, db) -> Schema:
+    def inputs(self) -> tuple[Plan, ...]:
+        return ()
+
+    def output_schema(self, db, *inputs: Schema) -> Schema:
         return db[self.relation].schema
 
     def base_relations(self) -> set[str]:
@@ -99,8 +114,11 @@ class Select(Plan):
                         condition=self.condition,
                         config=getattr(db, "config", None))
 
-    def schema(self, db) -> Schema:
-        return self.child.schema(db)
+    def inputs(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+    def output_schema(self, db, child: Schema) -> Schema:
+        return child
 
     def base_relations(self) -> set[str]:
         return self.child.base_relations()
@@ -125,8 +143,11 @@ class Project(Plan):
         return Q.project(self.child.evaluate(db), self.columns,
                          config=getattr(db, "config", None))
 
-    def schema(self, db) -> Schema:
-        return self.child.schema(db).project(self.columns)
+    def inputs(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+    def output_schema(self, db, child: Schema) -> Schema:
+        return child.project(self.columns)
 
     def base_relations(self) -> set[str]:
         return self.child.base_relations()
@@ -150,8 +171,11 @@ class Rename(Plan):
     def evaluate(self, db) -> Relation:
         return Q.rename(self.child.evaluate(db), dict(self.mapping))
 
-    def schema(self, db) -> Schema:
-        return self.child.schema(db).rename(dict(self.mapping))
+    def inputs(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+    def output_schema(self, db, child: Schema) -> Schema:
+        return child.rename(dict(self.mapping))
 
     def base_relations(self) -> set[str]:
         return self.child.base_relations()
@@ -176,19 +200,22 @@ class Extend(Plan):
     def evaluate(self, db) -> Relation:
         return Q.extend(self.child.evaluate(db), self.column, self.column_type, self.fn)
 
-    def schema(self, db) -> Schema:
+    def inputs(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+    def output_schema(self, db, child: Schema) -> Schema:
         from repro.datastore.schema import Column
         from repro.datastore.types import ColumnType
 
-        base = self.child.schema(db)
-        return Schema(base.columns + (Column(self.column, ColumnType(self.column_type)),))
+        return Schema(child.columns
+                      + (Column(self.column, ColumnType(self.column_type)),))
 
     def base_relations(self) -> set[str]:
         return self.child.base_relations()
 
     def delta(self, db_before, db_after, deltas) -> SignedDelta:
         child_delta = self.child.delta(db_before, db_after, deltas)
-        out = SignedDelta(self.schema(db_before))
+        out = SignedDelta(self.output_schema(db_before, child_delta.schema))
         for row, count in child_delta.items():
             out.add(row + (self.fn(child_delta.schema.row_dict(row)),), count)
         return out
@@ -206,9 +233,10 @@ class Join(Plan):
         return Q.join(self.left.evaluate(db), self.right.evaluate(db),
                       list(self.on), config=getattr(db, "config", None))
 
-    def schema(self, db) -> Schema:
-        left = self.left.schema(db)
-        right = self.right.schema(db)
+    def inputs(self) -> tuple[Plan, ...]:
+        return (self.left, self.right)
+
+    def output_schema(self, db, left: Schema, right: Schema) -> Schema:
         right_keys = [pair[1] for pair in self.on]
         keep = [c for c in right.names if c not in right_keys]
         return left.concat(right.project(keep))
@@ -219,7 +247,8 @@ class Join(Plan):
     def delta(self, db_before, db_after, deltas) -> SignedDelta:
         left_delta = self.left.delta(db_before, db_after, deltas)
         right_delta = self.right.delta(db_before, db_after, deltas)
-        out = SignedDelta(self.schema(db_before))
+        out = SignedDelta(self.output_schema(db_before, left_delta.schema,
+                                             right_delta.schema))
         if left_delta:
             right_before = self.right.evaluate(db_before)
             self._join_into(out, left_delta.items(), right_before.counted_rows(),
@@ -257,8 +286,11 @@ class Union(Plan):
             result = Q.union(result, child.evaluate(db))
         return result
 
-    def schema(self, db) -> Schema:
-        return self.children[0].schema(db)
+    def inputs(self) -> tuple[Plan, ...]:
+        return self.children
+
+    def output_schema(self, db, *inputs: Schema) -> Schema:
+        return inputs[0]
 
     def base_relations(self) -> set[str]:
         names: set[str] = set()

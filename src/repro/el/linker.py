@@ -32,6 +32,11 @@ def normalize(text: str) -> str:
     return " ".join(lowered.split())
 
 
+#: Overlap candidates score ``OVERLAP_SCALE * jaccard``, so never above it:
+#: below every exact (1.0) and normalized (0.9) candidate.
+OVERLAP_SCALE = 0.8
+
+
 @dataclass(frozen=True)
 class LinkCandidate:
     """One scored entity candidate for a mention."""
@@ -42,22 +47,32 @@ class LinkCandidate:
 
 
 class AliasTable:
-    """Entity -> alias strings, with normalized lookup indexes."""
+    """Entity -> alias strings, with normalized lookup indexes.
+
+    An alias whose normalized form is empty (``"!!!"``, ``"-"``) is kept as
+    an exact name only: the empty form is no name to match on.
+    """
 
     def __init__(self) -> None:
         self._aliases: dict[str, set[str]] = {}
         self._exact: dict[str, set[str]] = {}
         self._normalized: dict[str, set[str]] = {}
         self._token_index: dict[str, set[str]] = {}
+        # entity -> its aliases' normalized token sets, built on the first
+        # overlap query for the entity: a linker that never scores overlap
+        # never pays for them
+        self._token_sets: dict[str, set[frozenset[str]]] = {}
 
     def add(self, entity: str, alias: str) -> None:
         """Register ``alias`` as a name of ``entity``."""
         self._aliases.setdefault(entity, set()).add(alias)
         self._exact.setdefault(alias, set()).add(entity)
         normalized_alias = normalize(alias)
-        self._normalized.setdefault(normalized_alias, set()).add(entity)
+        if normalized_alias:
+            self._normalized.setdefault(normalized_alias, set()).add(entity)
         for token in normalized_alias.split():
             self._token_index.setdefault(token, set()).add(entity)
+        self._token_sets.pop(entity, None)
 
     def add_many(self, pairs: Iterable[tuple[str, str]]) -> None:
         """Bulk form of :meth:`add` over (entity, alias) pairs."""
@@ -71,7 +86,6 @@ class AliasTable:
     def num_entities(self) -> int:
         return len(self._aliases)
 
-    # used by the linker
     def exact(self, text: str) -> set[str]:
         return set(self._exact.get(text, ()))
 
@@ -83,6 +97,15 @@ class AliasTable:
         for token in normalize(text).split():
             entities |= self._token_index.get(token, set())
         return entities
+
+    def token_sets(self, entity: str) -> set[frozenset[str]]:
+        """The distinct normalized token sets of ``entity``'s aliases."""
+        sets = self._token_sets.get(entity)
+        if sets is None:
+            sets = self._token_sets[entity] = {
+                frozenset(normalize(alias).split())
+                for alias in self._aliases.get(entity, ())}
+        return sets
 
 
 class EntityLinker:
@@ -97,31 +120,36 @@ class EntityLinker:
 
         Exact alias matches score 1.0; case/punctuation-normalized matches
         0.9; token-overlap (Jaccard over normalized tokens) matches score
-        ``0.8 * jaccard`` when above ``min_overlap``.
+        ``0.8 * jaccard`` when the Jaccard is at least ``min_overlap``.  A
+        mention whose normalized form is empty matches exactly or not at
+        all.
         """
-        results: dict[str, LinkCandidate] = {}
-        for entity in self.aliases.exact(mention_text):
-            results[entity] = LinkCandidate(entity, 1.0, "exact")
-        for entity in self.aliases.normalized_match(mention_text):
-            if entity not in results:
-                results[entity] = LinkCandidate(entity, 0.9, "normalized")
-        mention_tokens = set(normalize(mention_text).split())
-        if mention_tokens:
-            for entity in self.aliases.token_candidates(mention_text):
-                if entity in results:
+        return [LinkCandidate(entity, score, method) for score, entity, method
+                in self._ranked(mention_text, overlap=True)[:top]]
+
+    def _ranked(self, text: str,
+                overlap: bool) -> list[tuple[float, str, str]]:
+        """``(score, entity, method)`` of every candidate of ``text``, by
+        descending score, then entity; ``overlap=False`` leaves out the
+        overlap candidates, which rank below all others."""
+        table = self.aliases
+        scores = dict.fromkeys(table._exact.get(text, ()), (1.0, "exact"))
+        normalized = normalize(text)
+        if normalized:
+            for entity in table._normalized.get(normalized, ()):
+                scores.setdefault(entity, (0.9, "normalized"))
+        if normalized and overlap:
+            tokens = frozenset(normalized.split())
+            for entity in table.token_candidates(normalized):
+                if entity in scores:
                     continue
-                best = 0.0
-                for alias in self.aliases.aliases_of(entity):
-                    alias_tokens = set(normalize(alias).split())
-                    union = mention_tokens | alias_tokens
-                    if not union:
-                        continue
-                    jaccard = len(mention_tokens & alias_tokens) / len(union)
-                    best = max(best, jaccard)
+                best = max(len(tokens & alias) / len(tokens | alias)
+                           for alias in table.token_sets(entity))
                 if best >= self.min_overlap:
-                    results[entity] = LinkCandidate(entity, 0.8 * best, "overlap")
-        ranked = sorted(results.values(), key=lambda c: (-c.score, c.entity))
-        return ranked[:top] if top is not None else ranked
+                    scores[entity] = (OVERLAP_SCALE * best, "overlap")
+        return sorted([(score, entity, method)
+                       for entity, (score, method) in scores.items()],
+                      key=lambda c: (-c[0], c[1]))
 
 
 def link_mentions(mentions: Iterable[tuple[str, str]], linker: EntityLinker,
@@ -130,11 +158,18 @@ def link_mentions(mentions: Iterable[tuple[str, str]], linker: EntityLinker,
     """Bulk linking: (mention_id, text) pairs -> EL rows (mention_id, entity).
 
     Mentions with several strong candidates produce several rows (entity
-    ambiguity is downstream's problem, by design).
+    ambiguity is downstream's problem, by design).  Each distinct text is
+    linked once; a ``min_score`` above ``OVERLAP_SCALE`` skips overlap
+    scoring, whose candidates could not pass it.
     """
+    overlap = min_score <= OVERLAP_SCALE
+    linked: dict[str, list[str]] = {}
     rows: list[tuple[str, str]] = []
     for mention_id, text in mentions:
-        for candidate in linker.link(text, top=top):
-            if candidate.score >= min_score:
-                rows.append((mention_id, candidate.entity))
+        entities = linked.get(text)
+        if entities is None:
+            ranked = linker._ranked(text, overlap)[:top]
+            entities = linked[text] = [entity for score, entity, _ in ranked
+                                       if score >= min_score]
+        rows += [(mention_id, entity) for entity in entities]
     return rows

@@ -313,6 +313,14 @@ class FactorGraph:
         self._var_evidence[self.variable_id(key)] = \
             _NO_EVIDENCE if value is None else int(bool(value))
 
+    def set_evidence_ids(self, var_ids: Iterable[int],
+                         values: Iterable[bool]) -> None:
+        """:meth:`set_evidence` by id: mark each variable of ``var_ids``
+        as evidence with its value in ``values``."""
+        evidence = self._var_evidence
+        for var_id, value in zip(var_ids, values):
+            evidence[var_id] = bool(value)
+
     def remove_variable(self, key: Hashable) -> None:
         """Remove a variable and every factor attached to it."""
         var_id = self.variable_id(key)

@@ -19,7 +19,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -127,17 +126,13 @@ class Grounder:
             (index, decode_key(row)): list(factor_ids)
             for index, row, factor_ids in state.get("row_factors", [])
         }
-        # var relation -> tuple -> label counter (distant supervision votes)
-        self._evidence_votes: dict[str, dict[Row, Counter]] = {}
-        for relation, votes in state.get("evidence_votes", {}).items():
-            decoded = self._evidence_votes.setdefault(relation, {})
-            for values, positive, negative in votes:
-                counter: Counter = Counter()
-                if positive:
-                    counter[True] = positive
-                if negative:
-                    counter[False] = negative
-                decoded[decode_key(values)] = counter
+        # var relation -> tuple -> [negative, positive] distant-supervision
+        # votes (indexed by the label)
+        self._evidence_votes: dict[str, dict[Row, list[int]]] = {
+            relation: {decode_key(values): [negative, positive]
+                       for values, positive, negative in votes}
+            for relation, votes in state.get("evidence_votes", {}).items()
+        }
         self._view_rules: dict[str, int] = {}
         self._recipes: dict[int, _Recipe] = {}
         with obs.span("grounding.define_views") as sp:
@@ -194,9 +189,8 @@ class Grounder:
             ],
             "evidence_votes": {
                 relation: [
-                    [encode_key(values),
-                     counter.get(True, 0), counter.get(False, 0)]
-                    for values, counter in votes.items()
+                    [encode_key(values), positive, negative]
+                    for values, (negative, positive) in votes.items()
                 ]
                 for relation, votes in self._evidence_votes.items()
             },
@@ -363,12 +357,15 @@ class Grounder:
         keys = [(relation, read(row))
                 for row in rows for relation, read in recipe.heads]
         var_ids, created = self.graph.intern(keys)
-        for key in created:
-            self._on_new_variable(key)
+        ids = np.array(var_ids, dtype=np.int64)
+        if created:
+            # intern appends the created keys in order: the newest ids
+            self._label_new_variables(created,
+                                      int(ids.max()) + 1 - len(created))
         per_row = np.fromiter(map(len, labels), dtype=np.int64,
                               count=len(labels))
-        members = np.repeat(np.array(var_ids, dtype=np.int64).reshape(
-            len(rows), len(recipe.heads)), per_row, axis=0)
+        members = np.repeat(ids.reshape(len(rows), len(recipe.heads)),
+                            per_row, axis=0)
         factors = self.graph.add_factors(recipe.function, members, weight_ids,
                                          recipe.negated)
         ends = (np.cumsum(per_row) + factors.start).tolist()
@@ -414,15 +411,25 @@ class Grounder:
         if relation.count(values):
             relation.delete(values)
 
-    def _on_new_variable(self, key: tuple[str, Row]) -> None:
-        """Keep the variable's tuple in its relation and label it."""
-        relation_name, values = key
-        relation = self.db[relation_name]
-        if not relation.count(values):
-            relation.insert(values)
-        label = self._resolved_label(relation_name, values)
-        if label is not None:
-            self.graph.set_evidence(key, label)
+    def _label_new_variables(self, keys: list[tuple[str, Row]],
+                             first_id: int) -> None:
+        """Keep the tuples of the new variables ``keys`` (ids ``first_id``
+        on, in order) in their relations and label them from the votes,
+        one head relation at a time."""
+        for name in dict.fromkeys(name for name, _ in keys):
+            members = [(var_id, values) for var_id, (key_name, values)
+                       in enumerate(keys, first_id) if key_name == name]
+            relation = self.db[name]
+            count, insert = relation.count, relation.insert
+            for _, values in members:
+                if not count(values):
+                    insert(values)
+            votes = self._evidence_votes.get(name)
+            labels = [(var_id, label) for var_id, values in members
+                      if (label := _majority(votes.get(values))) is not None
+                      ] if votes else []
+            if labels:
+                self.graph.set_evidence_ids(*zip(*labels))
 
     # --------------------------------------------------------------- weights
     def _note_weight(self, key: str, index: int, description: str) -> None:
@@ -435,53 +442,49 @@ class Grounder:
     def _apply_supervision(self, index: int, appeared: Iterable[Row],
                            disappeared: Iterable[Row],
                            delta: GroundingDelta) -> None:
+        """Fold one supervision rule's row event into the votes and the
+        evidence relation, in one pass, then re-resolve the label of every
+        variable whose votes it touched."""
         rule = self._rules[index]
         relation_name = evidence_base(rule.head.relation)
         ((_, read_head),) = self._recipes[index].heads
         evidence_relation = self.db[rule.head.relation]
         votes = self._evidence_votes.setdefault(relation_name, {})
-        touched: set[Row] = set()
-        for row, direction in [(r, +1) for r in appeared] + \
-                              [(r, -1) for r in disappeared]:
-            head_values = read_head(row)
-            values, label = head_values[:-1], bool(head_values[-1])
-            counter = votes.setdefault(values, Counter())
-            counter[label] += direction
-            touched.add(values)
-            if direction > 0:
-                evidence_relation.insert(head_values)
-            else:
-                evidence_relation.delete(head_values)
+        touched: dict[Row, None] = {}
+        for rows, direction, write in (
+                (appeared, 1, evidence_relation.insert),
+                (disappeared, -1, evidence_relation.delete)):
+            for row in rows:
+                head_values = read_head(row)
+                values = head_values[:-1]
+                tally = votes.get(values)
+                if tally is None:
+                    tally = votes[values] = [0, 0]
+                tally[bool(head_values[-1])] += direction
+                touched[values] = None
+                write(head_values)
+        graph = self.graph
         for values in touched:
-            self._refresh_evidence(relation_name, values, delta)
+            key = (relation_name, values)
+            if not graph.has_variable(key):
+                continue
+            variable = graph.variables[graph.variable_id(key)]
+            label = _majority(votes[values])
+            if variable.evidence != label:
+                graph.set_evidence(key, label)
+                delta.evidence_changed += 1
+                delta.touched_keys.add(key)
+            if label is None and not variable.factor_count:
+                self._remove_variable_and_tuple(key)
+                delta.variables_removed += 1
 
-    def _resolved_label(self, relation_name: str, values: Row) -> bool | None:
-        """Majority vote over distant-supervision labels; ties abstain."""
-        counter = self._evidence_votes.get(relation_name, {}).get(values)
-        if not counter:
-            return None
-        positive = counter.get(True, 0)
-        negative = counter.get(False, 0)
-        if positive > negative:
-            return True
-        if negative > positive:
-            return False
+
+def _majority(tally: list[int] | None) -> bool | None:
+    """The label a ``[negative, positive]`` vote tally resolves to; ties
+    (and no votes) abstain."""
+    if tally is None or tally[0] == tally[1]:
         return None
-
-    def _refresh_evidence(self, relation_name: str, values: Row,
-                          delta: GroundingDelta) -> None:
-        key = (relation_name, values)
-        if not self.graph.has_variable(key):
-            return
-        variable = self.graph.variables[self.graph.variable_id(key)]
-        label = self._resolved_label(relation_name, values)
-        if variable.evidence != label:
-            self.graph.set_evidence(key, label)
-            delta.evidence_changed += 1
-            delta.touched_keys.add(key)
-        if label is None and not variable.factor_count:
-            self._remove_variable_and_tuple(key)
-            delta.variables_removed += 1
+    return tally[1] > tally[0]
 
 
 def ground(program: DDlogProgram, db: Database) -> FactorGraph:
@@ -508,14 +511,20 @@ class _Recipe:
 
 def _picker(parts: list[tuple[int | None, Any]]) -> Callable[[Row], tuple]:
     """``row -> tuple`` of ``parts``: each a row position, or a constant
-    (position ``None``)."""
-    positions = [position for position, _ in parts]
-    if not parts or None in positions:
-        return lambda row: tuple(row[p] if p is not None else v
-                                 for p, v in parts)
-    if len(positions) == 1:
+    (position ``None``).  Constants are read from the end of ``row +
+    constants``, so one ``itemgetter`` picks every part."""
+    constants = tuple(value for position, value in parts if position is None)
+    tail = iter(range(-len(constants), 0))
+    positions = [next(tail) if position is None else position
+                 for position, _ in parts]
+    if len(positions) <= 1:
+        if constants or not positions:
+            return lambda row: constants
         (position,) = positions
         return lambda row: (row[position],)
+    if constants:
+        pick = itemgetter(*positions)
+        return lambda row: pick(row + constants)
     return itemgetter(*positions)
 
 

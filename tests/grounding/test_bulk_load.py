@@ -9,10 +9,14 @@ rules (spouse), feature plus IMPLY inference rules (joint spouse), and
 several candidate relations with per-value weights (ads).
 
 * Batching never changes the result.  ``RowByRowGrounder`` calls
-  ``_ground_rule`` once per row -- the one-row oracle; over the same
-  database, and through a delta that retracts some rows and grounds others,
-  both leave the same graph (ids included), the same grounder bookkeeping,
-  the same relations and the same ``GroundingDelta``.
+  ``_ground_rule`` and ``_apply_supervision`` once per row -- the one-row
+  oracle, which labels each new variable and folds each vote on its own,
+  where the bulk path labels a rule's new variables per head relation and
+  folds a supervision event in one pass.  Over the same database, and
+  through a delta that retracts some rows and grounds others, both leave
+  the same graph (ids included), the same grounder bookkeeping, the same
+  relations (``mutation_version`` included) and the same
+  ``GroundingDelta``.
 * Deltas ground what one batch load grounds.  Re-adding an app's base rows
   in interleaved chunks to a grounder that started on empty relations (and
   removing and re-adding one chunk) leaves the same factors, evidence and
@@ -38,11 +42,18 @@ CHUNKS = 5
 
 class RowByRowGrounder(Grounder):
     """A grounder that grounds every rule row in its own ``_ground_rule``
+    call and folds every supervision row in its own ``_apply_supervision``
     call."""
 
     def _ground_rule(self, index, rows, delta):
         for row in rows:
             super()._ground_rule(index, [row], delta)
+
+    def _apply_supervision(self, index, appeared, disappeared, delta):
+        for row in appeared:
+            super()._apply_supervision(index, [row], [], delta)
+        for row in disappeared:
+            super()._apply_supervision(index, [], [row], delta)
 
 
 def spouse_app(joint):

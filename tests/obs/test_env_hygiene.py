@@ -71,8 +71,9 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "_signed_expected_delta", "_literal_delta",
                  "_prepare_reference_adjacency", "_reference_adjacency",
                  "AnnealedGibbs", "sweep_at",
-                 # the per-row grounding path beside _ground_rule
-                 "_ground_row", "_variable_for",
+                 # the per-row grounding path beside _ground_rule, and the
+                 # per-key new-variable hook beside _label_new_variables
+                 "_ground_row", "_variable_for", "_on_new_variable",
                  # scan loops beside Scanner.scan_rows
                  "scan_relation", "scan_snapshot", "scan_column")
 

@@ -57,6 +57,26 @@ def both_backends(op):
     return bag(op(ROW)), bag(op(COLUMNAR))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.tuples(ints, texts),
+                          st.integers(min_value=-2, max_value=3)),
+                max_size=20))
+def test_to_counts_sums_duplicates_and_drops_zeros(counted):
+    """``ColumnStore.to_counts`` is the per-row summing loop, whether the
+    store is compact (its one-pass case) or holds duplicate and zero-count
+    rows."""
+    from repro.datastore.columnar import ColumnStore
+
+    store = ColumnStore.from_counted_rows(Schema.of(a="int", s="text"),
+                                          counted)
+    expected: dict = {}
+    for row, count in counted:
+        expected[row] = expected.get(row, 0) + count
+    expected = {row: count for row, count in expected.items() if count}
+    out = store.to_counts()
+    assert out == expected and list(out) == list(expected)
+
+
 class TestOperatorEquivalence:
     @given(mixed_rows)
     def test_select_predicate(self, rows):
