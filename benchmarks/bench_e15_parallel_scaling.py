@@ -13,8 +13,9 @@ Artifacts:
   is warmed (workers spawned, segment packed) by a short untimed dispatch
   before its timed run, so the timings measure the steady state a real
   iteration loop sees;
-* dispatch overhead, cold vs warm: the first dispatch on a fresh pool
-  pays spawn + shared-memory packing; the second hits the segment cache.
+* dispatch overhead, cold vs warm, of ``WorkerPool.map(replica_totals,
+  tasks, graph=compiled)``: the first dispatch on a fresh pool pays
+  spawn + shared-memory packing; the second hits the segment cache.
   The warm overhead must be < 10% of the cold one.
 
 Acceptance floor: >= 1.5x replica speedup at some worker count, asserted
@@ -34,7 +35,8 @@ from conftest import once, write_json
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import NumaConfig, NumaGibbs
-from repro.parallel import get_pool, shutdown_pools
+from repro.inference.numa import replica_totals
+from repro.parallel import effective_cpus, get_pool, shutdown_pools
 
 SOCKETS = 4
 WORKER_COUNTS = [1, 2, 4]
@@ -44,14 +46,6 @@ NUM_SAMPLES = 120
 BURN_IN = 30
 SYNC_EVERY = 30
 SEED = 7
-
-
-def effective_cpus() -> int:
-    """CPUs this process may actually run on (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def kbc_graph(num_candidates=12000, features_per_candidate=3,
@@ -112,10 +106,9 @@ def test_e15_replica_scaling(benchmark, reporter):
         overhead = {"cold": None, "warm": None}
         if pool is not None:
             warm_readings = []
+            tasks = [(SEED + s, 10, 5) for s in range(SOCKETS)]
             for phase in ("cold",) + ("warm",) * 5:
-                outcome = pool.run_replicas(
-                    compiled, sockets=SOCKETS, seed=SEED,
-                    total_sweeps=10, burn_in=5, sync_every=5)
+                outcome = pool.map(replica_totals, tasks, graph=compiled)
                 if outcome is None:
                     break
                 assert pool.last_dispatch_cold is (phase == "cold")

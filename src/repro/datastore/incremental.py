@@ -45,6 +45,8 @@ class IncrementalEvaluator:
 
     Construction evaluates the plan once (initial load) and builds join
     indexes bottom-up -- on the columnar path when the backend picks it.
+    :meth:`take_initial` hands the initial output to its owner (a
+    :class:`~repro.datastore.ivm.MaterializedView` keeps the counts);
     :meth:`apply` consumes a dict of base-relation signed deltas and returns
     the signed delta of the plan output, updating all internal state.
 
@@ -68,28 +70,23 @@ class IncrementalEvaluator:
             self._root = _build(plan, db, schemas, columnar,
                                 store_cache if columnar else None)
             if columnar:
-                self._current: Counter[Row] = Counter(
+                self._initial: Counter[Row] | None = Counter(
                     self._root.store.to_counts())
                 self._root.store = None
             else:
-                self._current = Counter(self._root.output())
-            span.set(rows_out=len(self._current))
+                self._initial = Counter(self._root.output())
+            span.set(rows_out=len(self._initial))
 
-    def current(self) -> Counter:
-        """The plan's current output as a row -> count bag (copy)."""
-        return Counter(self._current)
+    def take_initial(self) -> Counter:
+        """The plan's initial output as a row -> count bag, handed over
+        once: the evaluator keeps no copy of its output, only the join
+        indexes :meth:`apply` needs."""
+        initial, self._initial = self._initial, None
+        return initial
 
     def apply(self, deltas: dict[str, SignedDelta]) -> SignedDelta:
         """Absorb base deltas; return the output delta."""
-        out = self._root.apply(deltas)
-        current = self._current
-        for row, count in out.items():
-            new = current[row] + count
-            if new:
-                current[row] = new
-            else:
-                del current[row]
-        return out
+        return self._root.apply(deltas)
 
 
 def _derive_schemas(plan: Plan, db, schemas: dict[int, Schema]) -> Schema:

@@ -100,7 +100,7 @@ class MaterializedView:
             self._evaluator = IncrementalEvaluator(plan, db,
                                                    store_cache=build_cache)
             self.schema = self._evaluator.schema
-            self._derivations: Counter[Row] = self._evaluator.current()
+            self._derivations: Counter[Row] = self._evaluator.take_initial()
             sp.set(rows=len(self._derivations))
 
     # ------------------------------------------------------------------ reads

@@ -7,7 +7,7 @@ that never communicate converge slower; model averaging [Zinkevich et al.]
 recovers most of it).
 
 We do not have a NUMA machine, so we *simulate the memory system* with an
-explicit cost model while running the actual sampling work in-process:
+explicit cost model while running the actual sampling work:
 
 * every factor-graph edge touched during a sweep costs 1 time unit when the
   model state it reads is socket-local;
@@ -20,15 +20,16 @@ explicit cost model while running the actual sampling work in-process:
 
 Two configurations reproduce the paper's comparison:
 
-* **NUMA-aware** (DimmWitted): per-socket model replicas, all accesses local,
-  averaged every ``sync_every`` sweeps.
+* **NUMA-aware** (DimmWitted): one model replica per socket, all accesses
+  local, a modeled averaging round every ``sync_every`` sweeps.
 * **non-NUMA-aware**: one shared model; a socket's accesses are remote with
   probability (sockets-1)/sockets (the model is interleaved across sockets).
 
-Statistical efficiency is *measured*, not modeled: replicas genuinely run
-independent chains on variable shards and genuinely average their marginal
-estimates, so slower convergence from infrequent averaging shows up in the
-returned marginal error exactly as it does on real hardware.
+What is real and what is modeled: each replica is an independent Gibbs
+chain over the *whole* graph, and the replicas' marginal estimates are
+averaged once, at the end of the run.  ``sync_every`` moves only the
+modeled time (how many averaging rounds are charged); it does not change
+the chains or the returned marginals.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro import obs
 from repro.factorgraph.compiled import CompiledGraph
 from repro.inference.gibbs import GibbsSampler, check_chain_length
 from repro.parallel.registry import get_pool
-from repro.parallel.warm import VALID_PARALLEL_MODES, ReplicaOutcome
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,20 @@ class NumaConfig:
     """Topology and cost model of the simulated machine.
 
     The simulated cost model sits atop real :class:`GibbsSampler` sweeps,
-    one replica chain per socket.
+    one whole-graph replica chain per NUMA-aware socket.
 
     ``workers`` is the one switch for *real* parallelism: with
-    ``workers > 0`` (and more than one NUMA-aware socket) the replica
-    chains run on the warm :class:`~repro.parallel.warm.WorkerPool`
-    against a shared-memory copy of the compiled graph, producing
-    bit-identical totals to the sequential loop.  ``workers=0`` keeps the
-    sequential reference path.  ``parallel_mode`` and ``parallel_timeout``
-    tune the pool's start method and crash/stall deadline.
+    ``workers > 0`` the replica chains run on the warm
+    :class:`~repro.parallel.warm.WorkerPool` against a shared-memory copy
+    of the compiled graph, producing bit-identical totals to the
+    in-process loop.  ``workers=0`` runs them in-process.
     """
 
     sockets: int = 4
-    cores_per_socket: int = 10
     remote_penalty: float = 3.5
-    sync_every: int = 1          # sweeps between model-averaging rounds
+    sync_every: int = 1          # sweeps between modeled averaging rounds
     numa_aware: bool = True
     workers: int = 0
-    parallel_mode: str = "auto"
-    parallel_timeout: float = 120.0
 
     def __post_init__(self) -> None:
         if self.sockets < 1:
@@ -77,11 +72,7 @@ class NumaConfig:
         if self.sync_every < 1:
             raise ValueError("sync_every must be at least 1 sweep")
         if self.workers < 0:
-            raise ValueError("workers cannot be negative (0 = sequential)")
-        if self.parallel_mode not in VALID_PARALLEL_MODES:
-            raise ValueError(f"unknown parallel mode {self.parallel_mode!r}")
-        if self.parallel_timeout <= 0:
-            raise ValueError("parallel_timeout must be positive")
+            raise ValueError("workers cannot be negative (0 = in-process)")
 
 
 @dataclass
@@ -97,6 +88,28 @@ class NumaRunResult:
     def modeled_throughput(self) -> float:
         """Variable-samples per modeled time unit (higher is better)."""
         return self.samples_drawn / self.modeled_time if self.modeled_time else 0.0
+
+
+def replica_totals(sampler: GibbsSampler,
+                   task: tuple[int, int, int]) -> tuple[np.ndarray, int]:
+    """Run one replica chain; ``task`` is ``(seed, total_sweeps, burn_in)``.
+
+    Reseeding ``sampler`` consumes the stream a dedicated
+    ``GibbsSampler(compiled, seed=seed)`` would, so one sampler serves every
+    replica, in-process or in a pool worker.  Returns the per-variable
+    totals of the post-burn-in worlds and the variable samples drawn.
+    """
+    seed, total_sweeps, burn_in = task
+    with obs.span("numa.replica", seed=seed):
+        sampler.rng = np.random.default_rng(seed)
+        world = sampler.initial_assignment()
+        totals = np.zeros(sampler.compiled.num_variables, dtype=np.float64)
+        drawn = 0
+        for sweep_index in range(total_sweeps):
+            drawn += sampler.sweep(world)
+            if sweep_index >= burn_in:
+                totals += world
+    return totals, drawn
 
 
 class NumaGibbs:
@@ -126,7 +139,8 @@ class NumaGibbs:
 
         Model averaging (Zinkevich et al.) exchanges the *model* -- the tied
         weight vector -- not per-variable state, so a round costs one remote
-        copy of the weights from each non-resident socket.
+        copy of the weights from each non-resident socket.  Zero for the
+        shared model and for one socket, which have nothing to average.
         """
         if not self.config.numa_aware or self.config.sockets == 1:
             return 0.0
@@ -134,12 +148,8 @@ class NumaGibbs:
             * self.config.remote_penalty
 
     def _modeled_run_time(self, total_sweeps: int) -> float:
-        """Modeled wall clock of ``total_sweeps`` parallel sweeps plus sync.
-
-        Accumulated in the exact order the historical sequential loop added
-        the terms, so the parallel execution path reports bit-identical
-        modeled times to the reference path.
-        """
+        """Modeled wall clock of ``total_sweeps`` parallel sweeps plus one
+        averaging round every ``sync_every`` sweeps, summed term by term."""
         per_socket_sweep = self._sweep_cost()
         sync_cost = self._sync_cost()
         modeled_time = 0.0
@@ -149,97 +159,55 @@ class NumaGibbs:
                 modeled_time += sync_cost
         return modeled_time
 
-    def _run_replicas_sequential(self, total_sweeps: int,
-                                 burn_in: int) -> ReplicaOutcome:
-        """The in-process replica loop: the bit-identical reference path."""
-        config = self.config
-        replicas = [GibbsSampler(self.compiled, seed=self.seed + s)
-                    for s in range(config.sockets)]
-        worlds = [r.initial_assignment() for r in replicas]
-        totals = np.zeros(self.compiled.num_variables, dtype=np.float64)
-        socket_samples = [0] * config.sockets
-        for sweep_index in range(total_sweeps):
-            for socket, (replica, world) in enumerate(zip(replicas, worlds)):
-                socket_samples[socket] += replica.sweep(world)
-            if sweep_index >= burn_in:
-                for world in worlds:
-                    totals += world
-        return ReplicaOutcome(totals=totals, socket_samples=socket_samples)
-
-    def _run_replicas_pool(self, total_sweeps: int,
-                           burn_in: int) -> ReplicaOutcome | None:
-        """Fan replicas out over the shared warm pool, or ``None`` (no pool,
-        or the dispatch failed), which sends the caller to the
-        bit-identical sequential loop."""
-        config = self.config
-        pool = get_pool(config.workers, mode=config.parallel_mode,
-                        timeout=config.parallel_timeout)
-        if pool is None:
-            return None
-        return pool.run_replicas(
-            self.compiled, sockets=config.sockets, seed=self.seed,
-            total_sweeps=total_sweeps, burn_in=burn_in,
-            sync_every=config.sync_every, timeout=config.parallel_timeout)
-
     def run(self, num_samples: int = 100, burn_in: int = 20) -> NumaRunResult:
-        """Draw marginals with one independent chain per socket.
+        """Draw marginals from independent replica chains and average them.
 
-        NUMA-aware mode runs ``sockets`` replicas and averages their marginal
-        estimates every ``sync_every`` sweeps (model averaging); the shared
-        mode runs the same total number of sweeps on a single chain, paying
-        remote-access costs.  With ``workers > 0`` the replica chains run in
-        worker processes over shared memory (bit-identical totals); any
-        worker failure falls back to the sequential loop with a warning.
-        Raises ``ValueError`` for ``num_samples < 1`` or ``burn_in < 0``.
+        NUMA-aware mode runs ``sockets`` whole-graph replicas, replica ``s``
+        seeded ``seed + s``; the shared mode runs one chain seeded ``seed``,
+        paying remote-access costs.  The marginals are the average over
+        every replica's post-burn-in worlds; ``sync_every`` only sets how
+        many averaging rounds the modeled time charges.  With
+        ``workers > 0`` the replicas run on the warm pool; if it is
+        unavailable or a dispatch fails (with a warning), they run
+        in-process.  Either way the totals are exact integer sums, so the
+        result is bit-identical.  Raises ``ValueError`` for
+        ``num_samples < 1`` or ``burn_in < 0``.
         """
         check_chain_length(num_samples, burn_in)
         config = self.config
         total_sweeps = burn_in + num_samples
-        per_socket_sweep = self._sweep_cost()
+        replicas = config.sockets if config.numa_aware else 1
+        tasks = [(self.seed + s, total_sweeps, burn_in)
+                 for s in range(replicas)]
         with obs.span("numa.run", sockets=config.sockets,
                       numa_aware=config.numa_aware,
                       sync_every=config.sync_every,
                       workers=config.workers) as sp:
-            if config.numa_aware and config.sockets > 1:
-                outcome = None
-                if config.workers > 0:
-                    outcome = self._run_replicas_pool(total_sweeps, burn_in)
-                if outcome is None:
-                    outcome = self._run_replicas_sequential(total_sweeps,
-                                                            burn_in)
-                totals, socket_samples = outcome.totals, outcome.socket_samples
-                collected = config.sockets * num_samples
-                modeled_time = self._modeled_run_time(total_sweeps)
-                marginals = totals / collected
-                per_socket_cost = [per_socket_sweep * total_sweeps] * config.sockets
-            else:
-                sampler = GibbsSampler(self.compiled, seed=self.seed)
-                world = sampler.initial_assignment()
-                totals = np.zeros(self.compiled.num_variables, dtype=np.float64)
-                socket_samples = [0] * config.sockets
-                collected = 0
-                modeled_time = 0.0
-                for sweep_index in range(total_sweeps):
-                    socket_samples[0] += sampler.sweep(world)
-                    modeled_time += per_socket_sweep
-                    if sweep_index >= burn_in:
-                        totals += world
-                        collected += 1
-                marginals = totals / collected
+            outcomes = None
+            pool = get_pool(config.workers)
+            if pool is not None:
+                outcomes = pool.map(replica_totals, tasks, graph=self.compiled)
+            if outcomes is None:
+                sampler = GibbsSampler(self.compiled)
+                outcomes = [replica_totals(sampler, t) for t in tasks]
+            marginals = sum(totals for totals, _ in outcomes) \
+                / (replicas * num_samples)
+            modeled_time = self._modeled_run_time(total_sweeps)
+            share = self._sweep_cost() * total_sweeps
+            if not config.numa_aware:
                 # One chain did the work; the interleaved-memory model
                 # spreads its accesses over the sockets, so report each
                 # socket's *share* -- replicating the full chain cost per
                 # socket would overstate the shared-model configuration's
                 # parallel work by a factor of ``sockets``.
-                per_socket_cost = [per_socket_sweep * total_sweeps
-                                   / config.sockets] * config.sockets
-            samples = sum(socket_samples)
+                share /= config.sockets
+            samples = sum(drawn for _, drawn in outcomes)
             sp.set(samples=samples, modeled_time=modeled_time)
             if obs.enabled():
-                for socket, drawn in enumerate(socket_samples):
+                for socket, (_, drawn) in enumerate(outcomes):
                     obs.count("numa.samples", drawn, socket=socket)
         clamped = self.compiled.is_evidence
         marginals[clamped] = self.compiled.evidence_values[clamped]
         return NumaRunResult(marginals=marginals, modeled_time=modeled_time,
                              samples_drawn=samples,
-                             per_socket_cost=per_socket_cost)
+                             per_socket_cost=[share] * config.sockets)

@@ -1,10 +1,9 @@
 """Process-wide registry of warm worker pools.
 
 A warm pool only pays off if every ``NumaGibbs`` run that wants
-``workers=N`` under start-method ``mode`` shares the same long-lived
-processes: :func:`get_pool` hands out one
-:class:`~repro.parallel.warm.WorkerPool` per ``(workers, mode)`` and keeps
-it alive across calls.
+``workers=N`` shares the same long-lived processes: :func:`get_pool`
+hands out one :class:`~repro.parallel.warm.WorkerPool` per worker count
+and keeps it alive across calls.
 
 Lifetime: the registry owns the pools.  :func:`shutdown_pools`
 (registered at interpreter exit, callable from tests and benches) stops
@@ -16,12 +15,11 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import warnings
 
-from repro.parallel.warm import DEFAULT_TIMEOUT, WorkerPool
+from repro.parallel.warm import WorkerPool
 
 _LOCK = threading.Lock()
-_POOLS: dict[tuple[int, str], WorkerPool] = {}
+_POOLS: dict[int, WorkerPool] = {}
 
 
 def effective_cpus() -> int:
@@ -36,29 +34,19 @@ def effective_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def get_pool(workers: int, mode: str = "auto",
-             timeout: float = DEFAULT_TIMEOUT) -> WorkerPool | None:
-    """The shared warm pool for ``(workers, mode)``, or ``None``.
+def get_pool(workers: int) -> WorkerPool | None:
+    """The shared warm pool of ``workers`` processes, or ``None`` for
+    ``workers < 1`` (the caller's in-process path).
 
     Creates the pool on first request and re-creates it if a previous one
-    was closed.  Returns ``None`` (with a warning) when the pool cannot be
-    built -- unavailable start method, bad worker count -- so callers fall
-    back to their sequential path.
+    was closed.
     """
     if workers < 1:
         return None
-    key = (workers, mode)
     with _LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None and not pool.closed:
-            return pool
-        try:
-            pool = WorkerPool(workers, mode=mode, timeout=timeout)
-        except ValueError as exc:
-            warnings.warn(f"warm pool unavailable: {exc}", RuntimeWarning,
-                          stacklevel=2)
-            return None
-        _POOLS[key] = pool
+        pool = _POOLS.get(workers)
+        if pool is None or pool.closed:
+            pool = _POOLS[workers] = WorkerPool(workers)
         return pool
 
 

@@ -4,8 +4,7 @@ The parallel execution layer ships the :class:`~repro.factorgraph.compiled.
 CompiledGraph`'s flat arrays (CSR slot arrays, weights, evidence masks) to
 worker processes without copying them per worker: the parent packs them into
 a single shared-memory segment once, and each worker maps views onto the
-same physical pages.  A second, writable pack holds the replica accumulators
-(per-socket marginal totals and sample counts) the workers fill in.
+same physical pages.
 
 Ownership protocol: the parent creates a :class:`SharedArrayPack` and is the
 only process that ever calls :meth:`~SharedArrayPack.unlink`; workers attach

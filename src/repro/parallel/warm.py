@@ -1,62 +1,47 @@
-"""Persistent warm worker pool: amortize spawn, packing, and rendezvous.
+"""Persistent warm worker pool: amortize spawn and graph packing.
 
-Spawning processes, packing the compiled graph into shared memory and
-building a ``multiprocessing.Barrier`` *per call* dominated every workload
-BENCH_e15 measured and made the multiprocess path a slowdown.
-:class:`WorkerPool`, the only pool, keeps all three warm:
+Spawning processes and packing the compiled graph into shared memory *per
+call* dominated every workload BENCH_e15 measured and made the
+multiprocess path a slowdown.  :class:`WorkerPool`, the only pool, keeps
+both warm, and has one work command, :meth:`WorkerPool.map`:
 
 * **long-lived workers** -- processes are spawned lazily on first dispatch
-  and survive across ``run_replicas`` calls, each connected to the parent
-  by one duplex pipe that carries small dict commands;
-* **generation-tagged segment cache** -- ``share_compiled`` packing happens
-  once per graph; later calls re-use the same shared-memory segment,
-  syncing only the *mutable* arrays (weights, evidence, initial values)
-  in place when the graph's ``mutation_version`` says they changed, and
-  bumping a ``generation`` counter so workers rebuild their cached
-  samplers against the new values;
-* **pipe rendezvous** -- model-averaging sync rounds are a ``sync`` message
-  up each worker's pipe and a ``go`` reply from the parent, replacing the
-  per-round ``multiprocessing.Barrier`` (which cannot be reused across
-  calls and costs a semaphore round trip per waiter per round).
+  and survive across calls, each connected to the parent by one duplex
+  pipe that carries small dict commands;
+* **generation-tagged segment cache** -- ``map(fn, items, graph=compiled)``
+  packs the graph with ``share_compiled`` once; later calls re-use the
+  same shared-memory segment, syncing only the *mutable* arrays (weights,
+  evidence, initial values) in place when the graph's
+  ``mutation_version`` says they changed, and bumping a ``generation``
+  counter so workers rebuild their cached samplers against the new
+  values.  Each worker then calls ``fn(sampler, item)`` on its cached
+  per-(segment, generation) :class:`~repro.inference.gibbs.GibbsSampler`.
 
 Its invariants:
 
-* **bit-identical results** -- replica ``s`` always runs with an RNG seeded
-  ``seed + s``; one cached sampler serves every replica on a worker by
-  swapping its ``rng`` between sweeps, which consumes each replica's
-  stream exactly as a dedicated sampler would.  Totals are exact integer
-  sums in float64, merged order-independently.
+* **deterministic merge** -- chunks are contiguous slices of the input
+  keyed by chunk index, so the merged output is exactly
+  ``[fn(x) for x in items]`` (or ``[fn(sampler, x) for x in items]``).
 * **never a hang** -- every parent wait is bounded by a deadline and also
   watches worker *sentinels*, so a crashed worker is detected immediately;
   any failure (crash, exception, timeout, closed pool) warns and returns
-  ``None``, and the caller falls back to its sequential path.  Failed
-  workers are respawned on the next dispatch.
-* **deterministic merge** -- replica totals are merged in a fixed order
-  regardless of which worker ran what; ``map`` chunks are contiguous
-  slices of the input keyed by chunk index, so its merged output is
-  exactly ``[fn(x) for x in items]``.
+  ``None``, and the caller runs the work in-process.  Failed workers are
+  respawned on the next dispatch.
 * **observability** -- when the parent has an enabled collector, workers
   install their own :class:`~repro.obs.span.Collector` and ship their span
   trees and metrics back to be adopted into the parent's profile.
 
-Fault injection for the test suite: :meth:`WorkerPool.inject_fault` arms a
-one-shot fault (``exit``, ``hang`` or ``raise``) that a worker applies at a
-chosen sync boundary of its next replica command.
-
-:meth:`WorkerPool.map` has no caller in the library: it stays because the
-benchmark's tracer wraps it by name (its ``parallel.dispatch`` layer).
+The start method is the platform's: fork where it exists, spawn otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing as mp
-import os
 import threading
-import time
 import warnings
 from collections import Counter, OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from time import monotonic, perf_counter
@@ -65,8 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.parallel.shm import (AttachedPack, SharedArrayPack, attach_compiled,
-                                share_compiled)
+from repro.parallel.shm import SharedArrayPack, attach_compiled, share_compiled
 
 #: Default wall-clock budget for one dispatch before declaring it stuck.
 DEFAULT_TIMEOUT = 120.0
@@ -85,30 +69,9 @@ MUTABLE_FIELDS = ("weight_values", "is_evidence", "evidence_values",
 #: handful of graphs.
 DEFAULT_MAX_SEGMENTS = 4
 
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
 _TOKENS = itertools.count(1)
-
-
-@dataclass
-class ReplicaOutcome:
-    """What the replica fan-out (or its sequential twin) produces."""
-
-    totals: np.ndarray           # per-variable post-burn-in marginal totals
-    socket_samples: list[int]    # variable samples drawn per replica
-
-
-#: Start methods ``NumaConfig.parallel_mode`` accepts.
-VALID_PARALLEL_MODES = ("auto", "fork", "spawn")
-
-
-def resolve_mode(mode: str) -> str:
-    """Map the ``parallel_mode`` knob to a concrete start method."""
-    methods = mp.get_all_start_methods()
-    if mode == "auto":
-        return "fork" if "fork" in methods else "spawn"
-    if mode not in methods:
-        raise ValueError(f"start method {mode!r} unavailable on this "
-                         f"platform (have {methods})")
-    return mode
 
 
 def chunk_slices(count: int, workers: int) -> list[tuple[int, int]]:
@@ -125,18 +88,14 @@ def chunk_slices(count: int, workers: int) -> list[tuple[int, int]]:
 
 
 # ------------------------------------------------------------------ worker
-def _worker_replicas(worker_index: int, conn, command: dict,
-                     attachments: dict, views: dict, samplers: dict) -> None:
-    """Run one replica command against cached segment attachments."""
+def _graph_sampler(command: dict, segments: dict, samplers: dict):
+    """The worker's cached sampler over the command's staged graph."""
     from repro.inference.gibbs import GibbsSampler
 
     handle = command["graph"]
     name = handle.shm_name
-    if name not in attachments:
-        pack, view = attach_compiled(handle)
-        attachments[name] = pack
-        views[name] = view
-    view = views[name]
+    if name not in segments:
+        segments[name] = attach_compiled(handle)
     key = (name, command["generation"])
     sampler = samplers.get(key)
     if sampler is None:
@@ -144,78 +103,12 @@ def _worker_replicas(worker_index: int, conn, command: dict,
         # drop samplers caching stale weight gathers for this segment.
         for stale in [k for k in samplers if k[0] == name]:
             del samplers[stale]
-        sampler = GibbsSampler(view, seed=0)
-        samplers[key] = sampler
-
-    acc_handle = command["acc"]
-    if acc_handle.shm_name not in attachments:
-        attachments[acc_handle.shm_name] = AttachedPack(acc_handle)
-    acc = attachments[acc_handle.shm_name]
-    totals = acc.views["totals"]
-    samples_out = acc.views["samples"]
-
-    replica_ids = command["replica_ids"]
-    seed = command["seed"]
-    total_sweeps = command["total_sweeps"]
-    burn_in = command["burn_in"]
-    sync_every = command["sync_every"]
-    rendezvous = command["rendezvous"]
-    fault = command.get("fault")
-
-    collector = obs.Collector() if command["trace"] else None
-    scope = obs.installed(collector) if collector is not None else nullcontext()
-    abandoned = False
-    with scope:
-        with obs.span("numa.replica_worker", worker=worker_index,
-                      replicas=len(replica_ids)) as sp:
-            # One cached sampler serves every replica: swapping ``rng``
-            # before each touch consumes replica s's stream (seeded
-            # seed + s) exactly as a dedicated sampler would, so results
-            # stay bit-identical to the sequential reference.
-            rngs = [np.random.default_rng(seed + s) for s in replica_ids]
-            worlds = []
-            for rng in rngs:
-                sampler.rng = rng
-                worlds.append(sampler.initial_assignment())
-            drawn = [0] * len(replica_ids)
-            sync_round = 0
-            for sweep_index in range(total_sweeps):
-                for i, rng in enumerate(rngs):
-                    sampler.rng = rng
-                    drawn[i] += sampler.sweep(worlds[i])
-                if sweep_index >= burn_in:
-                    for i, s in enumerate(replica_ids):
-                        totals[s] += worlds[i]
-                if (sweep_index + 1) % sync_every == 0:
-                    sync_round += 1
-                    if fault is not None and fault["at_sync"] == sync_round:
-                        if fault["action"] == "exit":
-                            os._exit(3)
-                        if fault["action"] == "raise":
-                            raise RuntimeError("injected worker fault")
-                        while True:              # "hang": close() kills us
-                            time.sleep(3600.0)
-                    if rendezvous:
-                        conn.send({"kind": "sync", "round": sync_round})
-                        reply = conn.recv()
-                        if reply.get("kind") != "go":
-                            abandoned = True     # parent gave up this call
-                            break
-            if not abandoned:
-                for i, s in enumerate(replica_ids):
-                    samples_out[s] = drawn[i]
-                sp.set(samples=sum(drawn))
-    if abandoned:
-        return
-    message: dict = {"kind": "done"}
-    if collector is not None:
-        message["trace"] = (collector.roots, collector.metrics)
-    conn.send(message)
+        sampler = samplers[key] = GibbsSampler(segments[name][1])
+    return sampler
 
 
-def _worker_map(worker_index: int, conn, command: dict) -> None:
-    """Run this worker's share of a fan-out map command."""
-    fn = command["fn"]
+def _worker_map(worker_index: int, conn, command: dict, fn: Callable) -> None:
+    """Run this worker's share of a map command."""
     collector = obs.Collector() if command["trace"] else None
     results = []
     for index, chunk in command["chunks"]:
@@ -234,14 +127,13 @@ def _worker_map(worker_index: int, conn, command: dict) -> None:
 
 
 def _warm_worker(worker_index: int, conn) -> None:
-    """Long-lived worker loop: serve commands until ``stop`` or pipe EOF.
+    """Long-lived worker loop: serve ``map`` commands until ``stop`` or EOF.
 
     Caches shared-memory attachments by segment name and samplers by
     ``(segment, generation)`` so repeat commands over the same
     graph skip re-attachment and sampler construction entirely.
     """
-    attachments: dict[str, object] = {}
-    views: dict[str, object] = {}
+    segments: dict[str, tuple] = {}          # name -> (attached pack, view)
     samplers: dict[tuple, object] = {}
     try:
         while True:
@@ -249,26 +141,20 @@ def _warm_worker(worker_index: int, conn) -> None:
                 command = conn.recv()
             except (EOFError, OSError):
                 break
-            if not isinstance(command, dict):
-                continue
-            kind = command.get("kind")
-            if kind == "stop":
+            if command.get("kind") == "stop":
                 break
-            for name in command.get("evict", ()):
-                pack = attachments.pop(name, None)
-                views.pop(name, None)
-                if pack is not None:
-                    pack.close()
+            for name in command["evict"]:
+                attached = segments.pop(name, None)
+                if attached is not None:
+                    attached[0].close()
                 for stale in [k for k in samplers if k[0] == name]:
                     del samplers[stale]
             try:
-                if kind == "ping":
-                    conn.send({"kind": "pong"})
-                elif kind == "replicas":
-                    _worker_replicas(worker_index, conn, command,
-                                     attachments, views, samplers)
-                elif kind == "map":
-                    _worker_map(worker_index, conn, command)
+                fn = command["fn"]
+                if "graph" in command:
+                    fn = functools.partial(
+                        fn, _graph_sampler(command, segments, samplers))
+                _worker_map(worker_index, conn, command, fn)
             except (EOFError, OSError, BrokenPipeError):
                 break
             except BaseException as exc:           # noqa: BLE001
@@ -277,9 +163,9 @@ def _warm_worker(worker_index: int, conn) -> None:
                 except Exception:
                     break
     finally:
-        for pack in attachments.values():
+        for attached, _ in segments.values():
             try:
-                pack.close()
+                attached.close()
             except Exception:
                 pass
         try:
@@ -313,32 +199,28 @@ class _SegmentEntry:
 
 
 class _DispatchFailure(Exception):
-    """Internal: abandon the current dispatch and fall back sequential."""
+    """Internal: abandon the current dispatch; the caller runs in-process."""
 
 
 class WorkerPool:
     """Persistent pool of warm worker processes over shared-memory graphs.
 
-    ``workers`` is the process count; ``mode`` the start method knob
-    (``"auto"``/``"fork"``/``"spawn"``, resolved once at construction --
-    an unavailable method raises :class:`ValueError` so callers can fall
-    back to sequential).  All dispatch methods return ``None`` on any
-    failure after issuing a ``RuntimeWarning``; they never raise for
-    worker-side problems and never hang.
+    ``workers`` is the process count.  :meth:`map` returns ``None`` on any
+    failure after issuing a ``RuntimeWarning``; it never raises for
+    worker-side problems and never hangs.
 
     Thread safety: dispatches serialize on an internal lock; ``close`` is
     safe to call from another thread *during* a dispatch (the dispatch
     observes the closed pipes and fails over to ``None``).
     """
 
-    def __init__(self, workers: int, mode: str = "auto",
-                 timeout: float = DEFAULT_TIMEOUT,
+    def __init__(self, workers: int, timeout: float = DEFAULT_TIMEOUT,
                  max_segments: int = DEFAULT_MAX_SEGMENTS) -> None:
         if workers < 1:
             raise ValueError("WorkerPool needs workers >= 1; workers=0 is "
-                             "the caller's sequential path")
+                             "the caller's in-process path")
         self.workers = workers
-        self.mode = resolve_mode(mode)
+        self.mode = _START_METHOD
         self.timeout = timeout
         self.max_segments = max(1, max_segments)
         self.stats: Counter = Counter()
@@ -349,7 +231,7 @@ class WorkerPool:
         # worker exists: a worker forked earlier than the tracker would
         # lazily start its own at attach time, and that private tracker
         # unlinks the pool's still-live segments when the worker exits
-        # (including fault-injected deaths).  With the parent tracker
+        # (including crashed workers).  With the parent tracker
         # already running, workers inherit its fd and their attach-time
         # registrations are idempotent set-adds there (see
         # :class:`~repro.parallel.shm.AttachedPack`).
@@ -360,8 +242,6 @@ class WorkerPool:
             pass
         self._slots: list[_Slot | None] = [None] * workers
         self._segments: "OrderedDict[int, _SegmentEntry]" = OrderedDict()
-        self._acc: SharedArrayPack | None = None
-        self._faults: dict[int, dict] = {}
         self._lock = threading.RLock()
         self._close_lock = threading.Lock()
         self._closed = False
@@ -381,13 +261,12 @@ class WorkerPool:
         child_conn.close()
         return _Slot(process=process, conn=parent_conn)
 
-    def _ensure_workers(self, count: int | None = None) -> list[_Slot]:
+    def _ensure_workers(self, count: int) -> list[_Slot]:
         """Spawn the first ``count`` missing workers; respawn dead/dirty ones.
 
         Slots beyond ``count`` are left as they are (warm if already
         spawned), so a small dispatch never pays for the full pool width.
         """
-        count = self.workers if count is None else min(count, self.workers)
         for w in range(count):
             slot = self._slots[w]
             if slot is None:
@@ -397,7 +276,7 @@ class WorkerPool:
                 self._discard_slot(slot)
                 self._slots[w] = self._spawn(w)
                 self.stats["restarts"] += 1
-        return [slot for slot in self._slots if slot is not None]
+        return self._slots[:count]
 
     @staticmethod
     def _discard_slot(slot: _Slot) -> None:
@@ -408,36 +287,6 @@ class WorkerPool:
             slot.conn.close()
         except Exception:
             pass
-
-    def warm(self) -> bool:
-        """Spawn all workers and round-trip a ping; True when all answer.
-
-        Benchmarks call this before timing so measurements exclude spawn
-        cost.
-        """
-        if self._closed:
-            return False
-        with self._lock:
-            try:
-                slots = self._ensure_workers()
-                for slot in slots:
-                    slot.conn.send({"kind": "ping",
-                                    "evict": slot.take_evictions()})
-                deadline = monotonic() + self.timeout
-                for slot in slots:
-                    if not slot.conn.poll(max(0.0, deadline - monotonic())):
-                        slot.dirty = True
-                        return False
-                    reply = slot.conn.recv()
-                    if reply.get("kind") != "pong":
-                        slot.dirty = True
-                        return False
-                return True
-            except (OSError, EOFError, BrokenPipeError):
-                for slot in self._slots:
-                    if slot is not None:
-                        slot.dirty = True
-                return False
 
     def close(self) -> None:
         """Stop workers and unlink all cached segments (idempotent).
@@ -472,30 +321,12 @@ class WorkerPool:
             for entry in self._segments.values():
                 entry.pack.close()
             self._segments.clear()
-            if self._acc is not None:
-                self._acc.close()
-                self._acc = None
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # ------------------------------------------------------- fault injection
-    def inject_fault(self, worker_index: int, *, at_sync: int = 1,
-                     action: str = "exit") -> None:
-        """Arm a one-shot fault for ``worker_index``'s next replica command.
-
-        ``action="exit"`` hard-kills the worker (``os._exit``) at the
-        ``at_sync``-th sync boundary; ``"hang"`` sleeps forever there
-        (exercising the deadline / shutdown paths); ``"raise"`` throws an
-        exception there (the worker survives and reports it).  Test hook
-        only.
-        """
-        if action not in ("exit", "hang", "raise"):
-            raise ValueError(f"unknown fault action {action!r}")
-        self._faults[worker_index] = {"at_sync": at_sync, "action": action}
 
     # ------------------------------------------------------- segment staging
     def _stage_graph(self, compiled) -> _SegmentEntry:
@@ -535,165 +366,25 @@ class WorkerPool:
                     slot.pending_evict.append(name)
         return entry
 
-    def _stage_acc(self, sockets: int, num_variables: int) -> SharedArrayPack:
-        shape = (sockets, num_variables)
-        acc = self._acc
-        if acc is not None and acc.views["totals"].shape == shape:
-            acc.views["totals"][...] = 0.0
-            acc.views["samples"][...] = 0
-            return acc
-        if acc is not None:
-            name = acc.handle.shm_name
-            acc.close()
-            for slot in self._slots:
-                if slot is not None:
-                    slot.pending_evict.append(name)
-        self._acc = SharedArrayPack({
-            "totals": np.zeros(shape, dtype=np.float64),
-            "samples": np.zeros(sockets, dtype=np.int64),
-        })
-        return self._acc
-
     # ------------------------------------------------------------- dispatch
-    def _fail(self, reason: str, active_slots: Sequence[_Slot],
-              what: str) -> None:
+    def _fail(self, reason: str, active_slots: Sequence[_Slot]) -> None:
         """Abandon the in-flight dispatch: warn, count, mark for respawn."""
         self.stats["failures"] += 1
         for slot in active_slots:
             slot.dirty = True
-        warnings.warn(f"warm pool {what} failed ({reason}); "
-                      "falling back to the sequential path", RuntimeWarning,
-                      stacklevel=4)
+        warnings.warn(f"warm pool dispatch failed ({reason}); "
+                      "falling back to the in-process path", RuntimeWarning,
+                      stacklevel=3)
 
-    def run_replicas(self, compiled, *, sockets: int, seed: int,
-                     total_sweeps: int, burn_in: int, sync_every: int = 1,
-                     timeout: float | None = None) -> ReplicaOutcome | None:
-        """Fan ``sockets`` replica chains over the warm workers.
-
-        Replica ``s`` always runs with seed ``seed + s``; totals are
-        bit-identical to the sequential loop, ``None`` on any failure.
-        """
-        if self._closed or sockets < 1:
-            return None
-        timeout = self.timeout if timeout is None else timeout
-        with self._lock:
-            if self._closed:
-                return None
-            started = perf_counter()
-            active_slots: list[_Slot] = []
-            try:
-                active = min(self.workers, sockets)
-                spawned_before = self.stats["spawns"] + self.stats["restarts"]
-                active_slots = self._ensure_workers(active)[:active]
-                cold = (self.stats["spawns"] + self.stats["restarts"]
-                        > spawned_before)
-                entry = self._stage_graph(compiled)
-                acc = self._stage_acc(sockets, compiled.num_variables)
-                trace = obs.enabled()
-                rendezvous = active > 1
-                assignments = [[s for s in range(sockets) if s % active == w]
-                               for w in range(active)]
-                with obs.span("numa.parallel_replicas", sockets=sockets,
-                              workers=active,
-                              sync_every=sync_every) as sp:
-                    for w, slot in enumerate(active_slots):
-                        slot.conn.send({
-                            "kind": "replicas",
-                            "graph": entry.pack.handle,
-                            "generation": entry.generation,
-                            "acc": acc.handle,
-                            "replica_ids": assignments[w],
-                            "seed": seed,
-                            "total_sweeps": total_sweeps,
-                            "burn_in": burn_in,
-                            "sync_every": sync_every,
-                            "rendezvous": rendezvous,
-                            "trace": trace,
-                            "fault": self._faults.pop(w, None),
-                            "evict": slot.take_evictions(),
-                        })
-                    self.last_dispatch_overhead = perf_counter() - started
-                    self.last_dispatch_cold = cold
-                    self.stats["dispatches"] += 1
-                    if obs.enabled():
-                        obs.observe("parallel.dispatch_overhead_seconds",
-                                    self.last_dispatch_overhead,
-                                    cold=cold, workload="replicas")
-                    adopted = self._collect_replicas(active_slots, timeout)
-                    outcome = ReplicaOutcome(
-                        totals=np.array(acc.views["totals"]).sum(axis=0),
-                        socket_samples=[int(n) for n in acc.views["samples"]])
-                    sp.set(samples=sum(outcome.socket_samples))
-                    for spans, metrics in adopted:
-                        obs.adopt(spans, metrics)
-                return outcome
-            except _DispatchFailure as exc:
-                self._fail(str(exc), active_slots, "replica dispatch")
-                return None
-            except Exception as exc:             # pipe, pickling, attach, ...
-                self._fail(repr(exc), active_slots, "replica dispatch")
-                return None
-
-    def _collect_replicas(self, active_slots: list[_Slot],
-                          timeout: float) -> list[tuple]:
-        """Drive the rendezvous protocol until every worker reports done."""
-        deadline = monotonic() + timeout
-        pending = set(range(len(active_slots)))
-        arrivals: dict[int, set[int]] = {}
-        adopted: list[tuple] = []
-        conn_of = {active_slots[w].conn: w for w in pending}
-        sentinel_of = {active_slots[w].process.sentinel: w for w in pending}
-        while pending:
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                raise _DispatchFailure("deadline exceeded")
-            watch = [active_slots[w].conn for w in pending] \
-                + [active_slots[w].process.sentinel for w in pending]
-            ready = _connection_wait(watch, timeout=min(remaining, 0.25))
-            ready_set = set(ready)
-            for obj in ready:
-                w = conn_of.get(obj)
-                if w is None or w not in pending:
-                    continue
-                message = active_slots[w].conn.recv()
-                kind = message.get("kind")
-                if kind == "done":
-                    pending.discard(w)
-                    if message.get("trace") is not None:
-                        adopted.append(message["trace"])
-                elif kind == "sync":
-                    r = message["round"]
-                    seen = arrivals.setdefault(r, set())
-                    seen.add(w)
-                    if len(seen) == len(active_slots):
-                        del arrivals[r]
-                        for slot in active_slots:
-                            slot.conn.send({"kind": "go"})
-                elif kind == "error":
-                    raise _DispatchFailure(
-                        f"worker raised {message.get('detail')}")
-                else:
-                    raise _DispatchFailure(
-                        f"unexpected worker message {kind!r}")
-            for obj in ready_set:
-                w = sentinel_of.get(obj)
-                if w is None or w not in pending:
-                    continue
-                # The process died; drain any message that raced the death
-                # before declaring failure.
-                if active_slots[w].conn.poll(0):
-                    continue
-                active_slots[w].process.join(timeout=0.1)   # reap exitcode
-                raise _DispatchFailure(
-                    f"worker exited with {active_slots[w].process.exitcode}")
-        return adopted
-
-    def map(self, fn: Callable, items: Sequence, *,
+    def map(self, fn: Callable, items: Sequence, *, graph=None,
             timeout: float | None = None) -> list | None:
         """``[fn(x) for x in items]`` across the warm workers, or ``None``.
 
+        With ``graph`` (a :class:`~repro.factorgraph.compiled.CompiledGraph`)
+        the graph is staged in the segment cache and each worker calls
+        ``fn(sampler, x)`` on its cached sampler over the shared copy.
         Deterministic merge by contiguous chunk index; ``fn`` must be a
-        picklable module-level callable under ``spawn``.
+        picklable module-level callable.
         """
         if self._closed:
             return None
@@ -709,9 +400,14 @@ class WorkerPool:
             try:
                 active = min(self.workers, len(items))
                 spawned_before = self.stats["spawns"] + self.stats["restarts"]
-                active_slots = self._ensure_workers(active)[:active]
+                active_slots = self._ensure_workers(active)
                 cold = (self.stats["spawns"] + self.stats["restarts"]
                         > spawned_before)
+                staged = {}
+                if graph is not None:
+                    entry = self._stage_graph(graph)
+                    staged = {"graph": entry.pack.handle,
+                              "generation": entry.generation}
                 trace = obs.enabled()
                 slices = chunk_slices(len(items), active)
                 shares: list[list[tuple[int, list]]] = [[] for _ in
@@ -725,15 +421,15 @@ class WorkerPool:
                         "chunks": shares[w],
                         "trace": trace,
                         "evict": slot.take_evictions(),
+                        **staged,
                     })
                 self.last_dispatch_overhead = perf_counter() - started
                 self.last_dispatch_cold = cold
                 self.stats["dispatches"] += 1
-                if obs.enabled():
+                if trace:
                     obs.observe("parallel.dispatch_overhead_seconds",
-                                self.last_dispatch_overhead,
-                                cold=cold, workload="map")
-                collected, adopted = self._collect_map(active_slots, timeout)
+                                self.last_dispatch_overhead, cold=cold)
+                collected, adopted = self._collect(active_slots, timeout)
                 for spans, metrics in adopted:
                     obs.adopt(spans, metrics)
                 merged: list = []
@@ -741,14 +437,15 @@ class WorkerPool:
                     merged.extend(collected[index])
                 return merged
             except _DispatchFailure as exc:
-                self._fail(str(exc), active_slots, "fan-out")
+                self._fail(str(exc), active_slots)
                 return None
             except Exception as exc:             # pipe, pickling, attach, ...
-                self._fail(repr(exc), active_slots, "fan-out")
+                self._fail(repr(exc), active_slots)
                 return None
 
-    def _collect_map(self, active_slots: list[_Slot],
-                     timeout: float) -> tuple[dict[int, list], list[tuple]]:
+    def _collect(self, active_slots: list[_Slot],
+                 timeout: float) -> tuple[dict[int, list], list[tuple]]:
+        """Wait for every active worker's results, bounded by ``timeout``."""
         deadline = monotonic() + timeout
         pending = set(range(len(active_slots)))
         collected: dict[int, list] = {}
@@ -762,29 +459,25 @@ class WorkerPool:
             watch = [active_slots[w].conn for w in pending] \
                 + [active_slots[w].process.sentinel for w in pending]
             ready = _connection_wait(watch, timeout=min(remaining, 0.25))
-            ready_set = set(ready)
             for obj in ready:
                 w = conn_of.get(obj)
                 if w is None or w not in pending:
                     continue
                 message = active_slots[w].conn.recv()
-                kind = message.get("kind")
-                if kind == "done":
-                    pending.discard(w)
-                    for index, output in message["results"]:
-                        collected[index] = output
-                    if message.get("trace") is not None:
-                        adopted.append(message["trace"])
-                elif kind == "error":
+                if message.get("kind") == "error":
                     raise _DispatchFailure(
                         f"worker raised {message.get('detail')}")
-                else:
-                    raise _DispatchFailure(
-                        f"unexpected worker message {kind!r}")
-            for obj in ready_set:
+                pending.discard(w)
+                for index, output in message["results"]:
+                    collected[index] = output
+                if message.get("trace") is not None:
+                    adopted.append(message["trace"])
+            for obj in ready:
                 w = sentinel_of.get(obj)
                 if w is None or w not in pending:
                     continue
+                # The process died; drain any message that raced the death
+                # before declaring failure.
                 if active_slots[w].conn.poll(0):
                     continue
                 active_slots[w].process.join(timeout=0.1)   # reap exitcode

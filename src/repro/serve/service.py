@@ -47,7 +47,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.engine import AppFactory, ServeEngine
 from repro.serve.ops import IngestOp
 from repro.serve.snapshot import Snapshot
-from repro.serve.wal import WriteAheadLog
+from repro.serve.wal import WriteAheadLog, fsync_directory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compliance.manifest import ComplianceManifest
@@ -176,6 +176,7 @@ class KBService:
                                         keep=config.keep_checkpoints)
         checkpoints.save(engine.checkpoint_payload(),
                          lsn=wal.last_lsn, database=engine.app.db)
+        fsync_directory(directory)       # the new checkpoints/ entry
         service = cls(engine, directory, wal, checkpoints, snapshot)
         if start:
             service.start()

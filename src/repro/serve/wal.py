@@ -88,8 +88,14 @@ class WriteAheadLog:
                         os.fsync(stream.fileno())
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            # a new log is durable before anything is acknowledged through
+            # it: its header (without one the log cannot be opened) and
+            # its directory entry
             with open(self.path, "w", encoding="utf-8") as stream:
                 stream.write(_header_line(0))
+                stream.flush()
+                os.fsync(stream.fileno())
+            fsync_directory(self.path.parent)
         self._stream = open(self.path, "a", encoding="utf-8")
 
     # --------------------------------------------------------------- parsing

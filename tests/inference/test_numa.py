@@ -31,7 +31,10 @@ class TestNumaConfig:
     @pytest.mark.parametrize("removed", [{"engine": "reference"},
                                          {"pool_warm": True},
                                          {"pool_min_work": 0},
-                                         {"pool_owner": "shard-00"}])
+                                         {"pool_owner": "shard-00"},
+                                         {"cores_per_socket": 10},
+                                         {"parallel_mode": "fork"},
+                                         {"parallel_timeout": 60.0}])
     def test_removed_fields_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             NumaConfig(**removed)
@@ -39,10 +42,6 @@ class TestNumaConfig:
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):
             NumaConfig(workers=-1)
-
-    def test_invalid_parallel_mode(self):
-        with pytest.raises(ValueError, match="parallel mode"):
-            NumaConfig(parallel_mode="threads")
 
     @pytest.mark.parametrize("sync_every", [0, -1])
     def test_sync_every_below_one_rejected(self, sync_every):

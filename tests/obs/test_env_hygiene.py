@@ -75,7 +75,12 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  # per-key new-variable hook beside _label_new_variables
                  "_ground_row", "_variable_for", "_on_new_variable",
                  # scan loops beside Scanner.scan_rows
-                 "scan_relation", "scan_snapshot", "scan_column")
+                 "scan_relation", "scan_snapshot", "scan_column",
+                 # a second pool protocol beside WorkerPool.map, its fault
+                 # hook, and NumaConfig knobs nothing set
+                 "_worker_replicas", "_collect_replicas", "ReplicaOutcome",
+                 "inject_fault", "_stage_acc", "VALID_PARALLEL_MODES",
+                 "parallel_timeout", "cores_per_socket")
 
 #: The scalar flip rules are test oracles: each name may appear as a call
 #: or definition only in these src files (its definition and the other

@@ -1,13 +1,14 @@
 """The warm pool's fan-out map (ordering, deadline, trace adoption) and the
 process-wide pool registry."""
 
+import multiprocessing
 import time
 
 import pytest
 
 from repro import obs
 from repro.parallel import (WorkerPool, chunk_slices, effective_cpus,
-                            get_pool, resolve_mode, shutdown_pools)
+                            get_pool, shutdown_pools)
 from repro.parallel.registry import _POOLS
 
 
@@ -41,19 +42,23 @@ class TestChunkSlices:
         assert max(sizes) - min(sizes) <= 1
 
 
+def platform_start_method():
+    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+
+
 class TestResolveMode:
     def test_auto_resolves(self):
-        assert resolve_mode("auto") in ("fork", "spawn")
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="start method"):
-            resolve_mode("threads")
+        """The platform picks the start method: fork where it exists,
+        spawn otherwise."""
+        with WorkerPool(1) as pool:
+            assert pool.mode == platform_start_method()
 
 
 class TestWorkerPoolMap:
     def test_order_preserved(self):
         items = list(range(37))
-        with WorkerPool(3, mode="fork") as pool:
+        with WorkerPool(3) as pool:
             assert pool.map(square, items) == [square(x) for x in items]
 
     def test_empty_items(self):
@@ -65,13 +70,13 @@ class TestWorkerPoolMap:
             WorkerPool(0)
 
     def test_timeout_returns_none(self):
-        with WorkerPool(2, mode="fork") as pool:
+        with WorkerPool(2) as pool:
             with pytest.warns(RuntimeWarning, match="deadline"):
                 assert pool.map(snail, [1, 2], timeout=0.5) is None
 
     def test_worker_traces_adopted(self):
         collector = obs.Collector()
-        with WorkerPool(2, mode="fork") as pool, obs.installed(collector):
+        with WorkerPool(2) as pool, obs.installed(collector):
             with obs.span("parent"):
                 result = pool.map(counted, list(range(8)))
         assert result == [x + 1 for x in range(8)]
@@ -95,7 +100,11 @@ class TestRegistry:
         assert first is not None and get_pool(2) is first
 
     def test_default_mode_shares_the_auto_pool(self):
-        assert get_pool(2) is get_pool(2, mode="auto")
+        """Pools are keyed by worker count alone, each on the platform's
+        start method."""
+        pool = get_pool(2)
+        assert get_pool(1) is not pool and get_pool(2) is pool
+        assert pool.mode == platform_start_method()
 
     def test_pools_are_rebuilt_after_close(self):
         pool = get_pool(2)

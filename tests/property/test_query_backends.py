@@ -278,17 +278,19 @@ class TestIncrementalBackendParity:
     def test_columnar_evaluator_tracks_row_evaluator(self, scenario):
         """Both engines maintain identical view state across change batches
         (initial load AND every delta application)."""
-        from repro.datastore.incremental import IncrementalEvaluator
-        from repro.datastore.ivm import SignedDelta
+        from repro.datastore.ivm import MaterializedView, SignedDelta
+
+        def counts(view):
+            return Counter({row: view.derivation_count(row)
+                            for row in view.iter_visible()})
 
         initial_r, initial_s, batches = scenario
-        evaluators = {}
+        views = {}
         databases = {}
         for backend, config in (("row", ROW), ("columnar", COLUMNAR)):
             databases[backend] = make_db(initial_r, initial_s, config)
-            evaluators[backend] = IncrementalEvaluator(
-                PLAN, databases[backend])
-        assert evaluators["row"].current() == evaluators["columnar"].current()
+            views[backend] = MaterializedView("V", PLAN, databases[backend])
+        assert counts(views["row"]) == counts(views["columnar"])
 
         for inserts, deletes in batches:
             outputs = {}
@@ -304,8 +306,8 @@ class TestIncrementalBackendParity:
                         db[name].insert(r)
                     for r in deletes[name]:
                         db[name].delete(r)
-                applied = evaluators[backend].apply(deltas)
+                applied = views[backend]._evaluator.apply(deltas)
+                views[backend].apply(applied)
                 outputs[backend] = Counter(dict(applied.items()))
             assert outputs["row"] == outputs["columnar"]
-            assert evaluators["row"].current() == \
-                evaluators["columnar"].current()
+            assert counts(views["row"]) == counts(views["columnar"])

@@ -124,6 +124,32 @@ class TestIngestPath:
         assert all(event in remaining for event in expected), events
 
 
+    def test_create_fsyncs_the_service_directory_last(self, tmp_path,
+                                                      monkeypatch):
+        """Bootstrap leaves nothing behind a power loss can take: the new
+        WAL and its entry, the checkpoint, and then the service
+        directory's entry for ``checkpoints/``."""
+        events = []
+        fsync = os.fsync
+
+        def recording_fsync(descriptor):
+            fsync(descriptor)
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", recording_fsync)
+            service = live_service(tmp_path, wal_fsync=True)
+        with service:
+            directory = service.wal.path.parent.stat().st_ino
+            expected = [("fsync", service.wal.path.stat().st_ino),
+                        ("fsync", directory),
+                        ("fsync", service.checkpoints.directory.stat().st_ino),
+                        ("fsync", directory)]
+        remaining = iter(events)
+        assert all(event in remaining for event in expected), events
+        assert events[-1] == ("fsync", directory)
+
+
 class TestAdmissionControl:
     def test_reject_policy_fails_fast(self, tmp_path):
         service = stub_service(tmp_path, queue_capacity=2, admission="reject")

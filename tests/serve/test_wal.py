@@ -1,6 +1,7 @@
 """Write-ahead log: append/replay round-trips and corruption handling."""
 
 import json
+import os
 import warnings
 
 import pytest
@@ -153,6 +154,25 @@ class TestCorruption:
     def test_fsync_mode_appends(self, tmp_path):
         with WriteAheadLog(tmp_path / "ingest.wal", fsync=True) as wal:
             assert wal.append(sample_batch()) == 1
+
+    def test_new_log_is_fsynced_then_its_directory(self, tmp_path,
+                                                   monkeypatch):
+        """A power loss after the first acknowledged commit must not lose
+        the log: a new file's header, then its directory entry, are
+        fsynced before anything is appended."""
+        events = []
+        fsync = os.fsync
+
+        def recording_fsync(descriptor):
+            fsync(descriptor)
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+
+        path = tmp_path / "ingest.wal"
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", recording_fsync)
+            WriteAheadLog(path, fsync=True).close()
+        assert events == [("fsync", path.stat().st_ino),
+                          ("fsync", tmp_path.stat().st_ino)]
 
 
 class TestCompaction:
