@@ -20,6 +20,16 @@ no factor).  For the same reason, sampling a color block simultaneously is
 *bit-identical* to sampling its variables sequentially with the same uniform
 draws -- which is what :meth:`GibbsSampler.sweep_reference` (the scalar
 oracle) does, and what the equivalence tests assert.
+
+A block variable's conditional depends only on the values behind its few
+*other* edges, so a color block whose variables have at most
+:data:`TABLE_MAX_EDGES` of them each samples from a :class:`_FlipTable`: the
+flip probability of every world of those edges, computed from the current
+weights with the same addends in the same order as the direct path.  A sweep
+then packs each variable's edge values into a row number and gathers, and
+stays bit-identical.  The first sweep after a weight refresh still takes the
+direct path (the learner sweeps once per refresh and would pay for a table it
+never reads); the second rebuilds the table.
 """
 
 from __future__ import annotations
@@ -31,7 +41,14 @@ from time import perf_counter
 import numpy as np
 
 from repro import obs
-from repro.factorgraph.compiled import ColorBlock, CompiledGraph
+from repro.factorgraph.compiled import ColorBlock, CompiledGraph, _csr_rows
+
+#: Most other edges a block variable may have for its block to sample from
+#: a flip table (``2**TABLE_MAX_EDGES`` rows for that variable alone).
+TABLE_MAX_EDGES = 8
+
+#: Set bits of every ``TABLE_MAX_EDGES``-bit row number.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << TABLE_MAX_EDGES)])
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
@@ -112,26 +129,139 @@ class MarginalResult:
         return {key: float(p) for key, p in zip(compiled.var_keys, self.marginals)}
 
 
+class _FlipTable:
+    """Flip log-odds and probabilities of a color block for every world of
+    each block variable's other edges.
+
+    A variable with ``k`` other edges owns ``2**k`` consecutive rows from
+    its ``offsets`` entry; bit ``r`` of a row is the raw value of the
+    variable behind its ``r``-th other edge (in block order), so a row can
+    hold an inconsistent world (a repeated other member at two values) that
+    no lookup reaches.  Everything but ``log_odds`` and ``probs`` is
+    structure, built once from the block: each (row, slot) pair records
+    whether the slot fires in that row's world.  The pairs run slot after
+    slot, so every row meets its slots in slot order, and :meth:`refresh`
+    sums each row's weighted pairs with the addends and in the order of
+    :meth:`_BlockKernel.deltas`: every row is bit-identical to the direct
+    delta of its world.
+    """
+
+    __slots__ = ("other_vars", "edge_position", "edge_bit", "offsets",
+                 "row_variable", "pair_row", "pair_slot", "pair_fires",
+                 "log_odds", "probs")
+
+    def __init__(self, block: ColorBlock, edge_position: np.ndarray,
+                 edge_counts: np.ndarray) -> None:
+        # each other edge's bit: its rank among its own variable's edges
+        order = np.argsort(edge_position, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order)) - np.repeat(
+            np.cumsum(edge_counts) - edge_counts, edge_counts)
+        bit = np.left_shift(1, rank)
+        sizes = np.left_shift(1, edge_counts)
+        row_indptr = np.concatenate(([0], np.cumsum(sizes)))
+
+        # a slot's other edges as masks over its variable's row bits, and
+        # the true other literals of every (row, slot) pair
+        num_slots = block.num_slots
+        mask = np.bincount(block.other_slot, weights=bit,
+                           minlength=num_slots).astype(np.int64)
+        negated = np.bincount(block.other_slot,
+                              weights=bit * block.other_negated,
+                              minlength=num_slots).astype(np.int64)
+        pair_row, rows_per_slot = _csr_rows(row_indptr, block.slot_var)
+        pair_slot = np.repeat(np.arange(num_slots), rows_per_slot)
+        world = pair_row - row_indptr[block.slot_var][pair_slot]
+        true_others = _POPCOUNT[(world ^ negated[pair_slot]) & mask[pair_slot]]
+
+        self.other_vars = block.other_vars
+        self.edge_position = edge_position
+        self.edge_bit = bit.astype(np.float64)
+        self.offsets = row_indptr[:-1].astype(np.float64)
+        self.row_variable = np.repeat(np.arange(len(sizes)), sizes)
+        self.pair_row = pair_row
+        self.pair_slot = pair_slot
+        self.pair_fires = true_others == block.slot_target[pair_slot]
+
+    def refresh(self, signed_weights: np.ndarray, unary: np.ndarray) -> None:
+        weighted = self.pair_fires * signed_weights[self.pair_slot]
+        log_odds = np.bincount(self.pair_row, weights=weighted,
+                               minlength=len(self.row_variable))
+        self.log_odds = np.add(unary[self.row_variable], log_odds, out=log_odds)
+        self.probs = _sigmoid_array(log_odds)
+
+    def rows(self, assignment: np.ndarray) -> np.ndarray:
+        """Every block variable's row for the world ``assignment``."""
+        row = np.bincount(self.edge_position,
+                          weights=assignment[self.other_vars] * self.edge_bit,
+                          minlength=len(self.offsets))
+        return (row + self.offsets).astype(np.intp)
+
+
 class _BlockKernel:
     """One color block bound to a sampler: cached weights plus scratch.
 
-    :meth:`deltas` is the per-color inner loop of every sweep, so everything
-    that does not depend on the current world is hoisted out of it: the
-    signed slot weights and the block's unary deltas are gathered once per
-    :meth:`refresh`, and the per-slot contribution buffer is allocated once.
+    :meth:`probabilities` is the per-color inner loop of every sweep, so
+    everything that does not depend on the current world is hoisted out of
+    it: the signed slot weights and the block's unary deltas are gathered
+    once per :meth:`refresh`, the per-slot contribution buffer is allocated
+    once, and the flip table is built once, on first use.
     """
 
-    __slots__ = ("block", "signed_weights", "unary", "_contribution", "_hits")
+    __slots__ = ("block", "signed_weights", "unary", "table_rows", "_table",
+                 "_edge_position", "_edge_counts", "_sweeps",
+                 "_contribution", "_hits")
 
     def __init__(self, block: ColorBlock) -> None:
         self.block = block
         self._contribution = np.empty(block.num_slots, dtype=np.float64)
         self._hits: tuple[np.ndarray, ...] | None = None
+        self._edge_position = block.slot_var[block.other_slot]
+        self._edge_counts = np.bincount(self._edge_position,
+                                        minlength=len(block.variables))
+        #: rows of the block's flip table; 0 keeps it on :meth:`deltas`
+        self.table_rows = (int(np.left_shift(1, self._edge_counts).sum())
+                           if self._edge_counts.max() <= TABLE_MAX_EDGES
+                           else 0)
+        self._table: _FlipTable | None = None
+        self._sweeps = 0
 
     def refresh(self, weights: np.ndarray, unary_deltas: np.ndarray) -> None:
         block = self.block
         self.signed_weights = block.slot_sign * weights[block.slot_weight]
         self.unary = unary_deltas[block.variables]
+        self._sweeps = 0                # the table is stale until rebuilt
+
+    @property
+    def from_table(self) -> bool:
+        """Whether the last sweep sampled the block from its flip table."""
+        return self._sweeps == 2
+
+    def probabilities(self, assignment: np.ndarray,
+                      beta: float = 1.0) -> np.ndarray:
+        """Flip probabilities ``sigmoid(beta * deltas)`` of the block.
+
+        The first sweep after a :meth:`refresh` computes them through
+        :meth:`deltas`; the second rebuilds the flip table and every later
+        one reads it.  Both paths give the same bits.
+        """
+        if self._sweeps and self.table_rows:
+            table = self._table
+            if self._sweeps == 1:
+                if table is None:
+                    table = self._table = _FlipTable(
+                        self.block, self._edge_position, self._edge_counts)
+                table.refresh(self.signed_weights, self.unary)
+                self._sweeps = 2
+            row = table.rows(assignment)
+            if beta == 1.0:
+                return table.probs[row]
+            return _sigmoid_array(table.log_odds[row] * beta)
+        self._sweeps = 1
+        deltas = self.deltas(assignment)
+        if beta != 1.0:
+            deltas *= beta
+        return _sigmoid_array(deltas)
 
     def deltas(self, assignment: np.ndarray) -> np.ndarray:
         """Flip deltas (log-odds) for every variable of the block.
@@ -263,7 +393,8 @@ class GibbsSampler:
               beta: float = 1.0) -> int:
         """One full Gibbs sweep in place; returns variables sampled.
 
-        Vectorized: the unary-only pass plus one pass per color.
+        Vectorized: the unary-only pass plus one pass per color, each
+        through :meth:`_BlockKernel.probabilities`.
         ``on_color(color, before, after, started)``, when given, sees every
         color block's old and freshly sampled values just before they are
         written; it observes only, so a hooked sweep is the same chain.
@@ -281,10 +412,8 @@ class GibbsSampler:
                 started = perf_counter() if on_color is not None else 0.0
                 variables = kernel.block.variables
                 n = len(variables)
-                deltas = kernel.deltas(assignment)
-                if beta != 1.0:
-                    deltas *= beta
-                values = uniforms[offset:offset + n] < _sigmoid_array(deltas)
+                values = (uniforms[offset:offset + n]
+                          < kernel.probabilities(assignment, beta))
                 if on_color is not None:
                     on_color(color, assignment[variables], values, started)
                 assignment[variables] = values
@@ -344,7 +473,10 @@ class GibbsSampler:
         for ``num_samples < 1`` or ``burn_in < 0``.
         """
         check_chain_length(num_samples, burn_in)
+        tables = [kernel.table_rows for kernel in self._kernels
+                  if kernel.table_rows]
         with obs.span("inference.marginals", colors=len(self._blocks),
+                      table_blocks=len(tables), table_rows=sum(tables),
                       variables=self.compiled.num_variables,
                       num_samples=num_samples, burn_in=burn_in):
             if assignment is None:

@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler, exact_marginals, sigmoid
-from repro.inference.gibbs import _sigmoid_array
+from repro.inference.gibbs import TABLE_MAX_EDGES, _sigmoid_array
 
 
 def assert_close_to_exact(graph: FactorGraph, atol: float = 0.03) -> None:
@@ -274,6 +274,92 @@ class TestMechanics:
         m1 = GibbsSampler(compiled, seed=3).marginals(num_samples=100, burn_in=10)
         m2 = GibbsSampler(compiled, seed=3).marginals(num_samples=100, burn_in=10)
         np.testing.assert_array_equal(m1.marginals, m2.marginals)
+
+
+class TestFlipTable:
+    """A block samples from its flip table from the second sweep after a
+    refresh unless one of its variables has more than ``TABLE_MAX_EDGES``
+    other edges; either way the chain is the scalar oracle's."""
+
+    @staticmethod
+    def hub_graph(other_edges: int) -> CompiledGraph:
+        """A hub variable with ``other_edges`` other edges, spokes joined to
+        it through every general function, some literals negated.  An EQUAL
+        factor is two slots, so its spoke is two of the hub's edges."""
+        graph = FactorGraph()
+        hub = graph.variable("hub")
+        graph.add_factor(FactorFunction.IS_TRUE, [hub], graph.weight("u", -0.3))
+        functions = [FactorFunction.IMPLY, FactorFunction.AND,
+                     FactorFunction.OR, FactorFunction.EQUAL]
+        edges = i = 0
+        while edges < other_edges:
+            function = functions[i % 4]
+            if function == FactorFunction.EQUAL and edges + 2 > other_edges:
+                function = FactorFunction.AND
+            edges += 2 if function == FactorFunction.EQUAL else 1
+            spoke = graph.variable(("spoke", i))
+            graph.add_factor(function, [spoke, hub],
+                             graph.weight(("w", i), 0.4 * (i - 4)),
+                             negated=[i % 3 == 0, i % 5 == 0])
+            i += 1
+        return CompiledGraph(graph)
+
+    @pytest.mark.parametrize("other_edges,from_table", [
+        (TABLE_MAX_EDGES, True), (TABLE_MAX_EDGES + 1, False)])
+    def test_table_bound(self, other_edges, from_table):
+        compiled = self.hub_graph(other_edges)
+        fast, slow = GibbsSampler(compiled, seed=4), GibbsSampler(compiled, seed=4)
+        hub = compiled.var_keys.index("hub")
+        (kernel,) = [k for k in fast._kernels if hub in k.block.variables]
+        assert kernel.block.variables.tolist() == [hub]
+        assert kernel.table_rows == (2 ** other_edges if from_table else 0)
+        world_fast, world_slow = fast.initial_assignment(), slow.initial_assignment()
+        for sweep in range(30):
+            fast.sweep(world_fast)
+            slow.sweep_reference(world_slow)
+            np.testing.assert_array_equal(world_fast, world_slow)
+            assert kernel.from_table == (from_table and sweep > 0)
+        # the spokes (one or two other edges each) sample from their table
+        assert all(k.from_table for k in fast._kernels if k is not kernel)
+
+    @pytest.mark.parametrize("other_edges,table_blocks", [
+        (TABLE_MAX_EDGES, 2), (TABLE_MAX_EDGES + 1, 1)])
+    def test_marginals_span_counts_tabled_blocks(self, other_edges,
+                                                 table_blocks):
+        """A trace shows a wide variable sending its block back to the
+        direct path: ``table_blocks`` out of ``colors``, and the rows."""
+        compiled = self.hub_graph(other_edges)
+        sampler = GibbsSampler(compiled, seed=0)
+        with obs.installed(obs.Collector()) as collector:
+            sampler.marginals(num_samples=3, burn_in=1)
+        (span,) = collector.roots
+        assert span.name == "inference.marginals"
+        assert span.attributes["colors"] == 2
+        assert span.attributes["table_blocks"] == table_blocks
+        assert span.attributes["table_rows"] == sum(
+            kernel.table_rows for kernel in sampler._kernels)
+
+    def test_rows_hold_the_direct_deltas(self):
+        """At every world of the hub's spokes, the row it looks up holds the
+        direct delta and its sigmoid, bit for bit."""
+        compiled = self.hub_graph(TABLE_MAX_EDGES)
+        sampler = GibbsSampler(compiled, seed=0)
+        hub = compiled.var_keys.index("hub")
+        (kernel,) = [k for k in sampler._kernels if hub in k.block.variables]
+        world = sampler.initial_assignment()
+        sampler.sweep(world)
+        sampler.sweep(world)
+        table = kernel._table
+        spokes = np.unique(kernel.block.other_vars)
+        rows = set()
+        for bits in range(2 ** len(spokes)):
+            world[spokes] = [(bits >> r) & 1 for r in range(len(spokes))]
+            (row,) = table.rows(world)
+            rows.add(int(row))
+            deltas = kernel.deltas(world)
+            assert table.log_odds[row] == deltas[0]
+            assert table.probs[row] == _sigmoid_array(deltas)[0]
+        assert len(rows) == 2 ** len(spokes)
 
 
 def mixed_graph(seed=0, num_variables=30):

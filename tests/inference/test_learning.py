@@ -166,19 +166,33 @@ class TestWeightRefresh:
         assert hits_stale[0] < 150
 
     def test_refresh_updates_general_factor_cache(self):
-        """The chromatic engine caches signed per-slot weights; a refresh
-        after a general-factor weight update must change the block deltas."""
+        """The chromatic engine caches signed per-slot weights and a flip
+        table; a refresh after a general-factor weight update must change
+        the block deltas, and the table's rows once it is rebuilt."""
         compiled = CompiledGraph(self.coupled_graph())
         sampler = GibbsSampler(compiled, seed=0)
+        kernel = sampler._kernels[0]
         world = np.array([True, False])
-        before = sampler._kernels[0].deltas(world).copy()
+        chain = sampler.initial_assignment()
+        before = kernel.deltas(world).copy()
+        sampler.sweep(chain)
+        sampler.sweep(chain)
+        assert kernel.from_table
+        rows_before = kernel._table.log_odds.copy()
         couple = compiled.weight_keys.index("couple")
         new_weights = compiled.weight_values.copy()
         new_weights[couple] = 5.0
         compiled.set_weights(new_weights)
         sampler.refresh_weights()
-        after = sampler._kernels[0].deltas(world)
+        after = kernel.deltas(world)
         assert not np.array_equal(before, after)
+        sampler.sweep(chain)
+        assert not kernel.from_table          # stale: the first sweep is direct
+        sampler.sweep(chain)
+        assert kernel.from_table
+        table = kernel._table
+        assert not np.array_equal(rows_before, table.log_odds)
+        np.testing.assert_array_equal(table.log_odds[table.rows(world)], after)
 
 
 class TestAdaGrad:

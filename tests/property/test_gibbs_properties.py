@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler
 from repro.inference.exact import exact_marginals
+from repro.inference.gibbs import TABLE_MAX_EDGES
 
 
 @st.composite
-def random_graph(draw):
+def random_graph(draw, max_factors=10, max_arity=3):
     """A small random factor graph mixing every factor type."""
     num_variables = draw(st.integers(min_value=2, max_value=7))
     graph = FactorGraph()
     for i in range(num_variables):
         graph.variable(i)
-    num_factors = draw(st.integers(min_value=1, max_value=10))
+    num_factors = draw(st.integers(min_value=1, max_value=max_factors))
     for f in range(num_factors):
         function = draw(st.sampled_from(list(FactorFunction)))
         if function == FactorFunction.IS_TRUE:
@@ -24,7 +25,7 @@ def random_graph(draw):
         elif function == FactorFunction.EQUAL:
             arity = 2
         else:
-            arity = draw(st.integers(min_value=2, max_value=3))
+            arity = draw(st.integers(min_value=2, max_value=max_arity))
         # members may repeat: a variable can occur twice in one factor
         members = draw(st.lists(st.integers(0, num_variables - 1),
                                 min_size=arity, max_size=arity))
@@ -112,6 +113,43 @@ class TestSweepInvariants:
         for _ in range(5):
             sampler.sweep(world)
             np.testing.assert_array_equal(world[evidence], expected)
+
+
+class TestSweepOracle:
+    """Every branch of the color kernel -- the direct path on the first
+    sweep after a refresh, the flip table from the second, a block whose
+    variable has more than ``TABLE_MAX_EDGES`` other edges staying direct,
+    and the tempered lookup -- is the scalar oracle's chain, bit for bit."""
+
+    @given(random_graph(max_factors=16, max_arity=4), st.integers(0, 10_000),
+           st.booleans(), st.booleans(), st.sampled_from([1.0, 0.5, 3.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_sweep_matches_reference_across_a_refresh(self, graph, seed, clamp,
+                                                      restrict, beta):
+        compiled = CompiledGraph(graph)
+        rng = np.random.default_rng(seed)
+        region = rng.random(compiled.num_variables) < 0.7 if restrict else None
+        fast = GibbsSampler(compiled, seed=seed, clamp_evidence=clamp,
+                            region=region)
+        slow = GibbsSampler(compiled, seed=seed, clamp_evidence=clamp,
+                            region=region)
+        world = fast.initial_assignment()
+        reference = slow.initial_assignment()
+        for sweep in range(6):
+            if sweep == 2:
+                # new weights after the first table build: a table that is
+                # not rebuilt (or is read on the first sweep) diverges
+                compiled.set_weights(compiled.weight_values + rng.normal(
+                    0.0, 2.0, compiled.num_weights))
+                fast.refresh_weights()
+                slow.refresh_weights()
+            assert fast.sweep(world, beta=beta) == \
+                slow.sweep_reference(reference, beta=beta)
+            np.testing.assert_array_equal(world, reference)
+        for kernel in fast._kernels:
+            counts = np.bincount(kernel.block.slot_var[kernel.block.other_slot],
+                                 minlength=len(kernel.block.variables))
+            assert kernel.from_table == (counts.max() <= TABLE_MAX_EDGES)
 
 
 class TestPermutationInvariance:
