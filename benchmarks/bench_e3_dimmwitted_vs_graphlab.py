@@ -14,8 +14,9 @@ The learning row measures the other half of an engineering-loop iteration:
 epochs/s of the learner on the vectorized factor-value kernel against the
 same learner on the scalar oracle, and sweeps/s of the lean chromatic sweep
 (its color blocks sampling from flip tables) against the pre-kernel
-formulation of the same arithmetic, both on the joint spouse graph and both
-required to stay bit-identical.
+formulation of the same arithmetic, and sweeps/s of one chain run by
+``GibbsSampler.run_chain`` against the ``sweep()`` loop it replaced, all on
+the joint spouse graph and all required to stay bit-identical.
 """
 
 from __future__ import annotations
@@ -313,8 +314,9 @@ class PreKernelSweep:
 
 
 def test_e3_learning_kernels_report(benchmark, reporter):
-    """Learner on the factor-value kernel vs on the scalar oracle, and the
-    lean sweep vs the pre-kernel sweep, on the joint spouse graph."""
+    """Learner on the factor-value kernel vs on the scalar oracle, the
+    lean sweep vs the pre-kernel sweep, and the chain runner vs the sweep()
+    loop, on the joint spouse graph."""
     graph = joint_spouse_graph()
     options = LearningOptions(epochs=15, seed=0)
     sweeps = 1500
@@ -364,6 +366,44 @@ def test_e3_learning_kernels_report(benchmark, reporter):
         measurements.update(
             lean_time=lean_time, before_time=before_time,
             sweep_bit_identical=bool(np.array_equal(world_lean, world_before)))
+
+        # one chain of ``sweeps`` sweeps, a fifth of them burn-in: the
+        # runner against the sweep() loop it replaced, alternately, three
+        # times each (the fastest of each counts)
+        burn_in = sweeps // 5
+
+        def run_chain(sampler, world):
+            return sampler.run_chain(world, sweeps - burn_in, burn_in)[0]
+
+        def sweep_loop(sampler, world):
+            totals = np.zeros(kernel.num_variables)
+            for sweep in range(sweeps):
+                sampler.sweep(world)
+                if sweep >= burn_in:
+                    totals += world
+            return totals
+
+        def chain(run):
+            sampler = GibbsSampler(kernel, seed=1)
+            world = sampler.initial_assignment()
+            start = time.perf_counter()
+            totals = run(sampler, world)
+            return (time.perf_counter() - start,
+                    (totals, world, sampler.rng.random(4)))
+
+        timings = {run_chain: [], sweep_loop: []}
+        results = {}
+        for _ in range(3):
+            for run in timings:
+                elapsed, results[run] = chain(run)
+                timings[run].append(elapsed)
+        measurements.update(
+            runner_time=min(timings[run_chain]),
+            loop_time=min(timings[sweep_loop]),
+            chunk_sweeps=GibbsSampler(kernel).chunk_sweeps,
+            chain_bit_identical=all(
+                np.array_equal(a, b) for a, b in zip(results[run_chain],
+                                                     results[sweep_loop])))
         return measurements
 
     once(benchmark, experiment)
@@ -374,6 +414,8 @@ def test_e3_learning_kernels_report(benchmark, reporter):
     lean_rate = sweeps / measurements["lean_time"]
     before_rate = sweeps / measurements["before_time"]
     sweep_speedup = lean_rate / before_rate
+    runner_rate = sweeps / measurements["runner_time"]
+    loop_rate = sweeps / measurements["loop_time"]
 
     reporter.line("E3 / Sec 2.5 + 4.2 -- learning and sweep kernels, "
                   "joint spouse graph")
@@ -393,13 +435,22 @@ def test_e3_learning_kernels_report(benchmark, reporter):
           f"{sweep_speedup:.2f}x"],
          ["pre-kernel formulation", f"{before_rate:,.0f}", "1.00x"]])
     reporter.line()
+    reporter.table(
+        [f"one {sweeps}-sweep chain (best of 3)", "sweeps/s", "relative"],
+        [["run_chain (chunks of "
+          f"{measurements['chunk_sweeps']} sweeps)", f"{runner_rate:,.0f}",
+          f"{runner_rate / loop_rate:.2f}x"],
+         ["sweep() loop", f"{loop_rate:,.0f}", "1.00x"]])
+    reporter.line()
     reporter.line(f"color blocks sampling from a flip table after two "
                   f"sweeps: {measurements['table_blocks']} of "
                   f"{measurements['colors']}")
     reporter.line(f"learned weights + gradient norms bit-identical: "
                   f"{measurements['learning_bit_identical']}; "
                   f"chains bit-identical: "
-                  f"{measurements['sweep_bit_identical']}")
+                  f"{measurements['sweep_bit_identical']}; "
+                  f"run_chain == sweep() loop (totals, world, RNG): "
+                  f"{measurements['chain_bit_identical']}")
     reporter.line(f"learning speedup: {learning_speedup:.2f}x "
                   f"(acceptance floor: 5x)")
     write_json("BENCH_e3_learning_kernels", {
@@ -413,12 +464,18 @@ def test_e3_learning_kernels_report(benchmark, reporter):
         "pre_kernel_sweeps_per_second": before_rate,
         "sweep_speedup": sweep_speedup,
         "sweep_bit_identical": measurements["sweep_bit_identical"],
+        "chain_sweeps_per_second": runner_rate,
+        "sweep_loop_sweeps_per_second": loop_rate,
+        "chain_speedup": runner_rate / loop_rate,
+        "chunk_sweeps": measurements["chunk_sweeps"],
+        "chain_bit_identical": measurements["chain_bit_identical"],
         "table_blocks": measurements["table_blocks"],
         "colors": measurements["colors"],
     })
 
     assert measurements["learning_bit_identical"]
     assert measurements["sweep_bit_identical"]
+    assert measurements["chain_bit_identical"]
     # not a timing: a block silently back on the direct path fails here
     assert measurements["table_blocks"] == measurements["colors"] > 0
     assert learning_speedup > 5.0

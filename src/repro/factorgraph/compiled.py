@@ -131,23 +131,27 @@ class CompiledGraph:
         coloring therefore partitions the dependent variables into blocks
         whose conditionals are mutually independent given the rest of the
         world.  Variables without general factors keep color -1 (they are the
-        sampler's fully-vectorized "independent" set already).
+        sampler's fully-vectorized "independent" set already).  The walk
+        runs on Python-list copies of the CSR arrays: indexing a numpy
+        array one element at a time costs several times more.
         """
-        colors = np.full(self.num_variables, -1, dtype=np.int64)
-        has_general = self.vf_indptr[1:] > self.vf_indptr[:-1]
-        for var in np.nonzero(has_general)[0]:
+        colors = [-1] * self.num_variables
+        vf_indptr, vf_factors = self.vf_indptr.tolist(), self.vf_factors.tolist()
+        fv_indptr, fv_vars = self.fv_indptr.tolist(), self.fv_vars.tolist()
+        for var in range(self.num_variables):
+            lo, hi = vf_indptr[var], vf_indptr[var + 1]
+            if lo == hi:
+                continue
             taken = set()
-            for slot in range(self.vf_indptr[var], self.vf_indptr[var + 1]):
-                fi = self.vf_factors[slot]
-                for other in self.fv_vars[self.fv_indptr[fi]:self.fv_indptr[fi + 1]]:
+            for fi in vf_factors[lo:hi]:
+                for other in fv_vars[fv_indptr[fi]:fv_indptr[fi + 1]]:
                     if other != var and colors[other] >= 0:
-                        taken.add(int(colors[other]))
+                        taken.add(colors[other])
             color = 0
             while color in taken:
                 color += 1
             colors[var] = color
-        num_colors = int(colors.max()) + 1 if has_general.any() else 0
-        return colors, num_colors
+        return np.array(colors, dtype=np.int64), max(colors, default=-1) + 1
 
     def color_blocks(self, active: np.ndarray) -> list["ColorBlock"]:
         """Compile the chromatic schedule restricted to ``active`` variables.

@@ -22,8 +22,9 @@ the new marginals? -- with different cost profiles:
   when updates are large or frequent, at some accuracy cost on strongly
   coupled graphs.
 
-Both run on the Gibbs sampler's color blocks: the sampling update sweeps a
-:class:`~repro.inference.GibbsSampler` restricted to the region, and a
+Both run on the Gibbs sampler's color blocks: the sampling update runs one
+chain of a :class:`~repro.inference.GibbsSampler` restricted to the region
+(``GibbsSampler.run_chain``, the one multi-sweep loop), and a
 mean-field pass is one Jacobi update, one expected-delta kernel call per
 color.  The scalar per-variable forms are test oracles only.
 
@@ -122,24 +123,20 @@ class SamplingMaterialization:
     def update(self, changed: set[int], radius: int = 1,
                num_samples: int = 40, burn_in: int = 10) -> UpdateResult:
         """Resample the changed neighbourhood, frontier clamped to the world:
-        a sampler whose region is the neighbourhood (minus evidence) sweeps
-        the stored world, continuing the strategy's RNG stream.  ``work`` is
-        region x sweeps."""
+        a sampler whose region is the neighbourhood (minus evidence) runs
+        one chain (``GibbsSampler.run_chain``) on the stored world,
+        continuing the strategy's RNG stream.  ``work`` is region x
+        sweeps."""
         check_chain_length(num_samples, burn_in)
         compiled = self.compiled
         sampler = GibbsSampler(compiled, seed=self.rng,
                                region=self.neighbourhood(changed, radius))
-        active = np.flatnonzero(~sampler.clamped)
-        totals = np.zeros(len(active), dtype=np.float64)
-        work = 0.0
-        for sweep in range(burn_in + num_samples):
-            work += sampler.sweep(self.world)
-            if sweep >= burn_in:
-                totals += self.world[active]
-        self.marginals[active] = totals / num_samples
+        totals, work = sampler.run_chain(self.world, num_samples, burn_in)
+        active = ~sampler.clamped
+        self.marginals[active] = totals[active] / num_samples
         clamped = compiled.is_evidence
         self.marginals[clamped] = compiled.evidence_values[clamped]
-        return UpdateResult(self.marginals.copy(), work)
+        return UpdateResult(self.marginals.copy(), float(work))
 
 
 class VariationalMaterialization:

@@ -30,6 +30,12 @@ then packs each variable's edge values into a row number and gathers, and
 stays bit-identical.  The first sweep after a weight refresh still takes the
 direct path (the learner sweeps once per refresh and would pay for a table it
 never reads); the second rebuilds the table.
+
+Every multi-sweep chain -- batch marginals, the served refresh and each NUMA
+replica -- runs through one loop, :meth:`GibbsSampler.run_chain`, the
+:meth:`GibbsSampler.sweep` loop's chain bit for bit at a fraction of its
+per-sweep numpy calls.  ``sweep`` stays for single steps: the learner's one
+sweep per refresh, the annealed MAP search and the runner's oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ from repro.factorgraph.compiled import ColorBlock, CompiledGraph, _csr_rows
 #: Most other edges a block variable may have for its block to sample from
 #: a flip table (``2**TABLE_MAX_EDGES`` rows for that variable alone).
 TABLE_MAX_EDGES = 8
+
+#: Uniforms per RNG draw of a chain: :meth:`GibbsSampler.run_chain` draws
+#: this many sweeps' worth at once (at least one sweep's).
+CHAIN_UNIFORMS = 1 << 15
 
 #: Set bits of every ``TABLE_MAX_EDGES``-bit row number.
 _POPCOUNT = np.array([bin(i).count("1") for i in range(1 << TABLE_MAX_EDGES)])
@@ -146,9 +156,8 @@ class _FlipTable:
     delta of its world.
     """
 
-    __slots__ = ("other_vars", "edge_position", "edge_bit", "offsets",
-                 "row_variable", "pair_row", "pair_slot", "pair_fires",
-                 "log_odds", "probs")
+    __slots__ = ("edge_position", "edge_bit", "offsets", "row_variable",
+                 "pair_row", "pair_slot", "pair_fires", "log_odds", "probs")
 
     def __init__(self, block: ColorBlock, edge_position: np.ndarray,
                  edge_counts: np.ndarray) -> None:
@@ -174,7 +183,6 @@ class _FlipTable:
         world = pair_row - row_indptr[block.slot_var][pair_slot]
         true_others = _POPCOUNT[(world ^ negated[pair_slot]) & mask[pair_slot]]
 
-        self.other_vars = block.other_vars
         self.edge_position = edge_position
         self.edge_bit = bit.astype(np.float64)
         self.offsets = row_indptr[:-1].astype(np.float64)
@@ -190,10 +198,11 @@ class _FlipTable:
         self.log_odds = np.add(unary[self.row_variable], log_odds, out=log_odds)
         self.probs = _sigmoid_array(log_odds)
 
-    def rows(self, assignment: np.ndarray) -> np.ndarray:
-        """Every block variable's row for the world ``assignment``."""
+    def rows(self, others: np.ndarray) -> np.ndarray:
+        """Every block variable's row, given the values behind the block's
+        other edges (``world[block.other_vars]``, bool or 0.0/1.0)."""
         row = np.bincount(self.edge_position,
-                          weights=assignment[self.other_vars] * self.edge_bit,
+                          weights=others * self.edge_bit,
                           minlength=len(self.offsets))
         return (row + self.offsets).astype(np.intp)
 
@@ -237,34 +246,42 @@ class _BlockKernel:
         """Whether the last sweep sampled the block from its flip table."""
         return self._sweeps == 2
 
-    def probabilities(self, assignment: np.ndarray,
+    def table(self) -> _FlipTable:
+        """The block's flip table at the current weights, built on first
+        use and refreshed once after each :meth:`refresh`.  Only for a
+        block with ``table_rows``."""
+        if self._sweeps != 2:
+            if self._table is None:
+                self._table = _FlipTable(self.block, self._edge_position,
+                                         self._edge_counts)
+            self._table.refresh(self.signed_weights, self.unary)
+            self._sweeps = 2
+        return self._table
+
+    def probabilities(self, others: np.ndarray,
                       beta: float = 1.0) -> np.ndarray:
-        """Flip probabilities ``sigmoid(beta * deltas)`` of the block.
+        """Flip probabilities ``sigmoid(beta * deltas)`` of the block, given
+        the values behind its other edges (``world[block.other_vars]``).
 
         The first sweep after a :meth:`refresh` computes them through
         :meth:`deltas`; the second rebuilds the flip table and every later
         one reads it.  Both paths give the same bits.
         """
         if self._sweeps and self.table_rows:
-            table = self._table
-            if self._sweeps == 1:
-                if table is None:
-                    table = self._table = _FlipTable(
-                        self.block, self._edge_position, self._edge_counts)
-                table.refresh(self.signed_weights, self.unary)
-                self._sweeps = 2
-            row = table.rows(assignment)
+            table = self.table()
+            row = table.rows(others)
             if beta == 1.0:
                 return table.probs[row]
             return _sigmoid_array(table.log_odds[row] * beta)
         self._sweeps = 1
-        deltas = self.deltas(assignment)
+        deltas = self.deltas(others)
         if beta != 1.0:
             deltas *= beta
         return _sigmoid_array(deltas)
 
-    def deltas(self, assignment: np.ndarray) -> np.ndarray:
-        """Flip deltas (log-odds) for every variable of the block.
+    def deltas(self, others: np.ndarray) -> np.ndarray:
+        """Flip deltas (log-odds) for every variable of the block, given the
+        values behind its other edges (bool or 0.0/1.0).
 
         A slot contributes its signed weight when the count of its true
         *other* literals equals its target, and nothing otherwise (see
@@ -272,7 +289,7 @@ class _BlockKernel:
         the same factor order the scalar oracle adds in.
         """
         block = self.block
-        literals = assignment[block.other_vars] ^ block.other_negated
+        literals = others != block.other_negated
         others_true = np.bincount(block.other_slot, weights=literals,
                                   minlength=len(block.slot_var))
         contribution = np.multiply(others_true == block.slot_target,
@@ -327,12 +344,14 @@ class GibbsSampler:
     free chain).
 
     :meth:`sweep` is the one sweep the system runs: vectorized color
-    blocks.  :meth:`sweep_reference` is its oracle -- the scalar
-    per-variable loop, which visits dependent variables in the same
-    chromatic order and consumes the RNG identically, so with equal seeds
-    the two produce bit-identical chains.  Tests call (or patch in) the
-    oracle directly; no configuration reaches it.  :meth:`mean_field_pass`
-    runs the same schedule in expectation (mean field).
+    blocks.  :meth:`run_chain` is the one multi-sweep loop, the same chain
+    as :meth:`sweep` called once per sweep.  :meth:`sweep_reference` is the
+    sweep's oracle -- the scalar per-variable loop, which visits dependent
+    variables in the same chromatic order and consumes the RNG identically,
+    so with equal seeds the two produce bit-identical chains.  Tests call
+    (or patch in) the oracle directly; no configuration reaches it.
+    :meth:`mean_field_pass` runs the same schedule in expectation (mean
+    field).
 
     ``region``, a boolean mask, narrows the schedule (the served refresh):
     variables outside it join the clamped set and keep whatever value the
@@ -412,8 +431,8 @@ class GibbsSampler:
                 started = perf_counter() if on_color is not None else 0.0
                 variables = kernel.block.variables
                 n = len(variables)
-                values = (uniforms[offset:offset + n]
-                          < kernel.probabilities(assignment, beta))
+                values = (uniforms[offset:offset + n] < kernel.probabilities(
+                    assignment[kernel.block.other_vars], beta))
                 if on_color is not None:
                     on_color(color, assignment[variables], values, started)
                 assignment[variables] = values
@@ -463,10 +482,106 @@ class GibbsSampler:
                 kernel.expected_deltas(mu))
         return new_mu
 
+    # ------------------------------------------------------------------ chains
+    @property
+    def chunk_sweeps(self) -> int:
+        """Sweeps per RNG draw of :meth:`run_chain`."""
+        width = len(self._independent_index) + len(self._dependent)
+        return max(1, CHAIN_UNIFORMS // max(width, 1))
+
+    def run_chain(self, world: np.ndarray, num_samples: int,
+                  burn_in: int) -> tuple[np.ndarray, int]:
+        """Sweep ``world`` in place ``burn_in + num_samples`` times; return
+        the per-variable totals of the ``num_samples`` post-burn-in worlds
+        and the variable samples drawn.
+
+        The same chain as :meth:`sweep` called that many times with the
+        worlds after burn-in added up, bit for bit: totals, final ``world``
+        and the RNG's next draw.  A sweep draws ``n_independent +
+        n_dependent`` uniforms, so one draw per chunk of
+        :attr:`chunk_sweeps` sweeps (never past the last) is the same
+        stream.  Per chunk, the unary-only variables are sampled in bulk.
+        Color blocks read and write a float *compact world* -- the block
+        variables, then the clamped variables their other edges read --
+        comparing uniforms with flip probabilities straight into their
+        slice of it; ``world`` is written back at the end.  Totals are
+        exact integer counts, so their order of addition does not matter.
+        With two or more sweeps, tabled blocks read their flip table from
+        the first (its rows are the direct path's bits).
+        """
+        total_sweeps = burn_in + num_samples
+        independent, dependent = self._independent_index, self._dependent
+        n_independent, n_dependent = len(independent), len(dependent)
+        width = n_independent + n_dependent
+
+        position = np.full(self.compiled.num_variables, -1, dtype=np.int64)
+        position[dependent] = np.arange(n_dependent)
+        reads = np.concatenate(
+            [dependent] + [k.block.other_vars for k in self._kernels])
+        constant = np.unique(reads[position[reads] < 0])
+        position[constant] = n_dependent + np.arange(len(constant))
+        compact = np.concatenate(
+            (world[dependent], world[constant])).astype(np.float64)
+        colors, lo = [], 0
+        for kernel in self._kernels:
+            hi = lo + len(kernel.block.variables)
+            tabled = kernel.table_rows and (total_sweeps >= 2 or kernel._sweeps)
+            colors.append((kernel, kernel.table() if tabled else None,
+                           position[kernel.block.other_vars], slice(lo, hi),
+                           compact[lo:hi]))
+            lo = hi
+
+        traced = obs.enabled()
+        seconds, flips = np.zeros(len(colors)), np.zeros(len(colors))
+        independent_counts = np.zeros(n_independent, dtype=np.int64)
+        dependent_counts = np.zeros(n_dependent, dtype=np.float64)
+        block_world = compact[:n_dependent]
+        done = 0
+        while done < total_sweeps:
+            k = min(self.chunk_sweeps, total_sweeps - done)
+            uniforms = self.rng.random(k * width).reshape(k, width)
+            unary_rows = uniforms[:, :n_independent] < self._independent_probs
+            first_sample = max(0, burn_in - done)
+            independent_counts += unary_rows[first_sample:].sum(axis=0)
+            if n_independent:
+                world[independent] = unary_rows[-1]
+            for sweep in range(k if colors else 0):
+                u = uniforms[sweep, n_independent:]
+                for c, (kernel, table, pos, cols, out) in enumerate(colors):
+                    if traced:
+                        started, before = perf_counter(), out.copy()
+                    others = compact[pos]
+                    if table is not None:
+                        probs = table.probs[table.rows(others)]
+                    else:
+                        probs = kernel.probabilities(others)
+                    np.less(u[cols], probs, out=out)
+                    if traced:
+                        seconds[c] += perf_counter() - started
+                        flips[c] += np.count_nonzero(before != out)
+                if sweep >= first_sample:
+                    dependent_counts += block_world
+            if traced:
+                obs.count("gibbs.sweeps", k)
+                obs.count("gibbs.samples", k * width)
+                for c, (kernel, *_) in enumerate(colors):
+                    obs.observe("gibbs.color_sweep_seconds", seconds[c] / k,
+                                color=c)
+                    obs.observe("gibbs.flip_fraction", flips[c] / (
+                        k * len(kernel.block.variables)), color=c)
+                seconds[:] = flips[:] = 0.0
+            done += k
+        world[dependent] = block_world
+        totals = world * np.float64(num_samples)
+        totals[independent] = independent_counts
+        totals[dependent] = dependent_counts
+        return totals, total_sweeps * width
+
     # -------------------------------------------------------------- inference
     def marginals(self, num_samples: int = 100, burn_in: int = 20,
                   assignment: np.ndarray | None = None) -> MarginalResult:
-        """Estimate marginals from ``num_samples`` post-burn-in sweeps.
+        """Estimate marginals from ``num_samples`` post-burn-in sweeps
+        (:meth:`run_chain`).
 
         Evidence variables (when clamped) report their label as probability
         0/1, matching DeepDive's output convention.  Raises ``ValueError``
@@ -478,15 +593,11 @@ class GibbsSampler:
         with obs.span("inference.marginals", colors=len(self._blocks),
                       table_blocks=len(tables), table_rows=sum(tables),
                       variables=self.compiled.num_variables,
-                      num_samples=num_samples, burn_in=burn_in):
+                      num_samples=num_samples, burn_in=burn_in,
+                      chunk_sweeps=self.chunk_sweeps):
             if assignment is None:
                 assignment = self.initial_assignment()
-            for _ in range(burn_in):
-                self.sweep(assignment)
-            totals = np.zeros(self.compiled.num_variables, dtype=np.float64)
-            for _ in range(num_samples):
-                self.sweep(assignment)
-                totals += assignment
+            totals, _ = self.run_chain(assignment, num_samples, burn_in)
             marginals = totals / num_samples
             marginals[self.clamped] = self.compiled.evidence_values[self.clamped]
         return MarginalResult(marginals=marginals, num_samples=num_samples, burn_in=burn_in)

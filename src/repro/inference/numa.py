@@ -97,19 +97,14 @@ def replica_totals(sampler: GibbsSampler,
     Reseeding ``sampler`` consumes the stream a dedicated
     ``GibbsSampler(compiled, seed=seed)`` would, so one sampler serves every
     replica, in-process or in a pool worker.  Returns the per-variable
-    totals of the post-burn-in worlds and the variable samples drawn.
+    totals of the post-burn-in worlds and the variable samples drawn, from
+    one :meth:`GibbsSampler.run_chain`.
     """
     seed, total_sweeps, burn_in = task
     with obs.span("numa.replica", seed=seed):
         sampler.rng = np.random.default_rng(seed)
         world = sampler.initial_assignment()
-        totals = np.zeros(sampler.compiled.num_variables, dtype=np.float64)
-        drawn = 0
-        for sweep_index in range(total_sweeps):
-            drawn += sampler.sweep(world)
-            if sweep_index >= burn_in:
-                totals += world
-    return totals, drawn
+        return sampler.run_chain(world, total_sweeps - burn_in, burn_in)
 
 
 class NumaGibbs:

@@ -7,6 +7,7 @@ from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.grounding import (ChainState, SamplingMaterialization,
                              VariationalMaterialization, choose_strategy,
                              refresh)
+from repro.inference import GibbsSampler
 
 
 def star_graph(spokes=6, coupling=1.0, bias=0.8):
@@ -84,6 +85,36 @@ class TestSamplingMaterialization:
         np.testing.assert_array_equal(strategy.world[~region], before[~region])
         np.testing.assert_array_equal(result.marginals[~region],
                                       marginals[~region])
+
+    def test_update_is_the_sweep_loop(self):
+        """The served refresh runs one chain (``run_chain``): marginals,
+        world, work and the stream it continues are those of the per-sweep
+        loop it replaced.  The hub's region reads every clamped spoke."""
+        compiled = star_graph(spokes=12)
+        compiled.is_evidence[compiled.variable_index("spoke3")] = True
+        strategy, expected = (SamplingMaterialization(
+            compiled, seed=3, num_samples=20, burn_in=5) for _ in range(2))
+        for changed, radius in (({"spoke0"}, 1), ({"hub"}, 0),
+                                ({"spoke5", "spoke7"}, 1)):
+            changed = {compiled.variable_index(key) for key in changed}
+            result = strategy.update(changed, radius=radius,
+                                     num_samples=30, burn_in=4)
+            sampler = GibbsSampler(
+                compiled, seed=expected.rng,
+                region=expected.neighbourhood(changed, radius))
+            active = np.flatnonzero(~sampler.clamped)
+            totals = np.zeros(len(active))
+            work = 0.0
+            for sweep in range(34):
+                work += sampler.sweep(expected.world)
+                if sweep >= 4:
+                    totals += expected.world[active]
+            expected.marginals[active] = totals / 30
+            np.testing.assert_array_equal(result.marginals, expected.marginals)
+            np.testing.assert_array_equal(strategy.world, expected.world)
+            assert result.work == work
+        np.testing.assert_array_equal(strategy.rng.random(3),
+                                      expected.rng.random(3))
 
     def test_refresh_rejects_degenerate_chains(self):
         """A refresh that would estimate nothing fails before it samples,

@@ -7,7 +7,9 @@ import pytest
 from repro import obs
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler, exact_marginals, sigmoid
-from repro.inference.gibbs import TABLE_MAX_EDGES, _sigmoid_array
+from repro.inference.gibbs import (CHAIN_UNIFORMS, TABLE_MAX_EDGES,
+                                   _sigmoid_array)
+from tests.conftest import sweep_loop
 
 
 def assert_close_to_exact(graph: FactorGraph, atol: float = 0.03) -> None:
@@ -150,7 +152,8 @@ class TestRepeatedMembers:
         for value in (False, True):
             world = np.array([value])
             assert compiled.general_delta(0, world) == delta
-            assert kernel.deltas(world).tolist() == [delta]
+            others = world[kernel.block.other_vars]
+            assert kernel.deltas(others).tolist() == [delta]
         for mu in (0.0, 0.3, 1.0):          # the mean-field kernel
             assert kernel.expected_deltas(np.array([mu])).tolist() == [delta]
 
@@ -354,9 +357,10 @@ class TestFlipTable:
         rows = set()
         for bits in range(2 ** len(spokes)):
             world[spokes] = [(bits >> r) & 1 for r in range(len(spokes))]
-            (row,) = table.rows(world)
+            others = world[kernel.block.other_vars]
+            (row,) = table.rows(others)
             rows.add(int(row))
-            deltas = kernel.deltas(world)
+            deltas = kernel.deltas(others)
             assert table.log_odds[row] == deltas[0]
             assert table.probs[row] == _sigmoid_array(deltas)[0]
         assert len(rows) == 2 ** len(spokes)
@@ -435,6 +439,38 @@ class TestUnifiedSweep:
             assert flips.count == sweeps
             assert 0.0 <= flips.mean <= 1.0
 
+    def test_traced_chain_matches_untraced(self):
+        """The chain runner probes once per chunk, never per sweep: sweep
+        and sample counters per chunk, one timing and one flip fraction per
+        color per chunk, and the chunk length on the marginals span."""
+        compiled = CompiledGraph(mixed_graph())
+        plain = GibbsSampler(compiled, seed=5)
+        traced = GibbsSampler(compiled, seed=5)
+        chunk = plain.chunk_sweeps
+        num_samples, burn_in = 2 * chunk, 5               # three chunks
+        world_plain = plain.initial_assignment()
+        world_traced = traced.initial_assignment()
+        expected = plain.marginals(num_samples, burn_in, world_plain)
+        with obs.installed(obs.Collector()) as collector:
+            result = traced.marginals(num_samples, burn_in, world_traced)
+        np.testing.assert_array_equal(result.marginals, expected.marginals)
+        np.testing.assert_array_equal(world_plain, world_traced)
+        np.testing.assert_array_equal(plain.rng.random(4), traced.rng.random(4))
+
+        (span,) = collector.roots
+        assert span.attributes["chunk_sweeps"] == chunk
+        metrics = collector.metrics
+        sweeps = num_samples + burn_in
+        width = compiled.num_variables - int(compiled.is_evidence.sum())
+        assert metrics.counter_total("gibbs.sweeps") == sweeps
+        assert metrics.counter_total("gibbs.samples") == sweeps * width
+        for color in range(len(traced._blocks)):
+            assert metrics.histogram("gibbs.color_sweep_seconds",
+                                     color=color).count == 3
+            flips = metrics.histogram("gibbs.flip_fraction", color=color)
+            assert flips.count == 3
+            assert 0.0 < flips.mean <= 1.0
+
     def test_hook_sees_values_before_they_are_written(self):
         compiled = CompiledGraph(mixed_graph())
         sampler = GibbsSampler(compiled, seed=5)
@@ -467,3 +503,77 @@ class TestUnifiedSweep:
         assert "_value_kernel" not in vars(compiled)
         compiled.general_value_sums(np.zeros(compiled.num_variables, dtype=bool))
         assert vars(compiled)["_value_kernel"] is not None
+
+
+class TestChainRunner:
+    """``run_chain`` at the real ``CHAIN_UNIFORMS``: the same chain as the
+    ``sweep()`` loop on the shapes the generated graphs rarely reach."""
+
+    @staticmethod
+    def assert_runner_is_the_loop(compiled, num_samples, burn_in, seed=2,
+                                  **options):
+        runner = GibbsSampler(compiled, seed=seed, **options)
+        loop = GibbsSampler(compiled, seed=seed, **options)
+        world, expected_world = (runner.initial_assignment(),
+                                 loop.initial_assignment())
+        totals, sampled = runner.run_chain(world, num_samples, burn_in)
+        expected, expected_sampled = sweep_loop(loop, expected_world,
+                                                num_samples, burn_in)
+        np.testing.assert_array_equal(totals, expected)
+        np.testing.assert_array_equal(world, expected_world)
+        assert sampled == expected_sampled
+        np.testing.assert_array_equal(runner.rng.random(3), loop.rng.random(3))
+        return runner
+
+    @pytest.mark.parametrize("beyond", [-1, 0, 1])
+    def test_no_general_factor(self, beyond):
+        """Unary-only: every chunk is one draw and one comparison; chains
+        of ``chunk_sweeps`` - 1, ``chunk_sweeps`` and one more sweep."""
+        graph = FactorGraph()
+        for i in range(5000):
+            graph.add_factor(FactorFunction.IS_TRUE, [graph.variable(i)],
+                             graph.weight(("w", i % 7), 0.3 * (i % 7) - 1.0))
+        graph.set_evidence(3, True)
+        compiled = CompiledGraph(graph)
+        sampler = GibbsSampler(compiled)
+        chunk = sampler.chunk_sweeps
+        assert chunk == CHAIN_UNIFORMS // 4999 and not sampler._kernels
+        self.assert_runner_is_the_loop(compiled, chunk + beyond - 2, 2)
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_blocks_hold_every_free_variable(self, clamp):
+        """A ring of EQUAL and IMPLY factors: no unary-only variable, so a
+        sweep's uniforms are all color-block uniforms."""
+        graph = FactorGraph()
+        n = 40
+        for i in range(n):
+            graph.add_factor(
+                FactorFunction.EQUAL if i % 2 else FactorFunction.IMPLY,
+                [graph.variable(i), graph.variable((i + 1) % n)],
+                graph.weight(("w", i % 3), 0.4 * (i % 3) - 0.3))
+        graph.set_evidence(5, False)
+        compiled = CompiledGraph(graph)
+        runner = self.assert_runner_is_the_loop(compiled, 60, 7,
+                                                clamp_evidence=clamp)
+        assert not len(runner._independent_index)
+        assert len(runner._kernels) >= 2
+
+    def test_wide_block_stays_direct(self):
+        """A variable above ``TABLE_MAX_EDGES`` other edges keeps its block
+        on ``deltas`` over the compact world's gather."""
+        compiled = TestFlipTable.hub_graph(TABLE_MAX_EDGES + 1)
+        runner = self.assert_runner_is_the_loop(compiled, 30, 5)
+        hub = compiled.var_keys.index("hub")
+        (kernel,) = [k for k in runner._kernels if hub in k.block.variables]
+        assert not kernel.table_rows and not kernel.from_table
+        assert all(k.from_table for k in runner._kernels if k is not kernel)
+
+    @pytest.mark.parametrize("num_samples,burn_in", [(1, 0), (2, 0), (1, 1)])
+    def test_short_chains(self, num_samples, burn_in):
+        """One sweep stays on the direct path, as the learner's single
+        sweep does; two build the tables first."""
+        runner = self.assert_runner_is_the_loop(
+            TestFlipTable.hub_graph(TABLE_MAX_EDGES), num_samples, burn_in)
+        tabled = num_samples + burn_in >= 2
+        assert all(k.table_rows and k.from_table == tabled
+                   for k in runner._kernels)

@@ -172,9 +172,9 @@ class TestWeightRefresh:
         compiled = CompiledGraph(self.coupled_graph())
         sampler = GibbsSampler(compiled, seed=0)
         kernel = sampler._kernels[0]
-        world = np.array([True, False])
+        others = np.array([True, False])[kernel.block.other_vars]
         chain = sampler.initial_assignment()
-        before = kernel.deltas(world).copy()
+        before = kernel.deltas(others).copy()
         sampler.sweep(chain)
         sampler.sweep(chain)
         assert kernel.from_table
@@ -184,7 +184,7 @@ class TestWeightRefresh:
         new_weights[couple] = 5.0
         compiled.set_weights(new_weights)
         sampler.refresh_weights()
-        after = kernel.deltas(world)
+        after = kernel.deltas(others)
         assert not np.array_equal(before, after)
         sampler.sweep(chain)
         assert not kernel.from_table          # stale: the first sweep is direct
@@ -192,7 +192,7 @@ class TestWeightRefresh:
         assert kernel.from_table
         table = kernel._table
         assert not np.array_equal(rows_before, table.log_odds)
-        np.testing.assert_array_equal(table.log_odds[table.rows(world)], after)
+        np.testing.assert_array_equal(table.log_odds[table.rows(others)], after)
 
 
 class TestAdaGrad:

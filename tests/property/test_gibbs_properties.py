@@ -1,13 +1,16 @@
 """Property-based tests on the chromatic Gibbs engine's invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
-from repro.inference import GibbsSampler
+from repro.inference import GibbsSampler, gibbs
 from repro.inference.exact import exact_marginals
 from repro.inference.gibbs import TABLE_MAX_EDGES
+from tests.conftest import sweep_loop
 
 
 @st.composite
@@ -52,7 +55,40 @@ def shared_factor_pairs(compiled: CompiledGraph) -> set[tuple[int, int]]:
     return pairs
 
 
+def element_wise_coloring(compiled: CompiledGraph) -> tuple[np.ndarray, int]:
+    """The greedy coloring as a walk over the numpy CSR arrays, one numpy
+    scalar at a time: what ``_greedy_coloring`` computed before it walked
+    Python lists."""
+    colors = np.full(compiled.num_variables, -1, dtype=np.int64)
+    has_general = compiled.vf_indptr[1:] > compiled.vf_indptr[:-1]
+    for var in np.nonzero(has_general)[0]:
+        taken = set()
+        for slot in range(compiled.vf_indptr[var], compiled.vf_indptr[var + 1]):
+            fi = compiled.vf_factors[slot]
+            for other in compiled.fv_vars[compiled.fv_indptr[fi]:
+                                          compiled.fv_indptr[fi + 1]]:
+                if other != var and colors[other] >= 0:
+                    taken.add(int(colors[other]))
+        color = 0
+        while color in taken:
+            color += 1
+        colors[var] = color
+    num_colors = int(colors.max()) + 1 if has_general.any() else 0
+    return colors, num_colors
+
+
 class TestColoring:
+    @given(random_graph(max_factors=16, max_arity=4))
+    @settings(max_examples=80, deadline=None)
+    def test_colors_match_the_element_wise_walk(self, graph):
+        """The colors fix the chromatic visit order, and with it every
+        chain: the list walk must color exactly as the numpy one did."""
+        compiled = CompiledGraph(graph)
+        colors, num_colors = element_wise_coloring(compiled)
+        assert compiled.var_colors.dtype == colors.dtype
+        np.testing.assert_array_equal(compiled.var_colors, colors)
+        assert compiled.num_colors == num_colors
+
     @given(random_graph())
     @settings(max_examples=60, deadline=None)
     def test_no_conflict_within_a_color(self, graph):
@@ -150,6 +186,49 @@ class TestSweepOracle:
             counts = np.bincount(kernel.block.slot_var[kernel.block.other_slot],
                                  minlength=len(kernel.block.variables))
             assert kernel.from_table == (counts.max() <= TABLE_MAX_EDGES)
+
+
+class TestChainRunner:
+    """``run_chain`` is the ``sweep()`` loop, bit for bit: the totals, the
+    final world, the samples drawn, every kernel's table state and the
+    next RNG draw.  ``CHAIN_UNIFORMS`` is patched down to ``chunk`` sweeps
+    of the sampler's width so that chains of ``chunk - 1``, ``chunk`` and
+    ``chunk + 1`` sweeps (and several chunks) stay cheap; the constant
+    itself is covered in ``tests/inference/test_gibbs.py``."""
+
+    @given(random_graph(max_factors=16, max_arity=4), st.integers(0, 10_000),
+           st.booleans(), st.booleans(), st.integers(1, 4),
+           st.integers(-1, 5), st.integers(0, 2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_run_chain_matches_the_sweep_loop(self, graph, seed, clamp,
+                                              restrict, chunk, beyond,
+                                              warm_sweeps, data):
+        compiled = CompiledGraph(graph)
+        region = (np.random.default_rng(seed).random(compiled.num_variables)
+                  < 0.7 if restrict else None)
+        runner, loop = (GibbsSampler(compiled, seed=seed, clamp_evidence=clamp,
+                                     region=region) for _ in range(2))
+        world, expected_world = runner.initial_assignment(), \
+            loop.initial_assignment()
+        for _ in range(warm_sweeps):        # tables built, stale or absent
+            runner.sweep(world)
+            loop.sweep(expected_world)
+        width = len(runner._independent_index) + len(runner._dependent)
+        total = max(1, chunk + beyond)
+        burn_in = data.draw(st.integers(0, total - 1))
+        with mock.patch.object(gibbs, "CHAIN_UNIFORMS", chunk * width):
+            assert runner.chunk_sweeps == (chunk if width else 1)
+            totals, sampled = runner.run_chain(world, total - burn_in,
+                                               burn_in)
+        expected, expected_sampled = sweep_loop(loop, expected_world,
+                                                total - burn_in, burn_in)
+        assert totals.dtype == expected.dtype
+        np.testing.assert_array_equal(totals, expected)
+        np.testing.assert_array_equal(world, expected_world)
+        assert sampled == expected_sampled
+        assert [k.from_table for k in runner._kernels] == \
+            [k.from_table for k in loop._kernels]
+        np.testing.assert_array_equal(runner.rng.random(3), loop.rng.random(3))
 
 
 class TestPermutationInvariance:
