@@ -10,9 +10,12 @@ Artifacts:
 * replica sampling wall clock at workers = 0 (sequential reference), 1, 2,
   4 on a KBC-shaped graph with 4 NUMA replicas -- marginals asserted
   bit-identical to the sequential path at every worker count.  Each pool
-  is warmed (workers spawned, segment packed) by a short untimed dispatch
-  before its timed run, so the timings measure the steady state a real
-  iteration loop sees;
+  is warmed (workers spawned, segment packed) by a short untimed dispatch,
+  so the timings measure the steady state a real iteration loop sees.
+  The sequential run and every worker count are timed over ``ROUNDS``
+  interleaved rounds (one run of each per round, so a noisy stretch of a
+  shared host lands on all of them); the report gives each median and
+  quartiles, and each speedup is the ratio of medians;
 * dispatch overhead, cold vs warm, of ``WorkerPool.map(replica_totals,
   tasks, graph=compiled)``: the first dispatch on a fresh pool pays
   spawn + shared-memory packing; the second hits the segment cache.
@@ -46,6 +49,7 @@ NUM_SAMPLES = 120
 BURN_IN = 30
 SYNC_EVERY = 30
 SEED = 7
+ROUNDS = 5
 
 
 def kbc_graph(num_candidates=12000, features_per_candidate=3,
@@ -83,6 +87,12 @@ def timed_run(compiled: CompiledGraph, workers: int):
     return time.perf_counter() - start, result
 
 
+def quartiles(seconds: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of ``seconds``."""
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return float(q1), float(median), float(q3)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _shutdown_registry_pools():
     yield
@@ -95,7 +105,7 @@ def test_e15_replica_scaling(benchmark, reporter):
     def experiment():
         compiled = kbc_graph()
         shutdown_pools()                 # overhead numbers start truly cold
-        seq_time, seq_result = timed_run(compiled, workers=0)
+        seq_result = run_once(compiled, workers=0)      # warm, untimed
 
         # --- dispatch overhead: cold (spawn + pack) vs warm (cache hit).
         # Short dispatches -- overhead is measured up to the point the
@@ -120,25 +130,30 @@ def test_e15_replica_scaling(benchmark, reporter):
                 overhead["warm"] = min(warm_readings)
 
         # --- scaling: warm each pool with a short dispatch, then time the
-        # full run (what a steady-state iteration loop sees).
-        runs = {}
+        # full run (what a steady-state iteration loop sees) in interleaved
+        # rounds: sequential, then each worker count, ROUNDS times.
         for workers in WORKER_COUNTS:
             warm_up = run_once(compiled, workers, num_samples=8, burn_in=2)
             assert warm_up is not None
-            wall, result = timed_run(compiled, workers=workers)
-            assert np.array_equal(seq_result.marginals, result.marginals), \
-                f"workers={workers} diverged from the sequential reference"
-            assert result.samples_drawn == seq_result.samples_drawn
-            runs[workers] = wall
-        measurements.update(seq_time=seq_time, runs=runs, overhead=overhead,
+        runs = {workers: [] for workers in [0] + WORKER_COUNTS}
+        for _ in range(ROUNDS):
+            for workers, walls in runs.items():
+                wall, result = timed_run(compiled, workers=workers)
+                assert np.array_equal(seq_result.marginals,
+                                      result.marginals), \
+                    f"workers={workers} diverged from the sequential reference"
+                assert result.samples_drawn == seq_result.samples_drawn
+                walls.append(wall)
+        measurements.update(runs=runs, overhead=overhead,
                             samples=seq_result.samples_drawn,
                             variables=compiled.num_variables)
         return measurements
 
     once(benchmark, experiment)
 
-    seq_time = measurements["seq_time"]
-    runs = measurements["runs"]
+    spread = {w: quartiles(walls) for w, walls in measurements["runs"].items()}
+    seq_time = spread[0][1]
+    runs = {w: spread[w][1] for w in WORKER_COUNTS}
     overhead = measurements["overhead"]
     cpus = os.cpu_count() or 1
     usable = effective_cpus()
@@ -151,13 +166,19 @@ def test_e15_replica_scaling(benchmark, reporter):
     reporter.line(f"graph: {measurements['variables']} variables, "
                   f"{SOCKETS} NUMA replicas, "
                   f"{measurements['samples']} samples; "
-                  f"host CPUs: {cpus} ({usable} usable)")
+                  f"host CPUs: {cpus} ({usable} usable); "
+                  f"{ROUNDS} interleaved rounds")
     reporter.line()
+
+    def row(workers, label, speedup, identical):
+        q1, median, q3 = spread[workers]
+        return [label, f"{median:.3f}s", f"{q1:.3f}-{q3:.3f}s", speedup,
+                identical]
+
     reporter.table(
-        ["workers", "wall clock", "speedup", "identical"],
-        [["0 (sequential)", f"{seq_time:.3f}s", "1.00x", "reference"]]
-        + [[w, f"{runs[w]:.3f}s", f"{speedups[w]:.2f}x", "yes"]
-           for w in WORKER_COUNTS])
+        ["workers", "median wall", "quartiles", "speedup", "identical"],
+        [row(0, "0 (sequential)", "1.00x", "reference")]
+        + [row(w, w, f"{speedups[w]:.2f}x", "yes") for w in WORKER_COUNTS])
     reporter.line()
     if fraction is not None:
         reporter.line(f"dispatch overhead: cold {overhead['cold']:.4f}s "
@@ -175,8 +196,11 @@ def test_e15_replica_scaling(benchmark, reporter):
         "cpus": cpus,
         "effective_cpus": usable,
         "sockets": SOCKETS,
+        "rounds": ROUNDS,
         "sequential_seconds": seq_time,
         "parallel_seconds": {str(w): runs[w] for w in WORKER_COUNTS},
+        "quartile_seconds": {str(w): [spread[w][0], spread[w][2]]
+                             for w in spread},
         "speedups": {str(w): speedups[w] for w in WORKER_COUNTS},
         "floor": SPEEDUP_FLOOR,
         "floor_enforced": gated,

@@ -66,7 +66,7 @@ def test_e1_phase_breakdown(benchmark, reporter):
     def experiment():
         for size in sizes:
             app, result, corpus = run_pipeline(size)
-            timings = result.phase_timings
+            timings = result.profile.phase_seconds()
             quality = spouse.evaluate(app, result, corpus)
             rows.append([size * 2]
                         + [f"{timings.get(p, 0.0):.3f}s" for p in PHASES]

@@ -14,9 +14,10 @@ The learning row measures the other half of an engineering-loop iteration:
 epochs/s of the learner on the vectorized factor-value kernel against the
 same learner on the scalar oracle, and sweeps/s of the lean chromatic sweep
 (its color blocks sampling from flip tables) against the pre-kernel
-formulation of the same arithmetic, and sweeps/s of one chain run by
-``GibbsSampler.run_chain`` against the ``sweep()`` loop it replaced, all on
-the joint spouse graph and all required to stay bit-identical.
+formulation of the same arithmetic, and sweeps/s of one chunked chain
+(``GibbsSampler.run_chain``) against the same chain as one-sweep chains
+(``sweep()``), all on the joint spouse graph and all required to stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -233,8 +234,9 @@ class PreKernelSweep:
     edge of the incident factors, an ``astype`` + ``reduceat`` true count, a
     fresh ``np.zeros`` contribution, per-category masked gathers and
     scatters over one slot per (variable, factor) edge, and the
-    general-purpose ``sigmoid`` with its scalar prologue.  The per-edge
-    arrays are built once from the compiled graph's CSR arrays.
+    general-purpose ``sigmoid`` with its scalar prologue, after its own
+    unary-only pass.  The per-edge arrays are built once from the compiled
+    graph's CSR arrays.
     """
 
     def __init__(self, sampler: GibbsSampler) -> None:
@@ -278,7 +280,10 @@ class PreKernelSweep:
 
     def sweep(self, assignment: np.ndarray) -> int:
         sampler = self.sampler
-        sampled = sampler._sweep_independent(assignment)
+        independent = sampler._independent_index
+        sampled = len(independent)
+        probs = sigmoid(sampler._unary_deltas[independent])
+        assignment[independent] = sampler.rng.random(sampled) < probs
         uniforms = sampler.rng.random(len(sampler._dependent))
         offset = 0
         for (variables, edge_vars, edge_negated, edge_starts, slot_factor,
@@ -315,8 +320,8 @@ class PreKernelSweep:
 
 def test_e3_learning_kernels_report(benchmark, reporter):
     """Learner on the factor-value kernel vs on the scalar oracle, the
-    lean sweep vs the pre-kernel sweep, and the chain runner vs the sweep()
-    loop, on the joint spouse graph."""
+    lean sweep vs the pre-kernel sweep, and chunked chains vs one-sweep
+    chains, on the joint spouse graph."""
     graph = joint_spouse_graph()
     options = LearningOptions(epochs=15, seed=0)
     sweeps = 1500
@@ -367,15 +372,15 @@ def test_e3_learning_kernels_report(benchmark, reporter):
             lean_time=lean_time, before_time=before_time,
             sweep_bit_identical=bool(np.array_equal(world_lean, world_before)))
 
-        # one chain of ``sweeps`` sweeps, a fifth of them burn-in: the
-        # runner against the sweep() loop it replaced, alternately, three
-        # times each (the fastest of each counts)
+        # one chain of ``sweeps`` sweeps, a fifth of them burn-in: run in
+        # chunks against the same chain as one-sweep chains (``sweep()``),
+        # alternately, three times each (the fastest of each counts)
         burn_in = sweeps // 5
 
         def run_chain(sampler, world):
             return sampler.run_chain(world, sweeps - burn_in, burn_in)[0]
 
-        def sweep_loop(sampler, world):
+        def one_sweep_chains(sampler, world):
             totals = np.zeros(kernel.num_variables)
             for sweep in range(sweeps):
                 sampler.sweep(world)
@@ -391,7 +396,7 @@ def test_e3_learning_kernels_report(benchmark, reporter):
             return (time.perf_counter() - start,
                     (totals, world, sampler.rng.random(4)))
 
-        timings = {run_chain: [], sweep_loop: []}
+        timings = {run_chain: [], one_sweep_chains: []}
         results = {}
         for _ in range(3):
             for run in timings:
@@ -399,11 +404,11 @@ def test_e3_learning_kernels_report(benchmark, reporter):
                 timings[run].append(elapsed)
         measurements.update(
             runner_time=min(timings[run_chain]),
-            loop_time=min(timings[sweep_loop]),
+            loop_time=min(timings[one_sweep_chains]),
             chunk_sweeps=GibbsSampler(kernel).chunk_sweeps,
             chain_bit_identical=all(
-                np.array_equal(a, b) for a, b in zip(results[run_chain],
-                                                     results[sweep_loop])))
+                np.array_equal(a, b) for a, b in zip(
+                    results[run_chain], results[one_sweep_chains])))
         return measurements
 
     once(benchmark, experiment)
@@ -437,10 +442,10 @@ def test_e3_learning_kernels_report(benchmark, reporter):
     reporter.line()
     reporter.table(
         [f"one {sweeps}-sweep chain (best of 3)", "sweeps/s", "relative"],
-        [["run_chain (chunks of "
+        [["chunked chain (chunks of "
           f"{measurements['chunk_sweeps']} sweeps)", f"{runner_rate:,.0f}",
           f"{runner_rate / loop_rate:.2f}x"],
-         ["sweep() loop", f"{loop_rate:,.0f}", "1.00x"]])
+         ["one-sweep chains (sweep())", f"{loop_rate:,.0f}", "1.00x"]])
     reporter.line()
     reporter.line(f"color blocks sampling from a flip table after two "
                   f"sweeps: {measurements['table_blocks']} of "
@@ -449,7 +454,7 @@ def test_e3_learning_kernels_report(benchmark, reporter):
                   f"{measurements['learning_bit_identical']}; "
                   f"chains bit-identical: "
                   f"{measurements['sweep_bit_identical']}; "
-                  f"run_chain == sweep() loop (totals, world, RNG): "
+                  f"chunked == one-sweep chains (totals, world, RNG): "
                   f"{measurements['chain_bit_identical']}")
     reporter.line(f"learning speedup: {learning_speedup:.2f}x "
                   f"(acceptance floor: 5x)")
@@ -465,7 +470,7 @@ def test_e3_learning_kernels_report(benchmark, reporter):
         "sweep_speedup": sweep_speedup,
         "sweep_bit_identical": measurements["sweep_bit_identical"],
         "chain_sweeps_per_second": runner_rate,
-        "sweep_loop_sweeps_per_second": loop_rate,
+        "one_sweep_chain_sweeps_per_second": loop_rate,
         "chain_speedup": runner_rate / loop_rate,
         "chunk_sweeps": measurements["chunk_sweeps"],
         "chain_bit_identical": measurements["chain_bit_identical"],

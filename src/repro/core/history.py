@@ -91,7 +91,7 @@ class RunHistory:
             label=label or f"run {len(self._snapshots)}",
             checksum=self._checksum(result, weights),
             graph_stats=dict(result.graph_stats),
-            phase_timings=dict(result.phase_timings),
+            phase_timings=result.profile.phase_seconds(),
             weights=weights,
             observations=observations,
             marginal_mean=(sum(marginals) / len(marginals)) if marginals else 0.0,

@@ -25,8 +25,8 @@ class RunResult:
 
     ``profile`` carries the observability record of the run: top-level
     phase spans (with full subtrees when the app ran with ``trace=True``)
-    plus the metrics snapshot.  The old ``phase_timings`` dict survives as
-    a read-only property derived from the profile's top-level spans.
+    plus the metrics snapshot; ``profile.phase_seconds()`` gives the
+    seconds per pipeline phase.
     """
 
     marginals: dict[VariableKey, float]
@@ -37,15 +37,6 @@ class RunResult:
     graph_stats: dict[str, int] = field(default_factory=dict)
     feature_stats: list[FeatureStat] = field(default_factory=list)
     learning: LearningDiagnostics | None = None
-
-    # ------------------------------------------------------------ the profile
-    @property
-    def phase_timings(self) -> dict[str, float]:
-        """Seconds per pipeline phase, derived from the profile's top-level
-        spans.  Deprecated in favour of :attr:`profile`, which additionally
-        holds the span subtrees and engine metrics; kept so run history
-        snapshots and existing callers need no change."""
-        return self.profile.phase_seconds()
 
     # ------------------------------------------------------------- the output
     @property
@@ -83,9 +74,10 @@ class RunResult:
 
     def summary(self) -> str:
         """One-paragraph run summary for logs."""
-        total = sum(self.phase_timings.values())
+        timings = self.profile.phase_seconds()
+        total = sum(timings.values())
         phases = ", ".join(f"{name}={seconds:.2f}s"
-                           for name, seconds in self.phase_timings.items())
+                           for name, seconds in timings.items())
         accepted = sum(len(v) for v in self.output.values())
         return (f"{len(self.marginals)} candidates, {accepted} accepted at "
                 f"p>={self.threshold}; phases: {phases} (total {total:.2f}s)")

@@ -31,11 +31,12 @@ stays bit-identical.  The first sweep after a weight refresh still takes the
 direct path (the learner sweeps once per refresh and would pay for a table it
 never reads); the second rebuilds the table.
 
-Every multi-sweep chain -- batch marginals, the served refresh and each NUMA
-replica -- runs through one loop, :meth:`GibbsSampler.run_chain`, the
-:meth:`GibbsSampler.sweep` loop's chain bit for bit at a fraction of its
-per-sweep numpy calls.  ``sweep`` stays for single steps: the learner's one
-sweep per refresh, the annealed MAP search and the runner's oracle.
+Every chain runs through one loop, :meth:`GibbsSampler.run_chain`: batch
+marginals, the served refresh and each NUMA replica as long chains, the
+learner's refresh and the annealed MAP search (its flip deltas scaled by an
+inverse temperature ``beta``) as one-sweep chains through
+:meth:`GibbsSampler.sweep`.  :meth:`GibbsSampler.sweep_reference` is its
+scalar oracle.
 """
 
 from __future__ import annotations
@@ -114,16 +115,6 @@ def check_chain_length(num_samples: int, burn_in: int) -> None:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-
-
-def _observe_color(color: int, before: np.ndarray, after: np.ndarray,
-                   started: float) -> None:
-    """Per-color hook of the traced sweep (see ``_sweep_traced``)."""
-    obs.observe("gibbs.color_sweep_seconds", perf_counter() - started,
-                color=color)
-    obs.observe("gibbs.flip_fraction",
-                int(np.count_nonzero(before != after)) / max(len(after), 1),
-                color=color)
 
 
 @dataclass
@@ -206,15 +197,25 @@ class _FlipTable:
                           minlength=len(self.offsets))
         return (row + self.offsets).astype(np.intp)
 
+    def probabilities(self, others: np.ndarray,
+                      beta: float = 1.0) -> np.ndarray:
+        """:meth:`_BlockKernel.probabilities` read from the table: the same
+        bits, ``log_odds`` scaled by ``beta`` when it is not 1."""
+        row = self.rows(others)
+        if beta == 1.0:
+            return self.probs[row]
+        return _sigmoid_array(self.log_odds[row] * beta)
+
 
 class _BlockKernel:
     """One color block bound to a sampler: cached weights plus scratch.
 
-    :meth:`probabilities` is the per-color inner loop of every sweep, so
-    everything that does not depend on the current world is hoisted out of
-    it: the signed slot weights and the block's unary deltas are gathered
-    once per :meth:`refresh`, the per-slot contribution buffer is allocated
-    once, and the flip table is built once, on first use.
+    :meth:`probabilities`, or its flip table's, is the per-color inner loop
+    of every sweep, so everything that does not depend on the current world
+    is hoisted out of it: the signed slot weights and the block's unary
+    deltas are gathered once per :meth:`refresh`, the per-slot contribution
+    buffer is allocated once, and the flip table is built once, on first
+    use.
     """
 
     __slots__ = ("block", "signed_weights", "unary", "table_rows", "_table",
@@ -260,19 +261,10 @@ class _BlockKernel:
 
     def probabilities(self, others: np.ndarray,
                       beta: float = 1.0) -> np.ndarray:
-        """Flip probabilities ``sigmoid(beta * deltas)`` of the block, given
-        the values behind its other edges (``world[block.other_vars]``).
-
-        The first sweep after a :meth:`refresh` computes them through
-        :meth:`deltas`; the second rebuilds the flip table and every later
-        one reads it.  Both paths give the same bits.
-        """
-        if self._sweeps and self.table_rows:
-            table = self.table()
-            row = table.rows(others)
-            if beta == 1.0:
-                return table.probs[row]
-            return _sigmoid_array(table.log_odds[row] * beta)
+        """Flip probabilities ``sigmoid(beta * deltas)`` of the block through
+        :meth:`deltas`, given the values behind its other edges
+        (``world[block.other_vars]``).  Marks the block swept since its
+        :meth:`refresh`, so the next one-sweep chain reads its table."""
         self._sweeps = 1
         deltas = self.deltas(others)
         if beta != 1.0:
@@ -343,15 +335,14 @@ class GibbsSampler:
     variables to their labels; ``False`` resamples everything (the learner's
     free chain).
 
-    :meth:`sweep` is the one sweep the system runs: vectorized color
-    blocks.  :meth:`run_chain` is the one multi-sweep loop, the same chain
-    as :meth:`sweep` called once per sweep.  :meth:`sweep_reference` is the
-    sweep's oracle -- the scalar per-variable loop, which visits dependent
-    variables in the same chromatic order and consumes the RNG identically,
-    so with equal seeds the two produce bit-identical chains.  Tests call
-    (or patch in) the oracle directly; no configuration reaches it.
-    :meth:`mean_field_pass` runs the same schedule in expectation (mean
-    field).
+    :meth:`run_chain` is the sampler's one vectorized color loop: every
+    chain, long or a single :meth:`sweep`, runs through it.
+    :meth:`sweep_reference` is its oracle -- the scalar per-variable loop,
+    which visits dependent variables in the same chromatic order and
+    consumes the RNG identically, so with equal seeds the two produce
+    bit-identical chains.  Tests call (or patch in) the oracle directly; no
+    configuration reaches it.  :meth:`mean_field_pass` runs the same
+    schedule in expectation (mean field).
 
     ``region``, a boolean mask, narrows the schedule (the served refresh):
     variables outside it join the clamped set and keep whatever value the
@@ -375,8 +366,25 @@ class GibbsSampler:
         self._independent_index = np.nonzero(self._independent)[0]
         self._blocks = compiled.color_blocks(has_general & ~clamped)
         self._kernels = [_BlockKernel(block) for block in self._blocks]
-        self._dependent = (np.concatenate([b.variables for b in self._blocks])
-                           if self._blocks else np.zeros(0, dtype=np.int64))
+        dependent = (np.concatenate([b.variables for b in self._blocks])
+                     if self._blocks else np.zeros(0, dtype=np.int64))
+        self._dependent = dependent
+
+        # run_chain's compact world: the block variables in block order,
+        # then the clamped variables any block's other edges read
+        position = np.full(compiled.num_variables, -1, dtype=np.int64)
+        position[dependent] = np.arange(len(dependent))
+        reads = np.concatenate([dependent]
+                               + [b.other_vars for b in self._blocks])
+        constant = np.unique(reads[position[reads] < 0])
+        position[constant] = len(dependent) + np.arange(len(constant))
+        self._compact_vars = np.concatenate((dependent, constant))
+        self._color_layout, lo = [], 0
+        for block in self._blocks:
+            hi = lo + len(block.variables)
+            self._color_layout.append((position[block.other_vars],
+                                       slice(lo, hi)))
+            lo = hi
         self.refresh_weights()
 
     # ----------------------------------------------------------------- state
@@ -396,70 +404,25 @@ class GibbsSampler:
             self._unary_deltas[self._independent_index])
 
     # ----------------------------------------------------------------- sweeps
-    def _sweep_independent(self, assignment: np.ndarray,
-                           beta: float = 1.0) -> int:
+    def sweep(self, assignment: np.ndarray, beta: float = 1.0) -> int:
+        """One full Gibbs sweep in place, a one-sweep :meth:`run_chain`;
+        returns variables sampled."""
+        return self.run_chain(assignment, 1, 0, beta)[1]
+
+    def sweep_reference(self, assignment: np.ndarray,
+                        beta: float = 1.0) -> int:
+        """Scalar per-variable sweep, the oracle :meth:`run_chain` is tested
+        against: identical RNG stream, identical chromatic visit order,
+        sequential conditionals, each flip delta its unary delta plus
+        :meth:`CompiledGraph.general_delta`."""
         probs = self._independent_probs
         if beta != 1.0:
             probs = _sigmoid_array(
                 self._unary_deltas[self._independent_index] * beta)
-        n_independent = len(probs)
-        if n_independent:
+        sampled = len(probs)
+        if sampled:
             assignment[self._independent_index] = (
-                self.rng.random(n_independent) < probs)
-        return n_independent
-
-    def sweep(self, assignment: np.ndarray, on_color=None,
-              beta: float = 1.0) -> int:
-        """One full Gibbs sweep in place; returns variables sampled.
-
-        Vectorized: the unary-only pass plus one pass per color, each
-        through :meth:`_BlockKernel.probabilities`.
-        ``on_color(color, before, after, started)``, when given, sees every
-        color block's old and freshly sampled values just before they are
-        written; it observes only, so a hooked sweep is the same chain.
-        ``beta`` is the inverse temperature the flip deltas are scaled by
-        (annealed MAP search); at 1 the sweep samples the model itself.
-        """
-        if on_color is None and obs.enabled():
-            return self._sweep_traced(assignment, beta)
-        sampled = self._sweep_independent(assignment, beta)
-        n_dependent = len(self._dependent)
-        if n_dependent:
-            uniforms = self.rng.random(n_dependent)
-            offset = 0
-            for color, kernel in enumerate(self._kernels):
-                started = perf_counter() if on_color is not None else 0.0
-                variables = kernel.block.variables
-                n = len(variables)
-                values = (uniforms[offset:offset + n] < kernel.probabilities(
-                    assignment[kernel.block.other_vars], beta))
-                if on_color is not None:
-                    on_color(color, assignment[variables], values, started)
-                assignment[variables] = values
-                offset += n
-            sampled += n_dependent
-        return sampled
-
-    def _sweep_traced(self, assignment: np.ndarray, beta: float) -> int:
-        """:meth:`sweep` with per-color timing and flip statistics.
-
-        Only entered when a collector is installed, so the probe cost never
-        taxes untraced runs.  Records one timing and one flip-fraction
-        observation per color per sweep -- histograms, not spans, because a
-        run makes thousands of color passes.
-        """
-        sampled = self.sweep(assignment, on_color=_observe_color, beta=beta)
-        obs.count("gibbs.sweeps")
-        obs.count("gibbs.samples", sampled)
-        return sampled
-
-    def sweep_reference(self, assignment: np.ndarray,
-                        beta: float = 1.0) -> int:
-        """Scalar per-variable sweep, the oracle :meth:`sweep` is tested
-        against: identical RNG stream, identical chromatic visit order,
-        sequential conditionals, each flip delta its unary delta plus
-        :meth:`CompiledGraph.general_delta`."""
-        sampled = self._sweep_independent(assignment, beta)
+                self.rng.random(sampled) < probs)
         if len(self._dependent):
             uniforms = self.rng.random(len(self._dependent))
             unary = self._unary_deltas
@@ -489,73 +452,65 @@ class GibbsSampler:
         width = len(self._independent_index) + len(self._dependent)
         return max(1, CHAIN_UNIFORMS // max(width, 1))
 
-    def run_chain(self, world: np.ndarray, num_samples: int,
-                  burn_in: int) -> tuple[np.ndarray, int]:
+    def run_chain(self, world: np.ndarray, num_samples: int, burn_in: int,
+                  beta: float = 1.0) -> tuple[np.ndarray, int]:
         """Sweep ``world`` in place ``burn_in + num_samples`` times; return
         the per-variable totals of the ``num_samples`` post-burn-in worlds
         and the variable samples drawn.
 
-        The same chain as :meth:`sweep` called that many times with the
-        worlds after burn-in added up, bit for bit: totals, final ``world``
-        and the RNG's next draw.  A sweep draws ``n_independent +
-        n_dependent`` uniforms, so one draw per chunk of
-        :attr:`chunk_sweeps` sweeps (never past the last) is the same
-        stream.  Per chunk, the unary-only variables are sampled in bulk.
-        Color blocks read and write a float *compact world* -- the block
-        variables, then the clamped variables their other edges read --
-        comparing uniforms with flip probabilities straight into their
-        slice of it; ``world`` is written back at the end.  Totals are
-        exact integer counts, so their order of addition does not matter.
-        With two or more sweeps, tabled blocks read their flip table from
-        the first (its rows are the direct path's bits).
+        Each sweep samples the unary-only variables, then the color blocks
+        in order; ``beta`` is the inverse temperature every flip delta is
+        scaled by (annealed MAP search; at 1 the chain samples the model).
+        A sweep draws ``n_independent + n_dependent`` uniforms, so one draw
+        per chunk of :attr:`chunk_sweeps` sweeps (never past the last) is
+        the same stream as a draw per sweep.  Per chunk, the unary-only
+        variables are sampled in bulk.  Color blocks read and write a float
+        *compact world* -- the block variables, then the clamped variables
+        their other edges read -- comparing uniforms with flip
+        probabilities straight into their slice of it; ``world`` is written
+        back at the end.  Totals are exact integer counts, so their order
+        of addition does not matter.  A tabled block reads its flip table
+        from the first sweep of a chain of two or more, and in a one-sweep
+        chain once it has swept since its refresh (the learner sweeps once
+        per refresh and would pay for a table it never reads); the table's
+        rows are the direct path's bits.
         """
         total_sweeps = burn_in + num_samples
         independent, dependent = self._independent_index, self._dependent
         n_independent, n_dependent = len(independent), len(dependent)
         width = n_independent + n_dependent
+        unary_probs = self._independent_probs
+        if beta != 1.0:
+            unary_probs = _sigmoid_array(self._unary_deltas[independent] * beta)
 
-        position = np.full(self.compiled.num_variables, -1, dtype=np.int64)
-        position[dependent] = np.arange(n_dependent)
-        reads = np.concatenate(
-            [dependent] + [k.block.other_vars for k in self._kernels])
-        constant = np.unique(reads[position[reads] < 0])
-        position[constant] = n_dependent + np.arange(len(constant))
-        compact = np.concatenate(
-            (world[dependent], world[constant])).astype(np.float64)
-        colors, lo = [], 0
-        for kernel in self._kernels:
-            hi = lo + len(kernel.block.variables)
+        compact = world[self._compact_vars].astype(np.float64)
+        colors = []
+        for kernel, (pos, cols) in zip(self._kernels, self._color_layout):
             tabled = kernel.table_rows and (total_sweeps >= 2 or kernel._sweeps)
-            colors.append((kernel, kernel.table() if tabled else None,
-                           position[kernel.block.other_vars], slice(lo, hi),
-                           compact[lo:hi]))
-            lo = hi
+            colors.append((kernel.table() if tabled else kernel, pos, cols,
+                           compact[cols]))
 
         traced = obs.enabled()
         seconds, flips = np.zeros(len(colors)), np.zeros(len(colors))
-        independent_counts = np.zeros(n_independent, dtype=np.int64)
+        independent_counts = np.zeros(n_independent, dtype=np.float64)
         dependent_counts = np.zeros(n_dependent, dtype=np.float64)
         block_world = compact[:n_dependent]
         done = 0
         while done < total_sweeps:
             k = min(self.chunk_sweeps, total_sweeps - done)
             uniforms = self.rng.random(k * width).reshape(k, width)
-            unary_rows = uniforms[:, :n_independent] < self._independent_probs
+            unary_rows = uniforms[:, :n_independent] < unary_probs
             first_sample = max(0, burn_in - done)
             independent_counts += unary_rows[first_sample:].sum(axis=0)
             if n_independent:
                 world[independent] = unary_rows[-1]
             for sweep in range(k if colors else 0):
                 u = uniforms[sweep, n_independent:]
-                for c, (kernel, table, pos, cols, out) in enumerate(colors):
+                for c, (source, pos, cols, out) in enumerate(colors):
                     if traced:
                         started, before = perf_counter(), out.copy()
-                    others = compact[pos]
-                    if table is not None:
-                        probs = table.probs[table.rows(others)]
-                    else:
-                        probs = kernel.probabilities(others)
-                    np.less(u[cols], probs, out=out)
+                    np.less(u[cols], source.probabilities(compact[pos], beta),
+                            out=out)
                     if traced:
                         seconds[c] += perf_counter() - started
                         flips[c] += np.count_nonzero(before != out)
@@ -564,11 +519,11 @@ class GibbsSampler:
             if traced:
                 obs.count("gibbs.sweeps", k)
                 obs.count("gibbs.samples", k * width)
-                for c, (kernel, *_) in enumerate(colors):
+                for c, (*_, out) in enumerate(colors):
                     obs.observe("gibbs.color_sweep_seconds", seconds[c] / k,
                                 color=c)
-                    obs.observe("gibbs.flip_fraction", flips[c] / (
-                        k * len(kernel.block.variables)), color=c)
+                    obs.observe("gibbs.flip_fraction",
+                                flips[c] / (k * len(out)), color=c)
                 seconds[:] = flips[:] = 0.0
             done += k
         world[dependent] = block_world

@@ -12,6 +12,7 @@ same ``beta`` is its scalar oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,14 @@ def map_inference(compiled: CompiledGraph, sweeps: int = 200,
     from ``beta_start`` to ``beta_end`` (one sweep runs at ``beta_start``);
     the highest-scoring world seen over the whole run, the random initial
     one included, is returned (not merely the final state).  Raises
-    ``ValueError`` for ``sweeps < 1``.
+    ``ValueError`` for ``sweeps < 1`` and for a ``beta_start`` or
+    ``beta_end`` that is not a finite positive number.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    for name, beta in (("beta_start", beta_start), ("beta_end", beta_end)):
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {beta}")
     sampler = GibbsSampler(compiled, seed=seed)
     world = sampler.initial_assignment()
     best = world.copy()

@@ -41,17 +41,13 @@ class Profile:
 
     def span_total(self, name: str) -> float:
         """Total inclusive seconds of every span named ``name`` in the
-        forest -- e.g. ``span_total("numa.replica_worker")`` sums the time
-        the worker processes spent inside their adopted replica spans."""
+        forest -- e.g. ``span_total("numa.replica")`` sums the time the
+        replica chains spent sampling, in process or in pool workers."""
         return sum(span.duration for span in self.walk() if span.name == name)
 
     def phase_seconds(self) -> dict[str, float]:
-        """Top-level span durations summed by name, in first-seen order.
-
-        This is the compatibility face: :attr:`RunResult.phase_timings` is
-        derived from it, so run history snapshots and existing examples
-        keep working.
-        """
+        """Top-level span durations summed by name, in first-seen order:
+        the seconds per pipeline phase (run history snapshots store them)."""
         totals: dict[str, float] = {}
         for span in self.spans:
             totals[span.name] = totals.get(span.name, 0.0) + span.duration

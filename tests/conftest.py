@@ -6,14 +6,15 @@ import pytest
 from repro.inference import GibbsSampler
 
 
-def sweep_loop(sampler: GibbsSampler, world: np.ndarray, num_samples: int,
-               burn_in: int) -> tuple[np.ndarray, int]:
-    """``GibbsSampler.run_chain`` written as the plain loop it replaces:
-    one ``sweep`` after another, the worlds after burn-in added up."""
+def reference_chain(sampler: GibbsSampler, world: np.ndarray,
+                    num_samples: int, burn_in: int,
+                    beta: float = 1.0) -> tuple[np.ndarray, int]:
+    """``GibbsSampler.run_chain`` on the scalar oracle: one
+    ``sweep_reference`` after another, the worlds after burn-in added up."""
     totals = np.zeros(sampler.compiled.num_variables, dtype=np.float64)
     sampled = 0
     for sweep in range(burn_in + num_samples):
-        sampled += sampler.sweep(world)
+        sampled += sampler.sweep_reference(world, beta)
         if sweep >= burn_in:
             totals += world
     return totals, sampled
@@ -25,9 +26,9 @@ def reference_sweeps(monkeypatch):
 
     The one seam through which code that builds its own samplers (the
     learner, NUMA replicas, the app) is driven by ``sweep_reference``: it
-    patches ``sweep`` and replaces ``run_chain`` by :func:`sweep_loop` over
-    it.  A test that compares both computes the chromatic result first,
-    then asks for this fixture with ``request.getfixturevalue``.
+    replaces ``run_chain``, the sampler's one color loop (``sweep`` is a
+    one-sweep chain), by :func:`reference_chain`.  A test that compares
+    both computes the chromatic result first, then asks for this fixture
+    with ``request.getfixturevalue``.
     """
-    monkeypatch.setattr(GibbsSampler, "sweep", GibbsSampler.sweep_reference)
-    monkeypatch.setattr(GibbsSampler, "run_chain", sweep_loop)
+    monkeypatch.setattr(GibbsSampler, "run_chain", reference_chain)

@@ -105,7 +105,7 @@ class TestRunIncremental:
         app.run(**RUN_KWARGS)
         app.load_documents([Document("new", "the fig sat there .")])
         result = app.run_incremental(threshold=0.7)
-        assert "incremental_inference" in result.phase_timings
+        assert "incremental_inference" in result.profile.phase_seconds()
 
     def test_repeated_incremental_runs(self):
         app = build_app()

@@ -88,8 +88,9 @@ class TestSamplingMaterialization:
 
     def test_update_is_the_sweep_loop(self):
         """The served refresh runs one chain (``run_chain``): marginals,
-        world, work and the stream it continues are those of the per-sweep
-        loop it replaced.  The hub's region reads every clamped spoke."""
+        world, work and the stream it continues are those of a per-sweep
+        loop on the scalar oracle.  The hub's region reads every clamped
+        spoke."""
         compiled = star_graph(spokes=12)
         compiled.is_evidence[compiled.variable_index("spoke3")] = True
         strategy, expected = (SamplingMaterialization(
@@ -106,7 +107,7 @@ class TestSamplingMaterialization:
             totals = np.zeros(len(active))
             work = 0.0
             for sweep in range(34):
-                work += sampler.sweep(expected.world)
+                work += sampler.sweep_reference(expected.world)
                 if sweep >= 4:
                     totals += expected.world[active]
             expected.marginals[active] = totals / 30

@@ -9,7 +9,7 @@ from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler, exact_marginals, sigmoid
 from repro.inference.gibbs import (CHAIN_UNIFORMS, TABLE_MAX_EDGES,
                                    _sigmoid_array)
-from tests.conftest import sweep_loop
+from tests.conftest import reference_chain
 
 
 def assert_close_to_exact(graph: FactorGraph, atol: float = 0.03) -> None:
@@ -285,11 +285,16 @@ class TestFlipTable:
     other edges; either way the chain is the scalar oracle's."""
 
     @staticmethod
-    def hub_graph(other_edges: int) -> CompiledGraph:
+    def hub_graph(other_edges: int, unary_only: int = 0) -> CompiledGraph:
         """A hub variable with ``other_edges`` other edges, spokes joined to
-        it through every general function, some literals negated.  An EQUAL
+        it through every general function, some literals negated, and
+        ``unary_only`` variables with one unary factor each.  An EQUAL
         factor is two slots, so its spoke is two of the hub's edges."""
         graph = FactorGraph()
+        for i in range(unary_only):
+            graph.add_factor(FactorFunction.IS_TRUE,
+                             [graph.variable(("unary", i))],
+                             graph.weight(("v", i % 3), 0.7 * (i % 3) - 0.6))
         hub = graph.variable("hub")
         graph.add_factor(FactorFunction.IS_TRUE, [hub], graph.weight("u", -0.3))
         functions = [FactorFunction.IMPLY, FactorFunction.AND,
@@ -392,8 +397,9 @@ def mixed_graph(seed=0, num_variables=30):
 
 
 class TestUnifiedSweep:
-    """One sweep body serves the fast path, the traced path and (through the
-    shared RNG stream and visit order) mirrors the scalar reference."""
+    """A sweep is a one-sweep chain of the one color loop: traced or not,
+    it is the scalar reference's chain (same RNG stream, same visit
+    order)."""
 
     @pytest.fixture(autouse=True)
     def clean_collector(self):
@@ -471,23 +477,6 @@ class TestUnifiedSweep:
             assert flips.count == 3
             assert 0.0 < flips.mean <= 1.0
 
-    def test_hook_sees_values_before_they_are_written(self):
-        compiled = CompiledGraph(mixed_graph())
-        sampler = GibbsSampler(compiled, seed=5)
-        world = sampler.initial_assignment()
-        seen = []
-
-        def on_color(color, before, after, started):
-            block = sampler._blocks[color]
-            np.testing.assert_array_equal(before, world[block.variables])
-            seen.append((color, after.copy()))
-
-        sampler.sweep(world, on_color=on_color)
-        assert [color for color, _ in seen] == list(range(len(sampler._blocks)))
-        for color, after in seen:
-            np.testing.assert_array_equal(
-                world[sampler._blocks[color].variables], after)
-
     def test_sampling_never_derives_the_learners_kernel(self, request):
         """Laziness is structural: compiling, building samplers and sweeping
         (all a serving refresh ever does) leave the factor-value index sets
@@ -506,19 +495,20 @@ class TestUnifiedSweep:
 
 
 class TestChainRunner:
-    """``run_chain`` at the real ``CHAIN_UNIFORMS``: the same chain as the
-    ``sweep()`` loop on the shapes the generated graphs rarely reach."""
+    """``run_chain`` at the real ``CHAIN_UNIFORMS``: the same chain as a
+    ``sweep_reference`` loop on the shapes the generated graphs rarely
+    reach."""
 
     @staticmethod
     def assert_runner_is_the_loop(compiled, num_samples, burn_in, seed=2,
-                                  **options):
+                                  beta=1.0, **options):
         runner = GibbsSampler(compiled, seed=seed, **options)
         loop = GibbsSampler(compiled, seed=seed, **options)
         world, expected_world = (runner.initial_assignment(),
                                  loop.initial_assignment())
-        totals, sampled = runner.run_chain(world, num_samples, burn_in)
-        expected, expected_sampled = sweep_loop(loop, expected_world,
-                                                num_samples, burn_in)
+        totals, sampled = runner.run_chain(world, num_samples, burn_in, beta)
+        expected, expected_sampled = reference_chain(
+            loop, expected_world, num_samples, burn_in, beta)
         np.testing.assert_array_equal(totals, expected)
         np.testing.assert_array_equal(world, expected_world)
         assert sampled == expected_sampled
@@ -567,6 +557,19 @@ class TestChainRunner:
         (kernel,) = [k for k in runner._kernels if hub in k.block.variables]
         assert not kernel.table_rows and not kernel.from_table
         assert all(k.from_table for k in runner._kernels if k is not kernel)
+
+    @pytest.mark.parametrize("beta", [0.5, 3.0])
+    def test_tempered_chain(self, beta):
+        """At ``beta`` != 1 a tabled block scales its rows' log-odds, a wide
+        block its deltas and the unary-only variables their unary deltas;
+        all are the tempered oracle's chain."""
+        compiled = TestFlipTable.hub_graph(TABLE_MAX_EDGES + 1, unary_only=20)
+        runner = self.assert_runner_is_the_loop(compiled, 40, 6, beta=beta)
+        assert len(runner._independent_index) == 20
+        assert sorted(bool(k.table_rows) for k in runner._kernels) == \
+            [False, True]
+        assert [k.from_table for k in runner._kernels] == \
+            [bool(k.table_rows) for k in runner._kernels]
 
     @pytest.mark.parametrize("num_samples,burn_in", [(1, 0), (2, 0), (1, 1)])
     def test_short_chains(self, num_samples, burn_in):

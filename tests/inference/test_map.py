@@ -99,6 +99,21 @@ class TestMapInference:
         with pytest.raises(ValueError, match="sweeps"):
             map_inference(CompiledGraph(graph), sweeps=sweeps)
 
+    @pytest.mark.parametrize("temperatures", [
+        {"beta_start": 0.0}, {"beta_start": -1.0}, {"beta_end": 0.0},
+        {"beta_end": -2.0}, {"beta_start": float("nan")},
+        {"beta_end": float("nan")}, {"beta_start": float("inf")},
+        {"beta_end": float("inf")}])
+    def test_rejects_temperatures_it_cannot_anneal(self, temperatures):
+        """A zero start divided by zero, a negative one made the geometric
+        ratio complex, and a zero or NaN end returned a "MAP" world
+        silently; each is rejected before sampling."""
+        graph = FactorGraph()
+        graph.variable("x")
+        (name,) = temperatures
+        with pytest.raises(ValueError, match=name):
+            map_inference(CompiledGraph(graph), sweeps=5, **temperatures)
+
     def test_annealed_sweep_matches_scalar_oracle(self):
         """The annealed sweep is the chromatic kernel with its deltas
         scaled by beta; the scalar oracle at the same beta is bit-identical."""

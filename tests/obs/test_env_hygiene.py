@@ -80,7 +80,11 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  # hook, and NumaConfig knobs nothing set
                  "_worker_replicas", "_collect_replicas", "ReplicaOutcome",
                  "inject_fault", "_stage_acc", "VALID_PARALLEL_MODES",
-                 "parallel_timeout", "cores_per_socket")
+                 "parallel_timeout", "cores_per_socket",
+                 # a second color loop beside GibbsSampler.run_chain: the
+                 # per-color hook, the traced copy and the unary-only pass
+                 "_sweep_traced", "_observe_color", "on_color",
+                 "_sweep_independent")
 
 #: The scalar flip rules are test oracles: each name may appear as a call
 #: or definition only in these src files (its definition and the other
@@ -108,9 +112,9 @@ def test_knobs_have_not_drifted():
     engine's own chain-state dicts, every pool caller and knob beyond the
     NUMA replicas, the serving and compliance env tables, the color block's
     slot groups, the JSON checkpoint payloads and per-item graph restore,
-    the per-variable inference loops beside the color kernel, and the
-    per-row grounding path beside ``Grounder._ground_rule``) stays
-    retired."""
+    the per-variable inference loops beside the color kernel, the
+    per-row grounding path beside ``Grounder._ground_rule``, and the second
+    color loop beside ``GibbsSampler.run_chain``) stays retired."""
     import dataclasses
 
     from repro.obs.config import ENV_VARS, EngineConfig

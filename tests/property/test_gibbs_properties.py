@@ -10,7 +10,7 @@ from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler, gibbs
 from repro.inference.exact import exact_marginals
 from repro.inference.gibbs import TABLE_MAX_EDGES
-from tests.conftest import sweep_loop
+from tests.conftest import reference_chain
 
 
 @st.composite
@@ -189,20 +189,23 @@ class TestSweepOracle:
 
 
 class TestChainRunner:
-    """``run_chain`` is the ``sweep()`` loop, bit for bit: the totals, the
-    final world, the samples drawn, every kernel's table state and the
-    next RNG draw.  ``CHAIN_UNIFORMS`` is patched down to ``chunk`` sweeps
-    of the sampler's width so that chains of ``chunk - 1``, ``chunk`` and
-    ``chunk + 1`` sweeps (and several chunks) stay cheap; the constant
-    itself is covered in ``tests/inference/test_gibbs.py``."""
+    """``run_chain`` is the ``sweep_reference`` loop, bit for bit, at every
+    temperature: the totals, the final world, the samples drawn and the
+    next RNG draw; its tables follow the one-sweep rule (direct first,
+    table from the second).  ``CHAIN_UNIFORMS`` is patched down to
+    ``chunk`` sweeps of the sampler's width so that chains of
+    ``chunk - 1``, ``chunk`` and ``chunk + 1`` sweeps (and several chunks)
+    stay cheap; the constant itself is covered in
+    ``tests/inference/test_gibbs.py``."""
 
     @given(random_graph(max_factors=16, max_arity=4), st.integers(0, 10_000),
            st.booleans(), st.booleans(), st.integers(1, 4),
-           st.integers(-1, 5), st.integers(0, 2), st.data())
+           st.integers(-1, 5), st.integers(0, 2),
+           st.sampled_from([1.0, 0.5, 3.0]), st.data())
     @settings(max_examples=150, deadline=None)
     def test_run_chain_matches_the_sweep_loop(self, graph, seed, clamp,
                                               restrict, chunk, beyond,
-                                              warm_sweeps, data):
+                                              warm_sweeps, beta, data):
         compiled = CompiledGraph(graph)
         region = (np.random.default_rng(seed).random(compiled.num_variables)
                   < 0.7 if restrict else None)
@@ -211,23 +214,24 @@ class TestChainRunner:
         world, expected_world = runner.initial_assignment(), \
             loop.initial_assignment()
         for _ in range(warm_sweeps):        # tables built, stale or absent
-            runner.sweep(world)
-            loop.sweep(expected_world)
+            runner.sweep(world, beta)
+            loop.sweep_reference(expected_world, beta)
         width = len(runner._independent_index) + len(runner._dependent)
         total = max(1, chunk + beyond)
         burn_in = data.draw(st.integers(0, total - 1))
         with mock.patch.object(gibbs, "CHAIN_UNIFORMS", chunk * width):
             assert runner.chunk_sweeps == (chunk if width else 1)
             totals, sampled = runner.run_chain(world, total - burn_in,
-                                               burn_in)
-        expected, expected_sampled = sweep_loop(loop, expected_world,
-                                                total - burn_in, burn_in)
+                                               burn_in, beta)
+        expected, expected_sampled = reference_chain(
+            loop, expected_world, total - burn_in, burn_in, beta)
         assert totals.dtype == expected.dtype
         np.testing.assert_array_equal(totals, expected)
         np.testing.assert_array_equal(world, expected_world)
         assert sampled == expected_sampled
         assert [k.from_table for k in runner._kernels] == \
-            [k.from_table for k in loop._kernels]
+            [bool(k.table_rows) and warm_sweeps + total >= 2
+             for k in runner._kernels]
         np.testing.assert_array_equal(runner.rng.random(3), loop.rng.random(3))
 
 
