@@ -4,14 +4,14 @@ A :class:`ComplianceManifest` is a tuple of per-``(relation, column,
 detector)`` :class:`ColumnReport` rows: how many values were scanned, how
 many hit, at what mean confidence, with a few *masked* examples (never raw
 PII) and — when the manifest came from a publish-time scrub — the action the
-policy applied.  Manifests are immutable, JSON-serializable, and mergeable
-(the sharded router unions its shards' manifests into one).
+policy applied.  Manifests are immutable and mergeable (the sharded router
+unions its shards' manifests into one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -30,23 +30,6 @@ class ColumnReport:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.rows_scanned if self.rows_scanned else 0.0
-
-    def to_dict(self) -> dict:
-        return {"relation": self.relation, "column": self.column,
-                "detector": self.detector, "rows_scanned": self.rows_scanned,
-                "hits": self.hits, "hit_rate": self.hit_rate,
-                "confidence": self.confidence,
-                "examples": list(self.examples), "action": self.action}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ColumnReport":
-        return cls(relation=payload["relation"], column=payload["column"],
-                   detector=payload["detector"],
-                   rows_scanned=int(payload["rows_scanned"]),
-                   hits=int(payload["hits"]),
-                   confidence=float(payload["confidence"]),
-                   examples=tuple(payload.get("examples", ())),
-                   action=payload.get("action", "allow"))
 
 
 @dataclass(frozen=True)
@@ -92,18 +75,6 @@ class ComplianceManifest:
 
     def __iter__(self):
         return iter(self.reports)
-
-    # -------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        return {"source": self.source, "rows_scanned": self.rows_scanned,
-                "reports": [report.to_dict() for report in self.reports]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ComplianceManifest":
-        return cls(source=payload["source"],
-                   rows_scanned=int(payload.get("rows_scanned", 0)),
-                   reports=tuple(ColumnReport.from_dict(r)
-                                 for r in payload.get("reports", ())))
 
     # --------------------------------------------------------------- merging
     def merge(self, other: "ComplianceManifest") -> "ComplianceManifest":

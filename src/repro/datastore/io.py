@@ -1,84 +1,23 @@
-"""Datastore persistence: CSV per relation and JSON for whole databases.
+"""Datastore persistence: a whole database as one JSON-compatible dict.
 
-DeepDive deployments hand extracted tables to downstream tools ("OLAP query
-processors, visualization software like Tableau, and analytical tools such
-as R or Excel" -- Section 1); CSV is the lingua franca for that hand-off.
-JSON dump/load round-trips a whole database including schemas, so an
-application's state can be archived next to its run history.
+:func:`database_to_dict` and :func:`database_from_dict` round-trip every
+relation with its schema, rows, multiplicities and mutation-version counter.
+Serving checkpoints store the same relation *parts* as segment files
+(:mod:`repro.serve.checkpoint`) and restore through
+:func:`database_from_dict`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from typing import Any, Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
 from repro.datastore.database import Database
 from repro.datastore.relation import Relation
 from repro.datastore.schema import Schema
-from repro.datastore.types import ColumnType
 
 
-# ---------------------------------------------------------------------- CSV
-def write_csv(relation: Relation, stream: TextIO) -> int:
-    """Write ``relation`` to ``stream`` as CSV with a header row.
-
-    ARRAY columns are JSON-encoded in their cell.  Returns rows written
-    (multiplicity preserved: a row with count 2 appears twice).
-    """
-    writer = csv.writer(stream)
-    writer.writerow(relation.schema.names)
-    written = 0
-    array_positions = {i for i, column in enumerate(relation.schema.columns)
-                       if column.type is ColumnType.ARRAY}
-    for row in relation:
-        encoded = [json.dumps(list(v)) if i in array_positions and v is not None
-                   else v for i, v in enumerate(row)]
-        writer.writerow(encoded)
-        written += 1
-    return written
-
-
-def read_csv(stream: TextIO, schema: Schema, name: str = "loaded") -> Relation:
-    """Read a CSV written by :func:`write_csv` back into a relation."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        return Relation(name, schema)
-    if tuple(header) != schema.names:
-        raise ValueError(f"CSV header {header} does not match schema "
-                         f"{schema.names}")
-    relation = Relation(name, schema)
-    for raw in reader:
-        row: list[Any] = []
-        for value, column in zip(raw, schema.columns):
-            if value == "":
-                row.append(None)
-            elif column.type is ColumnType.INT:
-                row.append(int(value))
-            elif column.type is ColumnType.FLOAT:
-                row.append(float(value))
-            elif column.type is ColumnType.BOOL:
-                row.append(value == "True")
-            elif column.type is ColumnType.ARRAY:
-                row.append(tuple(json.loads(value)))
-            else:
-                row.append(value)
-        relation.insert(row)
-    return relation
-
-
-def relation_to_csv_text(relation: Relation) -> str:
-    """Convenience: the relation's CSV as a string."""
-    buffer = io.StringIO()
-    write_csv(relation, buffer)
-    return buffer.getvalue()
-
-
-# --------------------------------------------------------------------- JSON
 #: The one JSON database format this build writes and reads.  Each relation
 #: is stored columnar: one or more *parts*, each a local interning pool plus
 #: per-column int64 code lists and a multiplicity vector -- every distinct
@@ -185,13 +124,3 @@ def database_from_dict(data: dict) -> Database:
             relation.restore_mutation_version(persisted)
     return db
 
-
-def dump_database(db: Database, stream: TextIO,
-                  relations: Iterable[str] | None = None) -> None:
-    """Write ``db`` as JSON to ``stream``."""
-    json.dump(database_to_dict(db, relations), stream)
-
-
-def load_database(stream: TextIO) -> Database:
-    """Read a database written by :func:`dump_database`."""
-    return database_from_dict(json.load(stream))

@@ -117,8 +117,8 @@ class MaterializedView:
     def iter_visible(self) -> Iterator[Row]:
         """Stream visible rows without building the list.
 
-        The row-iterator protocol for views: bulk loads (grounder initial
-        load, shard rebalance) consume this so a large derived view is
+        The row-iterator protocol for views: bulk loads (the grounder's
+        initial load) consume this so a large derived view is
         never resident twice — once in the derivation counter and once as
         a materialized list.
         """

@@ -5,26 +5,18 @@ from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.factor_functions import FactorFunction, evaluate
 from repro.factorgraph.graph import (Factor, FactorGraph, GraphError,
                                      GraphImage, Variable, Weight)
-from repro.factorgraph.serialize import (FORMAT_VERSION, SerializationError,
-                                         decode_key, dumps, encode_key,
-                                         from_dict, loads, to_dict)
+from repro.factorgraph.serialize import decode_key, encode_key
 
 __all__ = [
     "CompiledGraph",
-    "FORMAT_VERSION",
     "Factor",
     "FactorFunction",
     "FactorGraph",
     "GraphError",
     "GraphImage",
-    "SerializationError",
     "Variable",
     "Weight",
     "decode_key",
-    "dumps",
     "encode_key",
     "evaluate",
-    "from_dict",
-    "loads",
-    "to_dict",
 ]

@@ -88,8 +88,9 @@ class Weight:
 
 
 class GraphImage(NamedTuple):
-    """A graph's live rows as arrays, ids ascending: the form checkpoints and
-    :mod:`~repro.factorgraph.serialize` restore through."""
+    """A graph's live rows as arrays, ids ascending: the graph's one
+    persisted form, which checkpoints store as segment arrays and restore
+    through :meth:`FactorGraph.from_image`."""
 
     next_ids: dict               # FactorGraph.next_ids()
     var_id: np.ndarray           # int64

@@ -174,7 +174,7 @@ class Grounder:
     def state_dict(self) -> dict:
         """JSON-compatible snapshot of the grounder's mutable bookkeeping.
 
-        Together with the database dump and the serialized factor graph this
+        Together with the database dump and the factor graph's image this
         is everything :meth:`restore` needs to resume incremental grounding
         exactly where this grounder stands: the row->factor-id map DRed
         retractions consult, the distant-supervision vote counters, and the
@@ -207,7 +207,7 @@ class Grounder:
 
         ``db`` must be the restored database (base relations, derived
         relations, variable tuples and evidence rows all present) and
-        ``graph`` the id-exact deserialized factor graph.  Views are
+        ``graph`` the id-exact restored factor graph.  Views are
         re-materialized from the database — deterministic given its contents
         — while the graph and the grounding bookkeeping are adopted as-is,
         so subsequent :meth:`apply_changes` rounds behave bit-identically to

@@ -4,9 +4,8 @@ The observability subsystem the engineering loop runs on (paper Sections
 2.5 and 5: iteration speed is bounded by introspection).  Three pieces:
 
 * **spans** -- hierarchical timed ``span("layer.op")`` context managers
-  collected into trees by a process-local :class:`Collector`, with a
-  ``@instrumented`` decorator and near-zero overhead when no collector is
-  installed;
+  collected into trees by a process-local :class:`Collector`, with
+  near-zero overhead when no collector is installed;
 * **metrics** -- a :class:`MetricsRegistry` of counters/gauges/histograms
   recorded through the same collector, mergeable across NUMA replicas;
 * **config** -- the frozen :class:`EngineConfig` that replaced the old
@@ -33,7 +32,7 @@ from repro.obs.profile import PhaseRecorder, Profile
 from repro.obs.sinks import InMemorySink, JsonlSink, TreePrinterSink
 from repro.obs.span import (NULL_SPAN, Collector, NoopCollector, Span,
                             active, adopt, count, enabled, gauge, install,
-                            installed, instrumented, observe, span, uninstall)
+                            installed, observe, span, uninstall)
 
 __all__ = [
     "Collector",
@@ -57,7 +56,6 @@ __all__ = [
     "gauge",
     "install",
     "installed",
-    "instrumented",
     "metric_key",
     "observe",
     "span",

@@ -1,10 +1,11 @@
 """Hierarchical timed spans and the process-local collector.
 
 The tracing contract is built for hot paths: every instrumentation site
-(``span(...)``, ``count(...)``, ``observe(...)``, ``@instrumented``) first
+(``span(...)``, ``count(...)``, ``observe(...)``, ``gauge(...)``) first
 checks whether an *enabled* collector is installed, and when none is, does
 nothing beyond that check.  The overhead guard in ``tests/obs`` holds a
-traced-but-disabled full pipeline run to within 5% of an uninstrumented one.
+traced-but-disabled full pipeline run to within 5% of one with no collector
+installed at all.
 
 Span names follow a dotted ``layer.operation`` scheme (``grounding.
 initial_load``, ``gibbs.marginals``, ``dred.materialize``); attributes carry
@@ -15,12 +16,11 @@ observability section for the naming table.
 
 from __future__ import annotations
 
-import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -227,31 +227,6 @@ def span(name: str, **attributes) -> Iterator:
         yield opened
     finally:
         collector.end_span(opened)
-
-
-def instrumented(name: str | None = None, **static_attributes) -> Callable:
-    """Decorator wrapping a function in a span (near-zero cost untraced).
-
-    ``@instrumented()`` uses the function's qualified name;
-    ``@instrumented("layer.op", backend="row")`` overrides name and adds
-    static attributes.  When no enabled collector is installed the wrapper
-    is a single attribute check plus the call.
-    """
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            collector = _active
-            if collector is None or not collector.enabled:
-                return fn(*args, **kwargs)
-            opened = collector.start_span(span_name, dict(static_attributes))
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                collector.end_span(opened)
-        return wrapper
-    return decorate
 
 
 def adopt(spans: list[Span], metrics: MetricsRegistry | None = None) -> bool:

@@ -407,18 +407,6 @@ class CheckpointManager:
             payload["database"] = self._rehydrate(manifest, info)
         return payload
 
-    def load_database(self, info: CheckpointInfo | None = None):
-        """The datastore of a checkpoint as a live ``Database``.
-
-        A read-only convenience for tools that want the relations without
-        replaying the engine (shard rebalance reads each shard's ingested
-        rows this way); defaults to the latest checkpoint.
-        """
-        from repro.datastore.io import database_from_dict
-
-        payload = self.load(info)
-        return database_from_dict(payload["database"])
-
     def _open_segment(self, digest: str, info: CheckpointInfo):
         from repro.datastore.segments import (SegmentError, open_segment,
                                               segment_path)

@@ -60,9 +60,8 @@ def base_relation_names(program, relation_names) -> list[str]:
     """The relations in ``relation_names`` that hold *ingested* data.
 
     Filters out everything the grounder fills (variable tuples, evidence
-    rows, derived views) under ``program``.  Shared by the rule-delta
-    rebuild (carry base data into the extended program) and shard rebalance
-    (carry base data into a new shard layout).
+    rows, derived views) under ``program``.  The rule-delta rebuild uses it
+    to carry base data into the extended program.
     """
     grounder_owned = {d.name for d in program.variable_relations()}
     grounder_owned |= {f"{name}_Ev" for name in set(grounder_owned)}

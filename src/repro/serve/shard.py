@@ -54,8 +54,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.serve.config import ServeConfig
-from repro.serve.engine import AppFactory, base_relation_names
-from repro.serve.ops import (AddDocuments, AddRows, AddRules, IngestOp,
+from repro.serve.engine import AppFactory
+from repro.serve.ops import (AddDocuments, AddRules, IngestOp,
                              RemoveDocuments)
 from repro.serve.service import (IngestRejected, KBService, PendingCommit,
                                  ServiceFailed)
@@ -328,68 +328,6 @@ class ShardedKBService:
                 shard_dir, app_factory, config=config,
                 run_kwargs=run_kwargs, start=start))
         return cls(directory, services, ring, config)
-
-    @classmethod
-    def rebalance(cls, directory: str | pathlib.Path,
-                  new_directory: str | pathlib.Path,
-                  app_factory: AppFactory, new_shards: int,
-                  config: ServeConfig | None = None,
-                  run_kwargs: dict | None = None,
-                  derived_relations: Sequence[str] = (),
-                  start: bool = True) -> "ShardedKBService":
-        """Re-shard ``directory`` into ``new_shards`` under ``new_directory``.
-
-        Opens the old layout cold (apply loops never started), collects its
-        ingested state — all documents (sorted by ``doc_id``) plus the
-        broadcast base relations, which are identical on every shard so
-        shard 0 is the source of truth — and bootstraps the new layout from
-        those, re-routing every document over the new ring.  Extraction
-        products (``sentences``, candidate-extractor targets) are *not*
-        carried: bootstrap re-derives them on whichever shard each document
-        now lives.  Relations filled by document extractors are not
-        statically knowable — name them in ``derived_relations`` to exclude
-        them too.  Accumulated rule deltas are re-applied to the new layout
-        as one ``AddRules`` batch.  ``new_shards`` overrides
-        ``config.shards``.
-        """
-        config = config if config is not None else ServeConfig()
-        old = cls.open(directory, app_factory, config=config,
-                       run_kwargs=run_kwargs, start=False)
-        try:
-            docs: list[tuple] = []
-            for shard in old.shards:
-                db = shard.engine.app.db
-                if "documents" in db:
-                    docs.extend(tuple(row)
-                                for row in db["documents"].iter_rows())
-            docs.sort(key=lambda row: row[0])
-            app0 = old.shards[0].engine.app
-            skip = {"documents", "sentences"}
-            skip.update(ex.relation
-                        for ex in getattr(app0, "_extractors", ()))
-            skip.update(derived_relations)
-            ops: list[IngestOp] = []
-            if docs:
-                ops.append(AddDocuments(tuple(
-                    (doc_id, content) for doc_id, content in docs)))
-            for name in base_relation_names(app0.program, app0.db.names()):
-                if name in skip:
-                    continue
-                rows = tuple(tuple(row)
-                             for row in app0.db[name].iter_rows())
-                if rows:
-                    ops.append(AddRows(name, rows))
-            rule_deltas = list(old.shards[0].engine.rule_deltas)
-        finally:
-            old.stop()
-        rebalanced = cls.create(new_directory, app_factory, ops,
-                                config=config.with_options(shards=new_shards),
-                                run_kwargs=run_kwargs, start=True)
-        if rule_deltas:
-            rebalanced.ingest([AddRules("\n".join(rule_deltas))], wait=True)
-        if not start:
-            rebalanced.stop()
-        return rebalanced
 
     # ------------------------------------------------------- layout plumbing
     @staticmethod

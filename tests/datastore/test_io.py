@@ -1,52 +1,9 @@
-"""Tests for CSV and JSON persistence."""
-
-import io
+"""Tests for whole-database persistence (``database_to_dict``)."""
 
 import pytest
 
 from repro.datastore import Database, Relation, Schema
-from repro.datastore.io import (database_from_dict, database_to_dict,
-                                dump_database, load_database, read_csv,
-                                relation_to_csv_text, write_csv)
-
-
-def sample_relation():
-    relation = Relation("mixed", Schema.of(
-        name="text", age="int", score="float", active="bool", tags="array"))
-    relation.insert(("alice", 30, 1.5, True, ("a", "b")))
-    relation.insert(("bob", None, None, False, ()))
-    relation.insert(("alice", 30, 1.5, True, ("a", "b")))  # duplicate
-    return relation
-
-
-class TestCsv:
-    def test_roundtrip(self):
-        relation = sample_relation()
-        text = relation_to_csv_text(relation)
-        restored = read_csv(io.StringIO(text), relation.schema)
-        assert sorted(restored) == sorted(relation)
-
-    def test_multiplicity_preserved(self):
-        relation = sample_relation()
-        restored = read_csv(io.StringIO(relation_to_csv_text(relation)),
-                            relation.schema)
-        assert restored.count(("alice", 30, 1.5, True, ("a", "b"))) == 2
-
-    def test_header_written(self):
-        text = relation_to_csv_text(sample_relation())
-        assert text.splitlines()[0] == "name,age,score,active,tags"
-
-    def test_header_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            read_csv(io.StringIO("x,y\n1,2\n"), Schema.of(a="int", b="int"))
-
-    def test_empty_stream(self):
-        relation = read_csv(io.StringIO(""), Schema.of(a="int"))
-        assert len(relation) == 0
-
-    def test_write_returns_count(self):
-        buffer = io.StringIO()
-        assert write_csv(sample_relation(), buffer) == 3
+from repro.datastore.io import database_from_dict, database_to_dict
 
 
 class TestJsonDatabase:
@@ -65,14 +22,6 @@ class TestJsonDatabase:
         for name in db.names():
             assert sorted(restored[name]) == sorted(db[name])
             assert restored[name].schema == db[name].schema
-
-    def test_stream_roundtrip(self):
-        db = self.make_db()
-        buffer = io.StringIO()
-        dump_database(db, buffer)
-        buffer.seek(0)
-        restored = load_database(buffer)
-        assert sorted(restored["people"]) == sorted(db["people"])
 
     def test_subset_of_relations(self):
         db = self.make_db()

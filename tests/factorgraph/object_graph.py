@@ -5,7 +5,8 @@ graph element, in dicts keyed by id -- the representation
 :class:`repro.factorgraph.FactorGraph` had before it became columns.  It
 keeps the store's contract in the plainest form: ids allocated in order and
 never reused, removal by deletion.  :func:`reference_compile` is ``CompiledGraph``'s
-per-factor loop over it.  ``tests/property/test_factor_store.py`` runs both
+per-factor loop over it, and :func:`assert_same_graph` compares either kind
+of graph with the other.  ``tests/property/test_factor_store.py`` runs both
 side by side.
 """
 
@@ -245,3 +246,25 @@ def assert_compiled_equal(compiled, reference: dict[str, object]) -> None:
             np.testing.assert_array_equal(actual, expected, err_msg=name)
         else:
             assert actual == expected, name
+
+
+def assert_same_graph(one, other) -> None:
+    """``one`` and ``other`` (each a ``FactorGraph`` or an ``ObjectGraph``)
+    hold the same id counters and the same live variables, weights and
+    factors, read through their ``variables``/``weights``/``factors``
+    mappings in id order and compared by ``repr``, so value types (bool,
+    int, float, tuple keys) must match too.  When both are ``FactorGraph``s
+    their images must also agree array by array, dtypes included."""
+    def rows(graph):
+        return repr((
+            graph.next_ids(),
+            [(v.var_id, v.key, v.evidence, v.initial)
+             for v in graph.variables.values()],
+            [(w.weight_id, w.key, w.value, w.fixed, w.observations)
+             for w in graph.weights.values()],
+            [(f.factor_id, f.function, tuple(f.var_ids), tuple(f.negated),
+              f.weight_id) for f in graph.factors.values()]))
+
+    assert rows(one) == rows(other)
+    if not isinstance(one, ObjectGraph) and not isinstance(other, ObjectGraph):
+        assert_compiled_equal(other.image(), one.image()._asdict())

@@ -33,9 +33,9 @@ from repro.apps import ads, spouse
 from repro.corpus import ads as ads_corpus
 from repro.corpus import spouse as spouse_corpus
 from repro.datastore.io import database_to_dict
-from repro.factorgraph import to_dict
 from repro.grounding import Grounder
 from repro.serve.engine import base_relation_names
+from tests.factorgraph.object_graph import assert_same_graph
 
 CHUNKS = 5
 
@@ -89,7 +89,7 @@ def chunk(rows, k):
 
 
 def assert_same_grounding(one, other):
-    assert json.dumps(to_dict(one.graph)) == json.dumps(to_dict(other.graph))
+    assert_same_graph(one.graph, other.graph)
     assert json.dumps(one.state_dict()) == json.dumps(other.state_dict())
     assert json.dumps(database_to_dict(one.db)) == \
         json.dumps(database_to_dict(other.db))

@@ -1,8 +1,9 @@
 """Hygiene: only ``repro/obs/config.py`` may read the environment.
 
 The EngineConfig redesign moved every ``REPRO_*`` env-var read into
-``EngineConfig.from_env``; this test (mirrored by a CI grep step) keeps the
-rest of the source tree environment-free so configuration stays explicit.
+``EngineConfig.from_env``; this module (which CI's env-hygiene job runs)
+keeps the rest of the source tree environment-free so configuration stays
+explicit, and keeps every retired name out of it.
 """
 
 import ast
@@ -46,7 +47,9 @@ def test_no_repro_env_var_literals_outside_obs():
 
 REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  "use_backend", "set_backend", "run_replicas_parallel",
-                 "fanout_map",
+                 "fanout_map", "VALID_ENGINES", "_columnar_join_into",
+                 "_forced_backend", "parallel_preprocess",
+                 "set_default_config",
                  # dead format readers (datastore v1/v2, graph v1, checkpoint 1)
                  "_from_dict_v1", "_encode_key", "_decode_key",
                  "SUPPORTED_DATABASE_VERSIONS", "SUPPORTED_CHECKPOINT_VERSIONS",
@@ -84,7 +87,13 @@ REMOVED_NAMES = ("gibbs_engine", "pool_warm", "columnar_threshold",
                  # a second color loop beside GibbsSampler.run_chain: the
                  # per-color hook, the traced copy and the unary-only pass
                  "_sweep_traced", "_observe_color", "on_color",
-                 "_sweep_independent")
+                 "_sweep_independent",
+                 # export forms and surface no workload, figure or example
+                 # ran: CSV and JSON-stream database dumps, the factor
+                 # graph's JSON form, the span decorator and shard rebalance
+                 "write_csv", "read_csv", "relation_to_csv_text",
+                 "dump_database", "load_database", "SerializationError",
+                 "instrumented", "rebalance")
 
 #: The scalar flip rules are test oracles: each name may appear as a call
 #: or definition only in these src files (its definition and the other
@@ -113,8 +122,9 @@ def test_knobs_have_not_drifted():
     NUMA replicas, the serving and compliance env tables, the color block's
     slot groups, the JSON checkpoint payloads and per-item graph restore,
     the per-variable inference loops beside the color kernel, the
-    per-row grounding path beside ``Grounder._ground_rule``, and the second
-    color loop beside ``GibbsSampler.run_chain``) stays retired."""
+    per-row grounding path beside ``Grounder._ground_rule``, the second
+    color loop beside ``GibbsSampler.run_chain``, and the export forms and
+    surface that nothing ran) stays retired."""
     import dataclasses
 
     from repro.obs.config import ENV_VARS, EngineConfig

@@ -96,29 +96,6 @@ class TestCollection:
         assert root.find("b").name == "b"
         assert root.find("zzz") is None
 
-    def test_instrumented_decorator(self):
-        @obs.instrumented("math.double", kind="test")
-        def double(x):
-            return 2 * x
-
-        assert double(4) == 8           # fast path, no collector
-        collector = obs.Collector()
-        with obs.installed(collector):
-            assert double(5) == 10
-        (root,) = collector.roots
-        assert root.name == "math.double"
-        assert root.attributes == {"kind": "test"}
-
-    def test_instrumented_default_name(self):
-        @obs.instrumented()
-        def helper():
-            return 1
-
-        collector = obs.Collector()
-        with obs.installed(collector):
-            helper()
-        assert "helper" in collector.roots[0].name
-
     def test_metrics_through_module_helpers(self):
         collector = obs.Collector()
         with obs.installed(collector):

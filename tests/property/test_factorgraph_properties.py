@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler
+from tests.factorgraph.object_graph import assert_same_graph
 
 
 @st.composite
@@ -209,29 +210,13 @@ class TestSerializationProperties:
     @settings(max_examples=60, deadline=None)
     @given(random_graph())
     def test_roundtrip_preserves_structure(self, graph):
-        from repro.factorgraph import from_dict, to_dict
-
-        def signature(g):
-            variables = sorted((repr(v.key), v.evidence, v.initial)
-                               for v in g.variables.values())
-            weights = sorted((repr(w.key), round(w.value, 9), w.fixed,
-                              w.observations) for w in g.weights.values())
-            factors = sorted(
-                (int(f.function),
-                 tuple(repr(g.variables[v].key) for v in f.var_ids),
-                 f.negated, repr(g.weights[f.weight_id].key))
-                for f in g.factors.values())
-            return variables, weights, factors
-
-        assert signature(from_dict(to_dict(graph))) == signature(graph)
+        assert_same_graph(FactorGraph.from_image(graph.image()), graph)
 
     @settings(max_examples=30, deadline=None)
     @given(random_graph())
     def test_roundtrip_samples_identically(self, graph):
-        from repro.factorgraph import from_dict, to_dict
-
         original = CompiledGraph(graph)
-        restored = CompiledGraph(from_dict(to_dict(graph)))
+        restored = CompiledGraph(FactorGraph.from_image(graph.image()))
         m1 = GibbsSampler(original, seed=5).marginals(num_samples=30,
                                                       burn_in=5).marginals
         m2 = GibbsSampler(restored, seed=5).marginals(num_samples=30,

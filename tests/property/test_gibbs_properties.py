@@ -15,7 +15,8 @@ from tests.conftest import reference_chain
 
 @st.composite
 def random_graph(draw, max_factors=10, max_arity=3):
-    """A small random factor graph mixing every factor type."""
+    """A small random factor graph mixing every factor type, plus one to
+    three variables with a single unary factor each."""
     num_variables = draw(st.integers(min_value=2, max_value=7))
     graph = FactorGraph()
     for i in range(num_variables):
@@ -35,6 +36,14 @@ def random_graph(draw, max_factors=10, max_arity=3):
         negated = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
         weight = graph.weight(("w", f), draw(st.floats(-2, 2)))
         graph.add_factor(function, members, weight, negated=negated)
+    # a few variables whose only factor is unary: the sampler's independent
+    # set, drawn with weights of magnitude 0.5 to 2 so that a probability
+    # computed at the wrong temperature shows
+    for i in range(num_variables, num_variables + draw(st.integers(1, 3))):
+        weight = graph.weight(("u", i), draw(st.sampled_from([-1, 1]))
+                              * draw(st.floats(0.5, 2)))
+        graph.add_factor(FactorFunction.IS_TRUE, [graph.variable(i)], weight,
+                         negated=[draw(st.booleans())])
     evidence = draw(st.lists(st.tuples(st.integers(0, num_variables - 1),
                                        st.booleans()), max_size=2))
     for var, value in evidence:

@@ -1,4 +1,4 @@
-"""Sharded serving: routing, merged views, tenants, recovery, rebalance."""
+"""Sharded serving: routing, merged views, tenants and recovery."""
 
 import os
 import threading
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro import Document
-from repro.serve import (AddDocuments, AddRows, AddRules, HashRing, KBService,
+from repro.serve import (AddDocuments, AddRows, HashRing, KBService,
                          MergedSnapshot, QuotaExceeded, RemoveDocuments,
                          ServeConfig, ServiceFailed, ShardedKBService,
                          add_documents, add_rows, route_ops)
@@ -337,45 +337,6 @@ class TestRecovery:
                        in zip(view_before.lsn_vector, after.lsn_vector))
             assert any(late > early for early, late
                        in zip(view_before.lsn_vector, after.lsn_vector))
-
-
-class TestRebalance:
-    def test_rebalance_preserves_documents_and_variables(self, tmp_path):
-        with make_sharded(tmp_path) as service:
-            service.client().ingest(
-                [add_documents([doc_for(GOOD[4], "rb-1")])])
-            expected_keys = set(service.client().snapshot().marginals)
-            expected_docs = sorted(
-                doc_id for shard in service.shards
-                for doc_id, _ in shard.engine.app.db["documents"]
-                .distinct_rows())
-        rebalanced = ShardedKBService.rebalance(
-            tmp_path / "kb", tmp_path / "kb3", make_app_factory(),
-            new_shards=3, config=sharded_config(shards=3),
-            run_kwargs=RUN_KWARGS)
-        with rebalanced:
-            assert len(rebalanced.shards) == 3
-            merged = rebalanced.client().snapshot()
-            assert set(merged.marginals) == expected_keys
-            docs = sorted(
-                doc_id for shard in rebalanced.shards
-                for doc_id, _ in shard.engine.app.db["documents"]
-                .distinct_rows())
-            assert docs == expected_docs
-        manifest = ShardedKBService.read_manifest(tmp_path / "kb3")
-        assert manifest["shards"] == 3
-
-    def test_rebalance_carries_rule_deltas(self, tmp_path):
-        extra = ("GoodName_Ev(m, true) :- "
-                 "NameMention(s, m, t, p), Content(s, c).")
-        with make_sharded(tmp_path) as service:
-            service.ingest([AddRules(extra)])
-        with ShardedKBService.rebalance(
-                tmp_path / "kb", tmp_path / "kb1", make_app_factory(),
-                new_shards=1, config=sharded_config(shards=1),
-                run_kwargs=RUN_KWARGS) as rebalanced:
-            assert all(extra in "\n".join(shard.engine.rule_deltas)
-                       for shard in rebalanced.shards)
 
 
 class TestConcurrentGroups:

@@ -1,0 +1,39 @@
+"""The call census's keep-list stays honest between census runs.
+
+``tools/census.py`` runs every workload, example and figure under a
+profiler, which takes minutes, so it is re-run by hand rather than here.
+This check is static and fast: every entry of ``tools/census_keep.txt``
+names functions that exist under ``src/repro`` and gives one of the fixed
+reasons, so deleting a kept function cannot leave its entry behind.
+"""
+
+import fnmatch
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_census():
+    spec = importlib.util.spec_from_file_location(
+        "census", ROOT / "tools" / "census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
+
+
+def test_every_entry_names_existing_functions_and_a_known_reason():
+    census = load_census()
+    names = [f"{f['module']}:{f['qualname']}" for f in census.definitions()]
+    entries = census.read_keep_list()
+    assert entries
+    patterns = [pattern for pattern, _ in entries]
+    assert len(set(patterns)) == len(patterns), "duplicate entries"
+    missing = [pattern for pattern in patterns
+               if not any(fnmatch.fnmatchcase(name, pattern)
+                          for name in names)]
+    assert not missing, f"entries naming no function under src/repro: " \
+        f"{missing}"
+    unknown = [(pattern, reason) for pattern, reason in entries
+               if not census.valid_reason(reason)]
+    assert not unknown, f"entries with an unknown reason: {unknown}"
