@@ -145,10 +145,6 @@ class FeatureLibrary:
             features = [f for f in features if f in self._keep]
         return features
 
-    @property
-    def num_templates(self) -> int:
-        return len(self.templates)
-
     def prune(self, feature_stats, min_weight: float = 0.05,
               min_observations: int = 1) -> set[str]:
         """Keep only features whose trained weight survived regularization.

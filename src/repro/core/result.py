@@ -5,6 +5,7 @@ span tree plus engine metrics)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.eval.calibration import (CalibrationPlot, ProbabilityHistogram,
                                     calibration_plot, probability_histogram)
@@ -13,6 +14,19 @@ from repro.inference.learning import LearningDiagnostics
 from repro.obs.profile import Profile
 
 VariableKey = tuple[str, tuple]
+
+
+def output_database(marginals: Mapping[VariableKey, float],
+                    threshold: float) -> dict[str, dict[tuple, float]]:
+    """The output database: each relation's accepted tuples (probability
+    >= ``threshold``) with their probabilities, relations and tuples in
+    the order ``marginals`` first lists them.  The one acceptance rule:
+    :attr:`RunResult.output` and every served snapshot apply it."""
+    accepted: dict[str, dict[tuple, float]] = {}
+    for (relation, values), probability in marginals.items():
+        if probability >= threshold:
+            accepted.setdefault(relation, {})[values] = probability
+    return accepted
 
 
 @dataclass
@@ -42,11 +56,7 @@ class RunResult:
     @property
     def output(self) -> dict[str, dict[tuple, float]]:
         """Accepted tuples per relation: probability >= threshold."""
-        accepted: dict[str, dict[tuple, float]] = {}
-        for (relation, values), probability in self.marginals.items():
-            if probability >= self.threshold:
-                accepted.setdefault(relation, {})[values] = probability
-        return accepted
+        return output_database(self.marginals, self.threshold)
 
     def output_tuples(self, relation: str) -> set[tuple]:
         """Accepted tuples of one relation (the set benchmarks score)."""

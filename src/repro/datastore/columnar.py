@@ -129,9 +129,6 @@ class InternPool:
             self._numeric_cache = cached
         return cached
 
-    def none_code(self) -> int:
-        return self.code(None)
-
 
 #: Process-wide default pool.  Relations cache their encoding against it, so
 #: repeated plan evaluations over the same base data encode once.

@@ -247,10 +247,6 @@ class SegmentCache:
     def resident_bytes(self) -> int:
         return self._resident
 
-    def set_budget(self, budget_bytes: int) -> None:
-        self.budget_bytes = budget_bytes
-        self._evict()
-
     def get(self, path: str | os.PathLike) -> SegmentData:
         key = str(path)
         entry = self._entries.get(key)

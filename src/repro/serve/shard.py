@@ -155,7 +155,8 @@ class MergedSnapshot(SnapshotReads):
     (:class:`~repro.serve.snapshot.SnapshotReads`), so
     :class:`~repro.serve.client.KBClient` code is backend-agnostic.  The
     merged marginal dict is built lazily on first query and cached — the
-    parts are immutable, so the merge is too.
+    parts are immutable, so the merge is too — and the output database is
+    built once from the merged dict, so it keeps the same winner.
 
     Document-derived variable keys are disjoint across shards by
     construction (a document lives on exactly one shard).  Should a
@@ -163,13 +164,14 @@ class MergedSnapshot(SnapshotReads):
     highest-indexed shard's marginal wins — deterministically.
     """
 
-    __slots__ = ("parts", "_merged")
+    __slots__ = ("parts", "_merged", "_output")
 
     def __init__(self, parts: Iterable[Snapshot]) -> None:
         self.parts = tuple(parts)
         if not self.parts:
             raise ValueError("a merged snapshot needs at least one part")
         self._merged: dict | None = None
+        self._output = None
 
     # ---------------------------------------------------------- identifiers
     @property

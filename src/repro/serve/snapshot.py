@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Mapping
 
+from repro.core.result import output_database
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compliance.manifest import ComplianceManifest
 
@@ -24,12 +26,21 @@ class SnapshotReads:
     """The query API every published view shares: reads of
     ``self.marginals`` (variable key -> probability) and
     ``self.threshold``, inherited by :class:`Snapshot` and the cross-shard
-    :class:`~repro.serve.shard.MergedSnapshot`."""
+    :class:`~repro.serve.shard.MergedSnapshot`.
+
+    The view's output database (:func:`~repro.core.result.output_database`
+    at its own threshold) is built once, on the first read that needs it,
+    and kept in ``self._output``.  That is safe because a published view
+    is immutable: its marginals never change after publish, so the cache
+    never goes stale.  Two readers racing the first build each build an
+    equal dict and one assignment wins, so no lock is needed.
+    """
 
     __slots__ = ()
 
     marginals: Mapping[VariableKey, float]
     threshold: float
+    _output: dict[str, dict[tuple, float]] | None
 
     def marginal(self, key: Hashable, default: float | None = None) -> float:
         """The marginal probability of one variable key."""
@@ -43,10 +54,19 @@ class SnapshotReads:
     def output_tuples(self, relation: str,
                       threshold: float | None = None) -> set[tuple]:
         """Accepted tuples of ``relation`` at ``threshold`` (default: the
-        snapshot's own)."""
-        cut = self.threshold if threshold is None else threshold
-        return {values for (name, values), probability in self.marginals.items()
-                if name == relation and probability >= cut}
+        snapshot's own), as a new set the caller may mutate.
+
+        At the snapshot's own threshold this copies one relation of the
+        cached output database, O(result); any other threshold scans every
+        marginal, O(KB)."""
+        if threshold is None or threshold == self.threshold:
+            accepted = self._output
+            if accepted is None:                 # benign race: idempotent
+                accepted = output_database(self.marginals, self.threshold)
+                object.__setattr__(self, "_output", accepted)
+        else:
+            accepted = output_database(self.marginals, threshold)
+        return set(accepted.get(relation, ()))
 
     def top(self, relation: str, k: int = 10) -> list[tuple[tuple, float]]:
         """The ``k`` highest-probability tuples of ``relation``."""
@@ -76,7 +96,9 @@ class Snapshot(SnapshotReads):
     ``marginals``
         Variable key -> marginal probability, for every query variable.
     ``threshold``
-        The acceptance threshold :meth:`output_tuples` applies by default.
+        The acceptance threshold :meth:`output_tuples` applies by default;
+        the output database at it is built on the first such read and
+        cached, which is safe because a published snapshot is immutable.
     ``refresh``
         How this version's marginals were produced: ``"full_run"``,
         ``"sampling"``, ``"variational"``, or ``"none"`` (no touched
@@ -97,3 +119,5 @@ class Snapshot(SnapshotReads):
     graph_stats: Mapping[str, int] = field(default_factory=dict)
     relation_counts: Mapping[str, int] = field(default_factory=dict)
     manifest: "ComplianceManifest | None" = None
+    _output: dict[str, dict[tuple, float]] | None = field(
+        default=None, init=False, repr=False, compare=False)

@@ -3,8 +3,9 @@
 Every probe site checks for an enabled collector first, so a run with the
 :class:`~repro.obs.span.NoopCollector` installed (``enabled`` false) must
 execute the same fast path as a run with nothing installed.  The guard
-interleaves best-of-N measurements of a full ``DeepDive.run`` on a small
-spouse corpus and holds the ratio to the 5% acceptance bound.
+interleaves min-of-rounds measurements, each of several full
+``DeepDive.run`` calls on a small spouse corpus, and holds the ratio to the
+5% acceptance bound.
 """
 
 import time
@@ -32,20 +33,22 @@ def build_app():
 
 
 def run_once(app) -> None:
-    # sized so a single run takes long enough that scheduler jitter is small
-    # relative to the 5% acceptance bound
     app.run(threshold=0.8, holdout_fraction=0.1,
             learning=LearningOptions(epochs=30, seed=0),
             num_samples=400, burn_in=40, compute_train_histogram=False)
 
 
-def best_of(n: int, fn) -> float:
-    best = float("inf")
-    for _ in range(n):
-        start = time.perf_counter()
+#: ``run_once`` takes about 2.3 ms on a 2-vCPU machine, where scheduler
+#: noise alone is several percent of that.  One timed sample is this many
+#: runs (about 23 ms), so noise is a small share of the 5% bound.
+RUNS_PER_SAMPLE = 10
+
+
+def sample(fn) -> float:
+    start = time.perf_counter()
+    for _ in range(RUNS_PER_SAMPLE):
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return time.perf_counter() - start
 
 
 def test_noop_collector_within_5_percent():
@@ -62,18 +65,21 @@ def test_noop_collector_within_5_percent():
         with obs.installed(noop):
             run_once(app)
 
-    # interleave the variants so drift (thermal, scheduler) hits both
+    # interleave the variants, alternating which goes first, so drift
+    # (thermal, scheduler) hits both
     rounds = 7
-    plain_best = float("inf")
-    noop_best = float("inf")
-    for _ in range(rounds):
-        plain_best = min(plain_best, best_of(1, plain))
-        noop_best = min(noop_best, best_of(1, with_noop))
+    best = {plain: float("inf"), with_noop: float("inf")}
+    for index in range(rounds):
+        order = (plain, with_noop) if index % 2 else (with_noop, plain)
+        for variant in order:
+            best[variant] = min(best[variant], sample(variant))
+    plain_best, noop_best = best[plain], best[with_noop]
 
     overhead = noop_best / plain_best - 1.0
     assert overhead <= 0.05, (
         f"no-op collector overhead {overhead:.1%} exceeds the 5% bound "
-        f"(plain {plain_best * 1000:.1f}ms, noop {noop_best * 1000:.1f}ms)")
+        f"(plain {plain_best * 1000:.1f}ms, noop {noop_best * 1000:.1f}ms "
+        f"per {RUNS_PER_SAMPLE} runs)")
 
 
 def test_traced_run_actually_records():
