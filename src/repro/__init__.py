@@ -23,7 +23,7 @@ Quickstart::
 
 from repro.core import DeepDive, RunResult
 from repro.ddlog import DDlogProgram
-from repro.nlp import Document, Sentence, Span
+from repro.nlp import Document, Sentence
 from repro.obs import EngineConfig
 
 __version__ = "1.0.0"
@@ -35,6 +35,5 @@ __all__ = [
     "EngineConfig",
     "RunResult",
     "Sentence",
-    "Span",
     "__version__",
 ]

@@ -94,10 +94,6 @@ class VertexProgrammingGibbs:
             for member in vertex_factor.members:
                 member.factor_neighbours.append(vertex_factor)
 
-    @property
-    def num_variables(self) -> int:
-        return len(self._vertices)
-
     def _apply(self, vertex: _VertexVariable, uniform: float) -> None:
         """Gather factor values for both assignments of this vertex, apply."""
         delta = 0.0

@@ -50,13 +50,6 @@ class RuleBasedExtractor:
     def __init__(self, rules: Iterable[RegexRule]) -> None:
         self.rules = list(rules)
 
-    def extract(self, documents: Iterable[Document]) -> set[tuple]:
-        output: set[tuple] = set()
-        for doc in documents:
-            for rule in self.rules:
-                output.update(rule.matches(doc.content))
-        return output
-
     def extract_per_rule(self, documents: Iterable[Document],
                          ) -> list[tuple[str, set[tuple]]]:
         """Cumulative output after each rule -- the E7 productivity curve."""

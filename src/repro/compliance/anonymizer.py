@@ -102,9 +102,11 @@ class Anonymizer:
                 f"different raw value; rotate the anonymization key")
         return surrogate
 
-    def anonymize_text(self, text: str,
-                       detections: Iterable[Detection]) -> str:
-        """``text`` with every detected span replaced by its surrogate.
+    def anonymize_text(self, text: str, detections: Iterable[Detection],
+                       redact: bool = False) -> str:
+        """``text`` with every detected span replaced by its surrogate, or
+        with ``redact`` by a class marker (``[REDACTED:phone]``), which
+        destroys the value where a surrogate keeps join keys.
 
         Spans are replaced right-to-left so earlier offsets stay valid;
         overlapping detections keep the earliest-starting (then longest)
@@ -112,23 +114,11 @@ class Anonymizer:
         """
         ordered = _claim_spans(detections)
         for detection in reversed(ordered):
-            text = (text[:detection.start]
-                    + self.surrogate(detection.detector, detection.value)
-                    + text[detection.end:])
-        return text
-
-    def redact_text(self, text: str,
-                    detections: Iterable[Detection]) -> str:
-        """``text`` with every detected span replaced by a class marker.
-
-        Redaction deliberately destroys the value (``[REDACTED:phone]``) —
-        use :meth:`anonymize_text` when join keys must survive.
-        """
-        ordered = _claim_spans(detections)
-        for detection in reversed(ordered):
-            text = (text[:detection.start]
-                    + f"[REDACTED:{detection.detector}]"
-                    + text[detection.end:])
+            replacement = (f"[REDACTED:{detection.detector}]" if redact
+                           else self.surrogate(detection.detector,
+                                               detection.value))
+            text = text[:detection.start] + replacement \
+                + text[detection.end:]
         return text
 
 

@@ -58,9 +58,8 @@ def scrub_value(value, action: str, detector: str, anonymizer: Anonymizer,
         return value
     text = value if isinstance(value, str) else str(value)
     if detections:
-        if action == "anonymize":
-            return anonymizer.anonymize_text(text, detections)
-        return anonymizer.redact_text(text, detections)
+        return anonymizer.anonymize_text(text, detections,
+                                         redact=action != "anonymize")
     if action == "anonymize":
         return anonymizer.surrogate(detector, text)
     return f"[REDACTED:{detector}]"

@@ -27,10 +27,6 @@ class ColumnReport:
     examples: tuple[str, ...] = ()     # masked — never raw values
     action: str = "allow"              # what the policy did about it
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.rows_scanned if self.rows_scanned else 0.0
-
 
 @dataclass(frozen=True)
 class ComplianceManifest:
@@ -52,23 +48,6 @@ class ComplianceManifest:
                     and key not in seen:
                 seen.append(key)
         return seen
-
-    def for_relation(self, relation: str) -> tuple[ColumnReport, ...]:
-        return tuple(r for r in self.reports if r.relation == relation)
-
-    def find(self, relation: str, column: str,
-             detector: str | None = None) -> ColumnReport | None:
-        """The first report for ``relation.column`` (optionally by detector)."""
-        for report in self.reports:
-            if report.relation == relation and report.column == column \
-                    and (detector is None or report.detector == detector):
-                return report
-        return None
-
-    def actions(self) -> dict[tuple[str, str], str]:
-        """``(relation, column) -> action`` for every non-allow report."""
-        return {(r.relation, r.column): r.action
-                for r in self.reports if r.action != "allow"}
 
     def __len__(self) -> int:
         return len(self.reports)

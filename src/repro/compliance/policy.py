@@ -28,7 +28,7 @@ policy: callers build it, and a malformed one fails at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 VALID_ACTIONS = ("allow", "redact", "anonymize", "drop")
 
@@ -120,15 +120,3 @@ class CompliancePolicy:
             if _pattern_matches(pattern, relation, column):
                 return action
         return None
-
-    @property
-    def active(self) -> bool:
-        """True when an enabled policy can actually change a snapshot."""
-        return self.enabled and (
-            self.default_action != "allow"
-            or any(action != "allow" for _pattern, action in self.rules))
-
-    # ------------------------------------------------------------ plumbing
-    def with_options(self, **changes) -> "CompliancePolicy":
-        """A copy with ``changes`` applied (the policy itself is frozen)."""
-        return replace(self, **changes)

@@ -161,7 +161,3 @@ class FeatureLibrary:
                 kept.add(feature)
         self._keep = kept
         return kept
-
-    def reset(self) -> None:
-        """Return to emit-everything mode."""
-        self._keep = None

@@ -188,9 +188,6 @@ class ColumnStore:
     def num_rows(self) -> int:
         return self.codes.shape[1]
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def column_values(self, position: int) -> np.ndarray:
         """Decoded object array for one column."""
         return self.pool.object_array()[self.codes[position]]
@@ -210,9 +207,6 @@ class ColumnStore:
         return list(zip(*(objects[self.codes[j]]
                           for j in range(self.codes.shape[0])))) \
             if self.codes.shape[0] else [()] * self.num_rows
-
-    def counted_rows(self) -> list[tuple[Row, int]]:
-        return list(zip(self.rows(), self.counts.tolist()))
 
     def to_counts(self) -> dict[Row, int]:
         """Materialize as a ``row -> count`` dict (duplicates summed)."""

@@ -83,11 +83,6 @@ class Database:
         self._relations[name] = relation
         return relation
 
-    def drop(self, name: str) -> None:
-        if name not in self._relations:
-            raise DatabaseError(f"no relation {name!r}")
-        del self._relations[name]
-
     def __getitem__(self, name: str) -> Relation:
         try:
             return self._relations[name]

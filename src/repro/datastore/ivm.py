@@ -23,7 +23,7 @@ from collections import Counter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro import obs
-from repro.datastore.relation import Relation, Row
+from repro.datastore.relation import Row
 from repro.datastore.schema import Schema
 
 
@@ -63,14 +63,6 @@ class SignedDelta:
     def __bool__(self) -> bool:
         return bool(self._counts)
 
-    def insertions(self) -> Iterator[tuple[Row, int]]:
-        """Rows with positive net count."""
-        return ((row, count) for row, count in self._counts.items() if count > 0)
-
-    def deletions(self) -> Iterator[tuple[Row, int]]:
-        """Rows with negative net count (count reported negative)."""
-        return ((row, count) for row, count in self._counts.items() if count < 0)
-
     @classmethod
     def from_changes(cls, schema: Schema, inserts: Iterable[Sequence[Any]] = (),
                      deletes: Iterable[Sequence[Any]] = ()) -> "SignedDelta":
@@ -85,10 +77,10 @@ class SignedDelta:
 class MaterializedView:
     """A plan result materialized with per-row derivation counts.
 
-    ``visible`` is the set-semantics face of the view: rows whose derivation
-    count is positive.  ``apply`` folds in a signed delta and returns the rows
-    that became visible and the rows that ceased to be visible -- the events
-    the incremental grounder consumes.
+    ``iter_visible`` is the set-semantics face of the view: rows whose
+    derivation count is positive.  ``apply`` folds in a signed delta and
+    returns the rows that became visible and the rows that ceased to be
+    visible -- the events the incremental grounder consumes.
     """
 
     def __init__(self, name: str, plan, db, build_cache=None) -> None:
@@ -104,16 +96,6 @@ class MaterializedView:
             sp.set(rows=len(self._derivations))
 
     # ------------------------------------------------------------------ reads
-    def visible(self) -> Relation:
-        """The view's current contents under set semantics."""
-        counts = {row: 1 for row, count in self._derivations.items() if count > 0}
-        return Relation.from_counts(self.name, self.schema, counts,
-                                    validate=False)
-
-    def visible_rows(self) -> list[Row]:
-        """Visible rows as a list -- the bulk read the grounder consumes."""
-        return list(self.iter_visible())
-
     def iter_visible(self) -> Iterator[Row]:
         """Stream visible rows without building the list.
 
@@ -125,13 +107,6 @@ class MaterializedView:
         for row, count in self._derivations.items():
             if count > 0:
                 yield row
-
-    def iter_rows(self) -> Iterator[Row]:
-        """Protocol alias: a view's rows are its visible rows (set semantics)."""
-        return self.iter_visible()
-
-    def derivation_count(self, row: Sequence[Any]) -> int:
-        return self._derivations.get(self.schema.validate_row(row), 0)
 
     def __len__(self) -> int:
         return sum(1 for count in self._derivations.values() if count > 0)

@@ -13,7 +13,7 @@ insert/delete paths.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.datastore.schema import Schema, SchemaError
 
@@ -252,29 +252,6 @@ class Relation:
         for row, count in bucket.items():
             for _ in range(count):
                 yield row
-
-    def lookup_distinct(self, columns: Sequence[str], values: Sequence[Any]) -> Iterator[Row]:
-        """Like :meth:`lookup` but yields each distinct row once."""
-        bucket = self._index_for(columns).get(tuple(values))
-        if bucket is not None:
-            yield from bucket
-
-    # ------------------------------------------------------------ conveniences
-    def rows_where(self, predicate: Callable[[dict[str, Any]], bool]) -> Iterator[Row]:
-        """Yield rows (with multiplicity) whose dict form satisfies ``predicate``."""
-        for row in self:
-            if predicate(self.schema.row_dict(row)):
-                yield row
-
-    def column(self, name: str) -> Iterator[Any]:
-        """Yield the value of column ``name`` for every row (with multiplicity)."""
-        position = self.schema.position(name)
-        for row in self:
-            yield row[position]
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Materialize all rows as dicts (multiplicity preserved)."""
-        return [self.schema.row_dict(row) for row in self]
 
     def copy(self, name: str | None = None) -> "Relation":
         """Deep-enough copy: shares row tuples (immutable) but not counts/indexes."""

@@ -243,10 +243,6 @@ class SegmentCache:
         self._entries: OrderedDict[str, SegmentData] = OrderedDict()
         self._resident = 0
 
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident
-
     def get(self, path: str | os.PathLike) -> SegmentData:
         key = str(path)
         entry = self._entries.get(key)
@@ -261,15 +257,6 @@ class SegmentCache:
             obs.count("datastore.segments.opened")
             obs.gauge("datastore.segments.resident_bytes", self._resident)
         return entry
-
-    def drop(self, path: str | os.PathLike) -> None:
-        entry = self._entries.pop(str(path), None)
-        if entry is not None:
-            self._resident -= entry.resident_nbytes
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._resident = 0
 
     def _evict(self) -> None:
         while self._resident > self.budget_bytes and len(self._entries) > 1:
@@ -441,9 +428,6 @@ class SegmentedRelation(Relation):
     @property
     def segment_refs(self) -> list[SegmentRef]:
         return list(self._refs)
-
-    def segment_paths(self) -> list[pathlib.Path]:
-        return [segment_path(self.directory, ref.digest) for ref in self._refs]
 
     def iter_stores(self) -> Iterator:
         """Stream this relation as per-segment :class:`ColumnStore` chunks.

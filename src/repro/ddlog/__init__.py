@@ -10,8 +10,7 @@ from repro.ddlog.ast import (Comparison, Const, Declaration, FixedWeight,
                              RelationAtom, Rule, RuleKind, UdfBinding,
                              UdfCondition, UdfWeight, Var, VarWeight)
 from repro.ddlog.compiler import (CompileError, Udf, compile_body,
-                                  head_projection, head_values_reader,
-                                  program_schemas)
+                                  head_projection, program_schemas)
 from repro.ddlog.lexer import DDlogSyntaxError, lex
 from repro.ddlog.parser import EVIDENCE_SUFFIX, parse_program
 from repro.ddlog.program import DDlogProgram
@@ -43,7 +42,6 @@ __all__ = [
     "compile_body",
     "evidence_base",
     "head_projection",
-    "head_values_reader",
     "lex",
     "parse_program",
     "program_schemas",

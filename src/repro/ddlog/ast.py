@@ -169,9 +169,3 @@ class ProgramAst:
 
     declarations: list[Declaration] = field(default_factory=list)
     rules: list[Rule] = field(default_factory=list)
-
-    def declaration(self, name: str) -> Declaration | None:
-        for decl in self.declarations:
-            if decl.name == name:
-                return decl
-        return None

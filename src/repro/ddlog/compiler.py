@@ -108,23 +108,12 @@ def compile_body(rule: Rule, declarations: Mapping[str, Declaration],
     return plan
 
 
-def head_values_reader(rule: Rule, head_index: int = 0) -> Callable[[dict], tuple]:
-    """A function mapping a body-plan row dict to the head atom's tuple."""
-    head = rule.heads[head_index]
-
-    def read(row: dict) -> tuple:
-        return tuple(row[t.name] if isinstance(t, Var) else t.value for t in head.terms)
-
-    return read
-
-
 def head_projection(rule: Rule, body_plan: Plan,
                     target_columns: tuple[str, ...]) -> Plan:
     """Plan producing exactly the head tuple columns, named per the target
     relation's declared columns (constants become computed columns).
 
-    Only valid for single-head rules (derivation/feature/supervision); the
-    grounder uses :func:`head_values_reader` for inference-rule heads.
+    Only valid for single-head rules (derivation/feature/supervision).
     """
     head = rule.head
     if len(head.terms) != len(target_columns):

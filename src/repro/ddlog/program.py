@@ -64,16 +64,8 @@ class DDlogProgram:
         return self.rules(RuleKind.DERIVATION)
 
     @property
-    def feature_rules(self) -> list[Rule]:
-        return self.rules(RuleKind.FEATURE)
-
-    @property
     def supervision_rules(self) -> list[Rule]:
         return self.rules(RuleKind.SUPERVISION)
-
-    @property
-    def inference_rules(self) -> list[Rule]:
-        return self.rules(RuleKind.INFERENCE)
 
     def variable_relations(self) -> list[Declaration]:
         return [d for d in self.ast.declarations if d.is_variable]

@@ -1,7 +1,5 @@
 """Entity linking: the EL substrate the paper's supervision rules consume."""
 
-from repro.el.linker import (AliasTable, EntityLinker, LinkCandidate,
-                             link_mentions, normalize)
+from repro.el.linker import AliasTable, EntityLinker, link_mentions, normalize
 
-__all__ = ["AliasTable", "EntityLinker", "LinkCandidate", "link_mentions",
-           "normalize"]
+__all__ = ["AliasTable", "EntityLinker", "link_mentions", "normalize"]

@@ -20,7 +20,6 @@ yields several EL rows, and the downstream majority-vote evidence resolution
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 _NON_ALNUM = re.compile(r"[^a-z0-9 ]+")
@@ -35,15 +34,6 @@ def normalize(text: str) -> str:
 #: Overlap candidates score ``OVERLAP_SCALE * jaccard``, so never above it:
 #: below every exact (1.0) and normalized (0.9) candidate.
 OVERLAP_SCALE = 0.8
-
-
-@dataclass(frozen=True)
-class LinkCandidate:
-    """One scored entity candidate for a mention."""
-
-    entity: str
-    score: float
-    method: str         # "exact" | "normalized" | "overlap"
 
 
 class AliasTable:
@@ -79,19 +69,6 @@ class AliasTable:
         for entity, alias in pairs:
             self.add(entity, alias)
 
-    def aliases_of(self, entity: str) -> set[str]:
-        return set(self._aliases.get(entity, ()))
-
-    @property
-    def num_entities(self) -> int:
-        return len(self._aliases)
-
-    def exact(self, text: str) -> set[str]:
-        return set(self._exact.get(text, ()))
-
-    def normalized_match(self, text: str) -> set[str]:
-        return set(self._normalized.get(normalize(text), ()))
-
     def token_candidates(self, text: str) -> set[str]:
         entities: set[str] = set()
         for token in normalize(text).split():
@@ -115,23 +92,18 @@ class EntityLinker:
         self.aliases = aliases
         self.min_overlap = min_overlap
 
-    def link(self, mention_text: str, top: int | None = None) -> list[LinkCandidate]:
-        """Ranked entity candidates for ``mention_text``.
-
-        Exact alias matches score 1.0; case/punctuation-normalized matches
-        0.9; token-overlap (Jaccard over normalized tokens) matches score
-        ``0.8 * jaccard`` when the Jaccard is at least ``min_overlap``.  A
-        mention whose normalized form is empty matches exactly or not at
-        all.
-        """
-        return [LinkCandidate(entity, score, method) for score, entity, method
-                in self._ranked(mention_text, overlap=True)[:top]]
-
     def _ranked(self, text: str,
                 overlap: bool) -> list[tuple[float, str, str]]:
         """``(score, entity, method)`` of every candidate of ``text``, by
-        descending score, then entity; ``overlap=False`` leaves out the
-        overlap candidates, which rank below all others."""
+        descending score, then entity.
+
+        Exact alias matches score 1.0; case/punctuation-normalized matches
+        0.9; token-overlap (Jaccard over normalized tokens) matches score
+        ``OVERLAP_SCALE * jaccard`` when the Jaccard is at least
+        ``min_overlap``.  ``overlap=False`` leaves out the overlap
+        candidates, which rank below all others.  A text whose normalized
+        form is empty matches exactly or not at all.
+        """
         table = self.aliases
         scores = dict.fromkeys(table._exact.get(text, ()), (1.0, "exact"))
         normalized = normalize(text)

@@ -11,8 +11,7 @@ from repro.eval.error_analysis import (CAUSE_BAD_WEIGHTS,
                                        ErrorAnalysisReport, FailureBucket,
                                        FeatureStat, build_report,
                                        diagnose_miss)
-from repro.eval.metrics import (PrecisionRecall, apply_threshold,
-                                precision_recall, precision_recall_curve)
+from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.eval.mindtagger import MindtaggerSession, TaggingSummary
 
 __all__ = [
@@ -27,13 +26,11 @@ __all__ = [
     "PrecisionRecall",
     "ProbabilityHistogram",
     "TaggingSummary",
-    "apply_threshold",
     "bucket_index",
     "build_report",
     "calibration_plot",
     "calibration_vs_exact",
     "diagnose_miss",
     "precision_recall",
-    "precision_recall_curve",
     "probability_histogram",
 ]

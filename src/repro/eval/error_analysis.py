@@ -76,9 +76,6 @@ class ErrorAnalysisReport:
         """The bucket the engineer should address first (largest count)."""
         return self.failure_buckets[0] if self.failure_buckets else None
 
-    def undertrained_features(self) -> list[FeatureStat]:
-        return [s for s in self.feature_stats if s.undertrained]
-
     def render(self) -> str:
         """Plain-text rendering of the document."""
         lines = ["ERROR ANALYSIS", "=" * 60]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,3 @@ def precision_recall(predicted: Iterable[Hashable],
         false_positives=len(predicted_set) - tp,
         false_negatives=len(truth_set) - tp,
     )
-
-
-def apply_threshold(marginals: Mapping[Hashable, float],
-                    threshold: float) -> set[Hashable]:
-    """The tuples DeepDive would place in the output database at ``threshold``."""
-    return {key for key, probability in marginals.items() if probability >= threshold}
-
-
-def precision_recall_curve(marginals: Mapping[Hashable, float],
-                           truth: Iterable[Hashable],
-                           thresholds: Iterable[float] = (),
-                           ) -> list[tuple[float, PrecisionRecall]]:
-    """P/R at each threshold (default: 0.05 steps), for threshold tuning."""
-    truth_set = set(truth)
-    points = list(thresholds) or [i / 20 for i in range(1, 20)]
-    return [(t, precision_recall(apply_threshold(marginals, t), truth_set))
-            for t in points]

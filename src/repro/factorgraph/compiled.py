@@ -217,15 +217,6 @@ class CompiledGraph:
                        - (own_positive == 0)),
             slot_target=np.where(disjunction, 0.0, arities - own_count))
 
-    # ------------------------------------------------------------------ sizes
-    @property
-    def num_factors(self) -> int:
-        return self.num_unary + self.num_general
-
-    def variable_index(self, key: Hashable) -> int:
-        """Compiled index of the variable with ``key``."""
-        return self.var_keys.index(key)  # only used in tests / small graphs
-
     # ------------------------------------------------------------- unary pass
     def unary_deltas(self) -> np.ndarray:
         """Per-variable sum of unary-factor log-weight deltas.
@@ -331,10 +322,6 @@ class CompiledGraph:
         """
         self.mutation_version += 1
 
-    def set_weights(self, values: np.ndarray) -> None:
-        self.weight_values[:] = values
-        self.note_mutation()
-
     def export_weights(self, graph: FactorGraph) -> None:
         """Write learned weight values back into the mutable graph."""
         for weight_id, index in self._weight_index.items():
@@ -407,4 +394,3 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     first = np.cumsum(lengths) - lengths         # output offset of each row
     positions = np.repeat(starts - first, lengths) + np.arange(lengths.sum())
     return positions, lengths
-

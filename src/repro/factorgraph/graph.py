@@ -345,12 +345,6 @@ class FactorGraph:
             self._weight_by_key[key] = weight_id
         return weight_id
 
-    def weight_by_key(self, key: Hashable) -> Weight:
-        try:
-            return self.weights[self._weight_by_key[key]]
-        except KeyError:
-            raise GraphError(f"no weight with key {key!r}") from None
-
     # ---------------------------------------------------------------- factors
     def add_factor(self, function: FactorFunction, var_ids: Sequence[int],
                    weight_id: int, negated: Sequence[bool] | None = None) -> int:
@@ -628,12 +622,6 @@ class FactorGraph:
             factor_indptr=np.array(self._indptr, dtype=np.int64),
             edge_var=np.array(self._edge_var, dtype=np.int64),
             edge_negated=np.array(self._edge_negated, dtype=bool))
-
-    def evidence_variables(self) -> Iterable[Variable]:
-        return (v for v in self.variables.values() if v.evidence is not None)
-
-    def query_variables(self) -> Iterable[Variable]:
-        return (v for v in self.variables.values() if v.evidence is None)
 
     def stats(self) -> dict[str, int]:
         """Size statistics for execution-history logging."""

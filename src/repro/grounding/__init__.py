@@ -4,7 +4,7 @@ plus the incremental-inference materialization strategies of Section 4.2."""
 from repro.grounding.expansion import (ExpansionError, derived_relation_plans,
                                        expanded_rule_body)
 from repro.grounding.grounder import (Grounder, GroundingDelta, GroundingError,
-                                      WeightProvenance, ground)
+                                      WeightProvenance)
 from repro.grounding.materialization import (ChainState,
                                              MaterializationChoice,
                                              SamplingMaterialization,
@@ -26,6 +26,5 @@ __all__ = [
     "choose_strategy",
     "derived_relation_plans",
     "expanded_rule_body",
-    "ground",
     "refresh",
 ]

@@ -65,12 +65,6 @@ class GroundingDelta:
     evidence_changed: int = 0
     touched_keys: set = field(default_factory=set)
 
-    @property
-    def total_changes(self) -> int:
-        return (self.factors_added + self.factors_removed
-                + self.variables_added + self.variables_removed
-                + self.evidence_changed)
-
 
 @dataclass
 class WeightProvenance:
@@ -266,10 +260,6 @@ class Grounder:
                     self._unground_row(index, row, delta)
                 self._ground_rule(index, appeared, delta)
         return delta
-
-    def variable_marginal_keys(self) -> list[Hashable]:
-        """Keys of all current variables (relation name + tuple)."""
-        return self.graph.variable_keys()
 
     # ------------------------------------------------------------- grounding
     def _compile_rule(self, index: int, schema) -> "_Recipe":
@@ -485,11 +475,6 @@ def _majority(tally: list[int] | None) -> bool | None:
     if tally is None or tally[0] == tally[1]:
         return None
     return tally[1] > tally[0]
-
-
-def ground(program: DDlogProgram, db: Database) -> FactorGraph:
-    """One-shot convenience: ground ``program`` over ``db`` and return the graph."""
-    return Grounder(program, db).graph
 
 
 @dataclass(frozen=True)

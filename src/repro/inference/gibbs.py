@@ -125,10 +125,6 @@ class MarginalResult:
     num_samples: int
     burn_in: int
 
-    def by_key(self, compiled: CompiledGraph) -> dict:
-        """Map variable key -> marginal probability."""
-        return {key: float(p) for key, p in zip(compiled.var_keys, self.marginals)}
-
 
 class _FlipTable:
     """Flip log-odds and probabilities of a color block for every world of

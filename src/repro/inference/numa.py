@@ -84,11 +84,6 @@ class NumaRunResult:
     samples_drawn: int                     # total variable samples
     per_socket_cost: list[float] = field(default_factory=list)
 
-    @property
-    def modeled_throughput(self) -> float:
-        """Variable-samples per modeled time unit (higher is better)."""
-        return self.samples_drawn / self.modeled_time if self.modeled_time else 0.0
-
 
 def replica_totals(sampler: GibbsSampler,
                    task: tuple[int, int, int]) -> tuple[np.ndarray, int]:

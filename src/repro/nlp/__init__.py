@@ -1,5 +1,5 @@
 """NLP preprocessing substrate: HTML stripping, sentence splitting,
-tokenization, POS tagging, chunking, and mention-span utilities.
+tokenization, POS tagging and chunking.
 
 This stands in for the Stanford CoreNLP pipeline DeepDive runs at load time;
 the output contract is identical: one sentence per datastore row, carrying
@@ -8,9 +8,6 @@ token and POS markup.
 
 from repro.nlp.chunker import Chunk, chunk, noun_phrases
 from repro.nlp.htmlstrip import strip_html
-from repro.nlp.mentions import (Span, parse_mention_id, phrase_between,
-                                pos_window, token_distance, window_after,
-                                window_before)
 from repro.nlp.pipeline import (DOCUMENT_SCHEMA, SENTENCE_SCHEMA, Document,
                                 Sentence, load_corpus, preprocess_corpus,
                                 preprocess_document, sentence_from_row,
@@ -25,14 +22,10 @@ __all__ = [
     "Document",
     "SENTENCE_SCHEMA",
     "Sentence",
-    "Span",
     "Token",
     "chunk",
     "load_corpus",
     "noun_phrases",
-    "parse_mention_id",
-    "phrase_between",
-    "pos_window",
     "preprocess_corpus",
     "preprocess_document",
     "sentence_from_row",
@@ -41,9 +34,6 @@ __all__ = [
     "strip_html",
     "tag",
     "tag_token",
-    "token_distance",
     "token_texts",
     "tokenize",
-    "window_after",
-    "window_before",
 ]

@@ -17,7 +17,7 @@ from repro.nlp.chunker import Chunk, noun_phrases
 from repro.nlp.htmlstrip import strip_html
 from repro.nlp.pos import tag
 from repro.nlp.sentences import split_sentences
-from repro.nlp.tokenize import token_texts, tokenize
+from repro.nlp.tokenize import token_texts
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,6 @@ class Sentence:
     def key(self) -> str:
         """Globally unique sentence identifier."""
         return f"{self.doc_id}:{self.sentence_id}"
-
-    @property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        """Character span of each token within :attr:`text`.
-
-        Derived on demand, so it is no part of equality and a sentence
-        rebuilt from its relation row equals the original.
-        """
-        return tuple((t.start, t.end) for t in tokenize(self.text))
 
     def noun_phrase_chunks(self) -> list[Chunk]:
         return noun_phrases(list(self.pos_tags))

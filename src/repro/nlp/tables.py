@@ -82,19 +82,3 @@ def cell_candidates(doc_id: str, html: str) -> list[tuple[str, str, str, str]]:
                     candidates.append((cell.cell_id, row_header,
                                        column_header, cell.text))
     return candidates
-
-
-def table_sentences(doc_id: str, html: str) -> list[str]:
-    """Linearize each table row into a pseudo-sentence.
-
-    Lets the ordinary sentence-based feature machinery see tabular context:
-    ``"GaAs | electron mobility | 8500"`` reads like a (noisy) sentence and
-    the usual window features work on it.
-    """
-    sentences = []
-    for table in extract_tables(doc_id, html):
-        for row in table:
-            text = " | ".join(cell.text for cell in row if cell.text)
-            if text:
-                sentences.append(text)
-    return sentences

@@ -176,10 +176,6 @@ class KBClient:
                                         tenant=tenant)
         return self._service.ingest(ops, wait=wait, timeout=timeout)
 
-    def submit(self, op: IngestOp, timeout: float | None = None):
-        """Queue one operation without waiting; the pending-commit handle."""
-        return self.ingest([op], wait=False, timeout=timeout)
-
     def flush(self, timeout: float | None = None):
         """Wait until everything ingested so far is committed and published."""
         return self._service.flush(timeout)

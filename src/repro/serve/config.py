@@ -35,7 +35,7 @@ class ServeConfig:
     ``queue_capacity``
         Bounded ingest-queue depth; beyond it the admission policy applies.
     ``admission``
-        ``"block"`` applies producer backpressure (submit waits for queue
+        ``"block"`` applies producer backpressure (ingest waits for queue
         space); ``"reject"`` fails fast with :class:`IngestRejected`.
     ``full_rerun_fraction``
         When one batch's grounding delta touches more than this fraction of

@@ -218,19 +218,6 @@ class KBService:
         return service
 
     # ---------------------------------------------------------------- ingest
-    def submit(self, op: IngestOp,
-               timeout: float | None = None) -> PendingCommit:
-        """Queue one operation (coalesced into a batch by the apply loop).
-
-        Applies the configured admission policy when the queue is full:
-        ``"block"`` waits (up to ``timeout``), ``"reject"`` raises
-        immediately.  Returns a :class:`PendingCommit` handle for callers
-        that want to await (or inspect) the commit.
-        """
-        command = _Command("batch", (op,))
-        self._enqueue(command, timeout)
-        return PendingCommit(command)
-
     def ingest(self, ops: Iterable[IngestOp], wait: bool = True,
                timeout: float | None = None,
                coalesce: bool = True) -> Snapshot | PendingCommit:

@@ -69,16 +69,15 @@ class SnapshotReads:
         return set(accepted.get(relation, ()))
 
     def top(self, relation: str, k: int = 10) -> list[tuple[tuple, float]]:
-        """The ``k`` highest-probability tuples of ``relation``."""
+        """The ``k`` highest-probability tuples of ``relation``; raises
+        :class:`ValueError` for a negative ``k``."""
+        if k < 0:
+            raise ValueError(f"top needs k >= 0, got {k}")
         entries = [(values, probability)
                    for (name, values), probability in self.marginals.items()
                    if name == relation]
         entries.sort(key=lambda item: (-item[1], item[0]))
         return entries[:k]
-
-    def relations(self) -> list[str]:
-        """Relation names with at least one variable in this snapshot."""
-        return sorted({name for (name, _values) in self.marginals})
 
     def __len__(self) -> int:
         return len(self.marginals)

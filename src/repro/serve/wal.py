@@ -225,11 +225,6 @@ class WriteAheadLog:
         return len(scan.records) - len(keep)
 
     @property
-    def base_lsn(self) -> int:
-        """Records at or below this LSN were compacted into a checkpoint."""
-        return self._base_lsn
-
-    @property
     def last_lsn(self) -> int:
         """The most recently committed LSN (0 if the log is empty)."""
         return self._next_lsn - 1

@@ -19,13 +19,15 @@ class TestRegexExtractor:
     def test_single_rule(self):
         rule = RegexRule("wife", r"(\w+) and his wife (\w+)")
         extractor = RuleBasedExtractor([rule])
-        out = extractor.extract([Document("d", "Alan and his wife Beth left.")])
+        (_, out), = extractor.extract_per_rule(
+            [Document("d", "Alan and his wife Beth left.")])
         assert out == {("alan", "beth")}
 
     def test_postprocess_none_dropped(self):
         rule = RegexRule("drop", r"(\w+) x (\w+)", lambda m: None)
         extractor = RuleBasedExtractor([rule])
-        assert extractor.extract([Document("d", "a x b")]) == set()
+        assert extractor.extract_per_rule([Document("d", "a x b")]) == [
+            ("drop", set())]
 
     def test_per_rule_curve_is_cumulative(self):
         corpus = spouse_corpus.generate(seed=0)
@@ -53,7 +55,7 @@ class TestRegexExtractor:
         corpus = spouse_corpus.generate(config, seed=0)
         gold = spouse_corpus.gold_name_pairs(corpus)
         extractor = RuleBasedExtractor(SPOUSE_REGEX_RULES)
-        found = extractor.extract(corpus.documents)
+        _, found = extractor.extract_per_rule(corpus.documents)[-1]
         pr = precision_recall(found, gold)
         assert pr.f1 < 1.0
 

@@ -83,7 +83,7 @@ def test_anonymize_text_replaces_spans():
 def test_redact_text_uses_class_markers():
     a = Anonymizer()
     text = "call 555-0187 now"
-    out = a.redact_text(text, PhoneDetector().detect(text))
+    out = a.anonymize_text(text, PhoneDetector().detect(text), redact=True)
     assert out == "call [REDACTED:phone] now"
 
 

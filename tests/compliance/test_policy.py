@@ -46,18 +46,3 @@ def test_validation():
     with pytest.raises(PolicyError):
         CompliancePolicy(sample_rows=-1)
     assert set(VALID_ACTIONS) == {"allow", "redact", "anonymize", "drop"}
-
-
-def test_active_requires_a_non_allow_action():
-    assert not CompliancePolicy(enabled=True).active
-    assert CompliancePolicy(enabled=True, default_action="redact").active
-    assert CompliancePolicy(enabled=True,
-                            rules=(("a.b", "drop"),)).active
-    assert not CompliancePolicy(enabled=False,
-                                default_action="redact").active
-
-
-def test_with_options():
-    policy = CompliancePolicy().with_options(enabled=True,
-                                             default_action="anonymize")
-    assert policy.enabled and policy.default_action == "anonymize"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compliance import (Anonymizer, CompliancePolicy, scrub_marginals,
                               scrub_value)
+from tests.compliance.reads import find_report, ruled_actions
 
 SCHEMAS = {"AdPhone": ("ad", "phone"), "AdEmail": ("ad", "email")}
 
@@ -38,8 +39,8 @@ def test_anonymize_rewrites_only_detected_cells():
     # the undetected cell of a mixed column is left alone
     assert ("AdEmail", ("ad1", "plain text")) in keys
     assert {("AdPhone", "phone"), ("AdEmail", "email")} \
-        == set(manifest.actions())
-    assert manifest.actions()[("AdPhone", "phone")] == "anonymize"
+        == set(ruled_actions(manifest))
+    assert ruled_actions(manifest)[("AdPhone", "phone")] == "anonymize"
 
 
 def test_anonymize_preserves_join_keys():
@@ -67,7 +68,7 @@ def test_drop_removes_variables():
     scrubbed, manifest = scrub_marginals(MARGINALS, SCHEMAS, policy)
     assert not [k for k in scrubbed if k[0] == "AdEmail"]
     assert len([k for k in scrubbed if k[0] == "AdPhone"]) == 2
-    assert manifest.actions()[("AdEmail", "email")] == "drop"
+    assert ruled_actions(manifest)[("AdEmail", "email")] == "drop"
 
 
 def test_explicit_rule_scrubs_whole_column_even_undetected():
@@ -78,9 +79,9 @@ def test_explicit_rule_scrubs_whole_column_even_undetected():
     # both cells redacted — the operator ruled the column, detection or not
     assert emails == {"[REDACTED:email]"}
     # the synthetic rule report records the coverage
-    report = manifest.find("AdEmail", "email", "rule")
+    report = find_report(manifest, "AdEmail", "email", "rule")
     assert report is None or report.action == "redact"
-    assert manifest.actions()[("AdEmail", "email")] == "redact"
+    assert ruled_actions(manifest)[("AdEmail", "email")] == "redact"
 
 
 def test_redact_collision_merges_to_max_order_independently():
@@ -124,8 +125,8 @@ def test_min_confidence_gates_detection_driven_scrubbing():
     strict = anonymize_policy(min_confidence=0.95)
     scrubbed, manifest = scrub_marginals(MARGINALS, SCHEMAS, strict)
     assert ("AdPhone", ("ad0", "555-0187")) in scrubbed
-    assert manifest.find("AdPhone", "phone", "phone") is None
-    assert manifest.find("AdEmail", "email", "email").hits == 1
+    assert find_report(manifest, "AdPhone", "phone", "phone") is None
+    assert find_report(manifest, "AdEmail", "email", "email").hits == 1
     assert ("AdEmail", ("ad0", "ann@x.io")) not in scrubbed
 
 
@@ -133,7 +134,7 @@ def test_disabled_or_allow_policy_is_identity():
     scrubbed, manifest = scrub_marginals(
         MARGINALS, SCHEMAS, CompliancePolicy(enabled=True))
     assert scrubbed == dict(MARGINALS)
-    assert manifest.actions() == {}
+    assert ruled_actions(manifest) == {}
 
 
 def test_scrub_value_paths():
@@ -159,6 +160,6 @@ def test_max_examples_zero_keeps_no_publish_example():
                               max_examples=0)
     marginals = {("AdEmail", ("ad0", "ann@x.io")): 0.77}
     _, manifest = scrub_marginals(marginals, SCHEMAS, policy)
-    report = manifest.find("AdEmail", "email", "email")
+    report = find_report(manifest, "AdEmail", "email", "email")
     assert report.hits == 1 and report.action == "redact"
     assert report.examples == ()

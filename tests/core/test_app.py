@@ -9,7 +9,6 @@ import pytest
 from repro import DeepDive, Document
 from repro.eval import CAUSE_MISSING_CANDIDATE
 from repro.inference import LearningOptions
-from repro.nlp import Span, phrase_between
 
 PROGRAM = """
 Sentences(s text, content text).
@@ -47,8 +46,8 @@ def person_extractor(sentence):
     rows = []
     for index, token in enumerate(sentence.tokens):
         if token.lower() in NAMES:
-            span = Span(sentence.key, index, index + 1)
-            rows.append((sentence.key, span.mention_id, token.lower()))
+            mention_id = f"{sentence.key}:{index}-{index + 1}"
+            rows.append((sentence.key, mention_id, token.lower()))
     return rows
 
 

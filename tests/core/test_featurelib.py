@@ -92,14 +92,6 @@ class TestPruning:
         assert "between:and his wife" in features
         assert all(not f.startswith("bet_word:") for f in features)
 
-    def test_reset_restores_everything(self):
-        library = FeatureLibrary()
-        before = set(library.udf(0, 4, SENTENCE))
-        library.prune(self.stats(), min_weight=999)
-        assert library.udf(0, 4, SENTENCE) == []
-        library.reset()
-        assert set(library.udf(0, 4, SENTENCE)) == before
-
 
 class TestEndToEnd:
     def test_library_drives_a_full_run(self):

@@ -89,7 +89,7 @@ class TestMutationVersionRoundTrip:
         for db in (original, restored):
             db.views.apply_changes(inserts={"people": [("carol", 41)]},
                                    deletes={"people": [("alice", 30)]})
-        assert sorted(restored.views["adults"].visible_rows()) == \
-            sorted(original.views["adults"].visible_rows()) == [("carol", 41)]
+        assert sorted(restored.views["adults"].iter_visible()) == \
+            sorted(original.views["adults"].iter_visible()) == [("carol", 41)]
         assert restored["people"].mutation_version == \
             original["people"].mutation_version

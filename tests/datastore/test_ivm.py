@@ -27,20 +27,12 @@ class TestSignedDelta:
         delta.add((1,), -1)
         assert not delta
 
-    def test_insertions_and_deletions_split(self):
-        from repro.datastore import Schema
-        delta = SignedDelta(Schema.of(a="int"))
-        delta.add((1,), 2)
-        delta.add((2,), -1)
-        assert dict(delta.insertions()) == {(1,): 2}
-        assert dict(delta.deletions()) == {(2,): -1}
-
 
 class TestMaterializedView:
     def test_initial_load_matches_full_eval(self):
         db = make_db()
         view = db.views.define("V", JOIN_PLAN)
-        assert sorted(view.visible()) == [(1, 100), (2, 200)]
+        assert sorted(view.iter_visible()) == [(1, 100), (2, 200)]
 
     def test_insert_propagates(self):
         db = make_db()
@@ -73,7 +65,7 @@ class TestMaterializedView:
         db = make_db()
         view = db.views.define("V", JOIN_PLAN)
         db.views.apply_changes(inserts={"R": [(9, 90)], "S": [(90, 900)]})
-        assert view.derivation_count((9, 900)) == 1
+        assert view._derivations[(9, 900)] == 1
 
     def test_duplicate_derivations_keep_row_visible(self):
         # Two R rows deriving the same projected output: deleting one
@@ -84,7 +76,7 @@ class TestMaterializedView:
         events = db.views.apply_changes(deletes={"R": [(1, 10)]})
         appeared, disappeared = events.get("V", ([], []))
         assert disappeared == []
-        assert (1, 100) in view.visible()
+        assert (1, 100) in set(view.iter_visible())
 
     def test_matches_recomputation_after_batches(self):
         db = make_db()
@@ -97,7 +89,7 @@ class TestMaterializedView:
         for inserts, deletes in batches:
             db.views.apply_changes(inserts=inserts, deletes=deletes)
             recomputed = sorted(set(JOIN_PLAN.evaluate(db)))
-            assert sorted(view.visible()) == recomputed
+            assert sorted(view.iter_visible()) == recomputed
 
     def test_delete_absent_row_raises(self):
         db = make_db()
@@ -118,8 +110,8 @@ class TestPlanDeltas:
         plan = Select(Scan("R"), lambda r: r["x"] > 1)
         view = db.views.define("big_x", plan)
         db.views.apply_changes(inserts={"R": [(0, 5), (7, 70)]})
-        assert (7, 70) in view.visible()
-        assert (0, 5) not in view.visible()
+        assert (7, 70) in set(view.iter_visible())
+        assert (0, 5) not in set(view.iter_visible())
 
     def test_union_delta(self):
         db = make_db()
@@ -128,7 +120,7 @@ class TestPlanDeltas:
         plan = Union((Scan("R"), Scan("R2")))
         view = db.views.define("u", plan)
         db.views.apply_changes(inserts={"R2": [(9, 90)]})
-        assert (9, 90) in view.visible()
+        assert (9, 90) in set(view.iter_visible())
         assert len(view) == 5
 
     def test_view_redefinition_rejected(self):
@@ -155,12 +147,6 @@ class TestDatabase:
         from repro.datastore import DatabaseError
         with pytest.raises(DatabaseError):
             Database()["nope"]
-
-    def test_drop(self):
-        db = Database()
-        db.create("T", a="int")
-        db.drop("T")
-        assert "T" not in db
 
     def test_snapshot_isolates_named_relations(self):
         db = make_db()

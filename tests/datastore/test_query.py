@@ -28,7 +28,7 @@ def dept():
 class TestSelectProject:
     def test_select(self, emp):
         out = Q.select(emp, lambda r: r["salary"] > 85)
-        assert sorted(out.column("name")) == ["alice", "bob"]
+        assert sorted(name for name, _, _ in out) == ["alice", "bob"]
 
     def test_select_preserves_counts(self, emp):
         emp.insert(("alice", "eng", 100))

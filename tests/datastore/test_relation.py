@@ -68,10 +68,6 @@ class TestIndexes:
         rows = list(people.lookup(["name"], ["alice"]))
         assert rows == [("alice", 30), ("alice", 30)]
 
-    def test_lookup_distinct(self, people):
-        rows = list(people.lookup_distinct(["name"], ["alice"]))
-        assert rows == [("alice", 30)]
-
     def test_lookup_miss(self, people):
         assert list(people.lookup(["name"], ["zed"])) == []
 
@@ -86,21 +82,11 @@ class TestIndexes:
         assert list(people.lookup(["age"], [30])) == []
 
     def test_multicolumn_lookup(self, people):
-        assert list(people.lookup_distinct(["name", "age"], ["bob", 25])) == [("bob", 25)]
+        assert list(people.lookup(["name", "age"], ["bob", 25])) \
+            == [("bob", 25)]
 
 
 class TestConveniences:
-    def test_rows_where(self, people):
-        rows = list(people.rows_where(lambda r: r["age"] > 26))
-        assert rows == [("alice", 30), ("alice", 30)]
-
-    def test_column(self, people):
-        assert sorted(people.column("age")) == [25, 30, 30]
-
-    def test_to_dicts(self, people):
-        dicts = people.to_dicts()
-        assert {"name": "bob", "age": 25} in dicts
-
     def test_copy_is_independent(self, people):
         clone = people.copy("clone")
         clone.insert(("erin", 1))

@@ -56,12 +56,8 @@ class TestViewIterVisible:
         return db, base, view
 
     def test_matches_visible_rows(self):
-        _db, _base, view = self.make_view()
-        assert sorted(view.iter_visible()) == sorted(view.visible_rows())
-
-    def test_iter_rows_protocol_alias(self):
-        _db, _base, view = self.make_view()
-        assert sorted(view.iter_rows()) == sorted(view.visible_rows())
+        _db, base, view = self.make_view()
+        assert sorted(view.iter_visible()) == sorted(base)
 
     def test_retracted_rows_are_invisible(self):
         db, base, view = self.make_view()

@@ -187,7 +187,8 @@ class TestSegmentedRelation:
         relation = make(tmp_path, segment_rows=2)
         for i in range(4):
             relation.insert((i, str(i)))
-        victim = relation.segment_paths()[0]
+        victim = segment_path(relation.directory,
+                              relation.segment_refs[0].digest)
         victim.unlink()
         with pytest.raises(SegmentError, match="missing"):
             SegmentedRelation.open(relation.directory)

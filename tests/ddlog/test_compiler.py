@@ -4,8 +4,7 @@ joins/selections the datalog semantics dictate."""
 import pytest
 
 from repro.datastore import Database
-from repro.ddlog import DDlogProgram, compile_body, head_projection
-from repro.ddlog.compiler import head_values_reader
+from repro.ddlog import DDlogProgram, RuleKind, compile_body, head_projection
 
 
 def program_and_db():
@@ -78,7 +77,7 @@ class TestBodyCompilation:
     def test_udf_condition_filters(self):
         program, db = program_and_db()
         db.insert("MarriedCandidate", [("a", "b"), ("skip", "b")])
-        rule = program.feature_rules[0]
+        rule = program.rules(RuleKind.FEATURE)[0]
         plan = compile_body(rule, program.declarations, program.udfs)
         rows = [plan.schema(db).row_dict(r) for r in plan.evaluate(db)]
         assert {(r["m1"], r["m2"]) for r in rows} == {("a", "b")}
@@ -115,10 +114,10 @@ class TestBodyCompilation:
     def test_head_values_reader(self):
         program, db = program_and_db()
         rule = program.derivation_rules[0]
-        plan = compile_body(rule, program.declarations, program.udfs)
-        reader = head_values_reader(rule)
-        rows = [plan.schema(db).row_dict(r) for r in plan.evaluate(db)]
-        assert {reader(r) for r in rows} == {("a", "b")}
+        plan = head_projection(
+            rule, compile_body(rule, program.declarations, program.udfs),
+            ("m1", "m2"))
+        assert set(plan.evaluate(db)) == {("a", "b")}
 
     def test_cross_product_when_no_shared_vars(self):
         program = DDlogProgram.parse("""
@@ -141,9 +140,9 @@ class TestProgramObject:
     def test_rule_kind_accessors(self):
         program, _ = program_and_db()
         assert len(program.derivation_rules) == 1
-        assert len(program.feature_rules) == 1
+        assert len(program.rules(RuleKind.FEATURE)) == 1
         assert program.supervision_rules == []
-        assert program.inference_rules == []
+        assert program.rules(RuleKind.INFERENCE) == []
 
     def test_create_relations_includes_evidence(self):
         program, db = program_and_db()

@@ -1,14 +1,24 @@
 """The scalar entity-linking oracle.
 
-``reference_link`` is the per-alias scoring loop ``EntityLinker.link`` ran
-before linking used cached token sets and skipped overlap scoring it could
-not need.  Its alias lookups are scans over the ``(entity, alias)`` pairs, so
+``reference_link`` is the per-alias scoring loop the linker ran before
+linking used cached token sets and skipped overlap scoring it could not
+need.  Its alias lookups are scans over the ``(entity, alias)`` pairs, so
 it shares no index with :class:`repro.el.AliasTable`.  It keeps the old
 empty-form behaviour too: a mention whose normalized form is empty matches
 every alias whose normalized form is empty at 0.9 (``"normalized"``).
 """
 
-from repro.el import LinkCandidate, normalize
+from typing import NamedTuple
+
+from repro.el import normalize
+
+
+class LinkCandidate(NamedTuple):
+    """One scored entity candidate for a mention."""
+
+    entity: str
+    score: float
+    method: str         # "exact" | "normalized" | "overlap"
 
 
 def reference_link(pairs, mention_text, min_overlap=0.5, top=None):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.eval import (apply_threshold, bucket_index, calibration_plot,
-                        precision_recall, precision_recall_curve,
+from repro.core.result import output_database
+from repro.eval import (bucket_index, calibration_plot, precision_recall,
                         probability_histogram)
 
 
@@ -36,14 +36,19 @@ class TestPrecisionRecall:
 
 
 class TestThreshold:
+    """P/R of the output database (the one acceptance rule) by threshold."""
+
     def test_apply_threshold(self):
-        marginals = {"a": 0.95, "b": 0.5, "c": 0.91}
-        assert apply_threshold(marginals, 0.9) == {"a", "c"}
+        marginals = {("R", ("a",)): 0.95, ("R", ("b",)): 0.5,
+                     ("R", ("c",)): 0.91}
+        assert set(output_database(marginals, 0.9)["R"]) == {("a",), ("c",)}
 
     def test_curve_monotone_counts(self):
-        marginals = {i: i / 10 for i in range(1, 10)}
-        curve = precision_recall_curve(marginals, {1, 2, 3})
-        sizes = [pr.true_positives + pr.false_positives for _, pr in curve]
+        marginals = {("R", (i,)): i / 10 for i in range(1, 10)}
+        curve = [precision_recall(output_database(marginals, t).get("R", ()),
+                                  {(1,), (2,), (3,)})
+                 for t in [i / 20 for i in range(1, 20)]]
+        sizes = [pr.true_positives + pr.false_positives for pr in curve]
         assert sizes == sorted(sizes, reverse=True)
 
 

@@ -54,20 +54,20 @@ class TestCompiledGraph:
         assert compiled.num_variables == 3
         assert compiled.num_unary == 2
         assert compiled.num_general == 2
-        assert compiled.num_factors == 4
+        assert compiled.num_unary + compiled.num_general == 4
 
     def test_unary_deltas(self):
         compiled = CompiledGraph(simple_graph())
         deltas = compiled.unary_deltas()
         # a: +w1 = +2; b: negated literal -> -w1 = -2; c: no unary factor
-        assert deltas[compiled.variable_index("a")] == pytest.approx(2.0)
-        assert deltas[compiled.variable_index("b")] == pytest.approx(-2.0)
-        assert deltas[compiled.variable_index("c")] == pytest.approx(0.0)
+        assert deltas[compiled.var_keys.index("a")] == pytest.approx(2.0)
+        assert deltas[compiled.var_keys.index("b")] == pytest.approx(-2.0)
+        assert deltas[compiled.var_keys.index("c")] == pytest.approx(0.0)
 
     def test_general_factor_value(self):
         compiled = CompiledGraph(simple_graph())
-        a = compiled.variable_index("a")
-        c = compiled.variable_index("c")
+        a = compiled.var_keys.index("a")
+        c = compiled.var_keys.index("c")
         world = np.zeros(3, dtype=bool)
         world[a] = True  # a=1, c=0 violates IMPLY(a->c)
         imply_index = int(np.nonzero(
@@ -95,8 +95,8 @@ class TestCompiledGraph:
 
     def test_unary_value_sums(self):
         compiled = CompiledGraph(simple_graph())
-        a = compiled.variable_index("a")
-        b = compiled.variable_index("b")
+        a = compiled.var_keys.index("a")
+        b = compiled.var_keys.index("b")
         world = np.zeros(3, dtype=bool)
         world[a] = True
         world[b] = False
@@ -109,7 +109,7 @@ class TestCompiledGraph:
         graph = simple_graph()
         graph.set_evidence("a", True)
         compiled = CompiledGraph(graph)
-        a = compiled.variable_index("a")
+        a = compiled.var_keys.index("a")
         assert compiled.is_evidence[a]
         assert compiled.evidence_values[a]
 
@@ -118,7 +118,7 @@ class TestCompiledGraph:
         compiled = CompiledGraph(graph)
         compiled.weight_values[:] = [7.0, 8.0]
         compiled.export_weights(graph)
-        assert graph.weight_by_key("w1").value in (7.0, 8.0)
+        assert graph.weights[graph.weight("w1")].value in (7.0, 8.0)
         assert {w.value for w in graph.weights.values()} == {7.0, 8.0}
 
     def test_column_row_csr_consistent(self):

@@ -49,10 +49,6 @@ class TestWeights:
         assert graph.weights[wid].fixed
         assert graph.weights[wid].value == 10.0
 
-    def test_weight_by_key_missing(self, graph):
-        with pytest.raises(GraphError):
-            graph.weight_by_key("nope")
-
 
 class TestFactors:
     def test_add_factor_links_variables(self, graph):
@@ -119,10 +115,3 @@ class TestStats:
         assert stats["variables"] == 2
         assert stats["evidence"] == 1
         assert stats["query"] == 1
-
-    def test_iterators(self, graph):
-        graph.variable("a")
-        graph.variable("b")
-        graph.set_evidence("a", False)
-        assert [v.key for v in graph.evidence_variables()] == ["a"]
-        assert [v.key for v in graph.query_variables()] == ["b"]

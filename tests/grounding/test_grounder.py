@@ -5,7 +5,7 @@ import pytest
 from repro.datastore import Database
 from repro.ddlog import DDlogProgram
 from repro.factorgraph import FactorFunction
-from repro.grounding import Grounder, ground
+from repro.grounding import Grounder
 
 SPOUSE_PROGRAM = """
 Sentence(s text, content text).
@@ -92,11 +92,6 @@ class TestInitialGrounding:
         program, db = make_app()
         Grounder(program, db)
         assert ("michelle", "obama") in db["MarriedMentions"]
-
-    def test_ground_convenience(self):
-        program, db = make_app()
-        graph = ground(program, db)
-        assert graph.num_variables == 2
 
     def test_weight_provenance_recorded(self):
         program, db = make_app()

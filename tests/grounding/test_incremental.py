@@ -162,4 +162,6 @@ class TestIncrementalMatchesFresh:
             db.insert(name, rows)
         grounder = Grounder(program, db)
         delta = grounder.apply_changes(inserts={"EL": [("nobody", "E_x")]})
-        assert delta.total_changes == 0
+        assert (delta.factors_added, delta.factors_removed,
+                delta.variables_added, delta.variables_removed,
+                delta.evidence_changed) == (0,) * 5

@@ -35,8 +35,8 @@ class TestSamplingMaterialization:
         compiled = star_graph()
         strategy = SamplingMaterialization(compiled, seed=0,
                                            num_samples=20, burn_in=5)
-        hub = compiled.variable_index("hub")
-        spoke = compiled.variable_index("spoke0")
+        hub = compiled.var_keys.index("hub")
+        spoke = compiled.var_keys.index("spoke0")
         mask0 = strategy.neighbourhood({spoke}, radius=0)
         assert mask0.sum() == 1
         mask1 = strategy.neighbourhood({spoke}, radius=1)
@@ -48,9 +48,9 @@ class TestSamplingMaterialization:
         compiled = star_graph(spokes=10)
         strategy = SamplingMaterialization(compiled, seed=0,
                                            num_samples=20, burn_in=5)
-        small = strategy.update({compiled.variable_index("spoke0")}, radius=0,
+        small = strategy.update({compiled.var_keys.index("spoke0")}, radius=0,
                                 num_samples=10, burn_in=2)
-        large = strategy.update({compiled.variable_index("spoke0")}, radius=2,
+        large = strategy.update({compiled.var_keys.index("spoke0")}, radius=2,
                                 num_samples=10, burn_in=2)
         assert small.work < large.work
 
@@ -76,7 +76,7 @@ class TestSamplingMaterialization:
         compiled = star_graph(spokes=6)
         strategy = SamplingMaterialization(compiled, seed=0,
                                            num_samples=20, burn_in=5)
-        spoke = compiled.variable_index("spoke0")
+        spoke = compiled.var_keys.index("spoke0")
         region = strategy.neighbourhood({spoke}, radius=1)
         before = strategy.world.copy()
         marginals = strategy.marginals.copy()
@@ -92,12 +92,12 @@ class TestSamplingMaterialization:
         loop on the scalar oracle.  The hub's region reads every clamped
         spoke."""
         compiled = star_graph(spokes=12)
-        compiled.is_evidence[compiled.variable_index("spoke3")] = True
+        compiled.is_evidence[compiled.var_keys.index("spoke3")] = True
         strategy, expected = (SamplingMaterialization(
             compiled, seed=3, num_samples=20, burn_in=5) for _ in range(2))
         for changed, radius in (({"spoke0"}, 1), ({"hub"}, 0),
                                 ({"spoke5", "spoke7"}, 1)):
-            changed = {compiled.variable_index(key) for key in changed}
+            changed = {compiled.var_keys.index(key) for key in changed}
             result = strategy.update(changed, radius=radius,
                                      num_samples=30, burn_in=4)
             sampler = GibbsSampler(
@@ -161,8 +161,8 @@ class TestVariationalMaterialization:
         graph.set_evidence("a", True)
         compiled = CompiledGraph(graph)
         strategy = VariationalMaterialization(compiled)
-        assert strategy.mu[compiled.variable_index("a")] == 1.0
-        assert strategy.mu[compiled.variable_index("b")] > 0.7
+        assert strategy.mu[compiled.var_keys.index("a")] == 1.0
+        assert strategy.mu[compiled.var_keys.index("b")] > 0.7
 
     def test_work_recorded(self):
         compiled = independent_graph(n=5)

@@ -64,7 +64,8 @@ class TestOracle:
         assert result.marginals[0] == pytest.approx(expected)
         assert result.log_partition == pytest.approx(np.log(1.0 + np.exp(1.5)))
         assert result.num_worlds == 2
-        assert result.by_key(compiled) == {"x": pytest.approx(expected)}
+        assert dict(zip(compiled.var_keys, result.marginals)) == {
+            "x": pytest.approx(expected)}
 
     def test_evidence_clamps_enumeration(self):
         graph = FactorGraph()
@@ -75,13 +76,13 @@ class TestOracle:
         compiled = CompiledGraph(graph)
         clamped = exact_marginals(compiled, clamp_evidence=True)
         assert clamped.num_worlds == 2
-        assert clamped.marginals[compiled.variable_index("a")] == 1.0
+        assert clamped.marginals[compiled.var_keys.index("a")] == 1.0
         expected_b = np.exp(2.0) / (np.exp(2.0) + 1.0)
-        assert clamped.marginals[compiled.variable_index("b")] == \
+        assert clamped.marginals[compiled.var_keys.index("b")] == \
             pytest.approx(expected_b)
         free = exact_marginals(compiled, clamp_evidence=False)
         assert free.num_worlds == 4
-        assert free.marginals[compiled.variable_index("a")] == pytest.approx(0.5)
+        assert free.marginals[compiled.var_keys.index("a")] == pytest.approx(0.5)
 
     def test_refuses_oversized_enumeration(self):
         graph = FactorGraph()

@@ -44,7 +44,7 @@ class TestLearning:
         compiled = CompiledGraph(graph)
         learn_weights(compiled, LearningOptions(epochs=80, seed=0))
         result = GibbsSampler(compiled, seed=1).marginals(num_samples=400, burn_in=40)
-        by_key = result.by_key(compiled)
+        by_key = dict(zip(compiled.var_keys, result.marginals))
         assert by_key[("q", "good")] > 0.6
         assert by_key[("q", "bad")] < 0.4
 
@@ -149,8 +149,8 @@ class TestWeightRefresh:
 
         # both graphs get new weights; only one sampler refreshes its caches
         new_weights = np.array([8.0, 8.0])
-        refreshed_graph.set_weights(new_weights)
-        stale_graph.set_weights(new_weights)
+        refreshed_graph.weight_values[:] = new_weights
+        stale_graph.weight_values[:] = new_weights
         refreshed.refresh_weights()
 
         hits_refreshed = np.zeros(2)
@@ -182,7 +182,7 @@ class TestWeightRefresh:
         couple = compiled.weight_keys.index("couple")
         new_weights = compiled.weight_values.copy()
         new_weights[couple] = 5.0
-        compiled.set_weights(new_weights)
+        compiled.weight_values[:] = new_weights
         sampler.refresh_weights()
         after = kernel.deltas(others)
         assert not np.array_equal(before, after)

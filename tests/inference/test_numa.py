@@ -144,7 +144,7 @@ class TestStatisticalBehaviour:
         compiled = chain_graph()
         result = NumaGibbs(compiled, NumaConfig(sockets=2)).run(num_samples=10, burn_in=2)
         assert result.samples_drawn > 0
-        assert result.modeled_throughput > 0
+        assert result.modeled_time > 0
 
     def test_evidence_clamped_in_output(self):
         graph = FactorGraph()
@@ -153,4 +153,4 @@ class TestStatisticalBehaviour:
         graph.set_evidence("a", True)
         compiled = CompiledGraph(graph)
         result = NumaGibbs(compiled, NumaConfig(sockets=2)).run(num_samples=20, burn_in=2)
-        assert result.marginals[compiled.variable_index("a")] == 1.0
+        assert result.marginals[compiled.var_keys.index("a")] == 1.0

@@ -1,12 +1,12 @@
-"""Tests for the document pipeline and mention-span utilities."""
+"""Tests for the document pipeline and the mention-window features the
+applications compute over its sentences."""
 
 import pytest
 
+from repro.apps.common import pair_features, window_features
 from repro.datastore import Database
-from repro.nlp import (Document, Span, load_corpus, parse_mention_id,
-                       phrase_between, pos_window, preprocess_document,
-                       sentence_from_row, sentence_row, token_distance,
-                       window_after, window_before)
+from repro.nlp import (Document, load_corpus, preprocess_document,
+                       sentence_from_row, sentence_row)
 
 
 @pytest.fixture
@@ -49,79 +49,37 @@ class TestPipeline:
         assert hash(restored) == hash(sentence)
         assert restored.key == sentence.key
 
-    def test_offsets_are_derived_from_the_text(self, sentence):
-        assert len(sentence.offsets) == len(sentence.tokens)
-        assert [sentence.text[start:end] for start, end in sentence.offsets] \
-            == list(sentence.tokens)
-
-
-class TestSpan:
-    def test_mention_id_roundtrip(self):
-        span = Span("doc:0", 2, 5)
-        assert parse_mention_id(span.mention_id) == span
-
-    def test_invalid_span_rejected(self):
-        with pytest.raises(ValueError):
-            Span("s", 3, 3)
-
-    def test_overlaps(self):
-        a = Span("s", 0, 3)
-        assert a.overlaps(Span("s", 2, 4))
-        assert not a.overlaps(Span("s", 3, 4))
-        assert not a.overlaps(Span("other", 0, 3))
-
-    def test_text(self, sentence):
-        tokens = list(sentence.tokens)
-        obama = tokens.index("Obama")
-        span = Span(sentence.key, obama, obama + 1)
-        assert span.text(sentence) == "Obama"
-
-    def test_length(self):
-        assert Span("s", 1, 4).length == 3
-
 
 class TestSpanUtilities:
-    def test_phrase_between(self, sentence):
-        # tokens: B . Obama and his wife Michelle were married ...
+    """The between-phrase, window and distance features of
+    ``repro.apps.common`` over a preprocessed sentence's tokens."""
+
+    def positions(self, sentence, *words):
         tokens = list(sentence.tokens)
-        obama = tokens.index("Obama")
-        michelle = tokens.index("Michelle")
-        left = Span(sentence.key, obama, obama + 1)
-        right = Span(sentence.key, michelle, michelle + 1)
-        assert phrase_between(sentence, left, right) == "and his wife"
+        return [tokens.index(word) for word in words]
+
+    def test_phrase_between(self, sentence):
+        obama, michelle = self.positions(sentence, "Obama", "Michelle")
+        assert "between:and his wife" in pair_features(obama, michelle,
+                                                       sentence.text)
 
     def test_phrase_between_is_symmetric(self, sentence):
-        tokens = list(sentence.tokens)
-        obama = tokens.index("Obama")
-        michelle = tokens.index("Michelle")
-        left = Span(sentence.key, obama, obama + 1)
-        right = Span(sentence.key, michelle, michelle + 1)
-        assert phrase_between(sentence, right, left) == phrase_between(sentence, left, right)
+        obama, michelle = self.positions(sentence, "Obama", "Michelle")
+        assert pair_features(michelle, obama, sentence.text) \
+            == pair_features(obama, michelle, sentence.text)
 
     def test_phrase_between_adjacent_empty(self, sentence):
-        assert phrase_between(sentence, Span(sentence.key, 0, 1), Span(sentence.key, 1, 2)) == ""
+        assert "between:" in pair_features(0, 1, sentence.text)
 
     def test_windows(self, sentence):
-        tokens = list(sentence.tokens)
-        michelle = tokens.index("Michelle")
-        span = Span(sentence.key, michelle, michelle + 1)
-        assert window_before(sentence, span, 2) == ("his", "wife")
-        assert window_after(sentence, span, 2) == ("were", "married")
+        michelle, = self.positions(sentence, "Michelle")
+        features = window_features(michelle, sentence.text, size=2)
+        assert {"l1:wife", "l2:his", "r1:were", "r2:married"} <= set(features)
 
     def test_window_clipped_at_start(self, sentence):
-        span = Span(sentence.key, 0, 1)
-        assert window_before(sentence, span, 3) == ()
+        features = window_features(0, sentence.text, size=3)
+        assert features and not [f for f in features if f.startswith("l")]
 
-    def test_pos_window_padded(self, sentence):
-        span = Span(sentence.key, 0, 1)
-        window = pos_window(sentence, span, 2)
-        assert window[0] == "-" and window[1] == "-"
-        assert len(window) == 4
-
-    def test_token_distance(self):
-        assert token_distance(Span("s", 0, 2), Span("s", 5, 6)) == 3
-        assert token_distance(Span("s", 5, 6), Span("s", 0, 2)) == 3
-
-    def test_token_distance_cross_sentence_raises(self):
-        with pytest.raises(ValueError):
-            token_distance(Span("a", 0, 1), Span("b", 2, 3))
+    def test_token_distance(self, sentence):
+        assert "dist:3" in pair_features(2, 5, sentence.text)
+        assert "dist:3" in pair_features(5, 2, sentence.text)

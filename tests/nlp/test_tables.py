@@ -1,6 +1,6 @@
 """Tests for the table-extraction substrate."""
 
-from repro.nlp.tables import cell_candidates, extract_tables, table_sentences
+from repro.nlp.tables import cell_candidates, extract_tables
 
 HTML = """
 <p>Measured properties:</p>
@@ -62,12 +62,3 @@ class TestCellCandidates:
     def test_cell_id_resolvable(self):
         cell_id, _, _, _ = cell_candidates("d", HTML)[0]
         assert cell_id.startswith("d:t0:")
-
-
-class TestTableSentences:
-    def test_rows_linearized(self):
-        sentences = table_sentences("d", HTML)
-        assert "GaAs | 8500 | 1.4" in sentences
-
-    def test_all_rows_present(self):
-        assert len(table_sentences("d", HTML)) == 5

@@ -59,7 +59,7 @@ class TestCompiledInvariants:
     @given(random_graph())
     def test_factor_counts_preserved(self, graph):
         compiled = CompiledGraph(graph)
-        assert compiled.num_factors == graph.num_factors
+        assert compiled.num_unary + compiled.num_general == graph.num_factors
         assert compiled.num_variables == graph.num_variables
         assert compiled.num_weights == graph.num_weights
 

@@ -184,8 +184,8 @@ class TestSweepOracle:
             if sweep == 2:
                 # new weights after the first table build: a table that is
                 # not rebuilt (or is read on the first sweep) diverges
-                compiled.set_weights(compiled.weight_values + rng.normal(
-                    0.0, 2.0, compiled.num_weights))
+                compiled.weight_values += rng.normal(
+                    0.0, 2.0, compiled.num_weights)
                 fast.refresh_weights()
                 slow.refresh_weights()
             assert fast.sweep(world, beta=beta) == \
@@ -278,8 +278,10 @@ class TestPermutationInvariance:
         permuted = self.permuted_pair(graph, permutation)
         original_compiled = CompiledGraph(graph)
         permuted_compiled = CompiledGraph(permuted)
-        original = exact_marginals(original_compiled).by_key(original_compiled)
-        relabeled = exact_marginals(permuted_compiled).by_key(permuted_compiled)
+        original = dict(zip(original_compiled.var_keys,
+                            exact_marginals(original_compiled).marginals))
+        relabeled = dict(zip(permuted_compiled.var_keys,
+                             exact_marginals(permuted_compiled).marginals))
         for key, value in original.items():
             assert abs(relabeled[int(permutation[key])] - value) < 1e-9
 
@@ -297,9 +299,13 @@ class TestPermutationInvariance:
         permutation = np.array([5, 3, 0, 1, 4, 2])
         permuted = self.permuted_pair(graph, permutation)
 
-        original = GibbsSampler(CompiledGraph(graph), seed=1).marginals(
-            num_samples=8000, burn_in=400).by_key(CompiledGraph(graph))
-        relabeled = GibbsSampler(CompiledGraph(permuted), seed=2).marginals(
-            num_samples=8000, burn_in=400).by_key(CompiledGraph(permuted))
+        original_compiled = CompiledGraph(graph)
+        permuted_compiled = CompiledGraph(permuted)
+        original = dict(zip(original_compiled.var_keys, GibbsSampler(
+            original_compiled, seed=1).marginals(
+                num_samples=8000, burn_in=400).marginals))
+        relabeled = dict(zip(permuted_compiled.var_keys, GibbsSampler(
+            permuted_compiled, seed=2).marginals(
+                num_samples=8000, burn_in=400).marginals))
         for key in range(6):
             assert abs(original[key] - relabeled[int(permutation[key])]) < 0.04

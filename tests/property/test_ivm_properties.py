@@ -80,7 +80,7 @@ class TestIncrementalEqualsRecompute:
         view = db.views.define("V", plan)
         for inserts, deletes in batches:
             db.views.apply_changes(inserts=inserts, deletes=deletes)
-            incremental = set(view.visible())
+            incremental = set(view.iter_visible())
             recomputed = set(plan.evaluate(db))
             assert incremental == recomputed
 
@@ -94,9 +94,9 @@ class TestIncrementalEqualsRecompute:
         db = make_db(initial_r, initial_s)
         view = db.views.define("V", plan)
         for inserts, deletes in batches:
-            before = set(view.visible())
+            before = set(view.iter_visible())
             events = db.views.apply_changes(inserts=inserts, deletes=deletes)
-            after = set(view.visible())
+            after = set(view.iter_visible())
             appeared, disappeared = events.get("V", ([], []))
             assert set(appeared) == after - before
             assert set(disappeared) == before - after

@@ -281,7 +281,7 @@ class TestIncrementalBackendParity:
         from repro.datastore.ivm import MaterializedView, SignedDelta
 
         def counts(view):
-            return Counter({row: view.derivation_count(row)
+            return Counter({row: view._derivations[row]
                             for row in view.iter_visible()})
 
         initial_r, initial_s, batches = scenario

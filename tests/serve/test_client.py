@@ -74,7 +74,8 @@ class TestUniformSurface:
     def test_ingest_flush_checkpoint_round_trip(self, tmp_path, shards):
         with create_client(tmp_path, shards=shards) as client:
             client.ingest([add_rows("GoodList", [(GOOD[4],)])])
-            handle = client.submit(add_rows("GoodList", [(GOOD[5],)]))
+            handle = client.ingest([add_rows("GoodList", [(GOOD[5],)])],
+                                   wait=False)
             client.flush()
             assert handle.done
             client.checkpoint()

@@ -13,6 +13,7 @@ from repro.compliance import CompliancePolicy, scrub_marginals
 from repro.corpus.ads import AdsConfig, generate
 from repro.nlp.pipeline import Document
 from repro.serve import KBClient, ServeConfig, add_documents
+from tests.compliance.reads import ruled_actions
 
 from .conftest import RUN_KWARGS
 
@@ -72,7 +73,7 @@ class TestPublishedViewsAreScrubbed:
             detected = set(manifest.detected_columns())
             assert ("AdPhone", "phone") in detected
             assert ("AdEmail", "email") in detected
-            assert manifest.actions()[("AdPhone", "phone")] == "anonymize"
+            assert ruled_actions(manifest)[("AdPhone", "phone")] == "anonymize"
 
             # versioned reads resolve to the scrubbed view too
             past = client.snapshot_at(client.lsn_vector())

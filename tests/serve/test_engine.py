@@ -71,7 +71,7 @@ class TestSnapshotReads:
 
     def test_relations_and_thresholds(self, booted):
         _, snapshot = booted
-        assert snapshot.relations() == ["GoodName"]
+        assert {name for name, _ in snapshot.marginals} == {"GoodName"}
         assert snapshot.output_tuples("GoodName", threshold=0.0) \
             >= snapshot.output_tuples("GoodName", threshold=1.0)
 

@@ -117,6 +117,22 @@ class TestOracle:
         assert MergedSnapshot([view, snapshot({})]).output_tuples("R") == set()
 
 
+class TestTop:
+    MARGINALS = {("R", (i,)): i / 10 for i in range(1, 6)}
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_negative_k_raises_and_zero_is_empty(self, merged):
+        view = snapshot(self.MARGINALS)
+        if merged:
+            items = list(self.MARGINALS.items())
+            view = MergedSnapshot([snapshot(dict(items[:2])),
+                                   snapshot(dict(items[2:]))])
+        with pytest.raises(ValueError):
+            view.top("R", -1)
+        assert view.top("R", 0) == []
+        assert view.top("R", 2) == [((5,), 0.5), ((4,), 0.4)]
+
+
 class TestMergedWinner:
     @pytest.mark.parametrize("first, last, accepted", [
         (0.9, 0.1, False),        # an earlier part accepts, the later rejects

@@ -59,7 +59,7 @@ def crash_at_last_batch(tmp_path, config):
         service.ingest(BATCHES[-1], wait=True)
     # the loop is dead; further ingest is refused
     with pytest.raises(ServiceFailed):
-        service.submit(BATCHES[0][0])
+        service.ingest([BATCHES[0][0]], wait=False)
     service.wal.close()
     return service
 

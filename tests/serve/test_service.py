@@ -47,8 +47,8 @@ class TestIngestPath:
     def test_submit_coalesces_and_flush_applies_all(self, tmp_path):
         with live_service(tmp_path, max_batch_ops=8) as service:
             for i, token in enumerate(("grape", "melon")):
-                service.submit(add_documents(
-                    [(f"n{i}", f"the {token} sat there .")]))
+                service.ingest([add_documents(
+                    [(f"n{i}", f"the {token} sat there .")])], wait=False)
             snapshot = service.flush()
             assert snapshot.relation_counts["Content"] == 4 + 2
             # coalescing commits fewer batches than ops when the queue backs
@@ -89,7 +89,7 @@ class TestIngestPath:
             # every committed batch is covered by a checkpoint, so the WAL
             # holds no records — reopen/recovery cost is the tail only
             assert service.wal.replay() == []
-            assert service.wal.base_lsn == 3
+            assert service.wal._scan().base_lsn == 3
             assert service.wal.last_lsn == 3
 
     def test_checkpoint_is_durable_before_the_wal_drops_its_records(
@@ -154,25 +154,26 @@ class TestAdmissionControl:
     def test_reject_policy_fails_fast(self, tmp_path):
         service = stub_service(tmp_path, queue_capacity=2, admission="reject")
         op = add_rows("GoodList", [("x",)])
-        service.submit(op)
-        service.submit(op)
+        service.ingest([op], wait=False)
+        service.ingest([op], wait=False)
         with pytest.raises(IngestRejected, match="queue full"):
-            service.submit(op)
+            service.ingest([op], wait=False)
         service.stop()
 
     def test_block_policy_times_out(self, tmp_path):
         service = stub_service(tmp_path, queue_capacity=1, admission="block")
         op = add_rows("GoodList", [("x",)])
-        service.submit(op)
+        service.ingest([op], wait=False)
         with pytest.raises(IngestRejected):
-            service.submit(op, timeout=0.05)
+            service.ingest([op], wait=False, timeout=0.05)
         service.stop()
 
     def test_queue_drains_once_loop_runs(self, tmp_path):
         with live_service(tmp_path, queue_capacity=4,
                           admission="reject") as service:
             for i in range(3):
-                service.submit(add_rows("GoodList", [(f"t{i}",)]))
+                service.ingest([add_rows("GoodList", [(f"t{i}",)])],
+                               wait=False)
             snapshot = service.flush()
             assert snapshot.relation_counts["GoodList"] == 3 + 3
 
@@ -331,7 +332,7 @@ class TestLifecycle:
         service.stop()
         from repro.serve import ServiceFailed
         with pytest.raises(ServiceFailed, match="stopped"):
-            service.submit(add_rows("GoodList", [("x",)]))
+            service.ingest([add_rows("GoodList", [("x",)])], wait=False)
 
     def test_stop_with_checkpoint(self, tmp_path):
         service = live_service(tmp_path)
@@ -345,7 +346,7 @@ class TestLifecycle:
         # backpressure nor strand the blocked producer
         service = stub_service(tmp_path, queue_capacity=1)
         op = add_rows("GoodList", [("x",)])
-        service.submit(op)                       # fills the queue; no loop
+        service.ingest([op], wait=False)         # fills the queue; no loop
         outcomes = []
 
         def producer():

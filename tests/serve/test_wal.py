@@ -182,7 +182,7 @@ class TestCompaction:
             for _ in range(3):
                 wal.append(sample_batch())
             assert wal.compact(2) == 2
-            assert wal.base_lsn == 2
+            assert wal._scan().base_lsn == 2
             assert [r.lsn for r in wal.replay()] == [3]
             assert wal.append(sample_batch()) == 4
         with WriteAheadLog(path) as wal:

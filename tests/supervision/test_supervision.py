@@ -48,7 +48,7 @@ class TestOverlapDetector:
 
     def test_feature_firing_on_negatives_not_flagged(self):
         graph = labelled_graph()
-        dup = graph.weight_by_key("kb_duplicate").weight_id
+        dup = graph.weight("kb_duplicate")
         # the "duplicate" also fires on many negatives -> just a common feature
         for i in range(10):
             graph.add_factor(FactorFunction.IS_TRUE,

@@ -37,3 +37,25 @@ def test_every_entry_names_existing_functions_and_a_known_reason():
     unknown = [(pattern, reason) for pattern, reason in entries
                if not census.valid_reason(reason)]
     assert not unknown, f"entries with an unknown reason: {unknown}"
+
+
+def test_closed_item_keeps_nothing():
+    """Item 19's candidates are all deleted or kept for a stated reason,
+    so ``item-19`` is no reason any more; other items still are."""
+    census = load_census()
+    assert not census.valid_reason("item-19")
+    assert census.valid_reason("item-15") and census.valid_reason("api")
+    assert "item-19" not in {reason for _, reason in census.read_keep_list()}
+
+
+def test_closing_line_totals_each_reason(capsys):
+    census = load_census()
+    functions = [{"module": "m", "qualname": name, "start": start,
+                  "lines": lines, "parent": None}
+                 for name, start, lines in (("a", 1, 3), ("b", 5, 4),
+                                            ("c", 10, 2), ("d", 20, 7))]
+    entries = [("m:a", "api"), ("m:b", "paper"), ("m:c", "api")]
+    assert census.judge(functions, {("m", 20)}, entries, False) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "3 kept, 0 unlisted, 0 stale entries; by reason (functions/lines): "
+        "api 2/5, paper 1/4")
