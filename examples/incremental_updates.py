@@ -11,6 +11,10 @@ shows the grounding delta and refreshed output after each:
 2. a new marriage-KB fact (supervision arrives later than the text);
 3. a retraction (the KB fact turns out to be wrong).
 
+It ends by asserting what it printed: the document adds one variable and
+its factors and is accepted, the KB fact flips two labels, and the
+retraction flips the same two back.
+
 Run:  python examples/incremental_updates.py
 """
 
@@ -25,8 +29,10 @@ RUN_KWARGS = dict(threshold=0.8, holdout_fraction=0.0,
 
 
 def show(tag, app, result, delta=None):
+    """Print one line of graph size, evidence and accepted tuples; return
+    the graph's stats with ``accepted`` added."""
     accepted = len(result.output_tuples("MarriedMentions"))
-    stats = app.graph.stats()
+    stats = dict(app.graph.stats(), accepted=accepted)
     line = (f"[{tag}] variables={stats['variables']} "
             f"factors={stats['factors']} evidence={stats['evidence']} "
             f"accepted={accepted}")
@@ -35,6 +41,7 @@ def show(tag, app, result, delta=None):
                  f"factors, +{delta.variables_added}/-{delta.variables_removed}"
                  f" vars, {delta.evidence_changed} evidence flips)")
     print(line)
+    return stats
 
 
 def ingest_document(app, corpus, text, doc_id):
@@ -62,7 +69,7 @@ def main():
                                    num_sibling_pairs=6), seed=9)
     app = spouse.build(corpus, seed=0)
     result = app.run(**RUN_KWARGS)
-    show("initial load", app, result)
+    initial = show("initial load", app, result)
 
     name_of = corpus.metadata["name_of"]
     couple = corpus.metadata["couples"][0]
@@ -73,7 +80,10 @@ def main():
                             f"{a} and his wife {b} toured the museum .",
                             "stream_doc_1")
     result = app.run(**RUN_KWARGS)
-    show("new document", app, result, delta)
+    document = show("new document", app, result, delta)
+    assert delta.variables_added == 1 and delta.factors_added > 0, delta
+    assert document["variables"] == initial["variables"] + 1
+    assert document["accepted"] > initial["accepted"], document
 
     # 2. late-arriving KB fact: supervise a so-far-unlabelled couple whose
     # names are unambiguous (shared names would create entity-linking
@@ -89,13 +99,18 @@ def main():
     delta = app.grounder.apply_changes(inserts={
         "Married": [(late[0], late[1]), (late[1], late[0])]})
     result = app.run(**RUN_KWARGS)
-    show("late KB fact", app, result, delta)
+    late_fact = show("late KB fact", app, result, delta)
+    assert delta.evidence_changed == 2 and not delta.factors_added, delta
+    assert late_fact["evidence"] == document["evidence"] + 2
 
     # 3. retraction: that fact is withdrawn; evidence reverts
     delta = app.grounder.apply_changes(deletes={
         "Married": [(late[0], late[1]), (late[1], late[0])]})
     result = app.run(**RUN_KWARGS)
-    show("KB retraction", app, result, delta)
+    retraction = show("KB retraction", app, result, delta)
+    assert delta.evidence_changed == 2, delta
+    assert retraction["evidence"] == document["evidence"]
+    assert retraction["factors"] == document["factors"]
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Mirrors the paper's Figure 3 walkthrough: declare the aspirational schema in
 DDlog, write a candidate extractor and one feature UDF, supervise distantly
-from a small marriage KB, run, and read the output database.
+from a small marriage KB, run, and read the output database.  It ends by
+asserting what it printed: the two supervised couples and Gomez & Morticia,
+whom no KB fact names, are accepted; the two non-couples are not.
 
 Run:  python examples/quickstart.py
 """
@@ -95,7 +97,16 @@ def main():
     print(f"\noutput database (threshold {result.threshold}):")
     for m1, m2 in sorted(result.output_tuples("MarriedMentions")):
         print(f"  HasSpouse({token_of[m1]}, {token_of[m2]})")
-    print(f"\n{result.summary()}")
+    summary = result.summary()
+    print(f"\n{summary}")
+
+    # what the run above printed, checked
+    accepted = {frozenset((token_of[m1], token_of[m2]))
+                for m1, m2 in result.output_tuples("MarriedMentions")}
+    assert accepted == {frozenset(("barack", "michelle")),
+                        frozenset(("harold", "maude")),
+                        frozenset(("gomez", "morticia"))}, accepted
+    assert summary.startswith("5 candidates, 3 accepted at p>=0.7"), summary
 
 
 if __name__ == "__main__":

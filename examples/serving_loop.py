@@ -16,6 +16,11 @@ both serving backends:
 6. turn on a compliance policy and watch publish-time scrubbing hide PII
    from readers while ``scan()`` still audits the raw store underneath.
 
+Each step asserts what it printed: refresh kinds and versions, recovery
+bit-identical to the pre-crash view with the torn batch replayed, the
+sharded reads pinned by their LSN vector, and no raw email in a published
+key while the audit scan still finds it.
+
 Run:  python examples/serving_loop.py
 """
 
@@ -94,14 +99,19 @@ def main():
     print("== bootstrap (full learn + inference, checkpoint 0)")
     client = KBClient.create(directory, app_factory, bootstrap,
                              config=config, run_kwargs=RUN_KWARGS)
-    describe("v0", client.snapshot())
+    snapshot = client.snapshot()
+    describe("v0", snapshot)
+    assert (snapshot.version, snapshot.refresh) == (0, "full_run")
 
     print("\n== streaming ingest (incremental grounding + refresh)")
     snapshot = client.ingest(
         [add_documents([("n0", "the grape and the blight sat there .")])])
     describe("new doc", snapshot)
+    assert (snapshot.version, snapshot.refresh) == (1, "sampling")
+    assert ("n0:0:1",) in snapshot.output_tuples("GoodName")   # the grape
     snapshot = client.ingest([remove_rows("GoodList", [("apple",)])])
     describe("retract supervision", snapshot)
+    assert (snapshot.version, snapshot.refresh) == (2, "sampling")
 
     print("\n== rule delta (full re-extraction regime)")
     snapshot = client.ingest(
@@ -109,9 +119,11 @@ def main():
                   "GoodName_Ev(m, true) :- "
                   "NameMention(s, m, t, p), ExtraGood(t).")])
     describe("new rule", snapshot)
+    assert (snapshot.version, snapshot.refresh) == (3, "full_run")
     snapshot = client.ingest([add_rows("ExtraGood", [("grape",)])])
     describe("supervise via new rule", snapshot)
     expected = dict(snapshot.marginals)
+    assert snapshot.lsn == 4
 
     print("\n== crash: die right after the WAL append of the next batch")
     # admin/fault surfaces live on the backend; .service is the escape hatch
@@ -121,6 +133,8 @@ def main():
         client.ingest([add_documents([("n1", "the melon sat there .")])])
     except ServiceFailed as failure:
         print(f"  ingest failed as expected: {failure}")
+    else:
+        raise AssertionError("the crash hook did not fire")
     client.service.wal.close()
 
     print("\n== recover: newest checkpoint + WAL tail replay")
@@ -135,6 +149,8 @@ def main():
               f"{identical}")
         print(f"  the torn batch (durable in the WAL) was replayed too: "
               f"lsn {snapshot.lsn}")
+        assert identical and len(survivors) == len(expected)
+        assert snapshot.lsn == 5 and len(snapshot) == len(expected) + 1
     shutil.rmtree(directory)
 
     print("\n== the same KB, sharded: identical client surface")
@@ -155,6 +171,9 @@ def main():
         pinned = client.snapshot_at(merged.lsn_vector)
         print(f"  snapshot_at(vector) re-reads the same view: "
               f"{dict(pinned.marginals) == dict(merged.marginals)}")
+        assert len(merged.lsn_vector) == 2 and sum(merged.lsn_vector) == 1
+        assert dict(pinned.marginals) == dict(merged.marginals)
+        assert accepted == sorted(merged.output_tuples("GoodName"))
     shutil.rmtree(directory)
 
     print("\n== compliance: scrubbed published views over a raw store")
@@ -183,6 +202,8 @@ def main():
         found = sorted({report.detector for report in audit if report.hits})
         print(f"  scan() over the raw store ({audit.rows_scanned} rows) "
               f"finds: {found}")
+        assert not leaked and surrogates, keys
+        assert {"email", "phone"} <= set(found), found
     shutil.rmtree(directory)
 
 

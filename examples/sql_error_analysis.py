@@ -4,7 +4,8 @@
 spouse-app run, every intermediate product sits in relations; this example
 pokes at them the way a DeepDive engineer would: candidate counts per
 document, supervision coverage, which distant-supervision rules fired, and a
-join from accepted extractions back to the sentences they came from.
+join from accepted extractions back to the sentences they came from.  It
+ends by asserting that each answer agrees with the run it queried.
 
 Run:  python examples/sql_error_analysis.py
 """
@@ -56,11 +57,24 @@ def main():
             ORDER BY g.probability DESC LIMIT 5"""),
     ]
 
+    answers = {}
     for title, sql in queries:
         print("=" * 70)
         print(title)
-        print(execute(app.db, sql).pretty())
+        answers[title] = execute(app.db, sql)
+        print(answers[title].pretty())
         print()
+
+    # what the queries above printed, checked against the run
+    marginals = result.relation_marginals("MarriedMentions")
+    (n, lo, _, hi), = answers["probability distribution of the output"].rows
+    assert n == len(marginals) and 0.0 <= lo <= hi <= 1.0
+    labels = dict(answers["how much of the candidate space is supervised"].rows)
+    assert sum(labels.values()) == len(app.db["MarriedMentions_Ev"])
+    assert all(0.4 < p < 0.6 for *_, p in
+               answers["low-confidence extractions worth a look"].rows)
+    joined = answers["accepted pairs joined back to their sentence text"].rows
+    assert joined and all(p >= 0.8 for p, _ in joined), joined
 
 
 if __name__ == "__main__":

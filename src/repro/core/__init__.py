@@ -6,7 +6,6 @@ from repro.core.extractors import CandidateExtractor, run_extractors
 from repro.core.featurelib import (STANDARD_TEMPLATES, FeatureLibrary,
                                    FeatureTemplate)
 from repro.core.history import RunDiff, RunHistory, RunSnapshot
-from repro.core.report import run_report
 from repro.core.result import RunResult
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "RunSnapshot",
     "STANDARD_TEMPLATES",
     "run_extractors",
-    "run_report",
 ]

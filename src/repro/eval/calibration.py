@@ -105,29 +105,3 @@ def probability_histogram(probabilities: Iterable[float]) -> ProbabilityHistogra
         counts[bucket_index(probability)] += 1
     return ProbabilityHistogram(counts)
 
-
-def calibration_vs_exact(compiled, estimated_marginals) -> CalibrationPlot:
-    """Calibration of estimated marginals against the exact-inference oracle.
-
-    On toy graphs (small enough for full enumeration) we do not need held-out
-    labels to judge calibration: bucket the non-evidence variables by their
-    *estimated* marginal and report the mean *exact* marginal per bucket.  A
-    correct sampler hugs the diagonal; systematic deviation localizes a
-    sampling bug to a probability range.
-    """
-    from repro.inference.exact import exact_marginals
-
-    exact = exact_marginals(compiled).marginals
-    query = ~compiled.is_evidence
-    counts = np.zeros(NUM_BUCKETS, dtype=np.int64)
-    exact_mass = np.zeros(NUM_BUCKETS, dtype=np.float64)
-    for estimated, truth in zip(np.asarray(estimated_marginals)[query],
-                                exact[query]):
-        index = bucket_index(float(estimated))
-        counts[index] += 1
-        exact_mass[index] += truth
-    with np.errstate(invalid="ignore"):
-        observed = np.where(counts > 0, exact_mass / np.maximum(counts, 1),
-                            np.nan)
-    centers = (np.arange(NUM_BUCKETS) + 0.5) / NUM_BUCKETS
-    return CalibrationPlot(centers, observed, counts)

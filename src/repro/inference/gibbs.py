@@ -33,10 +33,8 @@ never reads); the second rebuilds the table.
 
 Every chain runs through one loop, :meth:`GibbsSampler.run_chain`: batch
 marginals, the served refresh and each NUMA replica as long chains, the
-learner's refresh and the annealed MAP search (its flip deltas scaled by an
-inverse temperature ``beta``) as one-sweep chains through
-:meth:`GibbsSampler.sweep`.  :meth:`GibbsSampler.sweep_reference` is its
-scalar oracle.
+learner's refresh as one-sweep chains through :meth:`GibbsSampler.sweep`.
+:meth:`GibbsSampler.sweep_reference` is its scalar oracle.
 """
 
 from __future__ import annotations
@@ -193,14 +191,10 @@ class _FlipTable:
                           minlength=len(self.offsets))
         return (row + self.offsets).astype(np.intp)
 
-    def probabilities(self, others: np.ndarray,
-                      beta: float = 1.0) -> np.ndarray:
+    def probabilities(self, others: np.ndarray) -> np.ndarray:
         """:meth:`_BlockKernel.probabilities` read from the table: the same
-        bits, ``log_odds`` scaled by ``beta`` when it is not 1."""
-        row = self.rows(others)
-        if beta == 1.0:
-            return self.probs[row]
-        return _sigmoid_array(self.log_odds[row] * beta)
+        bits."""
+        return self.probs[self.rows(others)]
 
 
 class _BlockKernel:
@@ -255,17 +249,13 @@ class _BlockKernel:
             self._sweeps = 2
         return self._table
 
-    def probabilities(self, others: np.ndarray,
-                      beta: float = 1.0) -> np.ndarray:
-        """Flip probabilities ``sigmoid(beta * deltas)`` of the block through
+    def probabilities(self, others: np.ndarray) -> np.ndarray:
+        """Flip probabilities ``sigmoid(deltas)`` of the block through
         :meth:`deltas`, given the values behind its other edges
         (``world[block.other_vars]``).  Marks the block swept since its
         :meth:`refresh`, so the next one-sweep chain reads its table."""
         self._sweeps = 1
-        deltas = self.deltas(others)
-        if beta != 1.0:
-            deltas *= beta
-        return _sigmoid_array(deltas)
+        return _sigmoid_array(self.deltas(others))
 
     def deltas(self, others: np.ndarray) -> np.ndarray:
         """Flip deltas (log-odds) for every variable of the block, given the
@@ -400,21 +390,17 @@ class GibbsSampler:
             self._unary_deltas[self._independent_index])
 
     # ----------------------------------------------------------------- sweeps
-    def sweep(self, assignment: np.ndarray, beta: float = 1.0) -> int:
+    def sweep(self, assignment: np.ndarray) -> int:
         """One full Gibbs sweep in place, a one-sweep :meth:`run_chain`;
         returns variables sampled."""
-        return self.run_chain(assignment, 1, 0, beta)[1]
+        return self.run_chain(assignment, 1, 0)[1]
 
-    def sweep_reference(self, assignment: np.ndarray,
-                        beta: float = 1.0) -> int:
+    def sweep_reference(self, assignment: np.ndarray) -> int:
         """Scalar per-variable sweep, the oracle :meth:`run_chain` is tested
         against: identical RNG stream, identical chromatic visit order,
         sequential conditionals, each flip delta its unary delta plus
         :meth:`CompiledGraph.general_delta`."""
         probs = self._independent_probs
-        if beta != 1.0:
-            probs = _sigmoid_array(
-                self._unary_deltas[self._independent_index] * beta)
         sampled = len(probs)
         if sampled:
             assignment[self._independent_index] = (
@@ -424,8 +410,7 @@ class GibbsSampler:
             unary = self._unary_deltas
             for i, var in enumerate(self._dependent.tolist()):
                 delta = unary[var] + self.compiled.general_delta(var, assignment)
-                assignment[var] = uniforms[i] < _sigmoid_scalar(
-                    float(delta) * beta)
+                assignment[var] = uniforms[i] < _sigmoid_scalar(float(delta))
             sampled += len(self._dependent)
         return sampled
 
@@ -448,18 +433,16 @@ class GibbsSampler:
         width = len(self._independent_index) + len(self._dependent)
         return max(1, CHAIN_UNIFORMS // max(width, 1))
 
-    def run_chain(self, world: np.ndarray, num_samples: int, burn_in: int,
-                  beta: float = 1.0) -> tuple[np.ndarray, int]:
+    def run_chain(self, world: np.ndarray, num_samples: int,
+                  burn_in: int) -> tuple[np.ndarray, int]:
         """Sweep ``world`` in place ``burn_in + num_samples`` times; return
         the per-variable totals of the ``num_samples`` post-burn-in worlds
         and the variable samples drawn.
 
         Each sweep samples the unary-only variables, then the color blocks
-        in order; ``beta`` is the inverse temperature every flip delta is
-        scaled by (annealed MAP search; at 1 the chain samples the model).
-        A sweep draws ``n_independent + n_dependent`` uniforms, so one draw
-        per chunk of :attr:`chunk_sweeps` sweeps (never past the last) is
-        the same stream as a draw per sweep.  Per chunk, the unary-only
+        in order.  A sweep draws ``n_independent + n_dependent`` uniforms,
+        so one draw per chunk of :attr:`chunk_sweeps` sweeps (never past the
+        last) is the same stream as a draw per sweep.  Per chunk, the unary-only
         variables are sampled in bulk.  Color blocks read and write a float
         *compact world* -- the block variables, then the clamped variables
         their other edges read -- comparing uniforms with flip
@@ -476,8 +459,6 @@ class GibbsSampler:
         n_independent, n_dependent = len(independent), len(dependent)
         width = n_independent + n_dependent
         unary_probs = self._independent_probs
-        if beta != 1.0:
-            unary_probs = _sigmoid_array(self._unary_deltas[independent] * beta)
 
         compact = world[self._compact_vars].astype(np.float64)
         colors = []
@@ -505,7 +486,7 @@ class GibbsSampler:
                 for c, (source, pos, cols, out) in enumerate(colors):
                     if traced:
                         started, before = perf_counter(), out.copy()
-                    np.less(u[cols], source.probabilities(compact[pos], beta),
+                    np.less(u[cols], source.probabilities(compact[pos]),
                             out=out)
                     if traced:
                         seconds[c] += perf_counter() - started

@@ -1,12 +1,11 @@
 """NLP preprocessing substrate: HTML stripping, sentence splitting,
-tokenization, POS tagging and chunking.
+tokenization and POS tagging.
 
 This stands in for the Stanford CoreNLP pipeline DeepDive runs at load time;
 the output contract is identical: one sentence per datastore row, carrying
 token and POS markup.
 """
 
-from repro.nlp.chunker import Chunk, chunk, noun_phrases
 from repro.nlp.htmlstrip import strip_html
 from repro.nlp.pipeline import (DOCUMENT_SCHEMA, SENTENCE_SCHEMA, Document,
                                 Sentence, load_corpus, preprocess_corpus,
@@ -17,15 +16,12 @@ from repro.nlp.sentences import split_sentences
 from repro.nlp.tokenize import Token, token_texts, tokenize
 
 __all__ = [
-    "Chunk",
     "DOCUMENT_SCHEMA",
     "Document",
     "SENTENCE_SCHEMA",
     "Sentence",
     "Token",
-    "chunk",
     "load_corpus",
-    "noun_phrases",
     "preprocess_corpus",
     "preprocess_document",
     "sentence_from_row",

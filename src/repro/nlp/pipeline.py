@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 from repro import obs
 from repro.datastore import Database, Schema
-from repro.nlp.chunker import Chunk, noun_phrases
 from repro.nlp.htmlstrip import strip_html
 from repro.nlp.pos import tag
 from repro.nlp.sentences import split_sentences
@@ -42,9 +41,6 @@ class Sentence:
     def key(self) -> str:
         """Globally unique sentence identifier."""
         return f"{self.doc_id}:{self.sentence_id}"
-
-    def noun_phrase_chunks(self) -> list[Chunk]:
-        return noun_phrases(list(self.pos_tags))
 
 
 SENTENCE_SCHEMA = Schema.of(

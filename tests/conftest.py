@@ -7,14 +7,13 @@ from repro.inference import GibbsSampler
 
 
 def reference_chain(sampler: GibbsSampler, world: np.ndarray,
-                    num_samples: int, burn_in: int,
-                    beta: float = 1.0) -> tuple[np.ndarray, int]:
+                    num_samples: int, burn_in: int) -> tuple[np.ndarray, int]:
     """``GibbsSampler.run_chain`` on the scalar oracle: one
     ``sweep_reference`` after another, the worlds after burn-in added up."""
     totals = np.zeros(sampler.compiled.num_variables, dtype=np.float64)
     sampled = 0
     for sweep in range(burn_in + num_samples):
-        sampled += sampler.sweep_reference(world, beta)
+        sampled += sampler.sweep_reference(world)
         if sweep >= burn_in:
             totals += world
     return totals, sampled

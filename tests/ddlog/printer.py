@@ -1,7 +1,8 @@
 """Pretty-printer for DDlog ASTs: the inverse of the parser.
 
-Used by debugging tools to show rules back to the engineer, and by the test
-suite to assert that parse -> print -> parse is the identity.
+The parser's round-trip oracle: ``tests/ddlog/test_printer.py`` asserts
+that parse -> print -> parse is the identity.  Only tests call it, so it
+lives under ``tests/``.
 """
 
 from __future__ import annotations

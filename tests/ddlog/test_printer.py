@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ddlog import parse_program
-from repro.ddlog.printer import print_program, print_rule
+from tests.ddlog.printer import print_program, print_rule
 
 EXAMPLES = [
     # the paper's Figure 3 program

@@ -1,8 +1,8 @@
-"""Tests for the error-analysis document and Mindtagger-lite."""
+"""Tests for the error-analysis document."""
 
 from repro.eval import (CAUSE_BAD_WEIGHTS, CAUSE_INSUFFICIENT_FEATURES,
-                        CAUSE_MISSING_CANDIDATE, FeatureStat,
-                        MindtaggerSession, build_report, diagnose_miss)
+                        CAUSE_MISSING_CANDIDATE, FeatureStat, build_report,
+                        diagnose_miss)
 
 
 def simple_report(extractions, truth, sample_size=100):
@@ -80,42 +80,3 @@ class TestDiagnoseMiss:
     def test_bad_weights(self):
         assert diagnose_miss("x", {"x"}, lambda item: 5) == CAUSE_BAD_WEIGHTS
 
-
-class TestMindtagger:
-    def test_serves_sample(self):
-        session = MindtaggerSession(range(1000), sample_size=20, seed=1)
-        assert len(session) == 20
-
-    def test_mark_and_summary(self):
-        session = MindtaggerSession(["a", "b", "c"], sample_size=10)
-        session.mark("a", True)
-        session.mark("b", False, tag="bad-name")
-        summary = session.summary()
-        assert summary.marked == 2
-        assert summary.correct == 1
-        assert not summary.complete
-        assert session.tags() == {"b": "bad-name"}
-
-    def test_next_item_progression(self):
-        session = MindtaggerSession(["a", "b"], sample_size=10)
-        first = session.next_item()
-        session.mark(first, True)
-        second = session.next_item()
-        assert second != first
-        session.mark(second, True)
-        assert session.next_item() is None
-
-    def test_unknown_item_rejected(self):
-        session = MindtaggerSession(["a"], sample_size=10)
-        import pytest
-        with pytest.raises(KeyError):
-            session.mark("zzz", True)
-
-    def test_oracle_run(self):
-        session = MindtaggerSession(["a", "b", "c"], sample_size=10)
-        session.run_with_oracle(lambda item: item != "b",
-                                tagger=lambda item: "bucket")
-        summary = session.summary()
-        assert summary.complete
-        assert summary.accuracy == 2 / 3
-        assert session.tags() == {"b": "bucket"}

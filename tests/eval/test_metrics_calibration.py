@@ -132,8 +132,8 @@ class TestCalibrationVsExact:
         return CompiledGraph(graph)
 
     def test_good_sampler_hugs_diagonal(self):
-        from repro.eval import calibration_vs_exact
         from repro.inference import GibbsSampler
+        from tests.inference.exact import calibration_vs_exact
 
         compiled = self.toy_compiled()
         estimated = GibbsSampler(compiled, seed=3).marginals(
@@ -143,7 +143,7 @@ class TestCalibrationVsExact:
         assert plot.max_deviation < 0.1
 
     def test_broken_estimates_flagged(self):
-        from repro.eval import calibration_vs_exact
+        from tests.inference.exact import calibration_vs_exact
 
         compiled = self.toy_compiled()
         inverted = 1.0 - np.linspace(0.05, 0.95, compiled.num_variables)

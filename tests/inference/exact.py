@@ -1,5 +1,8 @@
 """Brute-force exact marginal inference: the sampler's correctness oracle.
 
+It lives under ``tests/`` because only tests call it; like
+``tests/el/oracle.py`` it is the plain form the optimised code is judged by.
+
 The factor graph of Section 3.3 defines an unnormalized log-weight for every
 possible world; on toy graphs (<= 20 free variables) we can enumerate all
 worlds, normalize explicitly, and read off exact marginals.  That turns
@@ -19,6 +22,7 @@ from typing import Hashable
 
 import numpy as np
 
+from repro.eval.calibration import NUM_BUCKETS, CalibrationPlot, bucket_index
 from repro.factorgraph.compiled import CompiledGraph
 from repro.factorgraph.factor_functions import FactorFunction
 
@@ -115,3 +119,28 @@ def exact_marginals(compiled: CompiledGraph,
             compiled.is_evidence]
     return ExactResult(marginals=marginals, log_partition=log_partition,
                        num_worlds=len(worlds))
+
+
+def calibration_vs_exact(compiled, estimated_marginals) -> CalibrationPlot:
+    """Calibration of estimated marginals against the exact-inference oracle.
+
+    On toy graphs (small enough for full enumeration) we do not need held-out
+    labels to judge calibration: bucket the non-evidence variables by their
+    *estimated* marginal and report the mean *exact* marginal per bucket.  A
+    correct sampler hugs the diagonal; systematic deviation localizes a
+    sampling bug to a probability range.
+    """
+    exact = exact_marginals(compiled).marginals
+    query = ~compiled.is_evidence
+    counts = np.zeros(NUM_BUCKETS, dtype=np.int64)
+    exact_mass = np.zeros(NUM_BUCKETS, dtype=np.float64)
+    for estimated, truth in zip(np.asarray(estimated_marginals)[query],
+                                exact[query]):
+        index = bucket_index(float(estimated))
+        counts[index] += 1
+        exact_mass[index] += truth
+    with np.errstate(invalid="ignore"):
+        observed = np.where(counts > 0, exact_mass / np.maximum(counts, 1),
+                            np.nan)
+    centers = (np.arange(NUM_BUCKETS) + 0.5) / NUM_BUCKETS
+    return CalibrationPlot(centers, observed, counts)

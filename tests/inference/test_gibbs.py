@@ -6,10 +6,11 @@ import pytest
 
 from repro import obs
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
-from repro.inference import GibbsSampler, exact_marginals, sigmoid
+from repro.inference import GibbsSampler, sigmoid
 from repro.inference.gibbs import (CHAIN_UNIFORMS, TABLE_MAX_EDGES,
                                    _sigmoid_array)
 from tests.conftest import reference_chain
+from tests.inference.exact import exact_marginals
 
 
 def assert_close_to_exact(graph: FactorGraph, atol: float = 0.03) -> None:
@@ -492,14 +493,14 @@ class TestChainRunner:
 
     @staticmethod
     def assert_runner_is_the_loop(compiled, num_samples, burn_in, seed=2,
-                                  beta=1.0, **options):
+                                  **options):
         runner = GibbsSampler(compiled, seed=seed, **options)
         loop = GibbsSampler(compiled, seed=seed, **options)
         world, expected_world = (runner.initial_assignment(),
                                  loop.initial_assignment())
-        totals, sampled = runner.run_chain(world, num_samples, burn_in, beta)
+        totals, sampled = runner.run_chain(world, num_samples, burn_in)
         expected, expected_sampled = reference_chain(
-            loop, expected_world, num_samples, burn_in, beta)
+            loop, expected_world, num_samples, burn_in)
         np.testing.assert_array_equal(totals, expected)
         np.testing.assert_array_equal(world, expected_world)
         assert sampled == expected_sampled
@@ -549,13 +550,11 @@ class TestChainRunner:
         assert not kernel.table_rows and not kernel.from_table
         assert all(k.from_table for k in runner._kernels if k is not kernel)
 
-    @pytest.mark.parametrize("beta", [0.5, 3.0])
-    def test_tempered_chain(self, beta):
-        """At ``beta`` != 1 a tabled block scales its rows' log-odds, a wide
-        block its deltas and the unary-only variables their unary deltas;
-        all are the tempered oracle's chain."""
+    def test_wide_block_tables_and_unary_only_variables(self):
+        """A wide hub block on ``deltas``, tabled spokes and unary-only
+        variables sampled in bulk, in one chain: the oracle's chain."""
         compiled = TestFlipTable.hub_graph(TABLE_MAX_EDGES + 1, unary_only=20)
-        runner = self.assert_runner_is_the_loop(compiled, 40, 6, beta=beta)
+        runner = self.assert_runner_is_the_loop(compiled, 40, 6)
         assert len(runner._independent_index) == 20
         assert sorted(bool(k.table_rows) for k in runner._kernels) == \
             [False, True]

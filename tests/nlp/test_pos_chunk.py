@@ -1,6 +1,6 @@
-"""Unit tests for the POS tagger and chunker."""
+"""Unit tests for the POS tagger."""
 
-from repro.nlp import chunk, noun_phrases, tag, tag_token
+from repro.nlp import tag, tag_token
 
 
 class TestTagToken:
@@ -54,28 +54,3 @@ class TestTagSentence:
     def test_empty(self):
         assert tag([]) == []
 
-
-class TestChunker:
-    def test_noun_phrase_grouped(self):
-        tags = ["DT", "JJ", "NN", "VB", "DT", "NN"]
-        nps = noun_phrases(tags)
-        assert [(c.start, c.end) for c in nps] == [(0, 3), (4, 6)]
-
-    def test_verb_phrase(self):
-        tags = ["NNP", "MD", "VB", "NNP"]
-        chunks = chunk(tags)
-        labels = [c.label for c in chunks]
-        assert labels == ["NP", "VP", "NP"]
-
-    def test_dangling_determiner_is_o(self):
-        chunks = chunk(["VB", "DT"])
-        assert chunks[-1].label == "O"
-
-    def test_chunks_cover_sentence(self):
-        tags = ["DT", "NN", "VB", "IN", "NNP", "PUNCT"]
-        chunks = chunk(tags)
-        covered = [i for c in chunks for i in c.indices()]
-        assert covered == list(range(len(tags)))
-
-    def test_empty(self):
-        assert chunk([]) == []

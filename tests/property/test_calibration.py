@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.grounding import ChainState, refresh
-from repro.inference import GibbsSampler, exact_marginals
+from repro.inference import GibbsSampler
+from tests.inference.exact import exact_marginals
 
 GENERAL = [FactorFunction.IMPLY, FactorFunction.AND, FactorFunction.OR,
            FactorFunction.EQUAL]

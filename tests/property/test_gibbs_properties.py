@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from repro.factorgraph import CompiledGraph, FactorFunction, FactorGraph
 from repro.inference import GibbsSampler, gibbs
-from repro.inference.exact import exact_marginals
 from repro.inference.gibbs import TABLE_MAX_EDGES
 from tests.conftest import reference_chain
+from tests.inference.exact import exact_marginals
 
 
 @st.composite
@@ -163,14 +163,14 @@ class TestSweepInvariants:
 class TestSweepOracle:
     """Every branch of the color kernel -- the direct path on the first
     sweep after a refresh, the flip table from the second, a block whose
-    variable has more than ``TABLE_MAX_EDGES`` other edges staying direct,
-    and the tempered lookup -- is the scalar oracle's chain, bit for bit."""
+    variable has more than ``TABLE_MAX_EDGES`` other edges staying direct
+    -- is the scalar oracle's chain, bit for bit."""
 
     @given(random_graph(max_factors=16, max_arity=4), st.integers(0, 10_000),
-           st.booleans(), st.booleans(), st.sampled_from([1.0, 0.5, 3.0]))
+           st.booleans(), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_sweep_matches_reference_across_a_refresh(self, graph, seed, clamp,
-                                                      restrict, beta):
+                                                      restrict):
         compiled = CompiledGraph(graph)
         rng = np.random.default_rng(seed)
         region = rng.random(compiled.num_variables) < 0.7 if restrict else None
@@ -188,8 +188,7 @@ class TestSweepOracle:
                     0.0, 2.0, compiled.num_weights)
                 fast.refresh_weights()
                 slow.refresh_weights()
-            assert fast.sweep(world, beta=beta) == \
-                slow.sweep_reference(reference, beta=beta)
+            assert fast.sweep(world) == slow.sweep_reference(reference)
             np.testing.assert_array_equal(world, reference)
         for kernel in fast._kernels:
             counts = np.bincount(kernel.block.slot_var[kernel.block.other_slot],
@@ -198,8 +197,7 @@ class TestSweepOracle:
 
 
 class TestChainRunner:
-    """``run_chain`` is the ``sweep_reference`` loop, bit for bit, at every
-    temperature: the totals, the final world, the samples drawn and the
+    """``run_chain`` is the ``sweep_reference`` loop, bit for bit: the totals, the final world, the samples drawn and the
     next RNG draw; its tables follow the one-sweep rule (direct first,
     table from the second).  ``CHAIN_UNIFORMS`` is patched down to
     ``chunk`` sweeps of the sampler's width so that chains of
@@ -209,12 +207,11 @@ class TestChainRunner:
 
     @given(random_graph(max_factors=16, max_arity=4), st.integers(0, 10_000),
            st.booleans(), st.booleans(), st.integers(1, 4),
-           st.integers(-1, 5), st.integers(0, 2),
-           st.sampled_from([1.0, 0.5, 3.0]), st.data())
+           st.integers(-1, 5), st.integers(0, 2), st.data())
     @settings(max_examples=150, deadline=None)
     def test_run_chain_matches_the_sweep_loop(self, graph, seed, clamp,
                                               restrict, chunk, beyond,
-                                              warm_sweeps, beta, data):
+                                              warm_sweeps, data):
         compiled = CompiledGraph(graph)
         region = (np.random.default_rng(seed).random(compiled.num_variables)
                   < 0.7 if restrict else None)
@@ -223,17 +220,17 @@ class TestChainRunner:
         world, expected_world = runner.initial_assignment(), \
             loop.initial_assignment()
         for _ in range(warm_sweeps):        # tables built, stale or absent
-            runner.sweep(world, beta)
-            loop.sweep_reference(expected_world, beta)
+            runner.sweep(world)
+            loop.sweep_reference(expected_world)
         width = len(runner._independent_index) + len(runner._dependent)
         total = max(1, chunk + beyond)
         burn_in = data.draw(st.integers(0, total - 1))
         with mock.patch.object(gibbs, "CHAIN_UNIFORMS", chunk * width):
             assert runner.chunk_sweeps == (chunk if width else 1)
             totals, sampled = runner.run_chain(world, total - burn_in,
-                                               burn_in, beta)
+                                               burn_in)
         expected, expected_sampled = reference_chain(
-            loop, expected_world, total - burn_in, burn_in, beta)
+            loop, expected_world, total - burn_in, burn_in)
         assert totals.dtype == expected.dtype
         np.testing.assert_array_equal(totals, expected)
         np.testing.assert_array_equal(world, expected_world)

@@ -48,14 +48,24 @@ def test_closed_item_keeps_nothing():
     assert "item-19" not in {reason for _, reason in census.read_keep_list()}
 
 
+def test_paper_is_no_reason():
+    """Each paper feature got a caller that checks its output or left
+    ``src/``, so ``paper`` keeps nothing; test oracles live under
+    ``tests/`` and ``oracle`` stays a reason for the ones to come."""
+    census = load_census()
+    assert not census.valid_reason("paper")
+    assert census.valid_reason("oracle")
+    assert "paper" not in {reason for _, reason in census.read_keep_list()}
+
+
 def test_closing_line_totals_each_reason(capsys):
     census = load_census()
     functions = [{"module": "m", "qualname": name, "start": start,
                   "lines": lines, "parent": None}
                  for name, start, lines in (("a", 1, 3), ("b", 5, 4),
                                             ("c", 10, 2), ("d", 20, 7))]
-    entries = [("m:a", "api"), ("m:b", "paper"), ("m:c", "api")]
+    entries = [("m:a", "api"), ("m:b", "oracle"), ("m:c", "api")]
     assert census.judge(functions, {("m", 20)}, entries, False) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(
         "3 kept, 0 unlisted, 0 stale entries; by reason (functions/lines): "
-        "api 2/5, paper 1/4")
+        "api 2/5, oracle 1/4")

@@ -46,7 +46,7 @@ KEEP_LIST = ROOT / "tools" / "census_keep.txt"
 
 #: Why a never-run function stays (the keep-list's header says what each
 #: means), besides ``item-N``: roadmap item N owns the code.
-REASONS = ("oracle", "error-path", "api", "child-process", "paper")
+REASONS = ("oracle", "error-path", "api", "child-process")
 ITEM_REASON = re.compile(r"item-\d+")
 #: Roadmap items whose candidates are all decided: they keep nothing, so a
 #: new never-run function needs a reason above or an open item.
